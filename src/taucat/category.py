@@ -121,6 +121,9 @@ class GradedCatPresentation:
                 raise ValueError(f"hom key out of range: {(x, y, h)}")
         hmul = self.tau.source.mul
         for (x, y, z, h, h2), t in self.compose_t.items():
+            if not (0 <= min(x, y, z) and max(x, y, z) < n and 0 <= h < nh
+                    and 0 <= h2 < nh):
+                raise ValueError(f"composition key out of range: {(x, y, z, h, h2)}")
             r1 = self.rank(x, y, h)
             r2 = self.rank(y, z, h2)
             r3 = self.rank(x, z, hmul(h2, h))
@@ -131,6 +134,14 @@ class GradedCatPresentation:
         for x in range(n):
             if len(self.identities[x]) != self.rank(x, x, e):
                 raise ValueError(f"identity coordinates of object {x} have wrong length")
+        for x, parts in self.sums.items():
+            for part, iota, pi in parts:
+                if not (0 <= x < n and 0 <= part < n):
+                    raise ValueError(f"declared sum {x} has a part out of range")
+                for m, ends in ((iota, (part, x)), (pi, (x, part))):
+                    if ((m.src, m.dst) != ends
+                            or len(m.coords) != self.rank(m.src, m.dst, m.degree)):
+                        raise ValueError(f"declared sum {x} has a malformed map at part {part}")
 
 
 def zero_morphism(cat: GradedCatPresentation, x: int, y: int, h: int) -> Morphism:
@@ -144,18 +155,6 @@ def identity_morphism(cat: GradedCatPresentation, x: int) -> Morphism:
 def basis_morphism(cat: GradedCatPresentation, x: int, y: int, h: int, k: int) -> Morphism:
     r = cat.rank(x, y, h)
     return Morphism(x, y, h, tuple(1 if i == k else 0 for i in range(r)))
-
-
-def scale_morphism(cat: GradedCatPresentation, c: int, f: Morphism) -> Morphism:
-    return Morphism(f.src, f.dst, f.degree,
-                    tuple(cat.field.mul(c, v) for v in f.coords))
-
-
-def add_morphisms(cat: GradedCatPresentation, f: Morphism, g: Morphism) -> Morphism:
-    if (f.src, f.dst, f.degree) != (g.src, g.dst, g.degree):
-        raise ValueError("can only add morphisms of the same hom space and degree")
-    return Morphism(f.src, f.dst, f.degree,
-                    tuple(cat.field.add(a, b) for a, b in zip(f.coords, g.coords)))
 
 
 def compose(cat: GradedCatPresentation, f: Morphism, g: Morphism) -> Morphism:
@@ -242,12 +241,10 @@ def invert(cat: GradedCatPresentation, f: Morphism):
     cols = []
     for j in range(r2):
         gj = basis_morphism(cat, f.dst, f.src, a_inv, j)
-        left = compose(cat, f, gj).coords   # g o f in End(src)
-        right = compose(cat, gj, f).coords  # f o g in End(dst)
-        cols.append(list(left) + list(right))
-    matrix = [[cols[j][i] for j in range(r2)] for i in range(r_src + r_dst)]
-    rhs = list(cat.identities[f.src]) + list(cat.identities[f.dst])
-    x = fplinalg.solve(matrix, rhs, cat.field.p, ncols=r2)
+        # g o f in End(src), then f o g in End(dst)
+        cols.append(compose(cat, f, gj).coords + compose(cat, gj, f).coords)
+    rhs = cat.identities[f.src] + cat.identities[f.dst]
+    x = fplinalg.solve(fplinalg.from_columns(cols), rhs, cat.field.p, ncols=r2)
     if x is None:
         return None
     return Morphism(f.dst, f.src, a_inv, tuple(x))

@@ -26,7 +26,7 @@ from .mtau import (build_group_groupoid, build_skeleton, check_skeleton_inverses
                    cyclic_subgroup_of_order, cyclic_table_category, mtau_spec,
                    parity_tau, simple_census, trivial_spec)
 from .structure import classify_equivalences, classify_nat_isos, decompose
-from .modcat import extract_action, roundtrip_eta, roundtrip_nu, check_tau_module
+from .modcat import check_tau_module, extract_action, roundtrip
 from .yoneda import has_invertible_nat, nat_equal, nat_space, phi, phi_inv, representable
 
 
@@ -190,9 +190,7 @@ def cmd_roundtrip(args) -> int:
                "error": "category fails verification"}, args.output)
         return 1
     try:
-        eta, eta_inv, rebuilt = roundtrip_eta(cat)
-        mod = extract_action(cat)
-        nu, nu_inv, bmod = roundtrip_nu(mod)
+        rt = roundtrip(cat)
     except ValueError as err:
         _emit({"command": "roundtrip", "ok": False, "error": str(err)},
               args.output)
@@ -201,8 +199,8 @@ def cmd_roundtrip(args) -> int:
         "command": "roundtrip",
         "inputs": {args.category: _digest(args.category)},
         "ok": True,
-        "degree_law": check_tau_module(mod).ok,
-        "rebuilt_objects": rebuilt.n_objects,
+        "degree_law": check_tau_module(rt.mod).ok,
+        "rebuilt_objects": rt.rebuilt.n_objects,
     }
     _emit(report, args.output)
     return 0
@@ -384,8 +382,7 @@ def run_paper_suite(p: int, seed: int):
                 want = cat.tau.target.mul(cat.tau.map[a], cat.degrees[x])
                 good = good and cat.degrees[hit[0]] == want
         try:
-            roundtrip_eta(cat)
-            roundtrip_nu(extract_action(cat))
+            roundtrip(cat)
         except ValueError:
             good = False
     c2cat = cyclic_table_category(f, 2)

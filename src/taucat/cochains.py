@@ -23,7 +23,8 @@ from random import Random
 
 from . import znsolve
 from .fields import PrimeField
-from .groups import CosetSpace, left_action_on_cosets
+from .groups import (CosetSpace, conjugate_subgroup, coset_space,
+                     left_action_on_cosets)
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,6 @@ class Cochain2:
 
     def at(self, a: int, b: int) -> UnitFunction:
         return UnitFunction(self.field, self.space, self.values[a][b])
-
-
-def cochain0(field: PrimeField, space: CosetSpace, values) -> Cochain0:
-    vals = tuple(int(v) % field.p for v in values)
-    if len(vals) != space.size or any(v == 0 for v in vals):
-        raise ValueError("0-cochain needs a unit per coset")
-    return Cochain0(field, space, vals)
 
 
 def cochain1(field: PrimeField, space: CosetSpace, values) -> Cochain1:
@@ -234,43 +228,26 @@ def is_cocycle(psi: Cochain2) -> bool:
     return cocycle_violation(psi) is None
 
 
+def _conjugate_lookup(space: CosetSpace, t: int):
+    """The coset space of t L' t^-1, and for each of its cosets hL the
+    L'-coset of h*t, which is independent of the representative chosen."""
+    g = space.parent
+    new_space = coset_space(g, conjugate_subgroup(space.subgroup, t))
+    return new_space, tuple(space.coset_of[g.mul(r, t)] for r in new_space.reps)
+
+
 def translate(psi: Cochain2, t: int) -> Cochain2:
-    """Transport a 2-cochain on H/L' to the conjugate subgroup t L' t^-1.
-
-    The value on the coset represented by h is read off at the L'-coset of
-    h*t, which is independent of the representative chosen.
-    """
-    from .groups import conjugate_subgroup, coset_space
-
-    old = psi.space
-    g = old.parent
-    sub = conjugate_subgroup(old.subgroup, t)
-    new_space = coset_space(g, sub)
-    lookup = tuple(old.coset_of[g.mul(r, t)] for r in new_space.reps)
-    n = g.order
-    vals = tuple(
-        tuple(tuple(psi.values[a][b][lookup[i]] for i in range(new_space.size))
-              for b in range(n))
-        for a in range(n)
-    )
-    out = Cochain2(psi.field, new_space, vals)
-    return out
+    """Transport a 2-cochain on H/L' to the conjugate subgroup t L' t^-1."""
+    new_space, lookup = _conjugate_lookup(psi.space, t)
+    return Cochain2(psi.field, new_space, tuple(
+        tuple(tuple(cell[i] for i in lookup) for cell in row) for row in psi.values))
 
 
 def translate_c1(gamma: Cochain1, t: int) -> Cochain1:
     """Same transport as `translate`, one degree down."""
-    from .groups import conjugate_subgroup, coset_space
-
-    old = gamma.space
-    g = old.parent
-    sub = conjugate_subgroup(old.subgroup, t)
-    new_space = coset_space(g, sub)
-    lookup = tuple(old.coset_of[g.mul(r, t)] for r in new_space.reps)
-    vals = tuple(
-        tuple(gamma.values[a][lookup[i]] for i in range(new_space.size))
-        for a in range(g.order)
-    )
-    return Cochain1(gamma.field, new_space, vals)
+    new_space, lookup = _conjugate_lookup(gamma.space, t)
+    return Cochain1(gamma.field, new_space, tuple(
+        tuple(row[i] for i in lookup) for row in gamma.values))
 
 
 # -- linear solvers ----------------------------------------------------------
@@ -300,10 +277,6 @@ def _exponents_to_c1(field: PrimeField, space: CosetSpace, vec) -> Cochain1:
     return Cochain1(field, space, tuple(tuple(row) for row in grid))
 
 
-def _c0_to_exponents(eta: Cochain0):
-    return tuple(eta.field.log(v) for v in eta.values)
-
-
 def _exponents_to_c0(field: PrimeField, space: CosetSpace, vec) -> Cochain0:
     return Cochain0(field, space, tuple(field.exp(x) for x in vec))
 
@@ -316,21 +289,12 @@ class Cochain1Solutions:
     kernel: tuple[tuple[int, ...], ...]  # exponent vectors over Z/(p-1)
     _raw: znsolve.SolutionSet
 
-    def contains(self, gamma: Cochain1, target: Cochain2) -> bool:
-        return d1_cochain(gamma) == target
-
     def count(self) -> int:
         return self._raw.count()
 
     def enumerate(self, cap: int = 100000):
         for vec in self._raw.enumerate(cap):
             yield _exponents_to_c1(self.field, self.space, vec)
-
-    def canonical(self) -> Cochain1:
-        vec = znsolve.lexmin_coset(
-            _c1_to_exponents(self.particular), self.kernel,
-            max(self.field.unit_order, 1))
-        return _exponents_to_c1(self.field, self.space, vec)
 
 
 @dataclass(frozen=True)

@@ -222,8 +222,8 @@ class AdditiveCompletion:
             right = self._flatten(self.compose(g, f))
             cols.append(left + right)
         rhs = self._flatten(self.identity(f.src)) + self._flatten(self.identity(f.dst))
-        matrix = [[cols[j][i] for j in range(len(cols))] for i in range(len(rhs))]
-        x = fplinalg.solve(matrix, rhs, self.field.p, ncols=len(cols))
+        x = fplinalg.solve(fplinalg.from_columns(cols), rhs, self.field.p,
+                           ncols=len(cols))
         if x is None:
             return None
         out = self.zero(f.dst, f.src, a_inv)

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import znsolve
-
 
 @dataclass(frozen=True)
 class PrimeField:
@@ -94,28 +92,3 @@ def field(p: int, allow_two: bool = False) -> PrimeField:
         dlog[x] = k
         x = (x * gen) % p
     return PrimeField(p, gen, tuple(dlog))
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """Solutions of a linear system over Z/(p-1): particular + kernel span."""
-
-    modulus: int
-    particular: tuple[int, ...]
-    kernel: tuple[tuple[int, ...], ...]
-    _raw: znsolve.SolutionSet
-
-    def enumerate(self, cap: int = 100000):
-        return self._raw.enumerate(cap)
-
-    def count(self) -> int:
-        return self._raw.count()
-
-
-def unit_solve_linear(field_: PrimeField, matrix, rhs, ncols=None):
-    """Solve A x = b over Z/(p-1); None when infeasible."""
-    m = field_.unit_order
-    sol = znsolve.solve(matrix, rhs, m, ncols=ncols)
-    if sol is None:
-        return None
-    return LinearSolution(m, sol.x0, sol.kernel, sol)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 
-def matvec(a, x, p):
-    return [sum(r[j] * x[j] for j in range(len(x))) % p for r in a]
+def from_columns(cols):
+    """The matrix, as a tuple of rows, whose k-th column is cols[k]."""
+    return tuple(zip(*cols))
 
 
 def matmul(a, b, p):

@@ -8,7 +8,7 @@ loudly rather than producing broken in-memory structures.
 
 from __future__ import annotations
 
-from .category import GradedCatPresentation
+from .category import GradedCatPresentation, Morphism
 from .cochains import Cochain1, Cochain2, cochain1, cochain2, trivial_cochain2
 from .fields import PrimeField, field
 from .groups import (FiniteGroup, GroupHom, coset_space, cyclic_group,
@@ -16,11 +16,43 @@ from .groups import (FiniteGroup, GroupHom, coset_space, cyclic_group,
 from .mtau import MtauSpec, mtau_spec
 
 
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{what} must be an integer, not {value!r}") from None
+
+
+def _array(value, what: str, depth: int = 0) -> list:
+    """A JSON array; with depth > 0, integers nested that many arrays deep."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, not {type(value).__name__}")
+    if depth == 1:
+        return [_int(v, what) for v in value]
+    if depth > 1:
+        return [_array(v, what, depth - 1) for v in value]
+    return value
+
+
+def _records(value, what: str, *keys: str):
+    """Each object of a JSON array, with the named integer fields read off."""
+    for rec in _array(value, what):
+        rec = _object(rec, what)
+        yield rec, tuple(_int(rec[k], f"{what} {k}") for k in keys)
+
+
 def parse_group(doc) -> FiniteGroup:
+    doc = _object(doc, "group")
     if "cyclic" in doc:
-        return cyclic_group(int(doc["cyclic"]))
+        return cyclic_group(_int(doc["cyclic"], "cyclic group order"))
     if "table" in doc:
-        return group_from_table(doc["table"])
+        return group_from_table(_array(doc["table"], "Cayley table", 2))
     raise ValueError("group document needs 'cyclic' or 'table'")
 
 
@@ -29,9 +61,10 @@ def group_to_json(g: FiniteGroup):
 
 
 def parse_hom(doc) -> GroupHom:
+    doc = _object(doc, "homomorphism")
     src = parse_group(doc["source"])
     tgt = parse_group(doc["target"])
-    return hom(src, tgt, doc["map"])
+    return hom(src, tgt, _array(doc["map"], "homomorphism map", 1))
 
 
 def hom_to_json(h: GroupHom):
@@ -101,21 +134,31 @@ def mtau_spec_to_json(spec: MtauSpec):
 
 
 def parse_category(doc) -> GradedCatPresentation:
+    doc = _object(doc, "category")
     tau = parse_hom(doc["tau"])
-    f = field(int(doc["p"]))
-    degrees = [int(o["deg"]) for o in doc["objects"]]
-    hom_rank = {}
-    for h in doc.get("homs", []):
-        hom_rank[(int(h["src"]), int(h["dst"]), int(h["h"]))] = int(h["rank"])
-    comp = {}
-    for c in doc.get("compose", []):
-        key = (int(c["src"]), int(c["mid"]), int(c["dst"]), int(c["h"]), int(c["h2"]))
-        comp[key] = c["tensor"]
-    identities = [tuple(int(v) for v in row) for row in doc["identities"]]
-    return GradedCatPresentation(tau, f, degrees, hom_rank, comp, identities)
+    f = field(_int(doc["p"], "p"))
+    degrees = [deg for _, (deg,) in _records(doc["objects"], "objects", "deg")]
+    hom_rank = {key: _int(rec["rank"], "hom rank")
+                for rec, key in _records(doc.get("homs", []), "homs", "src", "dst", "h")}
+    comp = {key: _array(rec["tensor"], "composition tensor", 3)
+            for rec, key in _records(doc.get("compose", []), "compose",
+                                     "src", "mid", "dst", "h", "h2")}
+    identities = _array(doc["identities"], "identities", 2)
+    e = tau.source.identity
+    sums = {}
+    for rec, (x,) in _records(doc.get("sums", []), "sums", "object"):
+        sums[x] = tuple(
+            (part, Morphism(part, x, e, tuple(_array(pd["injection"], "injection", 1))),
+             Morphism(x, part, e, tuple(_array(pd["projection"], "projection", 1))))
+            for pd, (part,) in _records(rec["parts"], "sum parts", "part"))
+    return GradedCatPresentation(tau, f, degrees, hom_rank, comp, identities,
+                                 sums=sums)
 
 
 def category_to_json(cat: GradedCatPresentation):
+    """The file form of a presentation.  Declared direct sums are kept, with
+    degree-1 injections and projections; shift choices are not, since no
+    verdict depends on which shift is chosen."""
     out = {
         "tau": hom_to_json(cat.tau),
         "p": cat.field.p,
@@ -129,6 +172,10 @@ def category_to_json(cat: GradedCatPresentation):
         ],
         "identities": [list(c) for c in cat.identities],
     }
+    if cat.sums:
+        out["sums"] = [{"object": x, "parts": [
+            {"part": part, "injection": list(i.coords), "projection": list(q.coords)}
+            for part, i, q in parts]} for x, parts in sorted(cat.sums.items())]
     return out
 
 

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from .category import (FunctorData, GradedCatPresentation, Morphism,
                        NatTransData, Verdict, apply_functor, basis_morphism,
                        compose, compose_functors, find_shift, identity_functor,
-                       identity_morphism, invert, verify_functor, verify_nat)
+                       identity_morphism, invert, verify_axioms, verify_functor,
+                       verify_nat)
+from .fplinalg import from_columns
 
 
 def shift_table(cat: GradedCatPresentation):
@@ -45,6 +47,13 @@ def shift_table(cat: GradedCatPresentation):
                 raise ValueError(f"object {x} has no shift by {a}")
             table[(x, a)] = hit
     return table
+
+
+def _hom_maps(src: GradedCatPresentation, image) -> dict:
+    """FunctorData hom maps on src: column k at (x, y, h) is image(basis_k)."""
+    return {key: from_columns([image(basis_morphism(src, *key, k)).coords
+                               for k in range(r)])
+            for key, r in src.hom_rank.items()}
 
 
 def degree_one_part(cat: GradedCatPresentation) -> GradedCatPresentation:
@@ -104,17 +113,8 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     action = {}
     for h in gH.elements():
         obj_map = [table[(x, h)][0] for x in cat.objects()]
-        hom_maps = {}
-        for (x, y, e_), r in base.hom_rank.items():
-            cols = []
-            for k in range(r):
-                f = basis_morphism(cat, x, y, e_, k)
-                m = compose(cat, inv_iso[(x, h)], f)
-                m = compose(cat, m, table[(y, h)][1])
-                cols.append(m.coords)
-            hom_maps[(x, y, e_)] = tuple(
-                tuple(cols[c][row] for c in range(r)) for row in range(len(cols[0]))
-            ) if cols and cols[0] else tuple()
+        hom_maps = _hom_maps(base, lambda f: compose(
+            cat, compose(cat, inv_iso[(f.src, h)], f), table[(f.dst, h)][1]))
         action[h] = FunctorData(base, base, obj_map, hom_maps)
 
     e = gH.identity
@@ -261,8 +261,6 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
             shifts[(x, a)] = (ax, Morphism(x, ax, a, base.identities[ax]))
     out = GradedCatPresentation(base.tau, base.field, base.degrees, hom_rank,
                                 comp, identities, shifts=shifts)
-    from .category import verify_axioms
-
     verdict = verify_axioms(out)
     if not verdict.ok:
         raise ValueError(f"incoherent action data: {verdict.violations[0]}")
@@ -380,19 +378,11 @@ def bullet_functor(mf: ModuleFunctorData, src: ModuleCatData,
     b_src = bullet(src)
     b_dst = bullet(dst)
     F = mf.functor
-    gH = src.group
-    e = gH.identity
-    hom_maps = {}
-    for (x, y, h), r in b_src.hom_rank.items():
-        hx = src.action[h].obj_map[x]
-        cols = []
-        for k in range(r):
-            f = basis_morphism(src.base, hx, y, e, k)
-            m = compose(dst.base, mf.comparison[h].component(x), apply_functor(F, f))
-            cols.append(m.coords)
-        rows = len(cols[0]) if cols else 0
-        hom_maps[(x, y, h)] = tuple(
-            tuple(cols[c][rw] for c in range(r)) for rw in range(rows))
+    e = src.group.identity
+    hom_maps = _hom_maps(b_src, lambda f: compose(
+        dst.base, mf.comparison[f.degree].component(f.src),
+        apply_functor(F, Morphism(src.action[f.degree].obj_map[f.src], f.dst, e,
+                                  f.coords))))
     out = FunctorData(b_src, b_dst, F.obj_map, hom_maps)
     verdict = verify_functor(out)
     if not verdict.ok:
@@ -450,101 +440,81 @@ def restrict_functor(F: FunctorData, src_shifts=None,
     return mf, mod_c, mod_d
 
 
-def roundtrip_eta(cat: GradedCatPresentation, table=None, mod=None):
+@dataclass
+class RoundTrip:
+    """Both strict round trips of a category with shifts, sharing one rebuild."""
+
+    mod: ModuleCatData
+    rebuilt: GradedCatPresentation
+    eta: FunctorData
+    eta_inv: FunctorData
+    nu: ModuleFunctorData
+    nu_inv: ModuleFunctorData
+    rebuilt_mod: ModuleCatData
+
+
+def roundtrip(cat: GradedCatPresentation) -> RoundTrip:
+    """Extract the action, rebuild once, and check both round trips."""
+    table = shift_table(cat)
+    mod = extract_action(cat, shifts=table)
+    rebuilt = bullet(mod)
+    eta, eta_inv = roundtrip_eta(cat, table, rebuilt)
+    nu, nu_inv, rebuilt_mod = roundtrip_nu(mod, rebuilt)
+    return RoundTrip(mod, rebuilt, eta, eta_inv, nu, nu_inv, rebuilt_mod)
+
+
+def roundtrip_eta(cat: GradedCatPresentation, table, rebuilt: GradedCatPresentation):
     """Strictly invertible comparison from the rebuilt category back to cat.
 
-    Returns (eta, eta_inv, rebuilt) with eta o eta_inv and eta_inv o eta the
-    identity functors on the nose.  A shift table and extracted action may be
-    passed in to avoid recomputing them; they must belong together.
+    `table` is the shift table the action of `rebuilt` was extracted with.
+    Returns (eta, eta_inv) with eta o eta_inv and eta_inv o eta the identity
+    functors on the nose.
     """
-    if table is None:
-        table = shift_table(cat)
-    if mod is None:
-        mod = extract_action(cat, shifts=table)
-    b = bullet(mod)
-    hom_maps = {}
     e = cat.tau.source.identity
-    for (x, y, h), r in b.hom_rank.items():
-        cols = []
-        for k in range(r):
-            f = Morphism(table[(x, h)][0], y, e,
-                         basis_morphism(b, x, y, h, k).coords)
-            cols.append(compose(cat, table[(x, h)][1], f).coords)
-        rows = len(cols[0]) if cols else 0
-        hom_maps[(x, y, h)] = tuple(
-            tuple(cols[c][rw] for c in range(r)) for rw in range(rows))
-    eta = FunctorData(b, cat, list(cat.objects()), hom_maps)
-
-    inv_maps = {}
-    for (x, y, h), r in cat.hom_rank.items():
-        r_inv = invert(cat, table[(x, h)][1])
-        cols = []
-        for k in range(r):
-            f = basis_morphism(cat, x, y, h, k)
-            cols.append(compose(cat, r_inv, f).coords)
-        rows = len(cols[0]) if cols else 0
-        inv_maps[(x, y, h)] = tuple(
-            tuple(cols[c][rw] for c in range(r)) for rw in range(rows))
-    eta_inv = FunctorData(cat, b, list(cat.objects()), inv_maps)
+    eta = FunctorData(rebuilt, cat, list(cat.objects()), _hom_maps(
+        rebuilt, lambda f: compose(cat, table[(f.src, f.degree)][1],
+                                   Morphism(table[(f.src, f.degree)][0], f.dst, e,
+                                            f.coords))))
+    r_inv = {key: invert(cat, iso) for key, (_, iso) in table.items()}
+    eta_inv = FunctorData(cat, rebuilt, list(cat.objects()), _hom_maps(
+        cat, lambda f: compose(cat, r_inv[(f.src, f.degree)], f)))
 
     for F in (eta, eta_inv):
         verdict = verify_functor(F)
         if not verdict.ok:
             raise ValueError(f"round trip functor fails: {verdict.violations[0]}")
-    if compose_functors(eta, eta_inv) != identity_functor(b):
+    if compose_functors(eta, eta_inv) != identity_functor(rebuilt):
         raise ValueError("eta_inv is not a strict left inverse")
     if compose_functors(eta_inv, eta) != identity_functor(cat):
         raise ValueError("eta_inv is not a strict right inverse")
-    return eta, eta_inv, b
+    return eta, eta_inv
 
 
-def roundtrip_nu(mod: ModuleCatData):
+def roundtrip_nu(mod: ModuleCatData, rebuilt: GradedCatPresentation):
     """Strictly invertible module comparison from the rebuilt action to mod.
 
-    Returns (nu, nu_inv, rebuilt_mod); both composites are checked equal to
-    the identity module functors.
+    `rebuilt` is bullet(mod).  Returns (nu, nu_inv, rebuilt_mod); both
+    composites are checked equal to the identity module functors.
     """
-    b = bullet(mod)
-    bmod = extract_action(b)
+    bmod = extract_action(rebuilt)
     base = mod.base
     e = mod.group.identity
-
-    hom_maps = {}
-    for (x, y, h), r in bmod.base.hom_rank.items():
-        a1x = mod.action[e].obj_map[x]
-        cols = []
-        for k in range(r):
-            f = Morphism(a1x, y, e, basis_morphism(bmod.base, x, y, h, k).coords)
-            cols.append(compose(base, mod.epsilon.component(x), f).coords)
-        rows = len(cols[0]) if cols else 0
-        hom_maps[(x, y, h)] = tuple(
-            tuple(cols[c][rw] for c in range(r)) for rw in range(rows))
-    nu_f = FunctorData(bmod.base, base, list(base.objects()), hom_maps)
-
-    inv_maps = {}
-    for (x, y, h), r in base.hom_rank.items():
-        eps_inv = invert(base, mod.epsilon.component(x))
-        cols = []
-        for k in range(r):
-            f = basis_morphism(base, x, y, h, k)
-            cols.append(compose(base, eps_inv, f).coords)
-        rows = len(cols[0]) if cols else 0
-        inv_maps[(x, y, h)] = tuple(
-            tuple(cols[c][rw] for c in range(r)) for rw in range(rows))
-    nu_inv_f = FunctorData(base, bmod.base, list(base.objects()), inv_maps)
+    a1 = mod.action[e].obj_map
+    nu_f = FunctorData(bmod.base, base, list(base.objects()), _hom_maps(
+        bmod.base, lambda f: compose(base, mod.epsilon.component(f.src),
+                                     Morphism(a1[f.src], f.dst, e, f.coords))))
+    eps_inv = [invert(base, c) for c in mod.epsilon.components]
+    nu_inv_f = FunctorData(base, bmod.base, list(base.objects()), _hom_maps(
+        base, lambda f: compose(base, eps_inv[f.src], f)))
 
     comparison = {}
     inv_comparison = {}
     for h in mod.group.elements():
-        comps = [identity_morphism(base, mod.action[h].obj_map[x])
-                 for x in base.objects()]
+        comps = [identity_morphism(base, hx) for hx in mod.action[h].obj_map]
         comparison[h] = NatTransData(
             compose_functors(nu_f, mod.action[h]),
             compose_functors(bmod.action[h], nu_f), comps)
-        inv_comps = []
-        for x in base.objects():
-            hx = mod.action[h].obj_map[x]
-            inv_comps.append(identity_morphism(bmod.base, hx))
+        inv_comps = [identity_morphism(bmod.base, hx) for hx in mod.action[h].obj_map]
         inv_comparison[h] = NatTransData(
             compose_functors(nu_inv_f, bmod.action[h]),
             compose_functors(mod.action[h], nu_inv_f), inv_comps)

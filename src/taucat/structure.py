@@ -24,8 +24,8 @@ from math import gcd
 from . import znsolve
 from .category import (FunctorData, GradedCatPresentation, Morphism,
                        NatTransData, Verdict, basis_morphism, compose,
-                       find_invertible, identity_morphism, invert, is_simple,
-                       verify_functor, verify_nat)
+                       find_invertible, find_shift, identity_morphism, invert,
+                       is_simple, verify_functor, verify_nat)
 from .cochains import (Cochain1, Cochain2, c2_inv, c2_mul,
                        coboundary_basis_c1, cocycle_violation, d1_cochain,
                        trivial_cochain1, _c1_to_exponents, _c1_vars,
@@ -90,20 +90,8 @@ def analyze_simple(cat: GradedCatPresentation, s: int) -> SimpleOrbit:
     perms = {a: left_action_on_cosets(space, a) for a in gH.elements()}
 
     targets, isos = [], []
-    for i, rep in enumerate(space.reps):
-        if rep == e:
-            targets.append(s)
-            isos.append(identity_morphism(cat, s))
-            continue
-        hit = None
-        want = cat.tau.target.mul(cat.tau.map[rep], cat.degrees[s])
-        for y in cat.objects():
-            if cat.degrees[y] != want:
-                continue
-            found = find_invertible(cat, s, y, rep)
-            if found is not None:
-                hit = (y, found[0])
-                break
+    for rep in space.reps:
+        hit = find_shift(cat, s, rep)
         if hit is None:
             raise ValueError(f"simple object {s} has no shift by {rep}")
         targets.append(hit[0])
@@ -171,28 +159,43 @@ def _declared_sum_ok(cat: GradedCatPresentation, x: int) -> bool:
     return total == identity_morphism(cat, x)
 
 
-def simple_orbits(cat: GradedCatPresentation):
-    """Partition the simples by connectivity under invertible morphisms."""
-    gH = cat.tau.source
-    simples = [x for x in cat.objects() if is_simple(cat, x)]
-    parent = {x: x for x in simples}
+class _Classes:
+    """Union-find over a list of objects; classes list in order of their roots."""
 
-    def root(x):
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def root(self, x):
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
+    def join(self, x, y):
+        """Merge the class of y into the class of x."""
+        rx, ry = self.root(x), self.root(y)
+        if rx != ry:
+            self.parent[ry] = rx
+
+    def classes(self):
+        groups = {}
+        for x in self.parent:
+            groups.setdefault(self.root(x), []).append(x)
+        return [sorted(v) for _, v in sorted(groups.items())]
+
+
+def simple_orbits(cat: GradedCatPresentation):
+    """Partition the simples by connectivity under invertible morphisms."""
+    gH = cat.tau.source
+    simples = [x for x in cat.objects() if is_simple(cat, x)]
+    orbits = _Classes(simples)
     for i, x in enumerate(simples):
         for y in simples[i + 1:]:
-            if root(x) == root(y):
-                continue
-            if any(find_invertible(cat, x, y, a) for a in gH.elements()):
-                parent[root(y)] = root(x)
-    groups = {}
-    for x in simples:
-        groups.setdefault(root(x), []).append(x)
-    return [sorted(v) for _, v in sorted(groups.items())]
+            if orbits.root(x) != orbits.root(y) and any(
+                    find_invertible(cat, x, y, a) for a in gH.elements()):
+                orbits.join(x, y)
+    return orbits.classes()
 
 
 def decompose(cat: GradedCatPresentation) -> DecompositionReport:
@@ -271,27 +274,16 @@ def linear_semisimple_check(cat: GradedCatPresentation):
             simples.append(x)
         elif not _declared_sum_ok(cat, x):
             violations.append(("not-simple-or-declared-sum", x))
-    parent = {x: x for x in simples}
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    classes = _Classes(simples)
     for i, x in enumerate(simples):
         for y in simples[i + 1:]:
             if cat.rank(x, y, e) == 0 and cat.rank(y, x, e) == 0:
                 continue
             if find_invertible(cat, x, y, e) is None:
                 violations.append(("neither-disjoint-nor-isomorphic", x, y))
-            elif root(x) != root(y):
-                parent[root(y)] = root(x)
-    classes = {}
-    for x in simples:
-        classes.setdefault(root(x), []).append(x)
-    census = [tuple(sorted(v)) for _, v in sorted(classes.items())]
-    return Verdict(violations), census
+            else:
+                classes.join(x, y)
+    return Verdict(violations), [tuple(c) for c in classes.classes()]
 
 
 def _solution_classes(sols, space, field, cap: int = 100000):

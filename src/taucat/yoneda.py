@@ -104,21 +104,6 @@ def nat_space(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
     layout, nvars = _block_index(cat, x, a, F)
     pos = {(y, h): (sdim, tdim, off) for (y, h, sdim, tdim, off) in layout}
 
-    def tgt_compose(g: Morphism, y: int, h: int, col_vec):
-        """Apply F(g) to a target vector at (y, h); g: y -> y2 of degree k."""
-        out = []
-        seg = 0
-        for (b, z) in F.pairs:
-            r = cat.rank(z, y, gH.mul(h, b))
-            piece = Morphism(z, y, gH.mul(h, b), tuple(col_vec[seg:seg + r]))
-            seg += r
-            if r == 0:
-                comp_coords = (0,) * cat.rank(z, g.dst, gH.mul(gH.mul(g.degree, h), b))
-            else:
-                comp_coords = compose(cat, piece, g).coords
-            out.extend(comp_coords)
-        return out
-
     rows = []
     for y in cat.objects():
         for (y2, k, rk) in cat.out_homs(y):
@@ -148,7 +133,7 @@ def nat_space(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
                                 for d in range(t1):
                                     unit = [0] * t1
                                     unit[d] = 1
-                                    moved = tgt_compose(g, y, h, unit)
+                                    moved = _apply_rep(cat, F, g, y, h, unit)
                                     if moved[r_out]:
                                         idx = off1 + d * s1 + fi
                                         row[idx] = (row[idx] - moved[r_out]) % p
@@ -268,7 +253,7 @@ def phi_inv(cat: GradedCatPresentation, x: int, a: int, F: RepTarget, v):
                     else:
                         col.extend(compose(cat, piece, f).coords)
                 cols.append(col)
-            mat = tuple(tuple(cols[c][r] for c in range(sdim)) for r in range(tdim))
+            mat = fplinalg.from_columns(cols)
             if any(any(rw) for rw in mat):
                 blocks[(y, h)] = mat
     return GradedNatTrans(x, a, F, blocks)
@@ -372,7 +357,7 @@ def whisker_object_morphism(cat: GradedCatPresentation, nt: GradedNatTrans,
                 col = [sum(a1[r][c] * fx[c] for c in range(sdim)) % cat.field.p
                        for r in range(tdim)]
                 cols.append(col)
-            mat = tuple(tuple(cols[c][r] for c in range(sdim2)) for r in range(tdim))
+            mat = fplinalg.from_columns(cols)
             if any(any(rw) for rw in mat):
                 blocks[(y, h)] = mat
     return GradedNatTrans(x2, nt.a, nt.F, blocks)

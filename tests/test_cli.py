@@ -56,6 +56,25 @@ def test_malformed_input_exit_2(tmp_path):
     assert run_cli("verify", str(tmp_path / "missing.json")).returncode == 2
 
 
+@pytest.mark.parametrize("variant", ["objects_int", "tensor_int", "top_level_list",
+                                     "compose_degree_out_of_range"])
+def test_schema_errors_exit_2_without_traceback(tmp_path, category_file, variant):
+    doc = json.loads(open(category_file).read())
+    if variant == "objects_int":
+        doc["objects"] = 5
+    elif variant == "tensor_int":
+        doc["compose"][0]["tensor"] = 7
+    elif variant == "compose_degree_out_of_range":
+        doc["compose"][0]["h2"] = 99
+    else:
+        doc = [doc]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    r = run_cli("verify", str(bad))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
 def test_decompose_exit_codes(category_file):
     r = run_cli("decompose", category_file)
     assert r.returncode == 0

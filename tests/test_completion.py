@@ -1,6 +1,9 @@
+import json
 from random import Random
 
 import pytest
+
+from taucat import jsonio
 
 from taucat.category import is_simple, verify_axioms
 from taucat.cochains import d1_cochain, random_cochain1
@@ -10,7 +13,7 @@ from taucat.groups import coset_space, cyclic_group
 from taucat.mtau import (build_skeleton, cyclic_subgroup_of_order,
                          cyclic_table_category, mtau_spec, parity_tau,
                          trivial_spec)
-from taucat.structure import linear_semisimple_check
+from taucat.structure import decompose, linear_semisimple_check
 
 F5 = field(5)
 TAU = parity_tau()
@@ -122,3 +125,28 @@ def test_rank_bookkeeping_on_sums():
             want = sum(1 for x in multi if x == s)
             assert comp.rank(multi, (s,), e) == want
             assert comp.rank((s,), multi, e) == want
+
+
+@pytest.mark.parametrize("objs", [[(0,), (1,), (2,), (3,), (0, 0)],
+                                  [(0,), (1,), (2,), (3,), (0, 2)]])
+def test_declared_sums_survive_json_round_trip(objs):
+    pres = AdditiveCompletion(base_category(seed=17)).presentation_of(objs)
+    doc = json.loads(json.dumps(jsonio.category_to_json(pres)))
+    back = jsonio.parse_category(doc)
+    assert back == pres and back.sums == pres.sums
+    rep = decompose(back)
+    assert rep.semisimple and [s.L.order for s in rep.summands] == [2]
+
+
+def test_sum_free_files_have_no_sums_key():
+    assert "sums" not in jsonio.category_to_json(base_category())
+
+
+@pytest.mark.parametrize("field_, value", [("part", 9), ("injection", [1, 0, 0])])
+def test_malformed_declared_sum_rejected(field_, value):
+    pres = AdditiveCompletion(base_category()).presentation_of(
+        [(0,), (1,), (2,), (3,), (0, 0)])
+    doc = jsonio.category_to_json(pres)
+    doc["sums"][0]["parts"][0][field_] = value
+    with pytest.raises(ValueError):
+        jsonio.parse_category(doc)

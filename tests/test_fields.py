@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from taucat.fields import field, unit_solve_linear
+from taucat import znsolve
+from taucat.fields import field
 
 
 def test_f5_generator_and_dlog():
@@ -54,11 +55,11 @@ def test_field_arithmetic():
 
 
 def test_unit_solve_examples():
-    f5 = field(5)  # Z/4 arithmetic on exponents
-    sol = unit_solve_linear(f5, [[0]], [0], ncols=1)
+    m = field(5).unit_order  # Z/4 arithmetic on exponents
+    sol = znsolve.solve([[0]], [0], m, ncols=1)
     assert {x for (x,) in sol.enumerate()} == {0, 1, 2, 3}
-    assert unit_solve_linear(f5, [[2]], [1]) is None
-    sol = unit_solve_linear(f5, [[1, 1], [1, 3]], [3, 1])
+    assert znsolve.solve([[2]], [1], m) is None
+    sol = znsolve.solve([[1, 1], [1, 3]], [3, 1], m)
     assert (2, 1) in set(sol.enumerate())
 
 
@@ -70,5 +71,5 @@ def test_unit_solve_matches_enumeration():
     want = {x for x in product(range(m), repeat=3)
             if all(sum(r[j] * x[j] for j in range(3)) % m == b
                    for r, b in zip(matrix, rhs))}
-    sol = unit_solve_linear(f13, matrix, rhs)
+    sol = znsolve.solve(matrix, rhs, f13.unit_order)
     assert set(sol.enumerate()) == want

@@ -1,6 +1,11 @@
+import importlib
+import json
+from pathlib import Path
 from random import Random
 
 import pytest
+
+from taucat import cli, jsonio, modcat
 
 from taucat.category import (FunctorData, Morphism, NatTransData,
                              apply_functor, compose, compose_functors,
@@ -16,7 +21,7 @@ from taucat.modcat import (ModuleCatData, bullet, bullet_functor, bullet_nat,
                            check_tau_module, compose_module_functors,
                            degree_one_part, extract_action,
                            identity_module_functor, restrict_functor,
-                           roundtrip_eta, roundtrip_nu, shift_table,
+                           roundtrip, roundtrip_nu, shift_table,
                            verify_module_category, verify_module_functor,
                            verify_module_nat)
 from taucat.structure import classify_equivalences, identity_datum, realize_functor
@@ -105,20 +110,20 @@ def test_check_tau_module_trivial_target():
 def test_roundtrip_eta_on_family():
     for cat in (cyclic_table_category(F5, 1), cyclic_table_category(F5, 2),
                 cyclic_table_category(F5, 4), twisted_cat(85), twisted_cat(86, k=4)):
-        eta, eta_inv, rebuilt = roundtrip_eta(cat)
-        assert verify_functor(eta).ok and verify_functor(eta_inv).ok
-        assert compose_functors(eta, eta_inv) == identity_functor(rebuilt)
-        assert compose_functors(eta_inv, eta) == identity_functor(cat)
+        rt = roundtrip(cat)
+        assert verify_functor(rt.eta).ok and verify_functor(rt.eta_inv).ok
+        assert compose_functors(rt.eta, rt.eta_inv) == identity_functor(rt.rebuilt)
+        assert compose_functors(rt.eta_inv, rt.eta) == identity_functor(cat)
 
 
 def test_roundtrip_eta_degree_one_is_plain():
     cat = twisted_cat(87)
-    eta, _, rebuilt = roundtrip_eta(cat)
+    rt = roundtrip(cat)
     e = cat.tau.source.identity
-    for (x, y, h), r in rebuilt.hom_rank.items():
+    for (x, y, h), r in rt.rebuilt.hom_rank.items():
         if h != e:
             continue
-        mat = eta.matrix(x, y, h)
+        mat = rt.eta.matrix(x, y, h)
         # the identity-degree block is conjugation by r_{X,1} = id
         assert mat == tuple(tuple(1 if i == j else 0 for j in range(r))
                             for i in range(r))
@@ -126,10 +131,9 @@ def test_roundtrip_eta_degree_one_is_plain():
 
 def test_roundtrip_nu_on_family():
     for cat in (cyclic_table_category(F5, 2), twisted_cat(88)):
-        mod = extract_action(cat)
-        nu, nu_inv, bmod = roundtrip_nu(mod)
-        assert verify_module_functor(nu, bmod, mod).ok
-        assert verify_module_functor(nu_inv, mod, bmod).ok
+        rt = roundtrip(cat)
+        assert verify_module_functor(rt.nu, rt.rebuilt_mod, rt.mod).ok
+        assert verify_module_functor(rt.nu_inv, rt.mod, rt.rebuilt_mod).ok
 
 
 def test_nu_natural_against_module_functors():
@@ -138,11 +142,12 @@ def test_nu_natural_against_module_functors():
     data = classify_equivalences(spec, spec)
     F = realize_functor(spec, spec, data[1])
     mf, mod_c, mod_d = restrict_functor(F)
-    nu_c, _, bmod_c = roundtrip_nu(mod_c)
-    nu_d, _, bmod_d = roundtrip_nu(mod_d)
+    b_c, b_d = bullet(mod_c), bullet(mod_d)
+    nu_c, _, bmod_c = roundtrip_nu(mod_c, b_c)
+    nu_d, _, bmod_d = roundtrip_nu(mod_d, b_d)
     bf = bullet_functor(mf, mod_c, mod_d)
-    mf_b, bc, bd = restrict_functor(bf, src_shifts=shift_table(bullet(mod_c)),
-                                    dst_shifts=shift_table(bullet(mod_d)))
+    mf_b, bc, bd = restrict_functor(bf, src_shifts=shift_table(b_c),
+                                    dst_shifts=shift_table(b_d))
     left = compose_module_functors(mf_b, nu_d, bc, bd, mod_d)
     right = compose_module_functors(nu_c, mf, bc, mod_c, mod_d)
     assert left.functor == right.functor
@@ -246,3 +251,34 @@ def test_degree_one_part_shapes():
     assert base.n_objects == cat.n_objects
     assert all(h == 0 for (_, _, h) in base.hom_rank)
     assert verify_axioms(base).ok
+
+
+def test_roundtrip_command_builds_each_object_once(tmp_path, monkeypatch):
+    # one rebuild shared by both round trips; one action extracted from the
+    # input and one from the rebuilt category
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(jsonio.category_to_json(twisted_cat(92))))
+    calls = {"bullet": 0, "extract_action": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(modcat, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(modcat, name, counted)
+    assert cli.main(["roundtrip", str(path)]) == 0
+    assert calls == {"bullet": 1, "extract_action": 2}
+
+
+def test_traced_layer_functions_resolve():
+    # the traced benchmark wraps every function in bench/layers.json by name
+    layers = json.loads((Path(__file__).resolve().parents[1] / "bench" /
+                         "layers.json").read_text())
+    missing = []
+    for module, spec in layers.items():
+        obj = importlib.import_module(f"taucat.{module}")
+        for name in spec["functions"]:
+            target = obj
+            for part in name.split("."):
+                target = getattr(target, part, None)
+            if not callable(target):
+                missing.append(f"{module}.{name}")
+    assert missing == []
