@@ -26,7 +26,7 @@ from .mtau import (build_group_groupoid, build_skeleton, check_skeleton_inverses
                    cyclic_subgroup_of_order, cyclic_table_category, mtau_spec,
                    parity_tau, simple_census, trivial_spec)
 from .structure import classify_equivalences, classify_nat_isos, decompose
-from .modcat import check_tau_module, extract_action, roundtrip
+from .modcat import bullet, check_tau_module, extract_action, roundtrip
 from .yoneda import has_invertible_nat, nat_equal, nat_space, phi, phi_inv, representable
 
 
@@ -207,65 +207,9 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_bullet(args) -> int:
-    from .modcat import bullet as bullet_op
-    doc = _load(args.modcat)
-    mod = _parse_modcat(doc)
-    cat = bullet_op(mod)
+    cat = bullet(jsonio.parse_modcat(_load(args.modcat)))
     _emit(jsonio.category_to_json(cat), args.output)
     return 0
-
-
-def _parse_modcat(doc):
-    from .category import FunctorData, NatTransData, Morphism, identity_functor, compose_functors
-    from .modcat import ModuleCatData, verify_module_category
-
-    base = jsonio.parse_category(doc["base"])
-    gH = base.tau.source
-    e = gH.identity
-    action = {}
-    for h_s, blk in doc["action"].items():
-        h = int(h_s)
-        maps = {}
-        for m in blk.get("maps", []):
-            maps[(int(m["src"]), int(m["dst"]), e)] = m["matrix"]
-        action[h] = FunctorData(base, base, blk["objects"], maps)
-    eps = NatTransData(identity_functor(base), action[e], [
-        Morphism(x, action[e].obj_map[x], e, tuple(coords))
-        for x, coords in enumerate(doc["epsilon"])])
-    mu = {}
-    for key, rows in doc["mu"].items():
-        a_s, b_s = key.split(",")
-        a, b = int(a_s), int(b_s)
-        comps = []
-        for x, coords in enumerate(rows):
-            src_obj = action[a].obj_map[action[b].obj_map[x]]
-            comps.append(Morphism(src_obj, action[gH.mul(a, b)].obj_map[x], e,
-                                  tuple(coords)))
-        mu[(a, b)] = NatTransData(compose_functors(action[b], action[a]),
-                                  action[gH.mul(a, b)], comps)
-    mod = ModuleCatData(base, action, eps, mu)
-    verdict = verify_module_category(mod)
-    if not verdict.ok:
-        raise ValueError(f"module data fails coherence: {verdict.violations[0]}")
-    return mod
-
-
-def modcat_to_json(mod):
-    out = {
-        "base": jsonio.category_to_json(mod.base),
-        "action": {},
-        "epsilon": [list(c.coords) for c in mod.epsilon.components],
-        "mu": {},
-    }
-    for h, F in sorted(mod.action.items()):
-        out["action"][str(h)] = {
-            "objects": list(F.obj_map),
-            "maps": [{"src": x, "dst": y, "matrix": [list(r) for r in mat]}
-                     for (x, y, _), mat in sorted(F.hom_maps.items())],
-        }
-    for (a, b), nt in sorted(mod.mu.items()):
-        out["mu"][f"{a},{b}"] = [list(c.coords) for c in nt.components]
-    return out
 
 
 def cmd_extract(args) -> int:
@@ -276,7 +220,7 @@ def cmd_extract(args) -> int:
                "error": "category fails verification"}, args.output)
         return 1
     mod = extract_action(cat)
-    _emit(modcat_to_json(mod), args.output)
+    _emit(jsonio.modcat_to_json(mod), args.output)
     return 0
 
 

@@ -282,35 +282,68 @@ def _exponents_to_c0(field: PrimeField, space: CosetSpace, vec) -> Cochain0:
 
 
 @dataclass(frozen=True)
-class Cochain1Solutions:
+class CochainSolutions:
+    """All solutions of one coboundary equation: a particular cochain plus
+    the kernel generators, as exponent vectors over Z/(p-1)."""
+
     field: PrimeField
     space: CosetSpace
-    particular: Cochain1
-    kernel: tuple[tuple[int, ...], ...]  # exponent vectors over Z/(p-1)
-    _raw: znsolve.SolutionSet
-
-    def count(self) -> int:
-        return self._raw.count()
-
-    def enumerate(self, cap: int = 100000):
-        for vec in self._raw.enumerate(cap):
-            yield _exponents_to_c1(self.field, self.space, vec)
-
-
-@dataclass(frozen=True)
-class Cochain0Solutions:
-    field: PrimeField
-    space: CosetSpace
-    particular: Cochain0
+    particular: Cochain0 | Cochain1
     kernel: tuple[tuple[int, ...], ...]
     _raw: znsolve.SolutionSet
+    _from_exponents: object  # (field, space, exponent vector) -> cochain
 
     def count(self) -> int:
         return self._raw.count()
 
     def enumerate(self, cap: int = 100000):
         for vec in self._raw.enumerate(cap):
-            yield _exponents_to_c0(self.field, self.space, vec)
+            yield self._from_exponents(self.field, self.space, vec)
+
+
+def _factored(field: PrimeField, space: CosetSpace, rows, nvars: int, from_exponents):
+    """Solve rows . x = rhs over Z/(p-1) for any rhs, the rows factored once."""
+    system = znsolve.System(rows, max(field.unit_order, 1), nvars)
+
+    def solve(rhs):
+        sol = system.solve(rhs)
+        if sol is None:
+            return None
+        return CochainSolutions(field, space, from_exponents(field, space, sol.x0),
+                                sol.kernel, sol, from_exponents)
+    return solve
+
+
+def d1_solver(field: PrimeField, space: CosetSpace):
+    """`solve_d1` for every target on ``space``.
+
+    The d1 matrix depends only on the coset space, one equation per
+    (a, b, coset) with a, b != 1; a target only supplies the right-hand
+    side.  So the matrix is built and factored once, here.
+    """
+    g = space.parent
+    e = g.identity
+    variables = _c1_vars(space)
+    var_index = {v: k for k, v in enumerate(variables)}
+    pairs = [(a, b) for a in range(g.order) for b in range(g.order) if e not in (a, b)]
+    rows = []
+    for a, b in pairs:
+        ab = g.mul(a, b)
+        perm_b = left_action_on_cosets(space, b)
+        for i in range(space.size):
+            row = [0] * len(variables)
+            if ab != e:
+                row[var_index[(ab, i)]] += 1
+            row[var_index[(a, perm_b[i])]] -= 1
+            row[var_index[(b, i)]] -= 1
+            rows.append(row)
+    solve = _factored(field, space, rows, len(variables), _exponents_to_c1)
+
+    def solve_target(target: Cochain2):
+        if not is_cocycle(target):
+            raise ValueError("solve_d1 target is not a 2-cocycle")
+        return solve([field.log(v) for a, b in pairs for v in target.values[a][b]])
+    return solve_target
 
 
 def solve_d1(target: Cochain2):
@@ -319,58 +352,22 @@ def solve_d1(target: Cochain2):
     The target must itself be a normalised 2-cocycle (coboundaries always
     are, so anything else is rejected outright).
     """
-    if not is_cocycle(target):
-        raise ValueError("solve_d1 target is not a 2-cocycle")
-    space, f = target.space, target.field
-    g = space.parent
-    e = g.identity
-    m = max(f.unit_order, 1)
-    variables = _c1_vars(space)
-    var_index = {v: k for k, v in enumerate(variables)}
-    nvars = len(variables)
-
-    rows, rhs = [], []
-    for a in range(g.order):
-        for b in range(g.order):
-            if a == e or b == e:
-                continue
-            ab = g.mul(a, b)
-            perm_b = left_action_on_cosets(space, b)
-            for i in range(space.size):
-                row = [0] * nvars
-                if ab != e:
-                    row[var_index[(ab, i)]] += 1
-                row[var_index[(a, perm_b[i])]] -= 1
-                row[var_index[(b, i)]] -= 1
-                rows.append([x % m for x in row])
-                rhs.append(f.log(target.values[a][b][i]))
-    sol = znsolve.solve(rows, rhs, m, ncols=nvars)
-    if sol is None:
-        return None
-    return Cochain1Solutions(f, space, _exponents_to_c1(f, space, sol.x0),
-                             sol.kernel, sol)
+    return d1_solver(target.field, target.space)(target)
 
 
 def solve_d0(target: Cochain1):
     """All eta with d0(eta) = target, or None."""
     space, f = target.space, target.field
-    g = space.parent
-    m = max(f.unit_order, 1)
-    nvars = space.size
     rows, rhs = [], []
-    for a in range(g.order):
+    for a in range(space.parent.order):
         perm = left_action_on_cosets(space, a)
         for i in range(space.size):
-            row = [0] * nvars
+            row = [0] * space.size
             row[i] += 1
             row[perm[i]] -= 1
-            rows.append([x % m for x in row])
+            rows.append(row)
             rhs.append(f.log(target.values[a][i]))
-    sol = znsolve.solve(rows, rhs, m, ncols=nvars)
-    if sol is None:
-        return None
-    return Cochain0Solutions(f, space, _exponents_to_c0(f, space, sol.x0),
-                             sol.kernel, sol)
+    return _factored(f, space, rows, space.size, _exponents_to_c0)(rhs)
 
 
 def coboundary_basis_c1(field: PrimeField, space: CosetSpace):

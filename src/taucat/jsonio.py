@@ -1,4 +1,5 @@
-"""JSON encodings for groups, homs, cochains, categories and block data.
+"""JSON encodings for groups, homs, cochains, categories, block data and
+module-category data.
 
 Sparse conventions: omitted hom spaces are zero, omitted composition
 tensors are zero, omitted cochain entries are 1.  Parsers re-verify
@@ -8,11 +9,13 @@ loudly rather than producing broken in-memory structures.
 
 from __future__ import annotations
 
-from .category import GradedCatPresentation, Morphism
+from .category import (FunctorData, GradedCatPresentation, Morphism, NatTransData,
+                       compose_functors, identity_functor)
 from .cochains import Cochain1, Cochain2, cochain1, cochain2, trivial_cochain2
 from .fields import PrimeField, field
 from .groups import (FiniteGroup, GroupHom, coset_space, cyclic_group,
                      group_from_table, hom, subgroup)
+from .modcat import ModuleCatData, verify_module_category
 from .mtau import MtauSpec, mtau_spec
 
 
@@ -176,6 +179,74 @@ def category_to_json(cat: GradedCatPresentation):
         out["sums"] = [{"object": x, "parts": [
             {"part": part, "injection": list(i.coords), "projection": list(q.coords)}
             for part, i, q in parts]} for x, parts in sorted(cat.sums.items())]
+    return out
+
+
+def _object_map(value, what: str, n: int) -> list:
+    """One entry per object, each an object index."""
+    out = _array(value, what, 1)
+    if len(out) != n or not all(0 <= x < n for x in out):
+        raise ValueError(f"{what} must send each of the {n} objects to an object")
+    return out
+
+
+def _components(value, what: str, n: int) -> list:
+    """Coordinate vectors of one degree-1 morphism per object."""
+    out = _array(value, what, 2)
+    if len(out) != n:
+        raise ValueError(f"{what} needs one component per object, not {len(out)}")
+    return out
+
+
+def parse_modcat(doc) -> ModuleCatData:
+    """Module-category data, checked for coherence before it is returned."""
+    doc = _object(doc, "module category")
+    base = parse_category(doc["base"])
+    gH = base.tau.source
+    e = gH.identity
+    n = base.n_objects
+    action = {}
+    for h_s, blk in _object(doc["action"], "action").items():
+        blk = _object(blk, "action entry")
+        maps = {(x, y, e): _array(rec["matrix"], "action matrix", 2)
+                for rec, (x, y) in _records(blk.get("maps", []), "action maps",
+                                            "src", "dst")}
+        action[_int(h_s, "action degree")] = FunctorData(
+            base, base, _object_map(blk["objects"], "action objects", n), maps)
+    eps = NatTransData(identity_functor(base), action[e], [
+        Morphism(x, action[e].obj_map[x], e, tuple(coords))
+        for x, coords in enumerate(_components(doc["epsilon"], "epsilon", n))])
+    mu = {}
+    for key, rows in _object(doc["mu"], "mu").items():
+        a, b = (_int(v, "mu degree") for v in key.split(","))
+        ab = gH.mul(a, b)
+        comps = [Morphism(action[a].obj_map[action[b].obj_map[x]],
+                          action[ab].obj_map[x], e, tuple(coords))
+                 for x, coords in enumerate(_components(rows, "mu components", n))]
+        mu[(a, b)] = NatTransData(compose_functors(action[b], action[a]),
+                                  action[ab], comps)
+    mod = ModuleCatData(base, action, eps, mu)
+    verdict = verify_module_category(mod)
+    if not verdict.ok:
+        raise ValueError(f"module data fails coherence: {verdict.violations[0]}")
+    return mod
+
+
+def modcat_to_json(mod: ModuleCatData):
+    out = {
+        "base": category_to_json(mod.base),
+        "action": {},
+        "epsilon": [list(c.coords) for c in mod.epsilon.components],
+        "mu": {},
+    }
+    for h, F in sorted(mod.action.items()):
+        out["action"][str(h)] = {
+            "objects": list(F.obj_map),
+            "maps": [{"src": x, "dst": y, "matrix": [list(r) for r in mat]}
+                     for (x, y, _), mat in sorted(F.hom_maps.items())],
+        }
+    for (a, b), nt in sorted(mod.mu.items()):
+        out["mu"][f"{a},{b}"] = [list(c.coords) for c in nt.components]
     return out
 
 

@@ -26,10 +26,12 @@ from .fplinalg import from_columns
 
 
 def shift_table(cat: GradedCatPresentation):
-    """(object, degree) -> (target, iso), identity pinned at degree 1.
+    """(object, degree) -> (target, iso, inverse), identity pinned at degree 1.
 
     Uses the canonical shifts recorded on the presentation when present,
-    otherwise scans with find_shift; raises when some shift is missing.
+    otherwise scans with find_shift; raises when some shift is missing or
+    not invertible.  Each iso is inverted here, once for every user of the
+    table.
     """
     gH = cat.tau.source
     e = gH.identity
@@ -37,15 +39,17 @@ def shift_table(cat: GradedCatPresentation):
     for x in cat.objects():
         for a in gH.elements():
             if a == e:
-                table[(x, a)] = (x, identity_morphism(cat, x))
-                continue
-            if cat.shifts is not None and (x, a) in cat.shifts:
-                table[(x, a)] = cat.shifts[(x, a)]
-                continue
-            hit = find_shift(cat, x, a)
-            if hit is None:
-                raise ValueError(f"object {x} has no shift by {a}")
-            table[(x, a)] = hit
+                hit = (x, identity_morphism(cat, x))
+            elif cat.shifts is not None and (x, a) in cat.shifts:
+                hit = cat.shifts[(x, a)]
+            else:
+                hit = find_shift(cat, x, a)
+                if hit is None:
+                    raise ValueError(f"object {x} has no shift by {a}")
+            inverse = invert(cat, hit[1])
+            if inverse is None:
+                raise ValueError(f"shift iso at {(x, a)} is not invertible")
+            table[(x, a)] = (*hit, inverse)
     return table
 
 
@@ -105,16 +109,12 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     gH = cat.tau.source
     base = degree_one_part(cat)
     table = shifts if shifts is not None else shift_table(cat)
-    inv_iso = {key: invert(cat, iso) for key, (tgt, iso) in table.items()}
-    for key, m in inv_iso.items():
-        if m is None:
-            raise ValueError(f"shift iso at {key} is not invertible")
 
     action = {}
     for h in gH.elements():
         obj_map = [table[(x, h)][0] for x in cat.objects()]
         hom_maps = _hom_maps(base, lambda f: compose(
-            cat, compose(cat, inv_iso[(f.src, h)], f), table[(f.dst, h)][1]))
+            cat, compose(cat, table[(f.src, h)][2], f), table[(f.dst, h)][1]))
         action[h] = FunctorData(base, base, obj_map, hom_maps)
 
     e = gH.identity
@@ -126,7 +126,7 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
             comps = []
             for x in cat.objects():
                 xb = table[(x, b)][0]
-                m = compose(cat, inv_iso[(xb, a)], inv_iso[(x, b)])
+                m = compose(cat, table[(xb, a)][2], table[(x, b)][2])
                 m = compose(cat, m, table[(x, gH.mul(a, b))][1])
                 comps.append(m)
             mu[(a, b)] = NatTransData(
@@ -427,8 +427,8 @@ def restrict_functor(F: FunctorData, src_shifts=None,
         comps = []
         for x in cat_c.objects():
             r_c = table_c[(x, a)][1]
-            r_d = table_d[(F.obj_map[x], a)][1]
-            m = compose(cat_d, invert(cat_d, r_d), apply_functor(F, r_c))
+            r_d_inv = table_d[(F.obj_map[x], a)][2]
+            m = compose(cat_d, r_d_inv, apply_functor(F, r_c))
             comps.append(m)
         comparison[a] = NatTransData(
             compose_functors(F1, mod_d.action[a]),
@@ -475,9 +475,8 @@ def roundtrip_eta(cat: GradedCatPresentation, table, rebuilt: GradedCatPresentat
         rebuilt, lambda f: compose(cat, table[(f.src, f.degree)][1],
                                    Morphism(table[(f.src, f.degree)][0], f.dst, e,
                                             f.coords))))
-    r_inv = {key: invert(cat, iso) for key, (_, iso) in table.items()}
     eta_inv = FunctorData(cat, rebuilt, list(cat.objects()), _hom_maps(
-        cat, lambda f: compose(cat, r_inv[(f.src, f.degree)], f)))
+        cat, lambda f: compose(cat, table[(f.src, f.degree)][2], f)))
 
     for F in (eta, eta_inv):
         verdict = verify_functor(F)

@@ -19,7 +19,7 @@ gamma = delta * d0(eta).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from . import znsolve
 from .category import (FunctorData, GradedCatPresentation, Morphism,
@@ -27,11 +27,11 @@ from .category import (FunctorData, GradedCatPresentation, Morphism,
                        find_invertible, find_shift, identity_morphism, invert,
                        is_simple, verify_functor, verify_nat)
 from .cochains import (Cochain1, Cochain2, c2_inv, c2_mul,
-                       coboundary_basis_c1, cocycle_violation, d1_cochain,
-                       trivial_cochain1, _c1_to_exponents, _c1_vars,
-                       _exponents_to_c1, solve_d0, solve_d1, translate)
+                       coboundary_basis_c1, d1_cochain,
+                       d1_solver, trivial_cochain1, _c1_to_exponents, _c1_vars,
+                       _exponents_to_c1, solve_d0, translate)
 from .groups import (CosetSpace, Subgroup, conjugate_subgroup, coset_space,
-                     kernel, left_action_on_cosets, subgroup)
+                     left_action_on_cosets, subgroup)
 from .mtau import MtauSpec, build_skeleton, mtau_spec
 
 
@@ -40,13 +40,11 @@ class SimpleOrbit:
     """Everything read off one orbit of simple objects."""
 
     representative: int
-    L: Subgroup
     space: CosetSpace
     shift_targets: tuple[int, ...]
     shift_isos: tuple[Morphism, ...]
     spanning: dict
-    psi: Cochain2
-    degree: int
+    spec: MtauSpec  # the block (L, psi, g) read off the orbit
 
 
 @dataclass
@@ -83,9 +81,6 @@ def analyze_simple(cat: GradedCatPresentation, s: int) -> SimpleOrbit:
     gH = cat.tau.source
     e = gH.identity
     L = stabilizer_subgroup(cat, s)
-    ker = set(kernel(cat.tau).elements)
-    if not set(L.elements) <= ker:
-        raise ValueError("stabiliser escapes the kernel; inconsistent grading")
     space = coset_space(gH, L)
     perms = {a: left_action_on_cosets(space, a) for a in gH.elements()}
 
@@ -129,12 +124,10 @@ def analyze_simple(cat: GradedCatPresentation, s: int) -> SimpleOrbit:
                 cell.append(f_field.mul(target_f.coords[0], f_field.inv(comp.coords[0])))
             row.append(tuple(cell))
         values.append(tuple(row))
-    psi = Cochain2(f_field, space, tuple(values))
-    bad = cocycle_violation(psi)
-    if bad is not None:
-        raise ValueError(f"extracted cochain is not a cocycle; fails at {bad}")
-    return SimpleOrbit(s, L, space, tuple(targets), tuple(isos), spanning, psi,
-                       cat.degrees[s])
+    # mtau_spec checks L <= ker tau and the cocycle identity of psi
+    spec = mtau_spec(cat.tau, f_field, L, Cochain2(f_field, space, tuple(values)),
+                     cat.degrees[s])
+    return SimpleOrbit(s, space, tuple(targets), tuple(isos), spanning, spec)
 
 
 def _declared_sum_ok(cat: GradedCatPresentation, x: int) -> bool:
@@ -206,7 +199,7 @@ def decompose(cat: GradedCatPresentation) -> DecompositionReport:
                                        ("not-simple-or-declared-sum", x))
 
     orbits = [analyze_simple(cat, orbit[0]) for orbit in simple_orbits(cat)]
-    specs = [mtau_spec(cat.tau, cat.field, o.L, o.psi, o.degree) for o in orbits]
+    specs = [o.spec for o in orbits]
 
     from .category import direct_sum_cat
 
@@ -286,71 +279,44 @@ def linear_semisimple_check(cat: GradedCatPresentation):
     return Verdict(violations), [tuple(c) for c in classes.classes()]
 
 
-def _solution_classes(sols, space, field, cap: int = 100000):
-    """Class representatives of a d1 solution set modulo d0-coboundaries.
+def _class_offsets(kernel, space, field, cap: int = 100000):
+    """Offsets from a particular d1 solution, one per class of solutions
+    modulo d0-coboundaries, and the coboundary generators.
 
-    The quotient is computed in exponent space: the coboundary submodule is
-    pulled back through the kernel generators, the pullback is diagonalised,
-    and one coefficient vector is read off per class.  Each class is then
-    canonicalised to its lexicographically least exponent vector.
+    Only the kernel of d1 and the coboundaries enter, so one computation
+    serves every target on the coset space.  The coboundary submodule is
+    pulled back through the kernel generators, the pullback is
+    diagonalised, and one coefficient vector is read off per class.
     """
     m = max(field.unit_order, 1)
     nvars = len(_c1_vars(space))
-    k_gens = [list(g) for g in sols.kernel]
-    b_gens = [g for g in ([list(v) for v in coboundary_basis_c1(field, space)])
-              if any(x % m for x in g)]
-    x0 = list(_c1_to_exponents(sols.particular))
-    k = len(k_gens)
+    b_gens = [g for g in coboundary_basis_c1(field, space) if any(x % m for x in g)]
+    k = len(kernel)
+    combined = [[g[r] for g in kernel] + [g[r] for g in b_gens] for r in range(nvars)]
+    pulled = [g[:k] for g in znsolve.kernel_generators(combined, m, ncols=k + len(b_gens))]
+    pulled = [g for g in pulled if any(g)]
+    d, ops, _ = znsolve.diagonalize([[g[i] for g in pulled] for i in range(k)], m)
+    # gcd(0, m) = m: full freedom along a coefficient the pullback misses
+    ranges = [gcd(d[i][i] if i < len(pulled) else 0, m) for i in range(k)]
+    total = prod(ranges)
+    if total > cap:
+        raise ValueError(f"{total} solution classes exceed cap {cap}")
+    offsets = []
+    for idx in znsolve.index_vectors(ranges):
+        c = znsolve.unapply_rows(ops, idx, m)
+        offsets.append([sum(cj * g[r] for cj, g in zip(c, kernel)) % m
+                        for r in range(nvars)])
+    return b_gens, offsets
 
-    if k == 0:
-        reps = [x0]
-    else:
-        combined = [[k_gens[j][r] for j in range(k)] +
-                    [b_gens[j][r] for j in range(len(b_gens))]
-                    for r in range(nvars)]
-        pre = znsolve.kernel_generators(combined, m, ncols=k + len(b_gens))
-        n_gens = [g[:k] for g in pre]
-        n_gens = [g for g in n_gens if any(g)]
-        if n_gens:
-            a = [[g[i] for g in n_gens] for i in range(k)]
-            d, _, _, u_inv, _ = znsolve.diagonalize(a, m)
-            ranges = []
-            for i in range(k):
-                dii = d[i][i] if i < min(k, len(n_gens)) else 0
-                ranges.append(gcd(dii, m))  # gcd(0, m) = m: full freedom
-        else:
-            u_inv = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-            ranges = [m] * k
-        total = 1
-        for r in ranges:
-            total *= r
-        if total > cap:
-            raise ValueError(f"{total} solution classes exceed cap {cap}")
-        reps = []
-        idx = [0] * k
-        while True:
-            c = [sum(u_inv[i][j] * idx[j] for j in range(k)) % m for i in range(k)]
-            vec = list(x0)
-            for j in range(k):
-                if c[j]:
-                    vec = [(v + c[j] * k_gens[j][r]) % m for r, v in enumerate(vec)]
-            reps.append(vec)
-            for pos in range(k):
-                idx[pos] += 1
-                if idx[pos] < ranges[pos]:
-                    break
-                idx[pos] = 0
-            else:
-                break
-    out = []
-    seen = set()
-    for vec in reps:
-        canon = znsolve.lexmin_coset(vec, b_gens, m)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
-    out.sort()
-    return [_exponents_to_c1(field, space, v) for v in out]
+
+def _solution_classes(sols, b_gens, offsets):
+    """Class representatives of a d1 solution set modulo d0-coboundaries,
+    each canonicalised to its lexicographically least exponent vector."""
+    m = max(sols.field.unit_order, 1)
+    x0 = _c1_to_exponents(sols.particular)
+    canon = {znsolve.lexmin_coset([(a + b) % m for a, b in zip(x0, off)], b_gens, m)
+             for off in offsets}
+    return [_exponents_to_c1(sols.field, sols.space, v) for v in sorted(canon)]
 
 
 def classify_equivalences(spec_a: MtauSpec, spec_b: MtauSpec):
@@ -361,8 +327,8 @@ def classify_equivalences(spec_a: MtauSpec, spec_b: MtauSpec):
     gH, gG = tau.source, tau.target
     want = gG.mul(spec_a.g, gG.inv(spec_b.g))
     la = set(spec_a.L.elements)
-    space_b = spec_b.psi.space
-    out = []
+    space_a, space_b = spec_a.psi.space, spec_b.psi.space
+    targets = []
     seen_cosets = set()
     for raw_t in gH.elements():
         if tau.map[raw_t] != want:
@@ -376,12 +342,22 @@ def classify_equivalences(spec_a: MtauSpec, spec_b: MtauSpec):
         if set(conjugate_subgroup(spec_b.L, t).elements) != la:
             continue
         shifted = translate(spec_b.psi, t)
-        assert shifted.space == spec_a.psi.space
-        target = c2_mul(spec_a.psi, c2_inv(shifted))
-        sols = solve_d1(target)
+        assert shifted.space == space_a
+        targets.append((t, c2_mul(spec_a.psi, c2_inv(shifted))))
+    out = []
+    if not targets:
+        return out
+    # every target lives on H/L: one d1 factorisation and one class
+    # computation, made at the first solvable target, serve them all
+    solve = d1_solver(spec_a.field, space_a)
+    classes = None
+    for t, target in targets:
+        sols = solve(target)
         if sols is None:
             continue
-        for gamma in _solution_classes(sols, spec_a.psi.space, spec_a.field):
+        if classes is None:
+            classes = _class_offsets(sols.kernel, space_a, spec_a.field)
+        for gamma in _solution_classes(sols, *classes):
             datum = EquivalenceDatum(t, gamma)
             _check_datum(spec_a, spec_b, datum)
             out.append(datum)

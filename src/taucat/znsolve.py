@@ -1,15 +1,24 @@
 """Exact linear algebra over Z/m for composite m.
 
 Systems A x = b are solved by diagonalising A with unimodular integer row
-and column operations (Smith-style reduction carried out modulo m), which
+and column operations (Smith-style reduction carried out modulo m, after
+Cohen, A Course in Computational Algebraic Number Theory, 2.4), which
 stays valid over Z/m because elementary integer matrices are invertible
 over every ring.  Gaussian elimination alone would be wrong here: m is
 composite in general, so pivots need not be units.
+
+The reduction gives D = U A V.  V is cols x cols and kept as a matrix.  U
+is rows x rows, and the systems solved here are tall, so U is never
+formed: the row operations are logged in the order they are applied, and
+`apply_rows` / `unapply_rows` replay the log to compute U b and U^-1 y.
+A `System` is factored once and then solved for any number of right-hand
+sides; only the back-substitution depends on b.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -31,53 +40,26 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def diagonalize(matrix, m: int, track_inverses: bool = True):
+def index_vectors(counts):
+    """Every vector idx with 0 <= idx[i] < counts[i], first coordinate fastest."""
+    for idx in product(*map(range, reversed(counts))):
+        yield idx[::-1]
+
+
+def diagonalize(matrix, m: int):
     """Bring ``matrix`` to diagonal form D = U A V over Z/m.
 
-    Returns (D, U, V, U_inv, V_inv) as lists of lists (the inverses are None
-    unless requested).  All entries are reduced into [0, m).  The diagonal
-    entries need not divide one another; a diagonal form is all the solvers
-    below require.
+    Returns (D, row_ops, V) with D and V as lists of lists, entries reduced
+    into [0, m).  ``row_ops`` is U as the list of row operations applied,
+    in order: (i, k, None) swaps rows i and k, (i, k, q) subtracts q times
+    row k from row i.  The diagonal entries need not divide one another; a
+    diagonal form is all the solvers below require.
     """
     a = [[x % m for x in row] for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = _identity(rows)
     v = _identity(cols)
-    u_inv = _identity(rows) if track_inverses else None
-    v_inv = _identity(cols) if track_inverses else None
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        if u_inv is not None:
-            for r in u_inv:
-                r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        if v_inv is not None:
-            v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def row_sub(i, k, q):
-        # row_i -= q * row_k
-        a[i] = [(x - q * y) % m for x, y in zip(a[i], a[k])]
-        u[i] = [(x - q * y) % m for x, y in zip(u[i], u[k])]
-        if u_inv is not None:
-            for r in u_inv:
-                r[k] = (r[k] + q * r[i]) % m
-
-    def col_sub(j, k, q):
-        # col_j -= q * col_k
-        for r in a:
-            r[j] = (r[j] - q * r[k]) % m
-        for r in v:
-            r[j] = (r[j] - q * r[k]) % m
-        if v_inv is not None:
-            v_inv[k] = [(x + q * y) % m for x, y in zip(v_inv[k], v_inv[j])]
+    ops = []
 
     def find_pivot(k):
         # a unit pivot clears its row and column in a single pass, and the
@@ -100,26 +82,56 @@ def diagonalize(matrix, m: int, track_inverses: bool = True):
             piv = find_pivot(k)
             if piv is None:
                 break
-            if piv[0] != k:
-                row_swap(k, piv[0])
-            if piv[1] != k:
-                col_swap(k, piv[1])
+            i, j = piv
+            if i != k:
+                a[k], a[i] = a[i], a[k]
+                ops.append((k, i, None))
+            if j != k:
+                for r in a + v:
+                    r[k], r[j] = r[j], r[k]
             p = a[k][k]
             dirty = False
             for i in range(k + 1, rows):
                 if a[i][k]:
-                    row_sub(i, k, a[i][k] // p)
-                    if a[i][k]:
-                        dirty = True
+                    q = a[i][k] // p
+                    a[i] = [(x - q * y) % m for x, y in zip(a[i], a[k])]
+                    ops.append((i, k, q))
+                    dirty = dirty or a[i][k] != 0
+            # a column operation col_j -= q col_k only moves rows with an
+            # entry in column k, and it leaves column k as it is
+            moved = [r for r in a + v if r[k]]
             for j in range(k + 1, cols):
                 if a[k][j]:
-                    col_sub(j, k, a[k][j] // p)
-                    if a[k][j]:
-                        dirty = True
+                    q = a[k][j] // p
+                    for r in moved:
+                        r[j] = (r[j] - q * r[k]) % m
+                    dirty = dirty or a[k][j] != 0
             if not dirty:
                 break
         # pivot settled; outer entries in row/col k are zero
-    return a, u, v, u_inv, v_inv
+    return a, ops, v
+
+
+def apply_rows(ops, b, m: int) -> list[int]:
+    """U b for the U logged by `diagonalize`."""
+    b = [x % m for x in b]
+    for i, k, q in ops:
+        if q is None:
+            b[i], b[k] = b[k], b[i]
+        else:
+            b[i] = (b[i] - q * b[k]) % m
+    return b
+
+
+def unapply_rows(ops, y, m: int) -> list[int]:
+    """U^-1 y for the U logged by `diagonalize`: the inverse steps, last first."""
+    y = [x % m for x in y]
+    for i, k, q in reversed(ops):
+        if q is None:
+            y[i], y[k] = y[k], y[i]
+        else:
+            y[i] = (y[i] + q * y[k]) % m
+    return y
 
 
 class SolutionSet:
@@ -129,39 +141,92 @@ class SolutionSet:
         self.m = m
         self.ncols = ncols
         self.x0 = tuple(x0)
-        self.kernel = tuple(tuple(g) for g in kernel)
+        self.kernel = kernel
         self._v = v
         self._y0 = y0
         self._col_steps = col_steps  # per column: (step, count) for y-space freedom
 
     def count(self) -> int:
-        n = 1
-        for _, c in self._col_steps:
-            n *= c
-        return n
+        return prod(c for _, c in self._col_steps)
 
     def enumerate(self, cap: int = 100000):
         """Yield every solution exactly once (product form in y-space)."""
         if self.count() > cap:
             raise ValueError(f"solution set of size {self.count()} exceeds cap {cap}")
         m, v = self.m, self._v
-        idx = [0] * len(self._col_steps)
-        while True:
-            y = [
-                (y0 + step * t) % m
-                for (y0, (step, _), t) in zip(self._y0, self._col_steps, idx)
-            ]
-            yield tuple(
-                sum(v[i][j] * y[j] for j in range(len(y))) % m
-                for i in range(self.ncols)
-            )
-            for pos in range(len(idx)):
-                idx[pos] += 1
-                if idx[pos] < self._col_steps[pos][1]:
-                    break
-                idx[pos] = 0
-            else:
-                return
+        for idx in index_vectors([c for _, c in self._col_steps]):
+            y = [(y0 + step * t) % m
+                 for (y0, (step, _), t) in zip(self._y0, self._col_steps, idx)]
+            yield tuple(sum(v[i][j] * y[j] for j in range(len(y))) % m
+                        for i in range(self.ncols))
+
+
+class System:
+    """A x = b over Z/m with A factored once, to be solved for any b.
+
+    Zero and repeated equations are dropped before factoring.  Each
+    equation keeps the index of its distinct row (None for a zero row), so
+    `solve` can reject a right-hand side that is nonzero on a zero row or
+    differs between copies of one row.  ``ncols`` may be None when the
+    system has equations to read it from.
+    """
+
+    def __init__(self, matrix, m: int, ncols: int | None):
+        if m < 1:
+            raise ValueError("modulus must be positive")
+        if ncols is None:
+            if not matrix:
+                raise ValueError("empty system needs explicit ncols")
+            ncols = len(matrix[0])
+        self.m, self.ncols = m, ncols
+        distinct = {}
+        self._row_of = []
+        for row in matrix:
+            key = tuple(x % m for x in row)
+            self._row_of.append(distinct.setdefault(key, len(distinct)) if any(key) else None)
+        self._rows = len(distinct)
+        if distinct:
+            d, self._ops, self._v = diagonalize(list(distinct), m)
+        else:
+            d, self._ops, self._v = [], [], _identity(ncols)
+        # x = V y, and y[j] is pinned modulo m / g with g = gcd(D[j][j], m);
+        # a column beyond the rows has D[j][j] = 0 and is free
+        diag = [d[j][j] if j < self._rows else 0 for j in range(ncols)]
+        self._pivots = []
+        self._col_steps = []
+        for dj in diag:
+            g = gcd(dj, m)
+            self._pivots.append((g, pow(dj // g, -1, m // g) if m > g else 0))
+            self._col_steps.append((m // g, g))
+        v = self._v
+        kernel = ([(v[i][j] * step) % m for i in range(ncols)]
+                  for j, (step, count) in enumerate(self._col_steps) if count > 1)
+        self.kernel = tuple(tuple(gen) for gen in kernel if any(gen))
+
+    def solve(self, rhs) -> SolutionSet | None:
+        """All x with A x = rhs; None when infeasible."""
+        m, ncols = self.m, self.ncols
+        b = [None] * self._rows
+        for r, bi in zip(self._row_of, rhs):
+            bi %= m
+            if r is None:
+                if bi:
+                    return None
+            elif b[r] is None:
+                b[r] = bi
+            elif b[r] != bi:
+                return None
+        c = apply_rows(self._ops, b, m)
+        if any(c[ncols:]):
+            return None  # equations beyond the column range
+        y0 = [0] * ncols
+        for j, (cj, (g, inv)) in enumerate(zip(c, self._pivots)):
+            if cj % g:
+                return None
+            y0[j] = (cj // g) * inv % (m // g)
+        v = self._v
+        x0 = [sum(v[i][j] * y0[j] for j in range(ncols)) % m for i in range(ncols)]
+        return SolutionSet(m, ncols, x0, self.kernel, v, y0, self._col_steps)
 
 
 def solve(matrix, rhs, m: int, ncols: int | None = None) -> SolutionSet | None:
@@ -169,119 +234,26 @@ def solve(matrix, rhs, m: int, ncols: int | None = None) -> SolutionSet | None:
 
     ``ncols`` is needed when the system has no equations.
     """
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    rows = len(matrix)
-    if ncols is None:
-        if not rows:
-            raise ValueError("empty system needs explicit ncols")
-        ncols = len(matrix[0])
-    if m == 1:
-        x0 = [0] * ncols
-        kernel = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-        # mod 1 everything collapses; represent the full space
-        return SolutionSet(1, ncols, x0, kernel, _identity(ncols), [0] * ncols,
-                           [(1, 1)] * ncols)
-    # drop zero and duplicate equations up front (zero row, nonzero rhs is
-    # an immediate contradiction)
-    filtered, frhs = [], []
-    seen = set()
-    for row, bi in zip(matrix, rhs):
-        key = tuple(x % m for x in row)
-        if not any(key):
-            if bi % m:
-                return None
-            continue
-        full = key + (bi % m,)
-        if full in seen:
-            continue
-        seen.add(full)
-        filtered.append(list(key))
-        frhs.append(bi % m)
-    matrix, rhs = filtered, frhs
-    rows = len(matrix)
-    if not rows:
-        v = _identity(ncols)
-        kernel = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-        return SolutionSet(m, ncols, [0] * ncols, kernel, v, [0] * ncols,
-                           [(1, m)] * ncols)
-
-    d, u, v, _, _ = diagonalize(matrix, m, track_inverses=False)
-    b = [x % m for x in rhs]
-    c = [sum(u[i][j] * b[j] for j in range(rows)) % m for i in range(rows)]
-
-    y0 = [0] * ncols
-    col_steps = []
-    for j in range(ncols):
-        dj = d[j][j] if j < rows else 0
-        cj = c[j] if j < rows else 0
-        g = gcd(dj, m)
-        if j < rows:
-            if cj % g:
-                return None
-            mg = m // g
-            if mg == 1:
-                y0[j] = 0
-            else:
-                y0[j] = (cj // g) * pow(dj // g, -1, mg) % mg
-        step = m // g
-        count = g
-        if j >= rows:
-            step, count = 1, m
-        col_steps.append((step, count))
-    # consistency of equations beyond the column range
-    for i in range(ncols, rows):
-        if c[i] % m:
-            return None
-
-    x0 = [sum(v[i][j] * y0[j] for j in range(ncols)) % m for i in range(ncols)]
-    kernel = []
-    for j, (step, count) in enumerate(col_steps):
-        if count == 1:
-            continue
-        gen = [(v[i][j] * step) % m for i in range(ncols)]
-        if any(gen):
-            kernel.append(gen)
-    return SolutionSet(m, ncols, x0, kernel, v, y0, col_steps)
+    return System(matrix, m, ncols).solve(rhs)
 
 
 def kernel_generators(matrix, m: int, ncols: int | None = None):
-    sol = solve(matrix, [0] * len(matrix), m, ncols=ncols)
-    assert sol is not None
-    return list(sol.kernel)
+    return list(System(matrix, m, ncols).kernel)
 
 
 def span_members(gens, m: int, ncols: int, cap: int = 100000):
     """Enumerate the submodule of (Z/m)^ncols spanned by ``gens``, no duplicates."""
-    if not gens:
-        yield (0,) * ncols
-        return
     # columns of A are the generators; col span(A) = U^{-1} col span(D)
     a = [[g[i] for g in gens] for i in range(ncols)]
-    d, _, _, u_inv, _ = diagonalize(a, m)
-    steps = []
-    for i in range(min(ncols, len(gens))):
-        g = gcd(d[i][i], m)
-        steps.append((d[i][i], m // g))  # d*t for t in range(m//g): distinct multiples
-    total = 1
-    for _, c in steps:
-        total *= c
+    d, ops, _ = diagonalize(a, m)
+    diag = [d[i][i] for i in range(min(ncols, len(gens)))]
+    counts = [m // gcd(dii, m) for dii in diag]  # d*t for t < m/g: distinct multiples
+    total = prod(counts)
     if total > cap:
         raise ValueError(f"span of size {total} exceeds cap {cap}")
-    idx = [0] * len(steps)
-    while True:
-        y = [(d_ii * t) % m for (d_ii, _), t in zip(steps, idx)]
-        y += [0] * (ncols - len(y))
-        yield tuple(
-            sum(u_inv[i][j] * y[j] for j in range(ncols)) % m for i in range(ncols)
-        )
-        for pos in range(len(idx)):
-            idx[pos] += 1
-            if idx[pos] < steps[pos][1]:
-                break
-            idx[pos] = 0
-        else:
-            return
+    for idx in index_vectors(counts):
+        y = [dii * t for dii, t in zip(diag, idx)] + [0] * (ncols - len(diag))
+        yield tuple(unapply_rows(ops, y, m))
 
 
 def lexmin_coset(x0, gens, m: int) -> tuple[int, ...]:

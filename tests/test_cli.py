@@ -75,6 +75,30 @@ def test_schema_errors_exit_2_without_traceback(tmp_path, category_file, variant
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("variant", ["top_level_list", "action_list", "epsilon_int",
+                                     "mu_list", "maps_int"])
+def test_module_schema_errors_exit_2_without_traceback(tmp_path, category_file,
+                                                       variant):
+    r = run_cli("extract", category_file)
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    if variant == "action_list":
+        doc["action"] = []
+    elif variant == "epsilon_int":
+        doc["epsilon"] = 5
+    elif variant == "mu_list":
+        doc["mu"] = [1]
+    elif variant == "maps_int":
+        doc["action"]["1"]["maps"] = 3
+    else:
+        doc = [doc]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    r = run_cli("bullet", str(bad))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
 def test_decompose_exit_codes(category_file):
     r = run_cli("decompose", category_file)
     assert r.returncode == 0

@@ -1,5 +1,6 @@
 import importlib
 import json
+import sys
 from pathlib import Path
 from random import Random
 
@@ -266,6 +267,22 @@ def test_roundtrip_command_builds_each_object_once(tmp_path, monkeypatch):
         monkeypatch.setattr(modcat, name, counted)
     assert cli.main(["roundtrip", str(path)]) == 0
     assert calls == {"bullet": 1, "extract_action": 2}
+
+
+def test_roundtrip_inverts_each_shift_iso_once(tmp_path, monkeypatch):
+    # the shift table carries each iso's inverse to extract_action and
+    # roundtrip_eta, which would otherwise invert all 4 x 8 isos once more
+    cat = twisted_cat(93)
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(jsonio.category_to_json(cat)))
+    calls = []
+    real = invert
+    for name, module in list(sys.modules.items()):
+        if name.startswith("taucat") and getattr(module, "invert", None) is real:
+            monkeypatch.setattr(module, "invert",
+                                lambda *args: calls.append(args) or real(*args))
+    assert cli.main(["roundtrip", str(path)]) == 0
+    assert len(calls) == 972 - cat.n_objects * cat.tau.source.order
 
 
 def test_traced_layer_functions_resolve():

@@ -1,6 +1,9 @@
+import sys
 from random import Random
 
 import pytest
+
+from taucat import cochains, znsolve
 
 from taucat.category import (direct_sum_cat, identity_functor, is_simple,
                              verify_axioms, verify_functor)
@@ -36,16 +39,16 @@ def test_analyze_simple_recovers_skeleton_data():
     spec = twisted_spec(31)
     cat = build_skeleton(spec)
     orbit = analyze_simple(cat, 0)
-    assert orbit.L.elements == spec.L.elements
-    assert orbit.psi == spec.psi
-    assert orbit.degree == spec.g
+    assert orbit.spec.L.elements == spec.L.elements
+    assert orbit.spec.psi == spec.psi
+    assert orbit.spec.g == spec.g
 
 
 def test_analyze_simple_on_table_category():
     cat = cyclic_table_category(F5, 2)
     orbit = analyze_simple(cat, 0)
-    assert orbit.L.elements == (0, 4)
-    assert all(v == 1 for row in orbit.psi.values for cell in row for v in cell)
+    assert orbit.spec.L.elements == (0, 4)
+    assert all(v == 1 for row in orbit.spec.psi.values for cell in row for v in cell)
 
 
 def test_analyze_simple_trivial_group():
@@ -53,8 +56,8 @@ def test_analyze_simple_trivial_group():
     spec = trivial_spec(tau1, F5, subgroup(cyclic_group(1), [0]))
     cat = build_skeleton(spec)
     orbit = analyze_simple(cat, 0)
-    assert orbit.L.order == 1
-    assert orbit.psi.values == (((1,),),)
+    assert orbit.spec.L.order == 1
+    assert orbit.spec.psi.values == (((1,),),)
 
 
 def test_stabilizer_on_table_category():
@@ -335,3 +338,37 @@ def test_classify_between_distinct_coboundaries():
         for d in data:
             F = realize_functor(a, b, d)
             assert verify_functor(F).ok
+
+
+def _count_calls(monkeypatch, fn):
+    """Count calls of fn through every taucat module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("taucat") and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+def test_classify_factors_the_d1_matrix_once(monkeypatch):
+    # the four cosets of t share one d1 system on H/L, and the classes
+    # modulo coboundaries are worked out once for all of them
+    a, b = twisted_spec(71, k=1), twisted_spec(72, k=1)
+    nvars = len(cochains._c1_vars(a.psi.space))
+    calls = _count_calls(monkeypatch, znsolve.diagonalize)
+    data = classify_equivalences(a, b)
+    assert len({d.t for d in data}) == 4
+    assert sum(len(matrix[0]) == nvars for matrix, _ in calls) == 1
+    assert len(calls) == 3  # d1, then the kernel and the pullback of B^1
+
+
+def test_decompose_checks_each_cocycle_once(monkeypatch):
+    cat = direct_sum_cat([build_skeleton(twisted_spec(45, k=2)),
+                          build_skeleton(twisted_spec(46, k=4, g=1))])
+    calls = _count_calls(monkeypatch, cochains.cocycle_violation)
+    rep = decompose(cat)
+    assert rep.semisimple and len(rep.orbits) == 2
+    assert len(calls) == len(rep.orbits)

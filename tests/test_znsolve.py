@@ -106,3 +106,48 @@ def test_mod_one_collapses():
     sol = znsolve.solve([[1, 1]], [0], 1, ncols=2)
     assert sol is not None
     assert set(sol.enumerate()) == {(0, 0)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_factorisation_many_right_hand_sides(data):
+    m = data.draw(st.sampled_from([2, 4, 6, 12]))
+    ncols = data.draw(st.integers(1, 3))
+    nrows = data.draw(st.integers(1, 3))
+    rows = [[data.draw(st.integers(0, m - 1)) for _ in range(ncols)]
+            for _ in range(nrows)]
+    # a zero row and a copy of the first row: their right-hand sides can
+    # contradict the equations the factorisation keeps
+    matrix = rows + [[0] * ncols, list(rows[0])]
+    system = znsolve.System(matrix, m, ncols)
+    for _ in range(4):
+        x = [data.draw(st.integers(0, m - 1)) for _ in range(ncols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) % m for row in matrix]
+        for i in range(len(rhs)):
+            if data.draw(st.booleans()):
+                rhs[i] = data.draw(st.integers(0, m - 1))
+        want = brute_solutions(matrix, rhs, m, ncols)
+        sol = system.solve(rhs)
+        if not want:
+            assert sol is None
+        else:
+            assert set(sol.enumerate()) == want
+            assert sol.count() == len(want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_row_log_replays_u(data):
+    # D = U A V, with U applied and undone through the logged row operations
+    m = data.draw(st.sampled_from([4, 6, 12]))
+    nrows = data.draw(st.integers(1, 5))
+    ncols = data.draw(st.integers(1, 3))
+    a = [[data.draw(st.integers(0, m - 1)) for _ in range(ncols)]
+         for _ in range(nrows)]
+    d, ops, v = znsolve.diagonalize(a, m)
+    for j in range(ncols):
+        av = [sum(row[i] * v[i][j] for i in range(ncols)) % m for row in a]
+        assert znsolve.apply_rows(ops, av, m) == [row[j] for row in d]
+    b = [data.draw(st.integers(0, m - 1)) for _ in range(nrows)]
+    assert znsolve.unapply_rows(ops, znsolve.apply_rows(ops, b, m), m) == b
+    assert all(d[i][j] == 0 for i in range(nrows) for j in range(ncols) if i != j)
