@@ -117,8 +117,10 @@ class AdditiveCompletion:
         return obj, pis, iotas
 
     def shift_data(self, x: int, h: int):
+        """(target, iso, inverse) of the shift of base object x by h."""
         if self.base.shifts is not None and (x, h) in self.base.shifts:
-            return self.base.shifts[(x, h)]
+            y, iso = self.base.shifts[(x, h)]
+            return y, iso, invert(self.base, iso)
         hit = find_shift(self.base, x, h)
         if hit is None:
             raise ValueError(f"base object {x} has no shift by {h}")
@@ -131,27 +133,19 @@ class AdditiveCompletion:
         into slot i is the base shift iso composed into the sum, and the
         projection is its inverse projected out.
         """
-        base = self.base
-        shifted, isos = [], []
-        for x in parts:
-            y, r = self.shift_data(x, h)
-            shifted.append(y)
-            isos.append(r)
-        obj, pis, iotas = self.direct_sum(shifted)
-        h_iotas = [self.compose(self.embed(isos[i]), iotas[i])
-                   for i in range(len(parts))]
-        h_pis = [self.compose(pis[i], self.embed(invert(base, isos[i])))
-                 for i in range(len(parts))]
+        data = [self.shift_data(x, h) for x in parts]
+        obj, pis, iotas = self.direct_sum([y for y, _, _ in data])
+        h_iotas = [self.compose(self.embed(iso), iotas[i])
+                   for i, (_, iso, _) in enumerate(data)]
+        h_pis = [self.compose(pis[i], self.embed(inverse))
+                 for i, (_, _, inverse) in enumerate(data)]
         return obj, h_pis, h_iotas
 
     def sum_shift(self, obj: tuple, h: int):
         """Block-diagonal shift iso of a sum object (componentwise shifts)."""
-        shifted, isos = [], []
-        for x in obj:
-            y, r = self.shift_data(x, h)
-            shifted.append(y)
-            isos.append(r)
-        target = tuple(shifted)
+        data = [self.shift_data(x, h) for x in obj]
+        target = tuple(y for y, _, _ in data)
+        isos = [iso for _, iso, _ in data]
         blocks = []
         for bi, b_obj in enumerate(target):
             row = []

@@ -29,27 +29,30 @@ def shift_table(cat: GradedCatPresentation):
     """(object, degree) -> (target, iso, inverse), identity pinned at degree 1.
 
     Uses the canonical shifts recorded on the presentation when present,
-    otherwise scans with find_shift; raises when some shift is missing or
-    not invertible.  Each iso is inverted here, once for every user of the
-    table.
+    otherwise scans with find_shift, which returns each inverse it found;
+    raises when some shift is missing or not invertible.  Each iso is
+    inverted at most once, for every user of the table.
     """
     gH = cat.tau.source
     e = gH.identity
     table = {}
     for x in cat.objects():
         for a in gH.elements():
+            inverse = None
             if a == e:
-                hit = (x, identity_morphism(cat, x))
+                y, iso = x, identity_morphism(cat, x)
             elif cat.shifts is not None and (x, a) in cat.shifts:
-                hit = cat.shifts[(x, a)]
+                y, iso = cat.shifts[(x, a)]
             else:
                 hit = find_shift(cat, x, a)
                 if hit is None:
                     raise ValueError(f"object {x} has no shift by {a}")
-            inverse = invert(cat, hit[1])
+                y, iso, inverse = hit
             if inverse is None:
-                raise ValueError(f"shift iso at {(x, a)} is not invertible")
-            table[(x, a)] = (*hit, inverse)
+                inverse = invert(cat, iso)
+                if inverse is None:
+                    raise ValueError(f"shift iso at {(x, a)} is not invertible")
+            table[(x, a)] = (y, iso, inverse)
     return table
 
 

@@ -89,8 +89,9 @@ def analyze_simple(cat: GradedCatPresentation, s: int) -> SimpleOrbit:
         hit = find_shift(cat, s, rep)
         if hit is None:
             raise ValueError(f"simple object {s} has no shift by {rep}")
-        targets.append(hit[0])
-        isos.append(hit[1])
+        y, iso, _ = hit
+        targets.append(y)
+        isos.append(iso)
 
     spanning = {}
     for i in range(space.size):
@@ -359,20 +360,27 @@ def classify_equivalences(spec_a: MtauSpec, spec_b: MtauSpec):
             classes = _class_offsets(sols.kernel, space_a, spec_a.field)
         for gamma in _solution_classes(sols, *classes):
             datum = EquivalenceDatum(t, gamma)
-            _check_datum(spec_a, spec_b, datum)
+            _check_datum(spec_a, spec_b, datum, target)
             out.append(datum)
     return out
 
 
-def _check_datum(spec_a: MtauSpec, spec_b: MtauSpec, datum: EquivalenceDatum):
+def _check_datum(spec_a: MtauSpec, spec_b: MtauSpec, datum: EquivalenceDatum,
+                 target=None):
+    """Raise unless datum is an equivalence datum from block A to block B.
+
+    `target` is psi * (psi'^t)^-1 for t = datum.t when the caller has it
+    already; otherwise it is built here.
+    """
     tau = spec_a.tau
     gG = tau.target
     if tau.map[datum.t] != gG.mul(spec_a.g, gG.inv(spec_b.g)):
         raise ValueError("datum degree element does not match the block degrees")
     if set(conjugate_subgroup(spec_b.L, datum.t).elements) != set(spec_a.L.elements):
         raise ValueError("datum does not conjugate the subgroups onto each other")
-    shifted = translate(spec_b.psi, datum.t)
-    if d1_cochain(datum.gamma) != c2_mul(spec_a.psi, c2_inv(shifted)):
+    if target is None:
+        target = c2_mul(spec_a.psi, c2_inv(translate(spec_b.psi, datum.t)))
+    if d1_cochain(datum.gamma) != target:
         raise ValueError("datum 1-cochain does not solve the cocycle equation")
 
 

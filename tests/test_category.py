@@ -3,15 +3,16 @@ from random import Random
 import pytest
 
 from taucat.category import (FunctorData, GradedCatPresentation, Morphism,
-                             NatTransData, basis_morphism, compose,
+                             NatTransData, Verdict, basis_morphism, compose,
                              compose_functors, direct_sum_cat, find_invertible,
                              find_shift, identity_functor, identity_morphism,
                              invert, is_simple, are_disjoint_deg1,
                              verify_axioms, verify_functor, verify_nat,
                              zero_morphism)
 from taucat.cochains import d1_cochain, random_cochain1
+from taucat.completion import AdditiveCompletion
 from taucat.fields import field
-from taucat.groups import coset_space, cyclic_group, subgroup
+from taucat.groups import coset_space, cyclic_group, reduction_hom, subgroup
 from taucat.mtau import (build_skeleton, cyclic_subgroup_of_order,
                          cyclic_table_category, mtau_spec, parity_tau,
                          trivial_spec)
@@ -87,14 +88,16 @@ def test_invert_skeleton_basis():
 
 def test_find_shift_examples():
     cat = cyclic_table_category(F5, 2)
-    assert find_shift(cat, 0, 0) == (0, identity_morphism(cat, 0))
-    y, iso = find_shift(cat, 0, 1)
+    idm = identity_morphism(cat, 0)
+    assert find_shift(cat, 0, 0) == (0, idm, idm)
+    y, iso, inverse = find_shift(cat, 0, 1)
     assert y == 1
-    assert invert(cat, iso) is not None
+    assert inverse == invert(cat, iso) is not None
     for x in cat.objects():
         for a in range(8):
-            y, iso = find_shift(cat, x, a)
+            y, iso, inverse = find_shift(cat, x, a)
             assert y == (x + a) % 4
+            assert compose(cat, iso, inverse) == identity_morphism(cat, x)
 
 
 def test_simplicity_and_disjointness():
@@ -163,3 +166,114 @@ def test_nat_trans_violation():
 def test_find_invertible_zero_rank():
     cat = cyclic_table_category(F5, 2)
     assert find_invertible(cat, 0, 1, 0) is None  # no degree-1 part between 0,1
+
+
+def _reference_verify_axioms(cat):
+    """verify_axioms as basis morphisms and compose calls, one per law."""
+    violations = []
+    gH, gG = cat.tau.source, cat.tau.target
+    e = gH.identity
+    for (x, y, h) in cat.hom_keys():
+        if cat.degrees[y] != gG.mul(cat.tau.map[h], cat.degrees[x]):
+            violations.append(("grading", x, y, h))
+    for x in cat.objects():
+        if cat.rank(x, x, e) == 0 or all(c == 0 for c in cat.identities[x]):
+            violations.append(("identity-missing", x))
+    for (x, y, h) in cat.hom_keys():
+        for k in range(cat.rank(x, y, h)):
+            f = basis_morphism(cat, x, y, h, k)
+            if cat.rank(x, x, e):
+                if compose(cat, identity_morphism(cat, x), f) != f:
+                    violations.append(("unit-right", x, y, h, k))
+            if cat.rank(y, y, e):
+                if compose(cat, f, identity_morphism(cat, y)) != f:
+                    violations.append(("unit-left", x, y, h, k))
+    for w in cat.objects():
+        for (x, h1, r1) in cat.out_homs(w):
+            for (y, h2, r2) in cat.out_homs(x):
+                for (z, h3, r3) in cat.out_homs(y):
+                    for i in range(r1):
+                        f = basis_morphism(cat, w, x, h1, i)
+                        for j in range(r2):
+                            g = basis_morphism(cat, x, y, h2, j)
+                            gf = compose(cat, f, g)
+                            for k in range(r3):
+                                hm = basis_morphism(cat, y, z, h3, k)
+                                lhs = compose(cat, gf, hm)
+                                rhs = compose(cat, f, compose(cat, g, hm))
+                                if lhs != rhs:
+                                    violations.append(
+                                        ("assoc", (w, x, y, z), (h1, h2, h3), (i, j, k)))
+    return Verdict(violations)
+
+
+def _c12_skeleton(seed):
+    tau = reduction_hom(12, 2)
+    L = subgroup(tau.source, [0, 6])
+    psi = d1_cochain(random_cochain1(F5, coset_space(tau.source, L), Random(seed)))
+    return build_skeleton(mtau_spec(tau, F5, L, psi, 1))
+
+
+def _zero_composite():
+    """Objects w, x, y, z with Hom(w, y) = 0: h o (g o f) = 0 but (h o g) o f = 1."""
+    homs = [(0, 1), (1, 2), (2, 3), (1, 3), (0, 3)]
+    hom_rank = {(a, b, 0): 1 for a, b in homs + [(x, x) for x in range(4)]}
+    comp = {}
+    for (a, b, _) in hom_rank:
+        comp[(a, a, b, 0, 0)] = comp[(a, b, b, 0, 0)] = (((1,),),)
+    comp[(1, 2, 3, 0, 0)] = comp[(0, 1, 3, 0, 0)] = (((1,),),)
+    return GradedCatPresentation(TAU, F5, [0] * 4, hom_rank, comp, [(1,)] * 4)
+
+
+AXIOM_CASES = {
+    "c8_skeleton": lambda: build_skeleton(twisted_skeleton(21, k=2)),
+    "c12_skeleton": lambda: _c12_skeleton(22),
+    # End((0, 0)) has rank 4 and Hom((0,), (0, 2)) rank 2
+    "completion": lambda: AdditiveCompletion(build_skeleton(twisted_skeleton(23, k=2)))
+    .presentation_of([(0,), (1,), (0, 0), (0, 2)]),
+    "direct_sum": lambda: direct_sum_cat([build_skeleton(twisted_skeleton(24, k=1)),
+                                          build_skeleton(twisted_skeleton(25, k=4, g=1))]),
+    "c8_table": lambda: cyclic_table_category(F5, 8),
+    "zero_composite": _zero_composite,
+}
+
+
+def _corrupt(cat, kind, rng):
+    """One tensor entry changed, one tensor deleted, or one identity coordinate changed."""
+    comp = dict(cat.compose_t)
+    ids = list(cat.identities)
+    p = cat.field.p
+    if kind == "entry":
+        key = rng.choice(sorted(comp))
+        t = [[list(row) for row in layer] for layer in comp[key]]
+        q, j, i = (rng.randrange(len(t)), rng.randrange(len(t[0])),
+                   rng.randrange(len(t[0][0])))
+        t[q][j][i] = (t[q][j][i] + rng.randrange(1, p)) % p
+        comp[key] = t
+    elif kind == "delete":
+        del comp[rng.choice(sorted(comp))]
+    elif kind == "identity":
+        x = rng.choice([x for x in cat.objects() if ids[x]])
+        c = list(ids[x])
+        i = rng.randrange(len(c))
+        c[i] = (c[i] + rng.randrange(1, p)) % p
+        ids[x] = c
+    return GradedCatPresentation(cat.tau, cat.field, cat.degrees, cat.hom_rank,
+                                 comp, ids)
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_CASES))
+def test_verify_axioms_matches_reference(name):
+    # the tensor contraction reports the same violations, in the same order,
+    # as composing basis morphisms one by one
+    cat = AXIOM_CASES[name]()
+    assert verify_axioms(cat).violations == _reference_verify_axioms(cat).violations
+    rng = Random(name)
+    kinds = set()
+    for kind in ("entry", "delete", "identity"):
+        for _ in range(2):
+            bad = _corrupt(cat, kind, rng)
+            want = _reference_verify_axioms(bad).violations
+            assert verify_axioms(bad).violations == want
+            kinds.update(v[0] for v in want)
+    assert {"assoc", "unit-left", "unit-right"} <= kinds

@@ -269,20 +269,36 @@ def test_roundtrip_command_builds_each_object_once(tmp_path, monkeypatch):
     assert calls == {"bullet": 1, "extract_action": 2}
 
 
+def _count_in_taucat(monkeypatch, fn):
+    """Count calls of fn through every taucat module that binds it."""
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("taucat") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__,
+                                lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_roundtrip_command_checks_the_degree_law_once(tmp_path, monkeypatch):
+    # bullet checks the degree law; the report does not check it again
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(jsonio.category_to_json(twisted_cat(94))))
+    calls = _count_in_taucat(monkeypatch, check_tau_module)
+    assert cli.main(["roundtrip", str(path)]) == 0
+    assert len(calls) == 1
+
+
 def test_roundtrip_inverts_each_shift_iso_once(tmp_path, monkeypatch):
     # the shift table carries each iso's inverse to extract_action and
-    # roundtrip_eta, which would otherwise invert all 4 x 8 isos once more
+    # roundtrip_eta, which would otherwise invert all 4 x 8 isos once more;
+    # the 4 x 7 isos that find_shift scans for come with their inverses
     cat = twisted_cat(93)
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(jsonio.category_to_json(cat)))
-    calls = []
-    real = invert
-    for name, module in list(sys.modules.items()):
-        if name.startswith("taucat") and getattr(module, "invert", None) is real:
-            monkeypatch.setattr(module, "invert",
-                                lambda *args: calls.append(args) or real(*args))
+    calls = _count_in_taucat(monkeypatch, invert)
     assert cli.main(["roundtrip", str(path)]) == 0
-    assert len(calls) == 972 - cat.n_objects * cat.tau.source.order
+    n, order = cat.n_objects, cat.tau.source.order
+    assert len(calls) == 972 - n * order - n * (order - 1)
 
 
 def test_traced_layer_functions_resolve():

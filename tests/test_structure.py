@@ -365,6 +365,15 @@ def test_classify_factors_the_d1_matrix_once(monkeypatch):
     assert len(calls) == 3  # d1, then the kernel and the pullback of B^1
 
 
+def test_classify_translates_each_target_once(monkeypatch):
+    # psi'^t is built once per coset of t, not again for every datum returned
+    a, b = twisted_spec(73, k=2), twisted_spec(74, k=2)
+    calls = _count_calls(monkeypatch, cochains.translate)
+    data = classify_equivalences(a, b)
+    assert len(calls) == len({d.t for d in data}) == 2
+    assert len(data) == 4
+
+
 def test_decompose_checks_each_cocycle_once(monkeypatch):
     cat = direct_sum_cat([build_skeleton(twisted_spec(45, k=2)),
                           build_skeleton(twisted_spec(46, k=4, g=1))])
