@@ -8,7 +8,10 @@ morphisms are only allowed between objects whose degrees differ by tau(h);
 `verify_axioms` checks that, the unit laws and associativity exhaustively
 over the stored bases.  It reads the laws off the composition tensors:
 associativity on every composable path and basis triple is one identity
-between two contractions of stored tensors, mod p.
+between two contractions of stored tensors, mod p.  `verify_functor`,
+`verify_nat` and `invert` work the same way on the tensors, the functor
+hom matrices and the component coordinates, through the one contraction
+`compose` uses; none of them builds a Morphism per basis element.
 """
 
 from __future__ import annotations
@@ -160,32 +163,29 @@ def basis_morphism(cat: GradedCatPresentation, x: int, y: int, h: int, k: int) -
     return Morphism(x, y, h, tuple(1 if i == k else 0 for i in range(r)))
 
 
+def _contract(p: int, t, r: int, f, g) -> tuple:
+    """Coordinates of g o f from their composition tensor t, mod p.
+
+    Entry k is sum_{j, i} t[k][j][i] g[j] f[i]; r is the rank of the hom
+    space g o f lives in, and None or an empty tensor is zero.
+    """
+    if not t:
+        return (0,) * r
+    if r == 1 and len(f) == 1 and len(g) == 1:
+        return ((t[0][0][0] * f[0] * g[0]) % p,)
+    return tuple(sum(gj * sum(map(mul, row, f)) for gj, row in zip(g, layer) if gj) % p
+                 for layer in t)
+
+
 def compose(cat: GradedCatPresentation, f: Morphism, g: Morphism) -> Morphism:
     """g after f; the result has degree |g| * |f|."""
     if f.dst != g.src:
         raise ValueError("morphisms are not composable")
     h, h2 = f.degree, g.degree
     deg = cat.tau.source.mul(h2, h)
-    r3 = cat.rank(f.src, g.dst, deg)
-    t = cat.tensor(f.src, f.dst, g.dst, h, h2)
-    if r3 == 0 or t is None:
-        return Morphism(f.src, g.dst, deg, (0,) * r3)
-    p = cat.field.p
-    if r3 == 1 and len(f.coords) == 1 and len(g.coords) == 1:
-        return Morphism(f.src, g.dst, deg,
-                        ((t[0][0][0] * f.coords[0] * g.coords[0]) % p,))
-    out = []
-    for k in range(r3):
-        layer = t[k]
-        s = 0
-        for j, gj in enumerate(g.coords):
-            if gj:
-                row = layer[j]
-                for i, fi in enumerate(f.coords):
-                    if fi:
-                        s += gj * fi * row[i]
-        out.append(s % p)
-    return Morphism(f.src, g.dst, deg, tuple(out))
+    return Morphism(f.src, g.dst, deg, _contract(
+        cat.field.p, cat.tensor(f.src, f.dst, g.dst, h, h2),
+        cat.rank(f.src, g.dst, deg), f.coords, g.coords))
 
 
 def verify_axioms(cat: GradedCatPresentation) -> Verdict:
@@ -281,7 +281,13 @@ def _assoc_failures(p, r, r1, r2, r3, t_gf, t_l, t_hg, t_r):
 
 
 def invert(cat: GradedCatPresentation, f: Morphism):
-    """Two-sided inverse of f (degree |f|^-1), or None."""
+    """Two-sided inverse of f (degree |f|^-1), or None.
+
+    Solves g o f = id_src and f o g = id_dst for g in Hom^{|f|^-1}(dst, src),
+    reading both composites off the tensors.  When the three hom spaces and
+    f's own have rank 1 the system is x c1 = id_src, x c2 = id_dst in one
+    unknown, solved in closed form with the verdicts of fplinalg.solve.
+    """
     gH = cat.tau.source
     a_inv = gH.inv(f.degree)
     r2 = cat.rank(f.dst, f.src, a_inv)
@@ -290,13 +296,29 @@ def invert(cat: GradedCatPresentation, f: Morphism):
     r_dst = cat.rank(f.dst, f.dst, e)
     if r2 == 0 or r_src == 0 or r_dst == 0:
         return None
+    p = cat.field.p
+    t_gf = cat.tensor(f.src, f.dst, f.src, f.degree, a_inv)
+    t_fg = cat.tensor(f.dst, f.src, f.dst, a_inv, f.degree)
+    id_src, id_dst = cat.identities[f.src], cat.identities[f.dst]
+    if r2 == r_src == r_dst == len(f.coords) == 1:
+        c1 = t_gf[0][0][0] * f.coords[0] % p if t_gf else 0
+        c2 = t_fg[0][0][0] * f.coords[0] % p if t_fg else 0
+        (i1,), (i2,) = id_src, id_dst
+        if c1:
+            x = i1 * pow(c1, -1, p) % p
+            solvable = (c2 * x - i2) % p == 0
+        elif c2:
+            x = i2 * pow(c2, -1, p) % p
+            solvable = i1 == 0
+        else:
+            x, solvable = 0, i1 == i2 == 0
+        return Morphism(f.dst, f.src, a_inv, (x,)) if solvable else None
     cols = []
     for j in range(r2):
-        gj = basis_morphism(cat, f.dst, f.src, a_inv, j)
-        # g o f in End(src), then f o g in End(dst)
-        cols.append(compose(cat, f, gj).coords + compose(cat, gj, f).coords)
-    rhs = cat.identities[f.src] + cat.identities[f.dst]
-    x = fplinalg.solve(fplinalg.from_columns(cols), rhs, cat.field.p, ncols=r2)
+        gj = tuple(int(i == j) for i in range(r2))
+        cols.append(_contract(p, t_gf, r_src, f.coords, gj)
+                    + _contract(p, t_fg, r_dst, gj, f.coords))
+    x = fplinalg.solve(fplinalg.from_columns(cols), id_src + id_dst, p, ncols=r2)
     if x is None:
         return None
     return Morphism(f.dst, f.src, a_inv, tuple(x))
@@ -485,28 +507,46 @@ def compose_functors(F: FunctorData, G: FunctorData) -> FunctorData:
                        [G.obj_map[F.obj_map[x]] for x in F.source.objects()], maps)
 
 
+def _columns(mat, r: int) -> list:
+    return [tuple(row[i] for row in mat) for i in range(r)]
+
+
 def verify_functor(F: FunctorData) -> Verdict:
-    """Identity, composition and degree preservation over all basis data."""
+    """Identity, composition and degree preservation over all basis data.
+
+    Read off the hom matrices A and the tensors: F(id_x) is A(x,x;e) id_x,
+    and for basis elements i of Hom^{h1}(x, y) and j of Hom^{h2}(y, z)
+    F(g_j o f_i) = A(x,z;h2h1) T_src(x,y,z;h1,h2)[:, j, i] must equal T_tgt
+    contracted with column i of A(x,y;h1) and column j of A(y,z;h2).
+    """
     violations = []
     src, tgt = F.source, F.target
+    p = tgt.field.p
+    e = src.tau.source.identity
+    hmul = src.tau.source.mul
+    omap = F.obj_map
     for x in src.objects():
-        if tgt.degrees[F.obj_map[x]] != src.degrees[x]:
+        if tgt.degrees[omap[x]] != src.degrees[x]:
             violations.append(("object-degree", x))
     for x in src.objects():
-        if apply_functor(F, identity_morphism(src, x)) != identity_morphism(
-                tgt, F.obj_map[x]):
+        image = fplinalg.matvec(F.matrix(x, x, e), src.identities[x], p)
+        if image != tgt.identities[omap[x]]:
             violations.append(("identity", x))
     for x in src.objects():
         for (y, h1, r1) in src.out_homs(x):
+            f_cols = _columns(F.matrix(x, y, h1), r1)
             for (z, h2, r2) in src.out_homs(y):
+                h21 = hmul(h2, h1)
+                a3 = F.matrix(x, z, h21)
+                g_cols = _columns(F.matrix(y, z, h2), r2)
+                t_src = src.tensor(x, y, z, h1, h2)
+                t_tgt = tgt.tensor(omap[x], omap[y], omap[z], h1, h2)
+                r = tgt.rank(omap[x], omap[z], h21)
                 for i in range(r1):
-                    f = basis_morphism(src, x, y, h1, i)
-                    Ff = apply_functor(F, f)
                     for j in range(r2):
-                        g = basis_morphism(src, y, z, h2, j)
-                        lhs = apply_functor(F, compose(src, f, g))
-                        rhs = compose(tgt, Ff, apply_functor(F, g))
-                        if lhs != rhs:
+                        gf = [layer[j][i] for layer in t_src] if t_src else ()
+                        lhs = fplinalg.matvec(a3, gf, p)
+                        if lhs != _contract(p, t_tgt, r, f_cols[i], g_cols[j]):
                             violations.append(("compose", (x, y, z), (h1, h2), (i, j)))
     return Verdict(violations)
 
@@ -524,6 +564,12 @@ class NatTransData:
 
 
 def verify_nat(nt: NatTransData) -> Verdict:
+    """Component shapes, then naturality on every basis element.
+
+    For f_i in Hom^h(x, y), c_y o F(f_i) = G(f_i) o c_x reads
+    T(Fx,Fy,Gy; h,e) against column i of F's matrix and c_y, and
+    T(Fx,Gx,Gy; e,h) against c_x and column i of G's matrix.
+    """
     violations = []
     F, G = nt.source, nt.target
     src = F.source
@@ -538,12 +584,20 @@ def verify_nat(nt: NatTransData) -> Verdict:
             violations.append(("component-shape", x))
     if violations:
         return Verdict(violations)
+    p = tgt.field.p
     for x in src.objects():
+        cx = nt.component(x).coords
+        fx, gx = F.obj_map[x], G.obj_map[x]
         for (y, h, r) in src.out_homs(x):
+            cy = nt.component(y).coords
+            fy, gy = F.obj_map[y], G.obj_map[y]
+            rank = tgt.rank(fx, gy, h)
+            t_l = tgt.tensor(fx, gx, gy, e, h)
+            t_r = tgt.tensor(fx, fy, gy, h, e)
+            g_cols = _columns(G.matrix(x, y, h), r)
+            f_cols = _columns(F.matrix(x, y, h), r)
             for i in range(r):
-                f = basis_morphism(src, x, y, h, i)
-                lhs = compose(tgt, nt.component(x), apply_functor(G, f))
-                rhs = compose(tgt, apply_functor(F, f), nt.component(y))
-                if lhs != rhs:
+                lhs = _contract(p, t_l, rank, cx, g_cols[i])
+                if lhs != _contract(p, t_r, rank, f_cols[i], cy):
                     violations.append(("naturality", x, y, h, i))
     return Verdict(violations)

@@ -28,6 +28,7 @@ from .mtau import (build_group_groupoid, build_skeleton, check_skeleton_inverses
 from .structure import classify_equivalences, classify_nat_isos, decompose
 from .modcat import bullet, extract_action, roundtrip
 from .yoneda import has_invertible_nat, nat_equal, nat_space, phi, phi_inv, representable
+from .znsolve import CapExceeded
 
 
 def _digest(path: str) -> str:
@@ -437,6 +438,9 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         code = args.fn(args)
+    except CapExceeded as err:
+        sys.stderr.write(f"undecided: enumeration cap exceeded: {err}\n")
+        return 2
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2

@@ -198,6 +198,16 @@ def _components(value, what: str, n: int) -> list:
     return out
 
 
+def _component(base: GradedCatPresentation, src: int, dst: int, coords,
+               what: str) -> Morphism:
+    """A degree-1 component, one coordinate per basis element of its hom space."""
+    r = base.rank(src, dst, base.tau.source.identity)
+    if len(coords) != r:
+        raise ValueError(f"{what} component {src} -> {dst} has {len(coords)} "
+                         f"coordinates for a hom space of rank {r}")
+    return Morphism(src, dst, base.tau.source.identity, tuple(coords))
+
+
 def parse_modcat(doc) -> ModuleCatData:
     """Module-category data, checked for coherence before it is returned."""
     doc = _object(doc, "module category")
@@ -214,14 +224,14 @@ def parse_modcat(doc) -> ModuleCatData:
         action[_int(h_s, "action degree")] = FunctorData(
             base, base, _object_map(blk["objects"], "action objects", n), maps)
     eps = NatTransData(identity_functor(base), action[e], [
-        Morphism(x, action[e].obj_map[x], e, tuple(coords))
+        _component(base, x, action[e].obj_map[x], coords, "epsilon")
         for x, coords in enumerate(_components(doc["epsilon"], "epsilon", n))])
     mu = {}
     for key, rows in _object(doc["mu"], "mu").items():
         a, b = (_int(v, "mu degree") for v in key.split(","))
         ab = gH.mul(a, b)
-        comps = [Morphism(action[a].obj_map[action[b].obj_map[x]],
-                          action[ab].obj_map[x], e, tuple(coords))
+        comps = [_component(base, action[a].obj_map[action[b].obj_map[x]],
+                            action[ab].obj_map[x], coords, f"mu {a},{b}")
                  for x, coords in enumerate(_components(rows, "mu components", n))]
         mu[(a, b)] = NatTransData(compose_functors(action[b], action[a]),
                                   action[ab], comps)

@@ -11,18 +11,27 @@ The other direction rebuilds a graded category out of an action: degree-h
 morphisms X -> Y are plain morphisms alpha^h X -> Y, composed through
 mu^-1, and X<a> = alpha^a X with the identity as shift iso.  Both round
 trips admit strict inverses, which the verifiers here check componentwise.
+
+The unit triangles, the associativity square and the module-functor
+hexagon are read off the base's composition tensors, the hom matrices of
+the action functors and the component coordinates, as (src, dst, coords)
+triples rather than Morphism objects; when every degree-1 hom space has
+rank 1 each composite is one product of scalars.  The bullet rebuild fills
+its composition tensors the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 from .category import (FunctorData, GradedCatPresentation, Morphism,
-                       NatTransData, Verdict, apply_functor, basis_morphism,
-                       compose, compose_functors, find_shift, identity_functor,
-                       identity_morphism, invert, verify_axioms, verify_functor,
-                       verify_nat)
-from .fplinalg import from_columns
+                       NatTransData, Verdict, _contract, apply_functor,
+                       basis_morphism, compose, compose_functors, find_shift,
+                       identity_functor, identity_morphism, invert,
+                       verify_axioms, verify_functor, verify_nat)
+from .fplinalg import from_columns, matvec
 
 
 def shift_table(cat: GradedCatPresentation):
@@ -85,6 +94,18 @@ class ModuleCatData:
     def group(self):
         return self.base.tau.source
 
+    @cached_property
+    def inverses(self):
+        """(epsilon^-1, mu^-1) componentwise, None where a component has none.
+
+        Inverted once per instance: verify_module_category checks them, and
+        bullet, bullet_nat and roundtrip_nu read them.
+        """
+        base = self.base
+        return ([invert(base, c) for c in self.epsilon.components],
+                {ab: [invert(base, c) for c in nt.components]
+                 for ab, nt in self.mu.items()})
+
 
 @dataclass
 class ModuleFunctorData:
@@ -141,53 +162,118 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     return mod
 
 
+def _unit(r: int, i: int) -> tuple:
+    return tuple(int(k == i) for k in range(r))
+
+
+def _coords(m: Morphism) -> tuple:
+    """A degree-1 morphism as (src, dst, coords)."""
+    return (m.src, m.dst, m.coords)
+
+
+def _then(cat: GradedCatPresentation, f: tuple, g: tuple) -> tuple:
+    """g o f for degree-1 (src, dst, coords) morphisms, read off cat's tensors."""
+    if f[1] != g[0]:
+        raise ValueError("morphisms are not composable")
+    e = cat.tau.source.identity
+    return (f[0], g[1], _contract(cat.field.p, cat.tensor(f[0], f[1], g[1], e, e),
+                                  cat.rank(f[0], g[1], e), f[2], g[2]))
+
+
+def _image(F: FunctorData, f: tuple) -> tuple:
+    """F applied to a degree-1 (src, dst, coords) morphism."""
+    mat = F.matrix(f[0], f[1], F.source.tau.source.identity)
+    return (F.obj_map[f[0]], F.obj_map[f[1]], matvec(mat, f[2], F.target.field.p))
+
+
+def _scalar_ops(mod: ModuleCatData):
+    """(then, image) on degree-1 (src, dst, coords) morphisms of mod.base,
+    read off scalar tables, or None unless every object's degree-1
+    endomorphisms, every degree-1 hom space and every component have rank 1.
+    A tensor or matrix with a zero-rank side contracts to 0."""
+    base = mod.base
+    e = mod.group.identity
+    comps = [*mod.epsilon.components, *(c for nt in mod.mu.values() for c in nt.components)]
+    if not (all(r == 1 for (_, _, h), r in base.hom_rank.items() if h == e)
+            and all(len(c) == 1 for c in base.identities)
+            and all(len(c.coords) == 1 and base.rank(c.src, c.dst, e) == 1 for c in comps)):
+        return None
+    p = base.field.p
+    tensor = {(x, y, z): t[0][0][0] for (x, y, z, h, h2), t in base.compose_t.items()
+              if h == h2 == e and t and t[0] and t[0][0]}
+    mats = {a: (F.obj_map, {(x, y): m[0][0] for (x, y, h), m in F.hom_maps.items()
+                            if h == e and m and m[0]})
+            for a, F in mod.action.items()}
+
+    def then(f, g):
+        if f[1] != g[0]:
+            raise ValueError("morphisms are not composable")
+        return (f[0], g[1], (tensor.get((f[0], f[1], g[1]), 0) * f[2][0] * g[2][0] % p,))
+
+    def image(a, f):
+        obj_map, scalars = mats[a]
+        return (obj_map[f[0]], obj_map[f[1]], (scalars.get((f[0], f[1]), 0) * f[2][0] % p,))
+
+    return then, image
+
+
 def verify_module_category(mod: ModuleCatData) -> Verdict:
-    """Naturality, invertibility, unit triangle and associativity square."""
+    """Naturality, invertibility, unit triangle and associativity square.
+
+    The two laws are read off the base's composition tensors, the action's
+    hom matrices and the component coordinates, over every degree and
+    object.  When every degree-1 hom space has rank 1 (skeletons, their
+    direct sums, bullet rebuilds) each morphism is a single scalar.
+    """
     violations = []
     base = mod.base
     gH = mod.group
     e = gH.identity
+    eps_inv, mu_inv = mod.inverses
 
     v = verify_nat(mod.epsilon)
     if not v.ok:
         violations.append(("epsilon-naturality", v.violations[0]))
     for x in base.objects():
-        if invert(base, mod.epsilon.component(x)) is None:
+        if eps_inv[x] is None:
             violations.append(("epsilon-not-invertible", x))
     for (a, b), nt in sorted(mod.mu.items()):
         v = verify_nat(nt)
         if not v.ok:
             violations.append(("mu-naturality", a, b, v.violations[0]))
         for x in base.objects():
-            if invert(base, nt.component(x)) is None:
+            if mu_inv[(a, b)][x] is None:
                 violations.append(("mu-not-invertible", a, b, x))
     if violations:
         return Verdict(violations)
 
-    for h in gH.elements():
-        ah = mod.action[h]
-        for x in base.objects():
-            hx = ah.obj_map[x]
-            lhs = compose(base, mod.epsilon.component(hx), mod.mu[(e, h)].component(x))
-            if lhs != identity_morphism(base, hx):
+    then, image = _scalar_ops(mod) or (lambda f, g: _then(base, f, g),
+                                       lambda a, f: _image(mod.action[a], f))
+    eps = [_coords(c) for c in mod.epsilon.components]
+    mu = {ab: [_coords(c) for c in nt.components] for ab, nt in mod.mu.items()}
+    elements = list(gH.elements())
+    objects = list(base.objects())
+    for h in elements:
+        ah = mod.action[h].obj_map
+        for x in objects:
+            hx = ah[x]
+            identity = (hx, hx, base.identities[hx])
+            if then(eps[hx], mu[(e, h)][x]) != identity:
                 violations.append(("unit-left", h, x))
-            rhs = compose(base, apply_functor(ah, mod.epsilon.component(x)),
-                          mod.mu[(h, e)].component(x))
-            if rhs != identity_morphism(base, hx):
+            if then(image(h, eps[x]), mu[(h, e)][x]) != identity:
                 violations.append(("unit-right", h, x))
 
-    for a in gH.elements():
-        for b in gH.elements():
-            for c in gH.elements():
-                for x in base.objects():
-                    cx = mod.action[c].obj_map[x]
-                    lhs = compose(base, mod.mu[(a, b)].component(cx),
-                                  mod.mu[(gH.mul(a, b), c)].component(x))
-                    rhs = compose(base,
-                                  apply_functor(mod.action[a],
-                                                mod.mu[(b, c)].component(x)),
-                                  mod.mu[(a, gH.mul(b, c))].component(x))
-                    if lhs != rhs:
+    for a in elements:
+        for b in elements:
+            ab = gH.mul(a, b)
+            mu_ab = mu[(a, b)]
+            for c in elements:
+                c_map = mod.action[c].obj_map
+                mu_ab_c, mu_bc = mu[(ab, c)], mu[(b, c)]
+                mu_a_bc = mu[(a, gH.mul(b, c))]
+                for x in objects:
+                    lhs = then(mu_ab[c_map[x]], mu_ab_c[x])
+                    if lhs != then(image(a, mu_bc[x]), mu_a_bc[x]):
                         violations.append(("assoc", a, b, c, x))
     return Verdict(violations)
 
@@ -213,10 +299,8 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
     tdeg = check_tau_module(mod)
     if not tdeg.ok:
         raise ValueError(f"action violates the degree law: {tdeg.violations[0]}")
-    eps_inv = [invert(base, mod.epsilon.component(x)) for x in base.objects()]
-    mu_inv = {}
-    for (a, b), nt in mod.mu.items():
-        mu_inv[(a, b)] = [invert(base, nt.component(x)) for x in base.objects()]
+    eps_inv, mu_inv = mod.inverses
+    p = base.field.p
 
     hom_rank = {}
     for x in base.objects():
@@ -226,6 +310,8 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
                 r = base.rank(hx, y, e)
                 if r:
                     hom_rank[(x, y, h)] = r
+    # (g_j o alpha^{h2}(f_i) o mu^-1)[k] = sum_m T(s, h2y, z)[k][j][m] mid_i[m]
+    # with mid_i = alpha^{h2}(f_i) o mu^-1_{h2,h,x}: s -> h2y, s = alpha^{h2 h} x
     comp = {}
     for x in base.objects():
         for h in gH.elements():
@@ -235,27 +321,24 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
                 if not r1:
                     continue
                 for h2 in gH.elements():
+                    deg = gH.mul(h2, h)
+                    start = _coords(mu_inv[(h2, h)][x])
+                    mids = [_then(base, start, _image(mod.action[h2],
+                                                      (hx, y, _unit(r1, i))))
+                            for i in range(r1)]
                     h2y = mod.action[h2].obj_map[y]
                     for z in base.objects():
                         r2 = base.rank(h2y, z, e)
                         if not r2:
                             continue
-                        deg = gH.mul(h2, h)
                         r3 = hom_rank.get((x, z, deg), 0)
                         if not r3:
                             continue
-                        tensor = [[[0] * r1 for _ in range(r2)] for _ in range(r3)]
-                        start = mu_inv[(h2, h)][x]
-                        for i in range(r1):
-                            f = basis_morphism(base, hx, y, e, i)
-                            mid = compose(base, start,
-                                          apply_functor(mod.action[h2], f))
-                            for j in range(r2):
-                                g = basis_morphism(base, h2y, z, e, j)
-                                coords = compose(base, mid, g).coords
-                                for k in range(r3):
-                                    tensor[k][j][i] = coords[k]
-                        comp[(x, y, z, h, h2)] = tensor
+                        t = base.tensor(start[0], h2y, z, e, e)
+                        comp[(x, y, z, h, h2)] = [
+                            [[sum(map(mul, row, mid[2])) % p for mid in mids]
+                             for row in layer] for layer in t
+                        ] if t else [[[0] * r1 for _ in range(r2)] for _ in range(r3)]
     identities = [eps_inv[x].coords for x in base.objects()]
     shifts = {}
     for x in base.objects():
@@ -297,25 +380,20 @@ def verify_module_functor(mf: ModuleFunctorData, src: ModuleCatData,
     if violations:
         return Verdict(violations)
 
+    s = {h: [_coords(c) for c in nt.components] for h, nt in mf.comparison.items()}
     for x in src.base.objects():
-        fx = F.obj_map[x]
-        lhs = compose(base_d, dst.epsilon.component(fx),
-                      mf.comparison[e].component(x))
-        rhs = apply_functor(F, src.epsilon.component(x))
-        if lhs != rhs:
+        lhs = _then(base_d, _coords(dst.epsilon.component(F.obj_map[x])), s[e][x])
+        if lhs != _image(F, _coords(src.epsilon.component(x))):
             violations.append(("unit-triangle", x))
     for a in gH.elements():
         for b in gH.elements():
             ab = gH.mul(a, b)
             for x in src.base.objects():
                 bx = src.action[b].obj_map[x]
-                fx = F.obj_map[x]
-                lhs = compose(base_d, dst.mu[(a, b)].component(fx),
-                              mf.comparison[ab].component(x))
-                step = apply_functor(dst.action[a], mf.comparison[b].component(x))
-                step = compose(base_d, step, mf.comparison[a].component(bx))
-                rhs = compose(base_d, step,
-                              apply_functor(F, src.mu[(a, b)].component(x)))
+                lhs = _then(base_d, _coords(dst.mu[(a, b)].component(F.obj_map[x])),
+                            s[ab][x])
+                step = _then(base_d, _image(dst.action[a], s[b][x]), s[a][bx])
+                rhs = _then(base_d, step, _image(F, _coords(src.mu[(a, b)].component(x))))
                 if lhs != rhs:
                     violations.append(("hexagon", a, b, x))
     return Verdict(violations)
@@ -403,8 +481,7 @@ def bullet_nat(nt: NatTransData, mf_src: ModuleFunctorData,
     comps = []
     for x in src.base.objects():
         ex = mf_src.functor.obj_map[x]
-        eps_inv = invert(base_d, dst.epsilon.component(ex))
-        m = compose(base_d, eps_inv, nt.component(x))
+        m = compose(base_d, dst.inverses[0][ex], nt.component(x))
         comps.append(Morphism(ex, mf_dst.functor.obj_map[x],
                               src.group.identity, m.coords))
     out = NatTransData(bf_src, bf_dst, comps)
@@ -505,7 +582,7 @@ def roundtrip_nu(mod: ModuleCatData, rebuilt: GradedCatPresentation):
     nu_f = FunctorData(bmod.base, base, list(base.objects()), _hom_maps(
         bmod.base, lambda f: compose(base, mod.epsilon.component(f.src),
                                      Morphism(a1[f.src], f.dst, e, f.coords))))
-    eps_inv = [invert(base, c) for c in mod.epsilon.components]
+    eps_inv = mod.inverses[0]
     nu_inv_f = FunctorData(base, bmod.base, list(base.objects()), _hom_maps(
         base, lambda f: compose(base, eps_inv[f.src], f)))
 

@@ -301,7 +301,7 @@ def _class_offsets(kernel, space, field, cap: int = 100000):
     ranges = [gcd(d[i][i] if i < len(pulled) else 0, m) for i in range(k)]
     total = prod(ranges)
     if total > cap:
-        raise ValueError(f"{total} solution classes exceed cap {cap}")
+        raise znsolve.CapExceeded(f"{total} solution classes exceed cap {cap}")
     offsets = []
     for idx in znsolve.index_vectors(ranges):
         c = znsolve.unapply_rows(ops, idx, m)

@@ -21,6 +21,10 @@ from itertools import product
 from math import gcd, prod
 
 
+class CapExceeded(ValueError):
+    """An enumeration would pass its cap, so the answer is undecided."""
+
+
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0."""
     old_r, r = a, b
@@ -152,7 +156,7 @@ class SolutionSet:
     def enumerate(self, cap: int = 100000):
         """Yield every solution exactly once (product form in y-space)."""
         if self.count() > cap:
-            raise ValueError(f"solution set of size {self.count()} exceeds cap {cap}")
+            raise CapExceeded(f"solution set of size {self.count()} exceeds cap {cap}")
         m, v = self.m, self._v
         for idx in index_vectors([c for _, c in self._col_steps]):
             y = [(y0 + step * t) % m
@@ -250,7 +254,7 @@ def span_members(gens, m: int, ncols: int, cap: int = 100000):
     counts = [m // gcd(dii, m) for dii in diag]  # d*t for t < m/g: distinct multiples
     total = prod(counts)
     if total > cap:
-        raise ValueError(f"span of size {total} exceeds cap {cap}")
+        raise CapExceeded(f"span of size {total} exceeds cap {cap}")
     for idx in index_vectors(counts):
         y = [dii * t for dii, t in zip(diag, idx)] + [0] * (ncols - len(diag))
         yield tuple(unapply_rows(ops, y, m))

@@ -1,21 +1,28 @@
+from functools import lru_cache
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from taucat import fplinalg
 from taucat.category import (FunctorData, GradedCatPresentation, Morphism,
-                             NatTransData, Verdict, basis_morphism, compose,
-                             compose_functors, direct_sum_cat, find_invertible,
-                             find_shift, identity_functor, identity_morphism,
-                             invert, is_simple, are_disjoint_deg1,
-                             verify_axioms, verify_functor, verify_nat,
-                             zero_morphism)
-from taucat.cochains import d1_cochain, random_cochain1
+                             NatTransData, Verdict, apply_functor,
+                             basis_morphism, compose, compose_functors,
+                             direct_sum_cat, find_invertible, find_shift,
+                             identity_functor, identity_morphism, invert,
+                             is_simple, are_disjoint_deg1, verify_axioms,
+                             verify_functor, verify_nat, zero_morphism)
+from taucat.cochains import (c1_inv, c1_mul, d0_cochain, d1_cochain,
+                             random_cochain0, random_cochain1)
 from taucat.completion import AdditiveCompletion
 from taucat.fields import field
 from taucat.groups import coset_space, cyclic_group, reduction_hom, subgroup
+from taucat.modcat import roundtrip
 from taucat.mtau import (build_skeleton, cyclic_subgroup_of_order,
                          cyclic_table_category, mtau_spec, parity_tau,
                          trivial_spec)
+from taucat.structure import (EquivalenceDatum, classify_equivalences,
+                              realize_functor)
 
 F5 = field(5)
 TAU = parity_tau()
@@ -277,3 +284,233 @@ def test_verify_axioms_matches_reference(name):
             assert verify_axioms(bad).violations == want
             kinds.update(v[0] for v in want)
     assert {"assoc", "unit-left", "unit-right"} <= kinds
+
+
+def _reference_verify_functor(F):
+    """verify_functor as apply_functor and compose on basis morphisms."""
+    violations = []
+    src, tgt = F.source, F.target
+    for x in src.objects():
+        if tgt.degrees[F.obj_map[x]] != src.degrees[x]:
+            violations.append(("object-degree", x))
+    for x in src.objects():
+        if apply_functor(F, identity_morphism(src, x)) != identity_morphism(
+                tgt, F.obj_map[x]):
+            violations.append(("identity", x))
+    for x in src.objects():
+        for (y, h1, r1) in src.out_homs(x):
+            for (z, h2, r2) in src.out_homs(y):
+                for i in range(r1):
+                    f = basis_morphism(src, x, y, h1, i)
+                    Ff = apply_functor(F, f)
+                    for j in range(r2):
+                        g = basis_morphism(src, y, z, h2, j)
+                        lhs = apply_functor(F, compose(src, f, g))
+                        rhs = compose(tgt, Ff, apply_functor(F, g))
+                        if lhs != rhs:
+                            violations.append(("compose", (x, y, z), (h1, h2), (i, j)))
+    return Verdict(violations)
+
+
+def _reference_verify_nat(nt):
+    """verify_nat as compose on components and images of basis morphisms."""
+    violations = []
+    F, G = nt.source, nt.target
+    src, tgt = F.source, F.target
+    e = tgt.tau.source.identity
+    if G.source is not src and G.source != src:
+        return Verdict([("endpoint-mismatch",)])
+    for x in src.objects():
+        c = nt.component(x)
+        if c.degree != e or c.src != F.obj_map[x] or c.dst != G.obj_map[x]:
+            violations.append(("component-shape", x))
+    if violations:
+        return Verdict(violations)
+    for x in src.objects():
+        for (y, h, r) in src.out_homs(x):
+            for i in range(r):
+                f = basis_morphism(src, x, y, h, i)
+                lhs = compose(tgt, nt.component(x), apply_functor(G, f))
+                rhs = compose(tgt, apply_functor(F, f), nt.component(y))
+                if lhs != rhs:
+                    violations.append(("naturality", x, y, h, i))
+    return Verdict(violations)
+
+
+def _reference_invert(cat, f):
+    """invert as compose on basis morphisms and one fplinalg.solve."""
+    gH = cat.tau.source
+    a_inv = gH.inv(f.degree)
+    r2 = cat.rank(f.dst, f.src, a_inv)
+    e = gH.identity
+    if r2 == 0 or cat.rank(f.src, f.src, e) == 0 or cat.rank(f.dst, f.dst, e) == 0:
+        return None
+    cols = []
+    for j in range(r2):
+        gj = basis_morphism(cat, f.dst, f.src, a_inv, j)
+        cols.append(compose(cat, f, gj).coords + compose(cat, gj, f).coords)
+    rhs = cat.identities[f.src] + cat.identities[f.dst]
+    x = fplinalg.solve(fplinalg.from_columns(cols), rhs, cat.field.p, ncols=r2)
+    return None if x is None else Morphism(f.dst, f.src, a_inv, tuple(x))
+
+
+@lru_cache(maxsize=None)
+def _shift_closed_completion():
+    """Shift-closed objects of an additive completion: End((0, 0)) has rank 4."""
+    comp = AdditiveCompletion(build_skeleton(twisted_skeleton(27, k=4)))
+    return comp.presentation_of([(0,), (1,), (0, 0), (1, 1)])
+
+
+@lru_cache(maxsize=None)
+def _realized_pair():
+    """Two equivalences F, G of a twisted C8 block and an eta: F => G."""
+    spec = twisted_skeleton(28)
+    base = classify_equivalences(spec, spec)[-1]
+    eta = random_cochain0(F5, spec.psi.space, Random(29))
+    other = EquivalenceDatum(base.t, c1_mul(base.gamma, c1_inv(d0_cochain(eta))))
+    F = realize_functor(spec, spec, base)
+    G = realize_functor(spec, spec, other)
+    comps = [Morphism(F.obj_map[x], G.obj_map[x], 0, (eta.values[x],))
+             for x in range(spec.psi.space.size)]
+    return F, G, comps
+
+
+def _one_object(deg):
+    return GradedCatPresentation(TAU, F5, [deg], {(0, 0, 0): 1},
+                                 {(0, 0, 0, 0, 0): (((1,),),)}, [(1,)])
+
+
+FUNCTOR_CASES = {
+    "skeleton": lambda: identity_functor(build_skeleton(twisted_skeleton(26))),
+    "realized": lambda: _realized_pair()[0],
+    "completion": lambda: identity_functor(AXIOM_CASES["completion"]()),
+    # rank-4 and rank-2 hom matrices that are not identities
+    "completion_roundtrip": lambda: roundtrip(_shift_closed_completion()).eta,
+    "degree_shift": lambda: FunctorData(_one_object(0), _one_object(1), [0],
+                                        {(0, 0, 0): ((1,),)}),
+}
+
+
+def _corrupt_matrix(F, rng):
+    """F with one entry of one nonempty hom matrix changed."""
+    maps = dict(F.hom_maps)
+    key = rng.choice(sorted(k for k, m in maps.items() if m and m[0]))
+    mat = [list(row) for row in maps[key]]
+    i, j = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
+    mat[i][j] = (mat[i][j] + rng.randrange(1, F.target.field.p)) % F.target.field.p
+    maps[key] = mat
+    return FunctorData(F.source, F.target, F.obj_map, maps)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTOR_CASES))
+def test_verify_functor_matches_reference(name):
+    F = FUNCTOR_CASES[name]()
+    assert verify_functor(F).violations == _reference_verify_functor(F).violations
+    rng = Random(name)
+    for _ in range(2):
+        bad = _corrupt_matrix(F, rng)
+        want = _reference_verify_functor(bad).violations
+        assert want and verify_functor(bad).violations == want
+
+
+def test_verify_functor_reference_cases_reach_every_kind():
+    kinds = set()
+    for name, build in FUNCTOR_CASES.items():
+        F = build()
+        rng = Random(name)
+        for bad in [F] + [_corrupt_matrix(F, rng) for _ in range(2)]:
+            kinds.update(v[0] for v in verify_functor(bad).violations)
+    assert kinds == {"object-degree", "identity", "compose"}
+
+
+def _identity_nat(cat):
+    F = identity_functor(cat)
+    return NatTransData(F, F, [identity_morphism(cat, x) for x in cat.objects()])
+
+
+NAT_CASES = {
+    "skeleton": lambda: _identity_nat(build_skeleton(twisted_skeleton(26))),
+    "completion": lambda: _identity_nat(AXIOM_CASES["completion"]()),
+    "shift_closed_completion": lambda: _identity_nat(_shift_closed_completion()),
+    "realized": lambda: NatTransData(*_realized_pair()),
+}
+
+
+def _corrupt_nat(nt, kind, rng):
+    """One component coordinate, one functor matrix entry, one component
+    degree, or the target functor's source category changed."""
+    comps = list(nt.components)
+    x = rng.randrange(len(comps))
+    c = comps[x]
+    if kind == "coordinate":
+        p = nt.source.target.field.p
+        coords = list(c.coords)
+        i = rng.randrange(len(coords))
+        coords[i] = (coords[i] + rng.randrange(1, p)) % p
+        comps[x] = Morphism(c.src, c.dst, c.degree, tuple(coords))
+    elif kind == "matrix":
+        return NatTransData(nt.source, _corrupt_matrix(nt.target, rng), comps)
+    elif kind == "shape":
+        comps[x] = Morphism(c.src, c.dst, 1, c.coords)
+    elif kind == "endpoints":
+        return NatTransData(nt.source, identity_functor(cyclic_table_category(F5, 2)),
+                            comps)
+    return NatTransData(nt.source, nt.target, comps)
+
+
+@pytest.mark.parametrize("name", sorted(NAT_CASES))
+def test_verify_nat_matches_reference(name):
+    nt = NAT_CASES[name]()
+    assert verify_nat(nt).violations == _reference_verify_nat(nt).violations == []
+    rng = Random(name)
+    kinds = set()
+    for kind in ("coordinate", "matrix", "shape", "endpoints"):
+        for _ in range(2):
+            bad = _corrupt_nat(nt, kind, rng)
+            want = _reference_verify_nat(bad).violations
+            assert verify_nat(bad).violations == want
+            kinds.update(v[0] for v in want)
+    assert kinds == {"naturality", "component-shape", "endpoint-mismatch"}
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_CASES))
+def test_invert_matches_reference(name):
+    # every basis element and one seeded combination per hom space, on the
+    # presentation and on corrupted copies with changed, missing or zero data
+    cat = AXIOM_CASES[name]()
+    rng = Random(name)
+    cats = [cat] + [_corrupt(cat, kind, rng) for kind in ("entry", "delete", "identity")
+                    for _ in range(2)]
+    found = 0
+    for c in cats:
+        p = c.field.p
+        for (x, y, h), r in c.hom_rank.items():
+            vectors = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+            vectors.append(tuple(rng.randrange(p) for _ in range(r)))
+            for v in vectors:
+                f = Morphism(x, y, h, v)
+                want = _reference_invert(c, f)
+                assert invert(c, f) == want
+                found += want is not None
+    assert found
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.sampled_from([3, 5, 7, 11]), same=st.booleans(),
+       t_gf=st.none() | st.integers(0, 12), t_fg=st.none() | st.integers(0, 12),
+       ids=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+       v=st.integers(-8, 16))
+def test_rank_one_invert_matches_general_solve(p, same, t_gf, t_fg, ids, v):
+    # 1x1 hom spaces with zero, missing or arbitrary tensors and identities
+    tau1 = reduction_hom(1, 1)
+    n = 1 if same else 2
+    hom_rank = {(x, y, 0): 1 for x in range(n) for y in range(n)}
+    comp = {}
+    if t_gf is not None:
+        comp[(0, n - 1, 0, 0, 0)] = (((t_gf,),),)
+    if t_fg is not None and not same:
+        comp[(n - 1, 0, n - 1, 0, 0)] = (((t_fg,),),)
+    cat = GradedCatPresentation(tau1, field(p), [0] * n, hom_rank, comp,
+                                [(i,) for i in ids[:n]])
+    f = Morphism(0, n - 1, 0, (v,))
+    assert invert(cat, f) == _reference_invert(cat, f)

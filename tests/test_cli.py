@@ -76,7 +76,8 @@ def test_schema_errors_exit_2_without_traceback(tmp_path, category_file, variant
 
 
 @pytest.mark.parametrize("variant", ["top_level_list", "action_list", "epsilon_int",
-                                     "mu_list", "maps_int"])
+                                     "mu_list", "maps_int", "epsilon_length",
+                                     "mu_length"])
 def test_module_schema_errors_exit_2_without_traceback(tmp_path, category_file,
                                                        variant):
     r = run_cli("extract", category_file)
@@ -90,6 +91,10 @@ def test_module_schema_errors_exit_2_without_traceback(tmp_path, category_file,
         doc["mu"] = [1]
     elif variant == "maps_int":
         doc["action"]["1"]["maps"] = 3
+    elif variant == "epsilon_length":
+        doc["epsilon"][0] = [1, 3]  # End(0) has rank 1
+    elif variant == "mu_length":
+        doc["mu"]["1,1"][0] = []
     else:
         doc = [doc]
     bad = tmp_path / "bad.json"
@@ -135,6 +140,22 @@ def test_classify_nat_flow(tmp_path):
     diff = run_cli("classify-nat", str(a), str(a), "--datumA", str(d0),
                    "--datumB", str(d1))
     assert diff.returncode == 1
+
+
+def test_exceeded_cap_is_reported_as_undecided(tmp_path):
+    # over F_4099 the natural isomorphisms of the identity are the 4098
+    # constant units, past classify_nat_isos' cap of 4096: not a malformed
+    # input and not a negative answer
+    spec = tmp_path / "a.json"
+    spec.write_text(json.dumps({**spec_doc([0, 2, 4, 6]), "p": 4099}))
+    datum = tmp_path / "d.json"
+    datum.write_text(json.dumps({"t": 0}))
+    r = run_cli("classify-nat", str(spec), str(spec), "--datumA", str(datum),
+                "--datumB", str(datum))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == ("undecided: enumeration cap exceeded: "
+                        "solution set of size 4098 exceeds cap 4096\n")
 
 
 def test_yoneda_and_roundtrip(category_file):

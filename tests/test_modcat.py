@@ -1,6 +1,7 @@
 import importlib
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 from random import Random
 
@@ -8,17 +9,20 @@ import pytest
 
 from taucat import cli, jsonio, modcat
 
-from taucat.category import (FunctorData, Morphism, NatTransData,
-                             apply_functor, compose, compose_functors,
+from taucat.category import (FunctorData, GradedCatPresentation, Morphism,
+                             NatTransData, Verdict, apply_functor,
+                             basis_morphism, compose, compose_functors,
                              identity_functor, identity_morphism, invert,
                              verify_axioms, verify_functor, verify_nat)
+from taucat.completion import AdditiveCompletion
 from taucat.cochains import d1_cochain, random_cochain1
 from taucat.fields import field
 from taucat.groups import coset_space, cyclic_group, reduction_hom, subgroup
 from taucat.mtau import (build_skeleton, cyclic_subgroup_of_order,
                          cyclic_table_category, mtau_spec, parity_tau,
                          trivial_spec)
-from taucat.modcat import (ModuleCatData, bullet, bullet_functor, bullet_nat,
+from taucat.modcat import (ModuleCatData, ModuleFunctorData, bullet,
+                           bullet_functor, bullet_nat,
                            check_tau_module, compose_module_functors,
                            degree_one_part, extract_action,
                            identity_module_functor, restrict_functor,
@@ -291,14 +295,18 @@ def test_roundtrip_command_checks_the_degree_law_once(tmp_path, monkeypatch):
 def test_roundtrip_inverts_each_shift_iso_once(tmp_path, monkeypatch):
     # the shift table carries each iso's inverse to extract_action and
     # roundtrip_eta, which would otherwise invert all 4 x 8 isos once more;
-    # the 4 x 7 isos that find_shift scans for come with their inverses
+    # the 4 x 7 isos that find_shift scans for come with their inverses.
+    # The extracted action keeps the epsilon and mu inverses its check
+    # computed, so bullet (4 + 4 x 64 components) and roundtrip_nu
+    # (4 epsilon components) invert none of them again
     cat = twisted_cat(93)
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(jsonio.category_to_json(cat)))
     calls = _count_in_taucat(monkeypatch, invert)
     assert cli.main(["roundtrip", str(path)]) == 0
     n, order = cat.n_objects, cat.tau.source.order
-    assert len(calls) == 972 - n * order - n * (order - 1)
+    reused = n + n * order ** 2 + n
+    assert len(calls) == 972 - n * order - n * (order - 1) - reused == 648
 
 
 def test_traced_layer_functions_resolve():
@@ -315,3 +323,313 @@ def test_traced_layer_functions_resolve():
             if not callable(target):
                 missing.append(f"{module}.{name}")
     assert missing == []
+
+
+def _reference_verify_module_category(mod):
+    """verify_module_category as compose and apply_functor on Morphisms."""
+    violations = []
+    base = mod.base
+    gH = mod.group
+    e = gH.identity
+    v = verify_nat(mod.epsilon)
+    if not v.ok:
+        violations.append(("epsilon-naturality", v.violations[0]))
+    for x in base.objects():
+        if invert(base, mod.epsilon.component(x)) is None:
+            violations.append(("epsilon-not-invertible", x))
+    for (a, b), nt in sorted(mod.mu.items()):
+        v = verify_nat(nt)
+        if not v.ok:
+            violations.append(("mu-naturality", a, b, v.violations[0]))
+        for x in base.objects():
+            if invert(base, nt.component(x)) is None:
+                violations.append(("mu-not-invertible", a, b, x))
+    if violations:
+        return Verdict(violations)
+    for h in gH.elements():
+        ah = mod.action[h]
+        for x in base.objects():
+            hx = ah.obj_map[x]
+            lhs = compose(base, mod.epsilon.component(hx), mod.mu[(e, h)].component(x))
+            if lhs != identity_morphism(base, hx):
+                violations.append(("unit-left", h, x))
+            rhs = compose(base, apply_functor(ah, mod.epsilon.component(x)),
+                          mod.mu[(h, e)].component(x))
+            if rhs != identity_morphism(base, hx):
+                violations.append(("unit-right", h, x))
+    for a in gH.elements():
+        for b in gH.elements():
+            for c in gH.elements():
+                for x in base.objects():
+                    cx = mod.action[c].obj_map[x]
+                    lhs = compose(base, mod.mu[(a, b)].component(cx),
+                                  mod.mu[(gH.mul(a, b), c)].component(x))
+                    rhs = compose(base, apply_functor(mod.action[a],
+                                                      mod.mu[(b, c)].component(x)),
+                                  mod.mu[(a, gH.mul(b, c))].component(x))
+                    if lhs != rhs:
+                        violations.append(("assoc", a, b, c, x))
+    return Verdict(violations)
+
+
+def _reference_verify_module_functor(mf, src, dst):
+    """verify_module_functor as compose and apply_functor on Morphisms."""
+    violations = []
+    F = mf.functor
+    gH = src.group
+    e = gH.identity
+    v = verify_functor(F)
+    if not v.ok:
+        violations.append(("functor", v.violations[0]))
+    base_d = dst.base
+    for h in gH.elements():
+        nt = mf.comparison[h]
+        if (nt.source != compose_functors(F, dst.action[h])
+                or nt.target != compose_functors(src.action[h], F)):
+            violations.append(("comparison-endpoints", h))
+            continue
+        v = verify_nat(nt)
+        if not v.ok:
+            violations.append(("comparison-naturality", h, v.violations[0]))
+        for x in src.base.objects():
+            if invert(base_d, nt.component(x)) is None:
+                violations.append(("comparison-not-invertible", h, x))
+    if violations:
+        return Verdict(violations)
+    for x in src.base.objects():
+        lhs = compose(base_d, dst.epsilon.component(F.obj_map[x]),
+                      mf.comparison[e].component(x))
+        if lhs != apply_functor(F, src.epsilon.component(x)):
+            violations.append(("unit-triangle", x))
+    for a in gH.elements():
+        for b in gH.elements():
+            ab = gH.mul(a, b)
+            for x in src.base.objects():
+                bx = src.action[b].obj_map[x]
+                lhs = compose(base_d, dst.mu[(a, b)].component(F.obj_map[x]),
+                              mf.comparison[ab].component(x))
+                step = apply_functor(dst.action[a], mf.comparison[b].component(x))
+                step = compose(base_d, step, mf.comparison[a].component(bx))
+                rhs = compose(base_d, step,
+                              apply_functor(F, src.mu[(a, b)].component(x)))
+                if lhs != rhs:
+                    violations.append(("hexagon", a, b, x))
+    return Verdict(violations)
+
+
+def _trivial_c2_action():
+    """C2 acting trivially on a base with a rank-2 endomorphism space.
+
+    The base is the degree-1 part of the completion of a C2 -> C1 skeleton
+    on the objects (0,) and (0, 1); End((0, 1)) has rank 2.
+    """
+    tau = reduction_hom(2, 1)
+    skel = build_skeleton(trivial_spec(tau, F5, subgroup(cyclic_group(2), [0])))
+    base = degree_one_part(AdditiveCompletion(skel).presentation_of([(0,), (0, 1)]))
+    ident = identity_functor(base)
+    comps = [identity_morphism(base, x) for x in base.objects()]
+    action = {h: ident for h in (0, 1)}
+    mu = {(a, b): NatTransData(compose_functors(ident, ident), ident, comps)
+          for a in (0, 1) for b in (0, 1)}
+    return ModuleCatData(base, action, NatTransData(ident, ident, comps), mu)
+
+
+@lru_cache(maxsize=None)
+def _shift_closed_completion():
+    """Shift-closed objects of an additive completion: End((0, 0)) has rank 4."""
+    comp = AdditiveCompletion(twisted_cat(95, k=4))
+    return comp.presentation_of([(0,), (1,), (0, 0), (1, 1)])
+
+
+@lru_cache(maxsize=None)
+def _roundtrip_of(name):
+    return roundtrip({"skeleton": lambda: twisted_cat(96),
+                      "completion": _shift_closed_completion}[name]())
+
+
+MODULE_CASES = {
+    "skeleton": lambda: _roundtrip_of("skeleton").mod,
+    "table": lambda: extract_action(cyclic_table_category(F5, 2)),
+    "rebuilt": lambda: _roundtrip_of("skeleton").rebuilt_mod,
+    "completion": lambda: _roundtrip_of("completion").mod,
+    # rank 1 everywhere, but with isomorphic distinct objects, so the laws
+    # compose across objects and a deleted tensor can reach them
+    "duplicated": lambda: extract_action(AdditiveCompletion(twisted_cat(95, k=4))
+                                         .presentation_of([(0,), (1,), (0,), (1,)])),
+    "trivial_rank2": _trivial_c2_action,
+}
+
+
+def _corrupt_component(nt, rng, kind):
+    """nt with one coordinate of one component changed, or one component
+    scaled by a unit other than 1, or zeroed."""
+    p = nt.source.target.field.p
+    comps = list(nt.components)
+    x = rng.randrange(len(comps))
+    c = comps[x]
+    coords = list(c.coords)
+    if kind == "coordinate":
+        i = rng.randrange(len(coords))
+        coords[i] = (coords[i] + rng.randrange(1, p)) % p
+    else:
+        s = 0 if kind == "zero" else rng.randrange(2, p)
+        coords = [s * v % p for v in coords]
+    comps[x] = Morphism(c.src, c.dst, c.degree, tuple(coords))
+    return NatTransData(nt.source, nt.target, comps)
+
+
+CORRUPTIONS = ("coordinate", "scale", "zero", "matrix")
+
+
+def _corrupt_module(mod, kind, rng):
+    """One coordinate or one whole component of epsilon or a mu, one entry
+    of an action hom matrix, or one composition tensor of the base
+    (deleted, so that some composites read a missing tensor), changed.
+
+    A deleted tensor composes into a different object where there is one:
+    the inverses of the components only read tensors X -> Y -> X."""
+    eps, mu, action = mod.epsilon, dict(mod.mu), dict(mod.action)
+    if kind == "tensor":
+        b = mod.base
+        comp = dict(b.compose_t)
+        del comp[rng.choice(sorted(k for k in comp if k[0] != k[2]) or sorted(comp))]
+        base = GradedCatPresentation(b.tau, b.field, b.degrees, b.hom_rank, comp,
+                                     b.identities)
+        return ModuleCatData(base, action, eps, mu)
+    if kind == "matrix":
+        h = rng.choice(sorted(action))
+        F = action[h]
+        maps = dict(F.hom_maps)
+        key = rng.choice(sorted(k for k, m in maps.items() if m and m[0]))
+        mat = [list(row) for row in maps[key]]
+        i, j = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
+        mat[i][j] = (mat[i][j] + rng.randrange(1, 5)) % 5
+        maps[key] = mat
+        action[h] = FunctorData(F.source, F.target, F.obj_map, maps)
+    elif rng.randrange(3) == 0:
+        eps = _corrupt_component(eps, rng, kind)
+    else:
+        ab = rng.choice(sorted(mu))
+        mu[ab] = _corrupt_component(mu[ab], rng, kind)
+    return ModuleCatData(mod.base, action, eps, mu)
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_CASES))
+def test_verify_module_category_matches_reference(name):
+    # the contraction reports the same violations, in the same order, as
+    # composing Morphism objects law by law
+    mod = MODULE_CASES[name]()
+    assert verify_module_category(mod).ok and _reference_verify_module_category(mod).ok
+    rng = Random(name)
+    for kind in CORRUPTIONS + ("tensor",):
+        for _ in range(2):
+            bad = _corrupt_module(mod, kind, rng)
+            want = _reference_verify_module_category(bad).violations
+            assert verify_module_category(bad).violations == want
+
+
+def test_verify_module_category_reference_cases_reach_every_kind():
+    kinds = set()
+    for name, build in MODULE_CASES.items():
+        mod = build()
+        rng = Random(name)
+        for kind in CORRUPTIONS + ("tensor",):
+            for _ in range(2):
+                bad = _corrupt_module(mod, kind, rng)
+                kinds.update(v[0] for v in verify_module_category(bad).violations)
+    assert kinds == {"epsilon-naturality", "epsilon-not-invertible", "mu-naturality",
+                     "mu-not-invertible", "unit-left", "unit-right", "assoc"}
+
+
+def _restricted_equivalence():
+    spec = trivial_spec(TAU, F5, cyclic_subgroup_of_order(2), 0)
+    table = shift_table(build_skeleton(spec))
+    F = realize_functor(spec, spec, classify_equivalences(spec, spec)[1])
+    return restrict_functor(F, table, table)
+
+
+MODULE_FUNCTOR_CASES = {
+    "nu": lambda: (_roundtrip_of("skeleton").nu, _roundtrip_of("skeleton").rebuilt_mod,
+                   _roundtrip_of("skeleton").mod),
+    "nu_inv_completion": lambda: (_roundtrip_of("completion").nu_inv,
+                                  _roundtrip_of("completion").mod,
+                                  _roundtrip_of("completion").rebuilt_mod),
+    "restricted": _restricted_equivalence,
+    "trivial_rank2": lambda: (identity_module_functor(_trivial_c2_action()),
+                              _trivial_c2_action(), _trivial_c2_action()),
+}
+
+
+def _corrupt_module_functor(mf, kind, rng):
+    """One coordinate or one whole comparison component, or one entry of a
+    hom matrix of the underlying functor, changed."""
+    if kind == "matrix":
+        F = mf.functor
+        maps = dict(F.hom_maps)
+        key = rng.choice(sorted(k for k, m in maps.items() if m and m[0]))
+        mat = [list(row) for row in maps[key]]
+        i, j = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
+        mat[i][j] = (mat[i][j] + rng.randrange(1, 5)) % 5
+        maps[key] = mat
+        return ModuleFunctorData(FunctorData(F.source, F.target, F.obj_map, maps),
+                                 mf.comparison)
+    comparison = dict(mf.comparison)
+    h = rng.choice(sorted(comparison))
+    comparison[h] = _corrupt_component(comparison[h], rng, kind)
+    return ModuleFunctorData(mf.functor, comparison)
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_FUNCTOR_CASES))
+def test_verify_module_functor_matches_reference(name):
+    mf, src, dst = MODULE_FUNCTOR_CASES[name]()
+    assert verify_module_functor(mf, src, dst).ok
+    assert _reference_verify_module_functor(mf, src, dst).ok
+    rng = Random(name)
+    for kind in CORRUPTIONS:
+        for _ in range(2):
+            bad = _corrupt_module_functor(mf, kind, rng)
+            want = _reference_verify_module_functor(bad, src, dst).violations
+            assert verify_module_functor(bad, src, dst).violations == want
+
+
+def test_verify_module_functor_reference_cases_reach_every_kind():
+    kinds = set()
+    for name, build in MODULE_FUNCTOR_CASES.items():
+        mf, src, dst = build()
+        rng = Random(name)
+        for kind in CORRUPTIONS:
+            for _ in range(2):
+                bad = _corrupt_module_functor(mf, kind, rng)
+                kinds.update(v[0] for v in verify_module_functor(bad, src, dst).violations)
+    assert kinds == {"functor", "comparison-endpoints", "comparison-naturality",
+                     "comparison-not-invertible", "unit-triangle", "hexagon"}
+
+
+def test_verifiers_build_no_morphisms(monkeypatch):
+    # the verifiers and invert read every law off tensors, hom matrices and
+    # component coordinates; the round trip still composes Morphisms elsewhere
+    tau = reduction_hom(12, 2)
+    L = subgroup(tau.source, [0, 6])
+    psi = d1_cochain(random_cochain1(F5, coset_space(tau.source, L), Random(97)))
+    cat = build_skeleton(mtau_spec(tau, F5, L, psi, 1))
+    made = {fn.__name__: _count_in_taucat(monkeypatch, fn)
+            for fn in (compose, apply_functor, basis_morphism)}
+
+    def total():
+        return sum(len(calls) for calls in made.values())
+
+    inside = {}
+    for fn in (verify_module_category, verify_functor, verify_nat, invert):
+        def counted(*args, _fn=fn, **kwargs):
+            before = total()
+            out = _fn(*args, **kwargs)
+            inside[_fn.__name__] = inside.get(_fn.__name__, 0) + total() - before
+            return out
+        for name, module in list(sys.modules.items()):
+            if name.startswith("taucat") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    roundtrip(cat)
+    assert set(inside) == {"verify_module_category", "verify_functor", "verify_nat",
+                           "invert"}
+    assert inside == dict.fromkeys(inside, 0)
+    assert len(made["compose"]) > 0
