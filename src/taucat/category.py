@@ -17,6 +17,7 @@ hom matrices and the component coordinates, through the one contraction
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from operator import mul
 from random import Random
 
@@ -330,14 +331,7 @@ def _candidate_vectors(p: int, r: int, max_enum: int = 4096, samples: int = 64,
         yield (1,)
         return
     if p ** r <= max_enum:
-        def rec(prefix):
-            if len(prefix) == r:
-                if any(prefix):
-                    yield tuple(prefix)
-                return
-            for v in range(p):
-                yield from rec(prefix + [v])
-        yield from rec([])
+        yield from (vec for vec in product(range(p), repeat=r) if any(vec))
         return
     rng = Random(seed)
     for _ in range(samples):
@@ -444,7 +438,11 @@ class FunctorData:
         self.target = target
         self.obj_map = tuple(int(x) for x in obj_map)
         self.hom_maps = {}
+        n, nh = source.n_objects, source.tau.source.order
         for key, mat in hom_maps.items():
+            x, y, h = key
+            if not (0 <= x < n and 0 <= y < n and 0 <= h < nh):
+                raise ValueError(f"functor hom key out of range: {key}")
             self.hom_maps[key] = tuple(tuple(int(v) % target.field.p for v in row)
                                        for row in mat)
         for (x, y, h), mat in self.hom_maps.items():
@@ -566,6 +564,9 @@ class NatTransData:
 def verify_nat(nt: NatTransData) -> Verdict:
     """Component shapes, then naturality on every basis element.
 
+    A component has the right shape when it is a degree-1 morphism Fx -> Gx
+    with one coordinate per basis element of that hom space.
+
     For f_i in Hom^h(x, y), c_y o F(f_i) = G(f_i) o c_x reads
     T(Fx,Fy,Gy; h,e) against column i of F's matrix and c_y, and
     T(Fx,Gx,Gy; e,h) against c_x and column i of G's matrix.
@@ -580,7 +581,8 @@ def verify_nat(nt: NatTransData) -> Verdict:
         return Verdict(violations)
     for x in src.objects():
         c = nt.component(x)
-        if c.degree != e or c.src != F.obj_map[x] or c.dst != G.obj_map[x]:
+        if (c.degree != e or c.src != F.obj_map[x] or c.dst != G.obj_map[x]
+                or len(c.coords) != tgt.rank(c.src, c.dst, e)):
             violations.append(("component-shape", x))
     if violations:
         return Verdict(violations)

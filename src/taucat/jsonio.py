@@ -5,12 +5,16 @@ Sparse conventions: omitted hom spaces are zero, omitted composition
 tensors are zero, omitted cochain entries are 1.  Parsers re-verify
 everything through the ordinary constructors, so malformed files fail
 loudly rather than producing broken in-memory structures.
+
+A module file stores the base, the action's object maps and hom
+matrices, and the coordinates of the epsilon and mu components; the
+endpoints of epsilon and mu are fixed by the action, so neither the file
+nor ModuleCatData stores them.
 """
 
 from __future__ import annotations
 
-from .category import (FunctorData, GradedCatPresentation, Morphism, NatTransData,
-                       compose_functors, identity_functor)
+from .category import FunctorData, GradedCatPresentation, Morphism
 from .cochains import Cochain1, Cochain2, cochain1, cochain2, trivial_cochain2
 from .fields import PrimeField, field
 from .groups import (FiniteGroup, GroupHom, coset_space, cyclic_group,
@@ -208,6 +212,14 @@ def _component(base: GradedCatPresentation, src: int, dst: int, coords,
     return Morphism(src, dst, base.tau.source.identity, tuple(coords))
 
 
+def _degree(value, what: str, order: int) -> int:
+    """An element of H, given as its index."""
+    h = _int(value, what)
+    if not 0 <= h < order:
+        raise ValueError(f"{what} {h} is not an element of a group of order {order}")
+    return h
+
+
 def parse_modcat(doc) -> ModuleCatData:
     """Module-category data, checked for coherence before it is returned."""
     doc = _object(doc, "module category")
@@ -215,26 +227,30 @@ def parse_modcat(doc) -> ModuleCatData:
     gH = base.tau.source
     e = gH.identity
     n = base.n_objects
+    if any(h != e for (_, _, h) in base.hom_rank):
+        raise ValueError("module base has morphisms of degree other than 1")
     action = {}
     for h_s, blk in _object(doc["action"], "action").items():
         blk = _object(blk, "action entry")
         maps = {(x, y, e): _array(rec["matrix"], "action matrix", 2)
                 for rec, (x, y) in _records(blk.get("maps", []), "action maps",
                                             "src", "dst")}
-        action[_int(h_s, "action degree")] = FunctorData(
+        action[_degree(h_s, "action degree", gH.order)] = FunctorData(
             base, base, _object_map(blk["objects"], "action objects", n), maps)
-    eps = NatTransData(identity_functor(base), action[e], [
-        _component(base, x, action[e].obj_map[x], coords, "epsilon")
-        for x, coords in enumerate(_components(doc["epsilon"], "epsilon", n))])
+    if len(action) != gH.order:
+        raise ValueError(f"action needs one entry per element of H, not {len(action)}")
+    eps = tuple(_component(base, x, action[e].obj_map[x], coords, "epsilon")
+                for x, coords in enumerate(_components(doc["epsilon"], "epsilon", n)))
     mu = {}
     for key, rows in _object(doc["mu"], "mu").items():
-        a, b = (_int(v, "mu degree") for v in key.split(","))
+        a, b = (_degree(v, "mu degree", gH.order) for v in key.split(","))
         ab = gH.mul(a, b)
-        comps = [_component(base, action[a].obj_map[action[b].obj_map[x]],
-                            action[ab].obj_map[x], coords, f"mu {a},{b}")
-                 for x, coords in enumerate(_components(rows, "mu components", n))]
-        mu[(a, b)] = NatTransData(compose_functors(action[b], action[a]),
-                                  action[ab], comps)
+        mu[(a, b)] = tuple(
+            _component(base, action[a].obj_map[action[b].obj_map[x]],
+                       action[ab].obj_map[x], coords, f"mu {a},{b}")
+            for x, coords in enumerate(_components(rows, "mu components", n)))
+    if len(mu) != gH.order ** 2:
+        raise ValueError(f"mu needs one entry per pair of elements of H, not {len(mu)}")
     mod = ModuleCatData(base, action, eps, mu)
     verdict = verify_module_category(mod)
     if not verdict.ok:
@@ -246,7 +262,7 @@ def modcat_to_json(mod: ModuleCatData):
     out = {
         "base": category_to_json(mod.base),
         "action": {},
-        "epsilon": [list(c.coords) for c in mod.epsilon.components],
+        "epsilon": [list(c.coords) for c in mod.epsilon],
         "mu": {},
     }
     for h, F in sorted(mod.action.items()):
@@ -255,8 +271,8 @@ def modcat_to_json(mod: ModuleCatData):
             "maps": [{"src": x, "dst": y, "matrix": [list(r) for r in mat]}
                      for (x, y, _), mat in sorted(F.hom_maps.items())],
         }
-    for (a, b), nt in sorted(mod.mu.items()):
-        out["mu"][f"{a},{b}"] = [list(c.coords) for c in nt.components]
+    for (a, b), comps in sorted(mod.mu.items()):
+        out["mu"][f"{a},{b}"] = [list(c.coords) for c in comps]
     return out
 
 

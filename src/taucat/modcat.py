@@ -12,18 +12,23 @@ morphisms X -> Y are plain morphisms alpha^h X -> Y, composed through
 mu^-1, and X<a> = alpha^a X with the identity as shift iso.  Both round
 trips admit strict inverses, which the verifiers here check componentwise.
 
-The unit triangles, the associativity square and the module-functor
-hexagon are read off the base's composition tensors, the hom matrices of
-the action functors and the component coordinates, as (src, dst, coords)
-triples rather than Morphism objects; when every degree-1 hom space has
-rank 1 each composite is one product of scalars.  The bullet rebuild fills
-its composition tensors the same way.
+Module data stores only components.  epsilon: id => alpha^1,
+mu_{a,b}: alpha^a alpha^b => alpha^{ab} and the comparisons
+s^h: beta^h F => F alpha^h have endpoints that the action and the functor
+already fix, so each is a tuple of degree-1 morphisms, one per object, and
+the verifiers derive the endpoints from the current action and functor.
+Naturality, the unit triangles, the associativity square and the
+module-functor hexagon are read off the base's composition tensors, the
+hom matrices of the action functors and the component coordinates, as
+(src, dst, coords) triples rather than Morphism objects; when every
+degree-1 hom space has rank 1 each composite is one product of scalars.
+The bullet rebuild fills its composition tensors the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import mul
 
 from .category import (FunctorData, GradedCatPresentation, Morphism,
@@ -83,12 +88,17 @@ def degree_one_part(cat: GradedCatPresentation) -> GradedCatPresentation:
 
 @dataclass
 class ModuleCatData:
-    """A linear category with a group action given by explicit matrices."""
+    """A linear category with a group action given by explicit matrices.
+
+    base has degree-1 morphisms only.  epsilon and each mu[(a, b)] are
+    tuples of degree-1 components, one per object: x -> alpha^1 x and
+    alpha^a alpha^b x -> alpha^{ab} x.
+    """
 
     base: GradedCatPresentation
     action: dict  # h -> FunctorData on base
-    epsilon: NatTransData  # id => action[1]
-    mu: dict  # (a, b) -> NatTransData  action[a] action[b] => action[ab]
+    epsilon: tuple  # components of id => action[1]
+    mu: dict  # (a, b) -> components of action[a] action[b] => action[ab]
 
     @property
     def group(self):
@@ -102,30 +112,17 @@ class ModuleCatData:
         bullet, bullet_nat and roundtrip_nu read them.
         """
         base = self.base
-        return ([invert(base, c) for c in self.epsilon.components],
-                {ab: [invert(base, c) for c in nt.components]
-                 for ab, nt in self.mu.items()})
+        return ([invert(base, c) for c in self.epsilon],
+                {ab: [invert(base, c) for c in comps] for ab, comps in self.mu.items()})
 
 
 @dataclass
 class ModuleFunctorData:
-    """A functor together with comparison isos s^h: beta^h F => F alpha^h."""
+    """A functor together with comparison isos s^h: beta^h F => F alpha^h,
+    each a tuple of degree-1 components beta^h F x -> F alpha^h x."""
 
     functor: FunctorData
-    comparison: dict  # h -> NatTransData
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleFunctorData):
-            return NotImplemented
-        if self.functor != other.functor:
-            return False
-        keys = set(self.comparison) | set(other.comparison)
-        for h in keys:
-            a = self.comparison[h].components
-            b = other.comparison[h].components
-            if a != b:
-                return False
-        return True
+    comparison: dict  # h -> components
 
 
 def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
@@ -142,8 +139,7 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
         action[h] = FunctorData(base, base, obj_map, hom_maps)
 
     e = gH.identity
-    eps = NatTransData(identity_functor(base), action[e],
-                       [table[(x, e)][1] for x in cat.objects()])
+    eps = tuple(table[(x, e)][1] for x in cat.objects())
     mu = {}
     for a in gH.elements():
         for b in gH.elements():
@@ -153,8 +149,7 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
                 m = compose(cat, table[(xb, a)][2], table[(x, b)][2])
                 m = compose(cat, m, table[(x, gH.mul(a, b))][1])
                 comps.append(m)
-            mu[(a, b)] = NatTransData(
-                compose_functors(action[b], action[a]), action[gH.mul(a, b)], comps)
+            mu[(a, b)] = tuple(comps)
     mod = ModuleCatData(base, action, eps, mu)
     verdict = verify_module_category(mod)
     if not verdict.ok:
@@ -193,7 +188,7 @@ def _scalar_ops(mod: ModuleCatData):
     A tensor or matrix with a zero-rank side contracts to 0."""
     base = mod.base
     e = mod.group.identity
-    comps = [*mod.epsilon.components, *(c for nt in mod.mu.values() for c in nt.components)]
+    comps = [*mod.epsilon, *(c for cs in mod.mu.values() for c in cs)]
     if not (all(r == 1 for (_, _, h), r in base.hom_rank.items() if h == e)
             and all(len(c) == 1 for c in base.identities)
             and all(len(c.coords) == 1 and base.rank(c.src, c.dst, e) == 1 for c in comps)):
@@ -217,40 +212,75 @@ def _scalar_ops(mod: ModuleCatData):
     return then, image
 
 
+def _naturality(base: GradedCatPresentation, tgt: GradedCatPresentation, comps,
+                F, G, then):
+    """The first violation of comps as a transformation F => G, or None.
+
+    F and G send degree-1 (src, dst, coords) morphisms of base to tgt, and
+    their object maps are read off the images of identities.  Each
+    component must be a degree-1 morphism Fx -> Gx with one coordinate per
+    basis element of that hom space ("component-shape"), and then
+    c_y o F(f) = G(f) o c_x must hold for every basis element f of every
+    hom space of base ("naturality").
+    """
+    e = base.tau.source.identity
+    for x in base.objects():
+        c = comps[x]
+        ident = (x, x, base.identities[x])
+        if (c.degree != e or (c.src, c.dst) != (F(ident)[0], G(ident)[0])
+                or len(c.coords) != tgt.rank(c.src, c.dst, e)):
+            return ("component-shape", x)
+    for x in base.objects():
+        cx = _coords(comps[x])
+        for (y, h, r) in base.out_homs(x):
+            cy = _coords(comps[y])
+            for i in range(r):
+                f = (x, y, _unit(r, i))
+                if then(cx, G(f)) != then(F(f), cy):
+                    return ("naturality", x, y, h, i)
+    return None
+
+
 def verify_module_category(mod: ModuleCatData) -> Verdict:
     """Naturality, invertibility, unit triangle and associativity square.
 
-    The two laws are read off the base's composition tensors, the action's
-    hom matrices and the component coordinates, over every degree and
-    object.  When every degree-1 hom space has rank 1 (skeletons, their
-    direct sums, bullet rebuilds) each morphism is a single scalar.
+    epsilon is checked as id => alpha^1 and mu[(a, b)] as
+    alpha^a alpha^b => alpha^{ab}, with the endpoints applied from the
+    current action.  Every law is read off the base's composition tensors,
+    the action's hom matrices and the component coordinates, over every
+    degree and object.  When every degree-1 hom space has rank 1
+    (skeletons, their direct sums, bullet rebuilds) each morphism is a
+    single scalar.
     """
     violations = []
     base = mod.base
     gH = mod.group
     e = gH.identity
     eps_inv, mu_inv = mod.inverses
+    # images repeat across the degrees the naturality squares pair them with
+    then, image = _scalar_ops(mod) or (lambda f, g: _then(base, f, g),
+                                       cache(lambda a, f: _image(mod.action[a], f)))
 
-    v = verify_nat(mod.epsilon)
-    if not v.ok:
-        violations.append(("epsilon-naturality", v.violations[0]))
+    v = _naturality(base, base, mod.epsilon, lambda f: f, lambda f: image(e, f), then)
+    if v:
+        violations.append(("epsilon-naturality", v))
     for x in base.objects():
         if eps_inv[x] is None:
             violations.append(("epsilon-not-invertible", x))
-    for (a, b), nt in sorted(mod.mu.items()):
-        v = verify_nat(nt)
-        if not v.ok:
-            violations.append(("mu-naturality", a, b, v.violations[0]))
+    for (a, b), comps in sorted(mod.mu.items()):
+        ab = gH.mul(a, b)
+        v = _naturality(base, base, comps, lambda f: image(a, image(b, f)),
+                        lambda f: image(ab, f), then)
+        if v:
+            violations.append(("mu-naturality", a, b, v))
         for x in base.objects():
             if mu_inv[(a, b)][x] is None:
                 violations.append(("mu-not-invertible", a, b, x))
     if violations:
         return Verdict(violations)
 
-    then, image = _scalar_ops(mod) or (lambda f, g: _then(base, f, g),
-                                       lambda a, f: _image(mod.action[a], f))
-    eps = [_coords(c) for c in mod.epsilon.components]
-    mu = {ab: [_coords(c) for c in nt.components] for ab, nt in mod.mu.items()}
+    eps = [_coords(c) for c in mod.epsilon]
+    mu = {ab: [_coords(c) for c in comps] for ab, comps in mod.mu.items()}
     elements = list(gH.elements())
     objects = list(base.objects())
     for h in elements:
@@ -355,7 +385,11 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
 
 def verify_module_functor(mf: ModuleFunctorData, src: ModuleCatData,
                           dst: ModuleCatData) -> Verdict:
-    """Functor axioms plus the unit triangle and composition hexagon for s."""
+    """Functor axioms plus the unit triangle and composition hexagon for s.
+
+    Each comparison s^h is checked as beta^h F => F alpha^h, with the
+    endpoints applied from the current functor and actions.
+    """
     violations = []
     F = mf.functor
     gH = src.group
@@ -365,50 +399,41 @@ def verify_module_functor(mf: ModuleFunctorData, src: ModuleCatData,
         violations.append(("functor", v.violations[0]))
     base_d = dst.base
     for h in gH.elements():
-        nt = mf.comparison[h]
-        want_src = compose_functors(F, dst.action[h])
-        want_dst = compose_functors(src.action[h], F)
-        if nt.source != want_src or nt.target != want_dst:
-            violations.append(("comparison-endpoints", h))
-            continue
-        v = verify_nat(nt)
-        if not v.ok:
-            violations.append(("comparison-naturality", h, v.violations[0]))
+        comps = mf.comparison[h]
+        beta, alpha = dst.action[h], src.action[h]
+        v = _naturality(src.base, base_d, comps, lambda f: _image(beta, _image(F, f)),
+                        lambda f: _image(F, _image(alpha, f)),
+                        lambda f, g: _then(base_d, f, g))
+        if v:
+            violations.append(("comparison-naturality", h, v))
         for x in src.base.objects():
-            if invert(base_d, nt.component(x)) is None:
+            if invert(base_d, comps[x]) is None:
                 violations.append(("comparison-not-invertible", h, x))
     if violations:
         return Verdict(violations)
 
-    s = {h: [_coords(c) for c in nt.components] for h, nt in mf.comparison.items()}
+    s = {h: [_coords(c) for c in comps] for h, comps in mf.comparison.items()}
     for x in src.base.objects():
-        lhs = _then(base_d, _coords(dst.epsilon.component(F.obj_map[x])), s[e][x])
-        if lhs != _image(F, _coords(src.epsilon.component(x))):
+        lhs = _then(base_d, _coords(dst.epsilon[F.obj_map[x]]), s[e][x])
+        if lhs != _image(F, _coords(src.epsilon[x])):
             violations.append(("unit-triangle", x))
     for a in gH.elements():
         for b in gH.elements():
             ab = gH.mul(a, b)
             for x in src.base.objects():
                 bx = src.action[b].obj_map[x]
-                lhs = _then(base_d, _coords(dst.mu[(a, b)].component(F.obj_map[x])),
-                            s[ab][x])
+                lhs = _then(base_d, _coords(dst.mu[(a, b)][F.obj_map[x]]), s[ab][x])
                 step = _then(base_d, _image(dst.action[a], s[b][x]), s[a][bx])
-                rhs = _then(base_d, step, _image(F, _coords(src.mu[(a, b)].component(x))))
+                rhs = _then(base_d, step, _image(F, _coords(src.mu[(a, b)][x])))
                 if lhs != rhs:
                     violations.append(("hexagon", a, b, x))
     return Verdict(violations)
 
 
 def identity_module_functor(mod: ModuleCatData) -> ModuleFunctorData:
-    F = identity_functor(mod.base)
-    comparison = {}
-    for h in mod.group.elements():
-        ah = mod.action[h]
-        comps = [identity_morphism(mod.base, ah.obj_map[x])
-                 for x in mod.base.objects()]
-        comparison[h] = NatTransData(compose_functors(F, ah),
-                                     compose_functors(ah, F), comps)
-    return ModuleFunctorData(F, comparison)
+    return ModuleFunctorData(identity_functor(mod.base), {
+        h: tuple(identity_morphism(mod.base, hx) for hx in mod.action[h].obj_map)
+        for h in mod.group.elements()})
 
 
 def compose_module_functors(mf1: ModuleFunctorData, mf2: ModuleFunctorData,
@@ -418,16 +443,11 @@ def compose_module_functors(mf1: ModuleFunctorData, mf2: ModuleFunctorData,
     F, E = mf1.functor, mf2.functor
     comp_f = compose_functors(F, E)
     comparison = {}
-    base_d = dst.base
     for h in src.group.elements():
-        comps = []
-        for x in src.base.objects():
-            m = compose(base_d, mf2.comparison[h].component(F.obj_map[x]),
-                        apply_functor(E, mf1.comparison[h].component(x)))
-            comps.append(m)
-        comparison[h] = NatTransData(
-            compose_functors(comp_f, dst.action[h]),
-            compose_functors(src.action[h], comp_f), comps)
+        comparison[h] = tuple(
+            compose(dst.base, mf2.comparison[h][F.obj_map[x]],
+                    apply_functor(E, mf1.comparison[h][x]))
+            for x in src.base.objects())
     return ModuleFunctorData(comp_f, comparison)
 
 
@@ -443,11 +463,11 @@ def verify_module_nat(nt: NatTransData, mf_src: ModuleFunctorData,
     base_d = dst.base
     for h in src.group.elements():
         for x in src.base.objects():
-            lhs = compose(base_d, mf_src.comparison[h].component(x),
+            lhs = compose(base_d, mf_src.comparison[h][x],
                           nt.component(src.action[h].obj_map[x]))
             rhs = compose(base_d,
                           apply_functor(dst.action[h], nt.component(x)),
-                          mf_dst.comparison[h].component(x))
+                          mf_dst.comparison[h][x])
             if lhs != rhs:
                 violations.append(("module-square", h, x))
     return Verdict(violations)
@@ -461,7 +481,7 @@ def bullet_functor(mf: ModuleFunctorData, src: ModuleCatData,
     F = mf.functor
     e = src.group.identity
     hom_maps = _hom_maps(b_src, lambda f: compose(
-        dst.base, mf.comparison[f.degree].component(f.src),
+        dst.base, mf.comparison[f.degree][f.src],
         apply_functor(F, Morphism(src.action[f.degree].obj_map[f.src], f.dst, e,
                                   f.coords))))
     out = FunctorData(b_src, b_dst, F.obj_map, hom_maps)
@@ -504,15 +524,9 @@ def restrict_functor(F: FunctorData, src_shifts=None,
     F1 = FunctorData(mod_c.base, mod_d.base, F.obj_map, hom_maps)
     comparison = {}
     for a in cat_c.tau.source.elements():
-        comps = []
-        for x in cat_c.objects():
-            r_c = table_c[(x, a)][1]
-            r_d_inv = table_d[(F.obj_map[x], a)][2]
-            m = compose(cat_d, r_d_inv, apply_functor(F, r_c))
-            comps.append(m)
-        comparison[a] = NatTransData(
-            compose_functors(F1, mod_d.action[a]),
-            compose_functors(mod_c.action[a], F1), comps)
+        comparison[a] = tuple(
+            compose(cat_d, table_d[(F.obj_map[x], a)][2], apply_functor(F, table_c[(x, a)][1]))
+            for x in cat_c.objects())
     mf = ModuleFunctorData(F1, comparison)
     verdict = verify_module_functor(mf, mod_c, mod_d)
     if not verdict.ok:
@@ -580,25 +594,17 @@ def roundtrip_nu(mod: ModuleCatData, rebuilt: GradedCatPresentation):
     e = mod.group.identity
     a1 = mod.action[e].obj_map
     nu_f = FunctorData(bmod.base, base, list(base.objects()), _hom_maps(
-        bmod.base, lambda f: compose(base, mod.epsilon.component(f.src),
+        bmod.base, lambda f: compose(base, mod.epsilon[f.src],
                                      Morphism(a1[f.src], f.dst, e, f.coords))))
     eps_inv = mod.inverses[0]
     nu_inv_f = FunctorData(base, bmod.base, list(base.objects()), _hom_maps(
         base, lambda f: compose(base, eps_inv[f.src], f)))
 
-    comparison = {}
-    inv_comparison = {}
-    for h in mod.group.elements():
-        comps = [identity_morphism(base, hx) for hx in mod.action[h].obj_map]
-        comparison[h] = NatTransData(
-            compose_functors(nu_f, mod.action[h]),
-            compose_functors(bmod.action[h], nu_f), comps)
-        inv_comps = [identity_morphism(bmod.base, hx) for hx in mod.action[h].obj_map]
-        inv_comparison[h] = NatTransData(
-            compose_functors(nu_inv_f, bmod.action[h]),
-            compose_functors(mod.action[h], nu_inv_f), inv_comps)
-    nu = ModuleFunctorData(nu_f, comparison)
-    nu_inv = ModuleFunctorData(nu_inv_f, inv_comparison)
+    ident = identity_module_functor(mod)
+    nu = ModuleFunctorData(nu_f, ident.comparison)
+    nu_inv = ModuleFunctorData(nu_inv_f, {
+        h: tuple(identity_morphism(bmod.base, hx) for hx in mod.action[h].obj_map)
+        for h in mod.group.elements()})
 
     v = verify_module_functor(nu, bmod, mod)
     if not v.ok:
@@ -607,7 +613,7 @@ def roundtrip_nu(mod: ModuleCatData, rebuilt: GradedCatPresentation):
     if not v.ok:
         raise ValueError(f"nu inverse fails module axioms: {v.violations[0]}")
     left = compose_module_functors(nu_inv, nu, mod, bmod, mod)
-    if left != identity_module_functor(mod):
+    if left != ident:
         raise ValueError("nu_inv is not a strict right inverse")
     right = compose_module_functors(nu, nu_inv, bmod, mod, bmod)
     if right != identity_module_functor(bmod):

@@ -15,6 +15,8 @@ to be mutually inverse in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import mul
 
 from . import fplinalg
 from .category import (GradedCatPresentation, Morphism, basis_morphism,
@@ -97,14 +99,17 @@ def _block_index(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
     return layout, offset
 
 
-def nat_space(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
-    """Basis of Nat(yo^a_x, F) by one exhaustive linear solve over F_p."""
+def _nat_rows(cat: GradedCatPresentation, x: int, a: int, F: RepTarget, layout,
+              nvars: int):
+    """The naturality equations of yo^a_x => F, one row per equation.
+
+    For each basis element g: y -> y2 of degree k and each basis element f
+    of Hom^{ha}(x, y), every coordinate of A2 . (g o f) - F(g) . (A1 f) = 0,
+    where A1 and A2 are the (y, h) and (y2, kh) unknown blocks of layout.
+    """
     gH = cat.tau.source
     p = cat.field.p
-    layout, nvars = _block_index(cat, x, a, F)
     pos = {(y, h): (sdim, tdim, off) for (y, h, sdim, tdim, off) in layout}
-
-    rows = []
     for y in cat.objects():
         for (y2, k, rk) in cat.out_homs(y):
             for gi in range(rk):
@@ -116,10 +121,11 @@ def nat_space(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
                     kh = gH.mul(k, h)
                     tdim_src = _target_dim(cat, F, y, h)
                     tdim_dst = _target_dim(cat, F, y2, kh)
+                    moved = [_apply_rep(cat, F, g, y, h, [int(i == d) for i in range(tdim_src)])
+                             for d in range(tdim_src)]
                     for fi in range(sdim):
                         f = basis_morphism(cat, x, y, gH.mul(h, a), fi)
                         gf = compose(cat, f, g).coords  # in Hom^{kha}(x, y2)
-                        # equation: A2 . (g o f) - F(g) . (A1 column fi) = 0
                         for r_out in range(tdim_dst):
                             row = [0] * nvars
                             if (y2, kh) in pos:
@@ -128,17 +134,19 @@ def nat_space(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
                                     if gf[c]:
                                         row[off2 + r_out * s2 + c] = (
                                             row[off2 + r_out * s2 + c] + gf[c]) % p
-                            if (y, h) in pos and tdim_src:
-                                s1, t1, off1 = pos[(y, h)]
-                                for d in range(t1):
-                                    unit = [0] * t1
-                                    unit[d] = 1
-                                    moved = _apply_rep(cat, F, g, y, h, unit)
-                                    if moved[r_out]:
-                                        idx = off1 + d * s1 + fi
-                                        row[idx] = (row[idx] - moved[r_out]) % p
-                            if any(row):
-                                rows.append(row)
+                            s1, t1, off1 = pos[(y, h)]
+                            for d in range(t1):
+                                if moved[d][r_out]:
+                                    idx = off1 + d * s1 + fi
+                                    row[idx] = (row[idx] - moved[d][r_out]) % p
+                            yield row
+
+
+def nat_space(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
+    """Basis of Nat(yo^a_x, F) by one exhaustive linear solve over F_p."""
+    p = cat.field.p
+    layout, nvars = _block_index(cat, x, a, F)
+    rows = [row for row in _nat_rows(cat, x, a, F, layout, nvars) if any(row)]
     basis = fplinalg.nullspace(rows, p, ncols=nvars)
     out = []
     for vec in basis:
@@ -155,32 +163,16 @@ def nat_space(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
 
 
 def verify_graded_nat(cat: GradedCatPresentation, nt: GradedNatTrans) -> bool:
-    """Recheck naturality of explicit block data (used on reconstructed etas)."""
-    gH = cat.tau.source
-    for y in cat.objects():
-        for (y2, k, rk) in cat.out_homs(y):
-            for gi in range(rk):
-                g = basis_morphism(cat, y, y2, k, gi)
-                for h in gH.elements():
-                    sdim = cat.rank(x := nt.x, y, gH.mul(h, nt.a))
-                    if sdim == 0:
-                        continue
-                    kh = gH.mul(k, h)
-                    tdim = _target_dim(cat, nt.F, y, h)
-                    tdim2 = _target_dim(cat, nt.F, y2, kh)
-                    sdim2 = cat.rank(x, y2, gH.mul(kh, nt.a))
-                    a1 = nt.block(y, h, tdim, sdim)
-                    a2 = nt.block(y2, kh, tdim2, sdim2)
-                    for fi in range(sdim):
-                        f = basis_morphism(cat, x, y, gH.mul(h, nt.a), fi)
-                        gf = compose(cat, f, g).coords
-                        lhs = [sum(a2[r][c] * gf[c] for c in range(sdim2)) % cat.field.p
-                               for r in range(tdim2)]
-                        col = [a1[r][fi] for r in range(tdim)]
-                        rhs = _apply_rep(cat, nt.F, g, y, h, col)
-                        if lhs != rhs:
-                            return False
-    return True
+    """Recheck naturality of explicit block data (used on reconstructed etas):
+    the blocks, laid out as nat_space's unknowns, satisfy every row."""
+    p = cat.field.p
+    layout, nvars = _block_index(cat, nt.x, nt.a, nt.F)
+    vec = [0] * nvars
+    for (y, h, sdim, tdim, off) in layout:
+        for r, row in enumerate(nt.block(y, h, tdim, sdim)):
+            vec[off + r * sdim:off + (r + 1) * sdim] = row
+    return all(sum(map(mul, row, vec)) % p == 0
+               for row in _nat_rows(cat, nt.x, nt.a, nt.F, layout, nvars))
 
 
 def _apply_rep(cat: GradedCatPresentation, F: RepTarget, g: Morphism, y: int,
@@ -225,12 +217,7 @@ def phi_inv(cat: GradedCatPresentation, x: int, a: int, F: RepTarget, v):
     """The transformation f -> (F f)(v) attached to v in (F x)_{a^-1}."""
     gH = cat.tau.source
     a_inv = gH.inv(a)
-    pieces = []
-    seg = 0
-    for (b, z, r) in value_layout(cat, F, x, a):
-        pieces.append(Morphism(z, x, gH.mul(a_inv, b), tuple(v[seg:seg + r])))
-        seg += r
-    if seg != len(v):
+    if sum(r for _, _, r in value_layout(cat, F, x, a)) != len(v):
         raise ValueError("value vector has the wrong length")
     blocks = {}
     for y in cat.objects():
@@ -241,19 +228,9 @@ def phi_inv(cat: GradedCatPresentation, x: int, a: int, F: RepTarget, v):
             tdim = _target_dim(cat, F, y, h)
             if tdim == 0:
                 continue
-            cols = []
-            for fi in range(sdim):
-                f = basis_morphism(cat, x, y, gH.mul(h, a), fi)
-                col = []
-                for piece in pieces:
-                    if len(piece.coords) == 0:
-                        col.extend((0,) * cat.rank(
-                            piece.src, y,
-                            gH.mul(gH.mul(h, a), piece.degree)))
-                    else:
-                        col.extend(compose(cat, piece, f).coords)
-                cols.append(col)
-            mat = fplinalg.from_columns(cols)
+            mat = fplinalg.from_columns([
+                _apply_rep(cat, F, basis_morphism(cat, x, y, gH.mul(h, a), fi), x, a_inv, v)
+                for fi in range(sdim)])
             if any(any(rw) for rw in mat):
                 blocks[(y, h)] = mat
     return GradedNatTrans(x, a, F, blocks)
@@ -290,7 +267,10 @@ def nat_invertible(cat: GradedCatPresentation, nt: GradedNatTrans) -> bool:
 
 def has_invertible_nat(cat: GradedCatPresentation, x: int, a: int, F: RepTarget,
                        max_enum: int = 4096) -> bool:
-    """Whether some combination of the Nat basis is componentwise invertible."""
+    """Whether some combination of the Nat basis is componentwise invertible.
+
+    Combinations are tried in odometer order, last coefficient fastest.
+    """
     basis = nat_space(cat, x, a, F)
     if not basis:
         return False
@@ -300,14 +280,8 @@ def has_invertible_nat(cat: GradedCatPresentation, x: int, a: int, F: RepTarget,
             return True
     if p ** len(basis) > max_enum:
         return False
-    def combos(i, acc):
-        if i == len(basis):
-            yield acc
-            return
-        for c in range(p):
-            yield from combos(i + 1, acc + [c])
     layout, _ = _block_index(cat, x, a, F)
-    for coeffs in combos(0, []):
+    for coeffs in product(range(p), repeat=len(basis)):
         if not any(coeffs):
             continue
         blocks = {}
@@ -366,15 +340,4 @@ def whisker_object_morphism(cat: GradedCatPresentation, nt: GradedNatTrans,
 def apply_rep_to_value(cat: GradedCatPresentation, F: RepTarget, xm: Morphism,
                        a: int, v):
     """(F xm) applied to a vector in (F x)_{a^-1}; lands in (F x')_{a^-1}."""
-    gH = cat.tau.source
-    out = []
-    seg = 0
-    for (b, z, r) in value_layout(cat, F, xm.src, a):
-        piece = Morphism(z, xm.src, gH.mul(gH.inv(a), b), tuple(v[seg:seg + r]))
-        seg += r
-        r2 = cat.rank(z, xm.dst, gH.mul(gH.inv(a), b))
-        if r == 0:
-            out.extend((0,) * r2)
-        else:
-            out.extend(compose(cat, piece, xm).coords)
-    return out
+    return _apply_rep(cat, F, xm, xm.src, cat.tau.source.inv(a), v)

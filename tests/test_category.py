@@ -322,7 +322,8 @@ def _reference_verify_nat(nt):
         return Verdict([("endpoint-mismatch",)])
     for x in src.objects():
         c = nt.component(x)
-        if c.degree != e or c.src != F.obj_map[x] or c.dst != G.obj_map[x]:
+        if (c.degree != e or c.src != F.obj_map[x] or c.dst != G.obj_map[x]
+                or len(c.coords) != tgt.rank(c.src, c.dst, e)):
             violations.append(("component-shape", x))
     if violations:
         return Verdict(violations)
@@ -471,6 +472,18 @@ def test_verify_nat_matches_reference(name):
             assert verify_nat(bad).violations == want
             kinds.update(v[0] for v in want)
     assert kinds == {"naturality", "component-shape", "endpoint-mismatch"}
+
+
+@pytest.mark.parametrize("coords", [(1, 0), ()], ids=["extra", "empty"])
+def test_verify_nat_checks_coordinate_counts(coords):
+    # End(1) has rank 1: two coordinates, or none, are a shape violation
+    # rather than a vector read up to the rank or a failed naturality square
+    nt = NAT_CASES["skeleton"]()
+    comps = list(nt.components)
+    comps[1] = Morphism(1, 1, 0, coords)
+    bad = NatTransData(nt.source, nt.target, comps)
+    assert verify_nat(bad).violations == _reference_verify_nat(bad).violations == [
+        ("component-shape", 1)]
 
 
 @pytest.mark.parametrize("name", sorted(AXIOM_CASES))

@@ -77,7 +77,10 @@ def test_schema_errors_exit_2_without_traceback(tmp_path, category_file, variant
 
 @pytest.mark.parametrize("variant", ["top_level_list", "action_list", "epsilon_int",
                                      "mu_list", "maps_int", "epsilon_length",
-                                     "mu_length"])
+                                     "mu_length", "mu_degree_out_of_range",
+                                     "map_src_out_of_range", "action_degree_99",
+                                     "action_degree_negative", "base_degree_not_1",
+                                     "action_degree_missing", "mu_pair_missing"])
 def test_module_schema_errors_exit_2_without_traceback(tmp_path, category_file,
                                                        variant):
     r = run_cli("extract", category_file)
@@ -95,6 +98,19 @@ def test_module_schema_errors_exit_2_without_traceback(tmp_path, category_file,
         doc["epsilon"][0] = [1, 3]  # End(0) has rank 1
     elif variant == "mu_length":
         doc["mu"]["1,1"][0] = []
+    elif variant == "mu_degree_out_of_range":
+        doc["mu"]["9,9"] = doc["mu"]["1,1"]
+    elif variant == "map_src_out_of_range":
+        doc["action"]["1"]["maps"][0]["src"] = 99
+    elif variant in ("action_degree_99", "action_degree_negative"):
+        doc["action"]["99" if variant == "action_degree_99" else "-1"] = doc["action"]["1"]
+    elif variant == "action_degree_missing":
+        del doc["action"]["3"]
+    elif variant == "mu_pair_missing":
+        del doc["mu"]["1,1"]
+    elif variant == "base_degree_not_1":
+        # the acted-on category has degree-1 morphisms only
+        doc["base"]["homs"].append({"src": 0, "dst": 1, "h": 1, "rank": 1})
     else:
         doc = [doc]
     bad = tmp_path / "bad.json"
@@ -102,6 +118,8 @@ def test_module_schema_errors_exit_2_without_traceback(tmp_path, category_file,
     r = run_cli("bullet", str(bad))
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
+    if variant in ("action_degree_missing", "mu_pair_missing"):
+        assert "one entry per" in r.stderr
 
 
 def test_decompose_exit_codes(category_file):

@@ -1,0 +1,137 @@
+"""Golden stdout: sha256 digests of stdout, with exit codes, of fixed CLI runs.
+
+The inputs are C8/C12/C16 skeleton files built by `build-mtau`, a direct
+sum, an additive-completion file and the module files `extract` writes for
+them.  Each command runs in process from a temporary working directory with
+relative file names, because reports echo their input paths.  A refactor
+that keeps every verdict and every report byte keeps this table; a change
+that moves a digest changes what the CLI prints.
+
+`PYTHONPATH=src python tests/test_golden_stdout.py` prints the current
+table in the form GOLDEN takes.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from random import Random
+
+import pytest
+
+from taucat import cli, jsonio
+from taucat.category import direct_sum_cat
+from taucat.cochains import d1_cochain, random_cochain1
+from taucat.completion import AdditiveCompletion
+from taucat.fields import field
+from taucat.groups import coset_space, cyclic_group, subgroup
+from taucat.mtau import build_skeleton, mtau_spec, parity_tau
+
+F5 = field(5)
+
+# name -> (exit code, sha256 of stdout)
+GOLDEN = {
+    "paper-suite/0": (0, "ddc6acf61662d12bf777f7020bc395b38db5461a8785ce6b8d97c4051e0a235e"),
+    "paper-suite/1": (0, "1e0e883321e7e8050f47e311dd41b76aabfba2d0189f817d7c69ff41677f55d2"),
+    "paper-suite/2": (0, "ca23127291e3440ec3194cda004019de36437fa40d4d3eca599ab41bc2ef5edd"),
+    "build-mtau/C8L1.json": (0, "97a422530e0c8e219a0b02b4bceb655207de63b35451eca870c764b329e00251"),
+    "build-mtau/C12L2.json": (0, "a97d02238d1b44da682ac24dc4cf4db45e437bc3077ed34fd415df82cb723ba2"),
+    "build-mtau/C16L4.json": (0, "00fe4c8719d9af89335a1d5dbd001acabaafd074f41e47f1b53aa23f4f0b7123"),
+    "verify/C8L1.json": (0, "ef3ad5cf615a4945c7a8feae72265fc066260824e1c4eacaa83213ad4fe470a4"),
+    "decompose/C8L1.json": (0, "761a505de6200a0343c16d9d8ab9f4da840a3623769025a6705173187fe20ec6"),
+    "roundtrip/C8L1.json": (0, "3601b7a12deecb3f9b82b3d80a6acbaa1859cc8a2ddf74d305aa284dce48f77d"),
+    "extract/C8L1.json": (0, "d365425c0330181f1fc6121c2889d538ef6b396846731d3a1e4a5c9f624460a5"),
+    "bullet/C8L1-mod.json": (0, "97a422530e0c8e219a0b02b4bceb655207de63b35451eca870c764b329e00251"),
+    "verify/C12L2.json": (0, "eba36308ecc7389f8bf2ea06a329f6bd0306d98da77e7f0461950550b8b2abb8"),
+    "decompose/C12L2.json": (0, "3fb350fe74efa375588727b8aa4c4834655492a5d20522ed2d522443b1606e95"),
+    "roundtrip/C12L2.json": (0, "811ca4c14bcd1b644a37f764ac3af5a2e727553692e25a98d2605bafebafce9a"),
+    "extract/C12L2.json": (0, "ce8e24fd44d8ea36adffcece0318c30cb7cf21601413b09e5ccfec399711f2ba"),
+    "bullet/C12L2-mod.json": (0, "a97d02238d1b44da682ac24dc4cf4db45e437bc3077ed34fd415df82cb723ba2"),
+    "verify/C16L4.json": (0, "f2e50514100db21890c2e7035bc660dceafc0c223430112e94e94af4365a6419"),
+    "decompose/C16L4.json": (0, "0c71eb2f6d5465f003ab939335f355c3fda71d16e7fdcb76c51beb6786ec243d"),
+    "roundtrip/C16L4.json": (0, "0cd312213912b3bbac262399127a17f9cc6b2c3f2f590a31e0a7851987311c5c"),
+    "extract/C16L4.json": (0, "274b954e8f0062dec4a4049199c73c4527eb4faa61093ce6834ec9a3eafde65d"),
+    "bullet/C16L4-mod.json": (0, "00fe4c8719d9af89335a1d5dbd001acabaafd074f41e47f1b53aa23f4f0b7123"),
+    "verify/sum.json": (0, "b576806cbc29f931e4da3498d3a4cb6f9e6ee5dd6c5aeb641434b754326512a3"),
+    "decompose/sum.json": (0, "344092a618eb303d13d1a543009ee4a0acf23f11e39c6f7c6e152f49b4a90f24"),
+    "roundtrip/sum.json": (0, "d4d446d98ee4ff8ea5cab49a3360e2f25837d1c3afdda049073f9c6091847626"),
+    "extract/sum.json": (0, "f67fc236a85cf46dadad35dbeb95572aaee5e0005447bf1bbbc253cb9a2d177d"),
+    "bullet/sum-mod.json": (0, "f7ed4cfa5c2b9d96a912a6c3d3efe70c17c0f2212c6bc9d2b2923f9a399e498d"),
+    "verify/completion.json": (0, "bf204787d63d07a5c7c4adce22bfa240e4260cd78d0145dfd4fa79bacfa6fe0a"),
+    "decompose/completion.json": (0, "52522dbc0035a13c46b7d8bbc7410e58ee70aba70256158cf3cf9a91a05df5a2"),
+    "roundtrip/completion.json": (1, "8e0333b90b9ad5b601f6829f693688fd1bc10b923b9b599ed9c3c8571a281d66"),
+    "extract/completion.json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _write(name, doc):
+    with open(name, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return name
+
+
+def _psi(n, k, seed):
+    space = coset_space(cyclic_group(n), subgroup(cyclic_group(n), range(0, n, n // k)))
+    return d1_cochain(random_cochain1(F5, space, Random(seed)))
+
+
+def golden_runs():
+    """Build the inputs in the current directory; yield (name, argv)."""
+    for s in range(3):
+        yield f"paper-suite/{s}", ["paper-suite", "--p", "5", "--seed", str(s)]
+    categories = []
+    for n, k, g in ((8, 1, 0), (12, 2, 1), (16, 4, 0)):
+        tau = _write(f"tau{n}.json", {"source": {"cyclic": n}, "target": {"cyclic": 2},
+                                      "map": [a % 2 for a in range(n)]})
+        psi = _write(f"psi{n}.json", jsonio.cochain2_to_json(_psi(n, k, n)))
+        name = f"C{n}L{k}.json"
+        yield f"build-mtau/{name}", ["build-mtau", "--tau", tau, "--p", "5", "--L",
+                                     ",".join(str(a) for a in range(0, n, n // k)),
+                                     "--psi", psi, "--g", str(g), "-o", name]
+        categories.append(name)
+    tau8 = parity_tau()
+    specs = [mtau_spec(tau8, F5, subgroup(cyclic_group(8), range(0, 8, 8 // k)),
+                       _psi(8, k, 80 + k), k % 2) for k in (1, 4)]
+    categories.append(_write("sum.json", jsonio.category_to_json(
+        direct_sum_cat([build_skeleton(s) for s in specs]))))
+    spec = mtau_spec(tau8, F5, subgroup(cyclic_group(8), (0, 4)), _psi(8, 2, 82), 0)
+    pres = AdditiveCompletion(build_skeleton(spec)).presentation_of(
+        [(0,), (1,), (2,), (3,), (0, 2)])
+    categories.append(_write("completion.json", jsonio.category_to_json(pres)))
+    for name in categories:
+        for cmd in ("verify", "decompose", "roundtrip"):
+            yield f"{cmd}/{name}", [cmd, name]
+        stem = name.removesuffix(".json")
+        yield f"extract/{name}", ["extract", name, "-o", f"{stem}-mod.json"]
+        if name != "completion.json":  # a sum object has no shift to extract
+            yield f"bullet/{stem}-mod.json", ["bullet", f"{stem}-mod.json"]
+
+
+def record():
+    """The current table, for pasting into GOLDEN."""
+    return {name: _run(argv) for name, argv in golden_runs()}
+
+
+def test_golden_stdout(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = record()
+    assert set(got) == set(GOLDEN)
+    for name in GOLDEN:
+        assert got[name] == GOLDEN[name], name
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for name, result in record().items():
+            print(f"    {name!r}: {result!r},")

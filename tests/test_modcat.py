@@ -2,6 +2,7 @@ import importlib
 import json
 import sys
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 from random import Random
 
@@ -53,7 +54,7 @@ def test_extract_action_cyclic_permutation():
 def test_extract_action_twisted_mu():
     cat = twisted_cat(82)
     mod = extract_action(cat)
-    scalars = {c.coords[0] for nt in mod.mu.values() for c in nt.components}
+    scalars = {c.coords[0] for comps in mod.mu.values() for c in comps}
     assert len(scalars) > 1  # the cocycle shows up in the multiplicators
     assert verify_module_category(mod).ok
 
@@ -62,13 +63,13 @@ def test_extract_action_trivial_group():
     tau1 = reduction_hom(1, 1)
     cat = build_skeleton(trivial_spec(tau1, F5, subgroup(cyclic_group(1), [0])))
     mod = extract_action(cat)
-    assert all(c.coords == (1,) for c in mod.epsilon.components)
+    assert all(c.coords == (1,) for c in mod.epsilon)
 
 
 def test_epsilon_components_are_identities():
     mod = extract_action(twisted_cat(83))
     for x in mod.base.objects():
-        assert mod.epsilon.component(x) == identity_morphism(mod.base, x)
+        assert mod.epsilon[x] == identity_morphism(mod.base, x)
 
 
 def test_bullet_of_trivial_action():
@@ -326,23 +327,25 @@ def test_traced_layer_functions_resolve():
 
 
 def _reference_verify_module_category(mod):
-    """verify_module_category as compose and apply_functor on Morphisms."""
+    """verify_module_category as compose and apply_functor on Morphisms, with
+    the endpoints of epsilon and mu built as functors from the current action."""
     violations = []
     base = mod.base
     gH = mod.group
     e = gH.identity
-    v = verify_nat(mod.epsilon)
+    v = verify_nat(NatTransData(identity_functor(base), mod.action[e], mod.epsilon))
     if not v.ok:
         violations.append(("epsilon-naturality", v.violations[0]))
     for x in base.objects():
-        if invert(base, mod.epsilon.component(x)) is None:
+        if invert(base, mod.epsilon[x]) is None:
             violations.append(("epsilon-not-invertible", x))
-    for (a, b), nt in sorted(mod.mu.items()):
-        v = verify_nat(nt)
+    for (a, b), comps in sorted(mod.mu.items()):
+        v = verify_nat(NatTransData(compose_functors(mod.action[b], mod.action[a]),
+                                    mod.action[gH.mul(a, b)], comps))
         if not v.ok:
             violations.append(("mu-naturality", a, b, v.violations[0]))
         for x in base.objects():
-            if invert(base, nt.component(x)) is None:
+            if invert(base, comps[x]) is None:
                 violations.append(("mu-not-invertible", a, b, x))
     if violations:
         return Verdict(violations)
@@ -350,11 +353,10 @@ def _reference_verify_module_category(mod):
         ah = mod.action[h]
         for x in base.objects():
             hx = ah.obj_map[x]
-            lhs = compose(base, mod.epsilon.component(hx), mod.mu[(e, h)].component(x))
+            lhs = compose(base, mod.epsilon[hx], mod.mu[(e, h)][x])
             if lhs != identity_morphism(base, hx):
                 violations.append(("unit-left", h, x))
-            rhs = compose(base, apply_functor(ah, mod.epsilon.component(x)),
-                          mod.mu[(h, e)].component(x))
+            rhs = compose(base, apply_functor(ah, mod.epsilon[x]), mod.mu[(h, e)][x])
             if rhs != identity_morphism(base, hx):
                 violations.append(("unit-right", h, x))
     for a in gH.elements():
@@ -362,18 +364,17 @@ def _reference_verify_module_category(mod):
             for c in gH.elements():
                 for x in base.objects():
                     cx = mod.action[c].obj_map[x]
-                    lhs = compose(base, mod.mu[(a, b)].component(cx),
-                                  mod.mu[(gH.mul(a, b), c)].component(x))
-                    rhs = compose(base, apply_functor(mod.action[a],
-                                                      mod.mu[(b, c)].component(x)),
-                                  mod.mu[(a, gH.mul(b, c))].component(x))
+                    lhs = compose(base, mod.mu[(a, b)][cx], mod.mu[(gH.mul(a, b), c)][x])
+                    rhs = compose(base, apply_functor(mod.action[a], mod.mu[(b, c)][x]),
+                                  mod.mu[(a, gH.mul(b, c))][x])
                     if lhs != rhs:
                         violations.append(("assoc", a, b, c, x))
     return Verdict(violations)
 
 
 def _reference_verify_module_functor(mf, src, dst):
-    """verify_module_functor as compose and apply_functor on Morphisms."""
+    """verify_module_functor as compose and apply_functor on Morphisms, with
+    the endpoints of each comparison built as functors from the current data."""
     violations = []
     F = mf.functor
     gH = src.group
@@ -383,35 +384,29 @@ def _reference_verify_module_functor(mf, src, dst):
         violations.append(("functor", v.violations[0]))
     base_d = dst.base
     for h in gH.elements():
-        nt = mf.comparison[h]
-        if (nt.source != compose_functors(F, dst.action[h])
-                or nt.target != compose_functors(src.action[h], F)):
-            violations.append(("comparison-endpoints", h))
-            continue
-        v = verify_nat(nt)
+        comps = mf.comparison[h]
+        v = verify_nat(NatTransData(compose_functors(F, dst.action[h]),
+                                    compose_functors(src.action[h], F), comps))
         if not v.ok:
             violations.append(("comparison-naturality", h, v.violations[0]))
         for x in src.base.objects():
-            if invert(base_d, nt.component(x)) is None:
+            if invert(base_d, comps[x]) is None:
                 violations.append(("comparison-not-invertible", h, x))
     if violations:
         return Verdict(violations)
     for x in src.base.objects():
-        lhs = compose(base_d, dst.epsilon.component(F.obj_map[x]),
-                      mf.comparison[e].component(x))
-        if lhs != apply_functor(F, src.epsilon.component(x)):
+        lhs = compose(base_d, dst.epsilon[F.obj_map[x]], mf.comparison[e][x])
+        if lhs != apply_functor(F, src.epsilon[x]):
             violations.append(("unit-triangle", x))
     for a in gH.elements():
         for b in gH.elements():
             ab = gH.mul(a, b)
             for x in src.base.objects():
                 bx = src.action[b].obj_map[x]
-                lhs = compose(base_d, dst.mu[(a, b)].component(F.obj_map[x]),
-                              mf.comparison[ab].component(x))
-                step = apply_functor(dst.action[a], mf.comparison[b].component(x))
-                step = compose(base_d, step, mf.comparison[a].component(bx))
-                rhs = compose(base_d, step,
-                              apply_functor(F, src.mu[(a, b)].component(x)))
+                lhs = compose(base_d, dst.mu[(a, b)][F.obj_map[x]], mf.comparison[ab][x])
+                step = apply_functor(dst.action[a], mf.comparison[b][x])
+                step = compose(base_d, step, mf.comparison[a][bx])
+                rhs = compose(base_d, step, apply_functor(F, src.mu[(a, b)][x]))
                 if lhs != rhs:
                     violations.append(("hexagon", a, b, x))
     return Verdict(violations)
@@ -426,12 +421,10 @@ def _trivial_c2_action():
     tau = reduction_hom(2, 1)
     skel = build_skeleton(trivial_spec(tau, F5, subgroup(cyclic_group(2), [0])))
     base = degree_one_part(AdditiveCompletion(skel).presentation_of([(0,), (0, 1)]))
-    ident = identity_functor(base)
-    comps = [identity_morphism(base, x) for x in base.objects()]
-    action = {h: ident for h in (0, 1)}
-    mu = {(a, b): NatTransData(compose_functors(ident, ident), ident, comps)
-          for a in (0, 1) for b in (0, 1)}
-    return ModuleCatData(base, action, NatTransData(ident, ident, comps), mu)
+    comps = tuple(identity_morphism(base, x) for x in base.objects())
+    action = {h: identity_functor(base) for h in (0, 1)}
+    mu = {(a, b): comps for a in (0, 1) for b in (0, 1)}
+    return ModuleCatData(base, action, comps, mu)
 
 
 @lru_cache(maxsize=None)
@@ -460,11 +453,11 @@ MODULE_CASES = {
 }
 
 
-def _corrupt_component(nt, rng, kind):
-    """nt with one coordinate of one component changed, or one component
+def _corrupt_component(comps, rng, kind):
+    """comps with one coordinate of one component changed, or one component
     scaled by a unit other than 1, or zeroed."""
-    p = nt.source.target.field.p
-    comps = list(nt.components)
+    p = F5.p
+    comps = list(comps)
     x = rng.randrange(len(comps))
     c = comps[x]
     coords = list(c.coords)
@@ -475,7 +468,7 @@ def _corrupt_component(nt, rng, kind):
         s = 0 if kind == "zero" else rng.randrange(2, p)
         coords = [s * v % p for v in coords]
     comps[x] = Morphism(c.src, c.dst, c.degree, tuple(coords))
-    return NatTransData(nt.source, nt.target, comps)
+    return tuple(comps)
 
 
 CORRUPTIONS = ("coordinate", "scale", "zero", "matrix")
@@ -484,7 +477,8 @@ CORRUPTIONS = ("coordinate", "scale", "zero", "matrix")
 def _corrupt_module(mod, kind, rng):
     """One coordinate or one whole component of epsilon or a mu, one entry
     of an action hom matrix, or one composition tensor of the base
-    (deleted, so that some composites read a missing tensor), changed.
+    (deleted, so that some composites read a missing tensor, with the
+    action moved onto the changed base), changed.
 
     A deleted tensor composes into a different object where there is one:
     the inverses of the components only read tensors X -> Y -> X."""
@@ -495,6 +489,8 @@ def _corrupt_module(mod, kind, rng):
         del comp[rng.choice(sorted(k for k in comp if k[0] != k[2]) or sorted(comp))]
         base = GradedCatPresentation(b.tau, b.field, b.degrees, b.hom_rank, comp,
                                      b.identities)
+        action = {h: FunctorData(base, base, F.obj_map, F.hom_maps)
+                  for h, F in action.items()}
         return ModuleCatData(base, action, eps, mu)
     if kind == "matrix":
         h = rng.choice(sorted(action))
@@ -539,6 +535,45 @@ def test_verify_module_category_reference_cases_reach_every_kind():
                 kinds.update(v[0] for v in verify_module_category(bad).violations)
     assert kinds == {"epsilon-naturality", "epsilon-not-invertible", "mu-naturality",
                      "mu-not-invertible", "unit-left", "unit-right", "assoc"}
+
+
+def test_every_action_matrix_entry_change_is_rejected():
+    # epsilon and mu are checked against endpoints applied from the current
+    # action, so a changed action hom matrix cannot hide behind endpoints
+    # that were built before the change
+    for name, build in sorted(MODULE_CASES.items()):
+        mod = build()
+        p = mod.base.field.p
+        for h, F in sorted(mod.action.items()):
+            for key, mat in sorted(F.hom_maps.items()):
+                for i, j in product(range(len(mat)), range(len(mat[0]) if mat else 0)):
+                    changed = [list(row) for row in mat]
+                    changed[i][j] = (changed[i][j] + 1) % p
+                    action = {**mod.action, h: FunctorData(
+                        F.source, F.target, F.obj_map, {**F.hom_maps, key: changed})}
+                    bad = ModuleCatData(mod.base, action, mod.epsilon, mod.mu)
+                    bad.inverses = mod.inverses  # the components are unchanged
+                    assert not verify_module_category(bad).ok, (name, h, key, i, j)
+
+
+@pytest.mark.parametrize("coords", [(1, 0), ()], ids=["extra", "empty"])
+def test_component_coordinate_counts_are_shape_violations(coords):
+    # End(x) has rank 1 on the skeleton: a component with two coordinates
+    # or none has the wrong shape, whatever its composites would read
+    mod = MODULE_CASES["skeleton"]()
+    c = mod.epsilon[1]
+    eps = mod.epsilon[:1] + (Morphism(c.src, c.dst, c.degree, coords),) + mod.epsilon[2:]
+    bad = ModuleCatData(mod.base, mod.action, eps, mod.mu)
+    assert verify_module_category(bad).violations[0] == (
+        "epsilon-naturality", ("component-shape", 1))
+    mf, src, dst = MODULE_FUNCTOR_CASES["nu"]()
+    comparison = dict(mf.comparison)
+    c = comparison[3][1]
+    comparison[3] = comparison[3][:1] + (Morphism(c.src, c.dst, c.degree, coords),) \
+        + comparison[3][2:]
+    bad = ModuleFunctorData(mf.functor, comparison)
+    assert verify_module_functor(bad, src, dst).violations[0] == (
+        "comparison-naturality", 3, ("component-shape", 1))
 
 
 def _restricted_equivalence():
@@ -601,8 +636,8 @@ def test_verify_module_functor_reference_cases_reach_every_kind():
             for _ in range(2):
                 bad = _corrupt_module_functor(mf, kind, rng)
                 kinds.update(v[0] for v in verify_module_functor(bad, src, dst).violations)
-    assert kinds == {"functor", "comparison-endpoints", "comparison-naturality",
-                     "comparison-not-invertible", "unit-triangle", "hexagon"}
+    assert kinds == {"functor", "comparison-naturality", "comparison-not-invertible",
+                     "unit-triangle", "hexagon"}
 
 
 def test_verifiers_build_no_morphisms(monkeypatch):
@@ -629,7 +664,6 @@ def test_verifiers_build_no_morphisms(monkeypatch):
             if name.startswith("taucat") and getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, counted)
     roundtrip(cat)
-    assert set(inside) == {"verify_module_category", "verify_functor", "verify_nat",
-                           "invert"}
+    assert set(inside) == {"verify_module_category", "verify_functor", "invert"}
     assert inside == dict.fromkeys(inside, 0)
     assert len(made["compose"]) > 0

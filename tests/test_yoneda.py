@@ -1,3 +1,4 @@
+from itertools import product
 from random import Random
 
 import pytest
@@ -10,7 +11,7 @@ from taucat.fields import field
 from taucat.groups import coset_space, cyclic_group
 from taucat.mtau import (build_skeleton, cyclic_subgroup_of_order,
                          cyclic_table_category, mtau_spec, parity_tau)
-from taucat.yoneda import (apply_rep_to_value, evaluate_yoneda,
+from taucat.yoneda import (GradedNatTrans, apply_rep_to_value, evaluate_yoneda,
                            has_invertible_nat, nat_equal, nat_space, phi,
                            phi_inv, rep_sum, representable, value_layout,
                            verify_graded_nat, whisker_object_morphism)
@@ -111,6 +112,23 @@ def test_phi_natural_in_anchor_object():
                             rhs = tuple(apply_rep_to_value(pres, F, xm, a,
                                                            phi(pres, nt)))
                             assert lhs == rhs
+
+
+def test_verify_graded_nat_rejects_every_single_entry_change():
+    # a basis transformation of nat_space with one block entry changed no
+    # longer satisfies the naturality rows nat_space solved
+    pres = AdditiveCompletion(C2CAT).presentation_of([(0,), (0, 0), (1,), (2,)])
+    for x in pres.objects():
+        for a in (0, 1):
+            F = representable(a, 1)
+            for nt in nat_space(pres, x, a, F):
+                assert verify_graded_nat(pres, nt)
+                for (y, h), blk in nt.blocks.items():
+                    for r, c in product(range(len(blk)), range(len(blk[0]))):
+                        changed = [list(row) for row in blk]
+                        changed[r][c] = (changed[r][c] + 1) % 5
+                        bad = GradedNatTrans(x, a, F, {**nt.blocks, (y, h): changed})
+                        assert not verify_graded_nat(pres, bad)
 
 
 def test_rep_sum_dimensions_add():
