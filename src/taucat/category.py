@@ -8,10 +8,11 @@ morphisms are only allowed between objects whose degrees differ by tau(h);
 `verify_axioms` checks that, the unit laws and associativity exhaustively
 over the stored bases.  It reads the laws off the composition tensors:
 associativity on every composable path and basis triple is one identity
-between two contractions of stored tensors, mod p.  `verify_functor`,
-`verify_nat` and `invert` work the same way on the tensors, the functor
-hom matrices and the component coordinates, through the one contraction
-`compose` uses; none of them builds a Morphism per basis element.
+between two contractions of stored tensors, mod p, and `verify_functor`
+and `verify_nat` read theirs off the tensors, the functor hom matrices and
+the component coordinates.  Composing with a fixed morphism is one matrix
+read off one tensor, `precompose` (u -> u o f) or `postcompose`
+(u -> g o u); `invert` solves the two stacked.
 """
 
 from __future__ import annotations
@@ -151,17 +152,8 @@ class GradedCatPresentation:
                         raise ValueError(f"declared sum {x} has a malformed map at part {part}")
 
 
-def zero_morphism(cat: GradedCatPresentation, x: int, y: int, h: int) -> Morphism:
-    return Morphism(x, y, h, (0,) * cat.rank(x, y, h))
-
-
 def identity_morphism(cat: GradedCatPresentation, x: int) -> Morphism:
     return Morphism(x, x, cat.tau.source.identity, cat.identities[x])
-
-
-def basis_morphism(cat: GradedCatPresentation, x: int, y: int, h: int, k: int) -> Morphism:
-    r = cat.rank(x, y, h)
-    return Morphism(x, y, h, tuple(1 if i == k else 0 for i in range(r)))
 
 
 def _contract(p: int, t, r: int, f, g) -> tuple:
@@ -178,10 +170,49 @@ def _contract(p: int, t, r: int, f, g) -> tuple:
                  for layer in t)
 
 
+def _check_rank(cat: GradedCatPresentation, m: Morphism) -> None:
+    """Reject a coordinate vector whose length is not the rank of its hom space."""
+    r = cat.rank(m.src, m.dst, m.degree)
+    if len(m.coords) != r:
+        raise ValueError(f"morphism {m.src} -> {m.dst} of degree {m.degree} has "
+                         f"{len(m.coords)} coordinates for a hom space of rank {r}")
+
+
+def precompose(cat: GradedCatPresentation, f: Morphism, z: int, h2: int) -> tuple:
+    """Matrix of u -> u o f, from Hom^{h2}(f.dst, z) to Hom^{h2|f|}(f.src, z):
+    entry [k][j] is sum_i T(f.src, f.dst, z; |f|, h2)[k][j][i] f[i], and an
+    absent tensor gives the zero matrix."""
+    _check_rank(cat, f)
+    t = cat.tensor(f.src, f.dst, z, f.degree, h2)
+    if not t:
+        cols = cat.rank(f.dst, z, h2)
+        rows = cat.rank(f.src, z, cat.tau.source.mul(h2, f.degree))
+        return ((0,) * cols,) * rows
+    p, v = cat.field.p, f.coords
+    return tuple(tuple(sum(map(mul, row, v)) % p for row in layer) for layer in t)
+
+
+def postcompose(cat: GradedCatPresentation, g: Morphism, x: int, h: int) -> tuple:
+    """Matrix of u -> g o u, from Hom^h(x, g.src) to Hom^{|g|h}(x, g.dst):
+    entry [k][i] is sum_j T(x, g.src, g.dst; h, |g|)[k][j][i] g[j], and an
+    absent tensor gives the zero matrix."""
+    _check_rank(cat, g)
+    t = cat.tensor(x, g.src, g.dst, h, g.degree)
+    cols = cat.rank(x, g.src, h)
+    if not t:
+        rows = cat.rank(x, g.dst, cat.tau.source.mul(g.degree, h))
+        return ((0,) * cols,) * rows
+    p, v = cat.field.p, g.coords
+    return tuple(tuple(sum(gj * row[i] for gj, row in zip(v, layer) if gj) % p
+                       for i in range(cols)) for layer in t)
+
+
 def compose(cat: GradedCatPresentation, f: Morphism, g: Morphism) -> Morphism:
     """g after f; the result has degree |g| * |f|."""
     if f.dst != g.src:
         raise ValueError("morphisms are not composable")
+    _check_rank(cat, f)
+    _check_rank(cat, g)
     h, h2 = f.degree, g.degree
     deg = cat.tau.source.mul(h2, h)
     return Morphism(f.src, g.dst, deg, _contract(
@@ -284,10 +315,10 @@ def _assoc_failures(p, r, r1, r2, r3, t_gf, t_l, t_hg, t_r):
 def invert(cat: GradedCatPresentation, f: Morphism):
     """Two-sided inverse of f (degree |f|^-1), or None.
 
-    Solves g o f = id_src and f o g = id_dst for g in Hom^{|f|^-1}(dst, src),
-    reading both composites off the tensors.  When the three hom spaces and
-    f's own have rank 1 the system is x c1 = id_src, x c2 = id_dst in one
-    unknown, solved in closed form with the verdicts of fplinalg.solve.
+    Solves g o f = id_src and f o g = id_dst for g in Hom^{|f|^-1}(dst, src):
+    one linear system whose matrix stacks precompose(f) on postcompose(f),
+    in closed form with the verdicts of fplinalg.solve when every rank is
+    1.  A vector of the wrong length is no morphism, and has no inverse.
     """
     gH = cat.tau.source
     a_inv = gH.inv(f.degree)
@@ -295,7 +326,7 @@ def invert(cat: GradedCatPresentation, f: Morphism):
     e = gH.identity
     r_src = cat.rank(f.src, f.src, e)
     r_dst = cat.rank(f.dst, f.dst, e)
-    if r2 == 0 or r_src == 0 or r_dst == 0:
+    if 0 in (r2, r_src, r_dst) or len(f.coords) != cat.rank(f.src, f.dst, f.degree):
         return None
     p = cat.field.p
     t_gf = cat.tensor(f.src, f.dst, f.src, f.degree, a_inv)
@@ -314,12 +345,8 @@ def invert(cat: GradedCatPresentation, f: Morphism):
         else:
             x, solvable = 0, i1 == i2 == 0
         return Morphism(f.dst, f.src, a_inv, (x,)) if solvable else None
-    cols = []
-    for j in range(r2):
-        gj = tuple(int(i == j) for i in range(r2))
-        cols.append(_contract(p, t_gf, r_src, f.coords, gj)
-                    + _contract(p, t_fg, r_dst, gj, f.coords))
-    x = fplinalg.solve(fplinalg.from_columns(cols), id_src + id_dst, p, ncols=r2)
+    system = precompose(cat, f, f.src, a_inv) + postcompose(cat, f, f.dst, a_inv)
+    x = fplinalg.solve(system, id_src + id_dst, p, ncols=r2)
     if x is None:
         return None
     return Morphism(f.dst, f.src, a_inv, tuple(x))
@@ -468,19 +495,6 @@ class FunctorData:
         return all(self.matrix(*k) == other.matrix(*k) for k in keys)
 
 
-def apply_functor(F: FunctorData, m: Morphism) -> Morphism:
-    mat = F.hom_maps.get((m.src, m.dst, m.degree))
-    p = F.target.field.p
-    if mat is not None and len(mat) == 1 and len(m.coords) == 1:
-        return Morphism(F.obj_map[m.src], F.obj_map[m.dst], m.degree,
-                        ((mat[0][0] * m.coords[0]) % p,))
-    if mat is None:
-        mat = F.matrix(m.src, m.dst, m.degree)
-    coords = tuple(sum(row[i] * m.coords[i] for i in range(len(m.coords))) % p
-                   for row in mat)
-    return Morphism(F.obj_map[m.src], F.obj_map[m.dst], m.degree, coords)
-
-
 def identity_functor(cat: GradedCatPresentation) -> FunctorData:
     maps = {}
     for (x, y, h), r in cat.hom_rank.items():
@@ -567,9 +581,9 @@ def verify_nat(nt: NatTransData) -> Verdict:
     A component has the right shape when it is a degree-1 morphism Fx -> Gx
     with one coordinate per basis element of that hom space.
 
-    For f_i in Hom^h(x, y), c_y o F(f_i) = G(f_i) o c_x reads
-    T(Fx,Fy,Gy; h,e) against column i of F's matrix and c_y, and
-    T(Fx,Gx,Gy; e,h) against c_x and column i of G's matrix.
+    For f_i in Hom^h(x, y), c_y o F(f_i) = G(f_i) o c_x is postcompose(c_y)
+    applied to column i of F's matrix against precompose(c_x) applied to
+    column i of G's matrix.
     """
     violations = []
     F, G = nt.source, nt.target
@@ -588,18 +602,13 @@ def verify_nat(nt: NatTransData) -> Verdict:
         return Verdict(violations)
     p = tgt.field.p
     for x in src.objects():
-        cx = nt.component(x).coords
-        fx, gx = F.obj_map[x], G.obj_map[x]
         for (y, h, r) in src.out_homs(x):
-            cy = nt.component(y).coords
-            fy, gy = F.obj_map[y], G.obj_map[y]
-            rank = tgt.rank(fx, gy, h)
-            t_l = tgt.tensor(fx, gx, gy, e, h)
-            t_r = tgt.tensor(fx, fy, gy, h, e)
+            after_cx = precompose(tgt, nt.component(x), G.obj_map[y], h)
+            cy_after = postcompose(tgt, nt.component(y), F.obj_map[x], h)
             g_cols = _columns(G.matrix(x, y, h), r)
             f_cols = _columns(F.matrix(x, y, h), r)
             for i in range(r):
-                lhs = _contract(p, t_l, rank, cx, g_cols[i])
-                if lhs != _contract(p, t_r, rank, f_cols[i], cy):
+                lhs = fplinalg.matvec(after_cx, g_cols[i], p)
+                if lhs != fplinalg.matvec(cy_after, f_cols[i], p):
                     violations.append(("naturality", x, y, h, i))
     return Verdict(violations)

@@ -21,7 +21,7 @@ from . import jsonio
 from .category import (direct_sum_cat, find_shift, verify_axioms)
 from .cochains import d1_cochain, random_cochain1
 from .fields import field
-from .groups import coset_space, cyclic_group, subgroup
+from .groups import coset_space, cyclic_group
 from .mtau import (build_group_groupoid, build_skeleton, check_skeleton_inverses,
                    cyclic_subgroup_of_order, cyclic_table_category, mtau_spec,
                    parity_tau, simple_census, trivial_spec)
@@ -69,7 +69,7 @@ def cmd_verify(args) -> int:
 def cmd_build_mtau(args) -> int:
     tau = jsonio.parse_hom(_load(args.tau))
     f = field(args.p)
-    sub = subgroup(tau.source, [int(x) for x in args.L.split(",")])
+    sub = jsonio.parse_subgroup(args.L.split(","), "--L", tau.source)
     if args.psi == "trivial":
         spec = trivial_spec(tau, f, sub, args.g)
     else:
@@ -221,7 +221,11 @@ def cmd_extract(args) -> int:
         _emit({"command": "extract", "ok": False,
                "error": "category fails verification"}, args.output)
         return 1
-    mod = extract_action(cat)
+    try:
+        mod = extract_action(cat)
+    except ValueError as err:  # a missing shift is a negative verdict, as in roundtrip
+        _emit({"command": "extract", "ok": False, "error": str(err)}, args.output)
+        return 1
     _emit(jsonio.modcat_to_json(mod), args.output)
     return 0
 

@@ -47,6 +47,14 @@ def _array(value, what: str, depth: int = 0) -> list:
     return value
 
 
+def _degree(value, what: str, order: int) -> int:
+    """A group element, given as its index."""
+    h = _int(value, what)
+    if not 0 <= h < order:
+        raise ValueError(f"{what} {h} is not an element of a group of order {order}")
+    return h
+
+
 def _records(value, what: str, *keys: str):
     """Each object of a JSON array, with the named integer fields read off."""
     for rec in _array(value, what):
@@ -79,15 +87,31 @@ def hom_to_json(h: GroupHom):
             "map": list(h.map)}
 
 
+def parse_subgroup(value, what: str, parent: FiniteGroup):
+    """A subgroup of parent, given as the list of its element indices."""
+    return subgroup(parent, [_degree(v, what, parent.order) for v in _array(value, what)])
+
+
+def _cochain_doc(doc, tau: GroupHom, arity: int):
+    """(coset space, {elements: values}) of a sparse cochain document whose
+    keys are `arity` comma-separated elements of H."""
+    what = f"{arity}-cochain"
+    doc = _object(doc, what)
+    space = coset_space(tau.source, parse_subgroup(doc["subgroup"], "subgroup", tau.source))
+    entries = {}
+    for key, vals in _object(doc.get("values", {}), f"{what} values").items():
+        elements = tuple(_degree(v, f"{what} key", tau.source.order) for v in key.split(","))
+        if len(elements) != arity:
+            raise ValueError(f"{what} key {key!r} needs {arity} comma-separated elements")
+        entries[elements] = _array(vals, f"{what} value at {key!r}", 1)
+    return space, entries
+
+
 def parse_cochain2(doc, f: PrimeField, tau: GroupHom) -> Cochain2:
-    sub = subgroup(tau.source, doc["subgroup"])
-    space = coset_space(tau.source, sub)
+    space, entries = _cochain_doc(doc, tau, 2)
     n = tau.source.order
-    grid = [[[1] * space.size for _ in range(n)] for _ in range(n)]
-    for key, vals in doc.get("values", {}).items():
-        a_s, b_s = key.split(",")
-        grid[int(a_s)][int(b_s)] = [int(v) for v in vals]
-    return cochain2(f, space, grid)
+    return cochain2(f, space, [[entries.get((a, b), [1] * space.size) for b in range(n)]
+                               for a in range(n)])
 
 
 def cochain2_to_json(psi: Cochain2):
@@ -102,13 +126,9 @@ def cochain2_to_json(psi: Cochain2):
 
 
 def parse_cochain1(doc, f: PrimeField, tau: GroupHom) -> Cochain1:
-    sub = subgroup(tau.source, doc["subgroup"])
-    space = coset_space(tau.source, sub)
-    n = tau.source.order
-    grid = [[1] * space.size for _ in range(n)]
-    for key, vals in doc.get("values", {}).items():
-        grid[int(key)] = [int(v) for v in vals]
-    return cochain1(f, space, grid)
+    space, entries = _cochain_doc(doc, tau, 1)
+    return cochain1(f, space, [entries.get((a,), [1] * space.size)
+                               for a in range(tau.source.order)])
 
 
 def cochain1_to_json(gamma: Cochain1):
@@ -121,9 +141,10 @@ def cochain1_to_json(gamma: Cochain1):
 
 
 def parse_mtau_spec(doc) -> MtauSpec:
+    doc = _object(doc, "block spec")
     tau = parse_hom(doc["tau"])
-    f = field(int(doc["p"]))
-    sub = subgroup(tau.source, doc["L"])
+    f = field(_int(doc["p"], "p"))
+    sub = parse_subgroup(doc["L"], "L", tau.source)
     psi_doc = doc.get("psi", "trivial")
     if psi_doc == "trivial":
         psi = trivial_cochain2(f, coset_space(tau.source, sub))
@@ -131,7 +152,7 @@ def parse_mtau_spec(doc) -> MtauSpec:
         psi = parse_cochain2(psi_doc, f, tau)
         if psi.space.subgroup != sub:
             raise ValueError("psi subgroup does not match L")
-    return mtau_spec(tau, f, sub, psi, int(doc.get("g", tau.target.identity)))
+    return mtau_spec(tau, f, sub, psi, _int(doc.get("g", tau.target.identity), "g"))
 
 
 def mtau_spec_to_json(spec: MtauSpec):
@@ -212,14 +233,6 @@ def _component(base: GradedCatPresentation, src: int, dst: int, coords,
     return Morphism(src, dst, base.tau.source.identity, tuple(coords))
 
 
-def _degree(value, what: str, order: int) -> int:
-    """An element of H, given as its index."""
-    h = _int(value, what)
-    if not 0 <= h < order:
-        raise ValueError(f"{what} {h} is not an element of a group of order {order}")
-    return h
-
-
 def parse_modcat(doc) -> ModuleCatData:
     """Module-category data, checked for coherence before it is returned."""
     doc = _object(doc, "module category")
@@ -283,9 +296,8 @@ def datum_to_json(datum):
 def parse_datum(doc, spec: MtauSpec):
     from .structure import EquivalenceDatum
 
-    gamma_doc = doc.get("gamma", {"subgroup": list(spec.L.elements), "values": {}})
-    if "subgroup" not in gamma_doc:
-        gamma_doc = dict(gamma_doc)
-        gamma_doc["subgroup"] = list(spec.L.elements)
+    doc = _object(doc, "equivalence datum")
+    gamma_doc = {"subgroup": list(spec.L.elements),
+                 **_object(doc.get("gamma", {}), "datum gamma")}
     gamma = parse_cochain1(gamma_doc, spec.field, spec.tau)
-    return EquivalenceDatum(int(doc["t"]), gamma)
+    return EquivalenceDatum(_degree(doc["t"], "datum t", spec.tau.source.order), gamma)

@@ -22,21 +22,22 @@ module-functor hexagon are read off the base's composition tensors, the
 hom matrices of the action functors and the component coordinates, as
 (src, dst, coords) triples rather than Morphism objects; when every
 degree-1 hom space has rank 1 each composite is one product of scalars.
-The bullet rebuild fills its composition tensors the same way.
+The bullet rebuild fills its composition tensors the same way, and the
+constructions read every hom map off category.precompose and postcompose, e.g.
+alpha^h at (x, y) is postcompose(r_{y,h}) precompose(r_{x,h}^-1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import mul
 
 from .category import (FunctorData, GradedCatPresentation, Morphism,
-                       NatTransData, Verdict, _contract, apply_functor,
-                       basis_morphism, compose, compose_functors, find_shift,
-                       identity_functor, identity_morphism, invert,
+                       NatTransData, Verdict, _check_rank, _contract,
+                       compose_functors, find_shift, identity_functor,
+                       identity_morphism, invert, postcompose, precompose,
                        verify_axioms, verify_functor, verify_nat)
-from .fplinalg import from_columns, matvec
+from .fplinalg import matmul, matvec
 
 
 def shift_table(cat: GradedCatPresentation):
@@ -68,13 +69,6 @@ def shift_table(cat: GradedCatPresentation):
                     raise ValueError(f"shift iso at {(x, a)} is not invertible")
             table[(x, a)] = (y, iso, inverse)
     return table
-
-
-def _hom_maps(src: GradedCatPresentation, image) -> dict:
-    """FunctorData hom maps on src: column k at (x, y, h) is image(basis_k)."""
-    return {key: from_columns([image(basis_morphism(src, *key, k)).coords
-                               for k in range(r)])
-            for key, r in src.hom_rank.items()}
 
 
 def degree_one_part(cat: GradedCatPresentation) -> GradedCatPresentation:
@@ -126,29 +120,38 @@ class ModuleFunctorData:
 
 
 def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
-    """The action of H on the degree-1 part induced by a choice of shifts."""
+    """The action of H on the degree-1 part induced by a choice of shifts.
+
+    The hom matrix of alpha^h at (x, y) is postcompose(r_{y,h}) times
+    precompose(r_{x,h}^-1); each mu component is two `_after` steps.
+    """
     gH = cat.tau.source
+    e = gH.identity
+    p = cat.field.p
     base = degree_one_part(cat)
     table = shifts if shifts is not None else shift_table(cat)
 
     action = {}
     for h in gH.elements():
-        obj_map = [table[(x, h)][0] for x in cat.objects()]
-        hom_maps = _hom_maps(base, lambda f: compose(
-            cat, compose(cat, table[(f.src, h)][2], f), table[(f.dst, h)][1]))
-        action[h] = FunctorData(base, base, obj_map, hom_maps)
+        h_inv = gH.inv(h)
+        hom_maps = {}
+        for (x, y, _) in base.hom_rank:
+            hx, _, inv_x = table[(x, h)]
+            hom_maps[(x, y, e)] = matmul(postcompose(cat, table[(y, h)][1], hx, h_inv),
+                                         precompose(cat, inv_x, y, e), p)
+        action[h] = FunctorData(base, base, [table[(x, h)][0] for x in cat.objects()],
+                                hom_maps)
 
-    e = gH.identity
     eps = tuple(table[(x, e)][1] for x in cat.objects())
     mu = {}
     for a in gH.elements():
         for b in gH.elements():
+            ab = gH.mul(a, b)
             comps = []
             for x in cat.objects():
-                xb = table[(x, b)][0]
-                m = compose(cat, table[(xb, a)][2], table[(x, b)][2])
-                m = compose(cat, m, table[(x, gH.mul(a, b))][1])
-                comps.append(m)
+                xb, _, inv_b = table[(x, b)]
+                inv_a = table[(xb, a)][2]
+                comps.append(_after(cat, _after(cat, inv_a, inv_b), table[(x, ab)][1]))
             mu[(a, b)] = tuple(comps)
     mod = ModuleCatData(base, action, eps, mu)
     verdict = verify_module_category(mod)
@@ -157,8 +160,16 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     return mod
 
 
-def _unit(r: int, i: int) -> tuple:
-    return tuple(int(k == i) for k in range(r))
+def _after(cat: GradedCatPresentation, f: Morphism, g: Morphism) -> Morphism:
+    """g o f for morphisms of any degrees, read off cat's tensor like _then."""
+    if f.dst != g.src:
+        raise ValueError("morphisms are not composable")
+    _check_rank(cat, f)
+    _check_rank(cat, g)
+    deg = cat.tau.source.mul(g.degree, f.degree)
+    return Morphism(f.src, g.dst, deg, _contract(
+        cat.field.p, cat.tensor(f.src, f.dst, g.dst, f.degree, g.degree),
+        cat.rank(f.src, g.dst, deg), f.coords, g.coords))
 
 
 def _coords(m: Morphism) -> tuple:
@@ -235,7 +246,7 @@ def _naturality(base: GradedCatPresentation, tgt: GradedCatPresentation, comps,
         for (y, h, r) in base.out_homs(x):
             cy = _coords(comps[y])
             for i in range(r):
-                f = (x, y, _unit(r, i))
+                f = (x, y, tuple(int(k == i) for k in range(r)))
                 if then(cx, G(f)) != then(F(f), cy):
                     return ("naturality", x, y, h, i)
     return None
@@ -340,8 +351,8 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
                 r = base.rank(hx, y, e)
                 if r:
                     hom_rank[(x, y, h)] = r
-    # (g_j o alpha^{h2}(f_i) o mu^-1)[k] = sum_m T(s, h2y, z)[k][j][m] mid_i[m]
-    # with mid_i = alpha^{h2}(f_i) o mu^-1_{h2,h,x}: s -> h2y, s = alpha^{h2 h} x
+    # (g_j o alpha^{h2}(f_i) o mu^-1)[k] = sum_m T(s, h2y, z)[k][j][m] mids[m][i]
+    # with column i of mids alpha^{h2}(f_i) o mu^-1_{h2,h,x}: s -> h2y, s = alpha^{h2 h} x
     comp = {}
     for x in base.objects():
         for h in gH.elements():
@@ -352,23 +363,15 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
                     continue
                 for h2 in gH.elements():
                     deg = gH.mul(h2, h)
-                    start = _coords(mu_inv[(h2, h)][x])
-                    mids = [_then(base, start, _image(mod.action[h2],
-                                                      (hx, y, _unit(r1, i))))
-                            for i in range(r1)]
-                    h2y = mod.action[h2].obj_map[y]
+                    start, h2y = mu_inv[(h2, h)][x], mod.action[h2].obj_map[y]
+                    mids = matmul(precompose(base, start, h2y, e),
+                                  mod.action[h2].matrix(hx, y, e), p)
                     for z in base.objects():
-                        r2 = base.rank(h2y, z, e)
-                        if not r2:
-                            continue
-                        r3 = hom_rank.get((x, z, deg), 0)
-                        if not r3:
-                            continue
-                        t = base.tensor(start[0], h2y, z, e, e)
-                        comp[(x, y, z, h, h2)] = [
-                            [[sum(map(mul, row, mid[2])) % p for mid in mids]
-                             for row in layer] for layer in t
-                        ] if t else [[[0] * r1 for _ in range(r2)] for _ in range(r3)]
+                        r2, r3 = base.rank(h2y, z, e), hom_rank.get((x, z, deg), 0)
+                        if r2 and r3:
+                            t = base.tensor(start.src, h2y, z, e, e)
+                            comp[(x, y, z, h, h2)] = ([matmul(t_k, mids, p) for t_k in t] if t else
+                                                      [[[0] * r1] * r2 for _ in range(r3)])
     identities = [eps_inv[x].coords for x in base.objects()]
     shifts = {}
     for x in base.objects():
@@ -441,14 +444,14 @@ def compose_module_functors(mf1: ModuleFunctorData, mf2: ModuleFunctorData,
                             dst: ModuleCatData) -> ModuleFunctorData:
     """Apply mf1 first, then mf2; comparisons compose as E s^h o r^h_F."""
     F, E = mf1.functor, mf2.functor
-    comp_f = compose_functors(F, E)
+    e = src.group.identity
     comparison = {}
     for h in src.group.elements():
-        comparison[h] = tuple(
-            compose(dst.base, mf2.comparison[h][F.obj_map[x]],
-                    apply_functor(E, mf1.comparison[h][x]))
-            for x in src.base.objects())
-    return ModuleFunctorData(comp_f, comparison)
+        s1, s2 = mf1.comparison[h], mf2.comparison[h]
+        comparison[h] = tuple(Morphism(c[0], c[1], e, c[2]) for c in (
+            _then(dst.base, _coords(s2[F.obj_map[x]]), _image(E, _coords(s1[x])))
+            for x in src.base.objects()))
+    return ModuleFunctorData(compose_functors(F, E), comparison)
 
 
 def verify_module_nat(nt: NatTransData, mf_src: ModuleFunctorData,
@@ -463,11 +466,10 @@ def verify_module_nat(nt: NatTransData, mf_src: ModuleFunctorData,
     base_d = dst.base
     for h in src.group.elements():
         for x in src.base.objects():
-            lhs = compose(base_d, mf_src.comparison[h][x],
-                          nt.component(src.action[h].obj_map[x]))
-            rhs = compose(base_d,
-                          apply_functor(dst.action[h], nt.component(x)),
-                          mf_dst.comparison[h][x])
+            lhs = _then(base_d, _coords(mf_src.comparison[h][x]),
+                        _coords(nt.component(src.action[h].obj_map[x])))
+            rhs = _then(base_d, _image(dst.action[h], _coords(nt.component(x))),
+                        _coords(mf_dst.comparison[h][x]))
             if lhs != rhs:
                 violations.append(("module-square", h, x))
     return Verdict(violations)
@@ -480,10 +482,11 @@ def bullet_functor(mf: ModuleFunctorData, src: ModuleCatData,
     b_dst = bullet(dst)
     F = mf.functor
     e = src.group.identity
-    hom_maps = _hom_maps(b_src, lambda f: compose(
-        dst.base, mf.comparison[f.degree][f.src],
-        apply_functor(F, Morphism(src.action[f.degree].obj_map[f.src], f.dst, e,
-                                  f.coords))))
+    p = dst.base.field.p
+    hom_maps = {}
+    for (x, y, h) in b_src.hom_rank:
+        after = precompose(dst.base, mf.comparison[h][x], F.obj_map[y], e)
+        hom_maps[(x, y, h)] = matmul(after, F.matrix(src.action[h].obj_map[x], y, e), p)
     out = FunctorData(b_src, b_dst, F.obj_map, hom_maps)
     verdict = verify_functor(out)
     if not verdict.ok:
@@ -501,9 +504,8 @@ def bullet_nat(nt: NatTransData, mf_src: ModuleFunctorData,
     comps = []
     for x in src.base.objects():
         ex = mf_src.functor.obj_map[x]
-        m = compose(base_d, dst.inverses[0][ex], nt.component(x))
-        comps.append(Morphism(ex, mf_dst.functor.obj_map[x],
-                              src.group.identity, m.coords))
+        m = _then(base_d, _coords(dst.inverses[0][ex]), _coords(nt.component(x)))
+        comps.append(Morphism(ex, mf_dst.functor.obj_map[x], src.group.identity, m[2]))
     out = NatTransData(bf_src, bf_dst, comps)
     verdict = verify_nat(out)
     if not verdict.ok:
@@ -519,14 +521,19 @@ def restrict_functor(F: FunctorData, src_shifts=None,
     table_d = dst_shifts if dst_shifts is not None else shift_table(cat_d)
     mod_c = extract_action(cat_c, shifts=table_c)
     mod_d = extract_action(cat_d, shifts=table_d)
-    e = cat_c.tau.source.identity
+    p = cat_d.field.p
     hom_maps = {k: F.matrix(*k) for k in mod_c.base.hom_rank}
     F1 = FunctorData(mod_c.base, mod_d.base, F.obj_map, hom_maps)
     comparison = {}
     for a in cat_c.tau.source.elements():
-        comparison[a] = tuple(
-            compose(cat_d, table_d[(F.obj_map[x], a)][2], apply_functor(F, table_c[(x, a)][1]))
-            for x in cat_c.objects())
+        comps = []
+        for x in cat_c.objects():
+            # F(r_{x,a}) o r_{Fx,a}^-1: alpha^a F x -> F alpha^a x
+            ax, iso, _ = table_c[(x, a)]
+            image = Morphism(F.obj_map[x], F.obj_map[ax], a,
+                             matvec(F.matrix(x, ax, a), iso.coords, p))
+            comps.append(_after(cat_d, table_d[(F.obj_map[x], a)][2], image))
+        comparison[a] = tuple(comps)
     mf = ModuleFunctorData(F1, comparison)
     verdict = verify_module_functor(mf, mod_c, mod_d)
     if not verdict.ok:
@@ -565,12 +572,12 @@ def roundtrip_eta(cat: GradedCatPresentation, table, rebuilt: GradedCatPresentat
     functors on the nose.
     """
     e = cat.tau.source.identity
-    eta = FunctorData(rebuilt, cat, list(cat.objects()), _hom_maps(
-        rebuilt, lambda f: compose(cat, table[(f.src, f.degree)][1],
-                                   Morphism(table[(f.src, f.degree)][0], f.dst, e,
-                                            f.coords))))
-    eta_inv = FunctorData(cat, rebuilt, list(cat.objects()), _hom_maps(
-        cat, lambda f: compose(cat, table[(f.src, f.degree)][2], f)))
+    # eta: f -> f o r_{x,h} on Hom(alpha^h x, y); eta_inv: f -> f o r_{x,h}^-1
+    eta = FunctorData(rebuilt, cat, list(cat.objects()), {
+        (x, y, h): precompose(cat, table[(x, h)][1], y, e)
+        for (x, y, h) in rebuilt.hom_rank})
+    eta_inv = FunctorData(cat, rebuilt, list(cat.objects()), {
+        (x, y, h): precompose(cat, table[(x, h)][2], y, h) for (x, y, h) in cat.hom_rank})
 
     for F in (eta, eta_inv):
         verdict = verify_functor(F)
@@ -592,19 +599,16 @@ def roundtrip_nu(mod: ModuleCatData, rebuilt: GradedCatPresentation):
     bmod = extract_action(rebuilt)
     base = mod.base
     e = mod.group.identity
-    a1 = mod.action[e].obj_map
-    nu_f = FunctorData(bmod.base, base, list(base.objects()), _hom_maps(
-        bmod.base, lambda f: compose(base, mod.epsilon[f.src],
-                                     Morphism(a1[f.src], f.dst, e, f.coords))))
+    # nu: f -> f o epsilon_x on Hom(alpha^1 x, y); nu_inv: f -> f o epsilon_x^-1
+    nu_f = FunctorData(bmod.base, base, list(base.objects()), {
+        (x, y, e): precompose(base, mod.epsilon[x], y, e) for (x, y, _) in bmod.base.hom_rank})
     eps_inv = mod.inverses[0]
-    nu_inv_f = FunctorData(base, bmod.base, list(base.objects()), _hom_maps(
-        base, lambda f: compose(base, eps_inv[f.src], f)))
+    nu_inv_f = FunctorData(base, bmod.base, list(base.objects()), {
+        (x, y, e): precompose(base, eps_inv[x], y, e) for (x, y, _) in base.hom_rank})
 
-    ident = identity_module_functor(mod)
+    ident, ident_b = identity_module_functor(mod), identity_module_functor(bmod)
     nu = ModuleFunctorData(nu_f, ident.comparison)
-    nu_inv = ModuleFunctorData(nu_inv_f, {
-        h: tuple(identity_morphism(bmod.base, hx) for hx in mod.action[h].obj_map)
-        for h in mod.group.elements()})
+    nu_inv = ModuleFunctorData(nu_inv_f, ident_b.comparison)
 
     v = verify_module_functor(nu, bmod, mod)
     if not v.ok:
@@ -616,6 +620,6 @@ def roundtrip_nu(mod: ModuleCatData, rebuilt: GradedCatPresentation):
     if left != ident:
         raise ValueError("nu_inv is not a strict right inverse")
     right = compose_module_functors(nu, nu_inv, bmod, mod, bmod)
-    if right != identity_module_functor(bmod):
+    if right != ident_b:
         raise ValueError("nu_inv is not a strict left inverse")
     return nu, nu_inv, bmod

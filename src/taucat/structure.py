@@ -23,7 +23,7 @@ from math import gcd, prod
 
 from . import znsolve
 from .category import (FunctorData, GradedCatPresentation, Morphism,
-                       NatTransData, Verdict, basis_morphism, compose,
+                       NatTransData, Verdict, compose,
                        find_invertible, find_shift, identity_morphism, invert,
                        is_simple, verify_functor, verify_nat)
 from .cochains import (Cochain1, Cochain2, c2_inv, c2_mul,
@@ -105,24 +105,29 @@ def analyze_simple(cat: GradedCatPresentation, s: int) -> SimpleOrbit:
             if a == e:
                 f = identity_morphism(cat, src)
             else:
-                f = basis_morphism(cat, src, dst, a, 0)
+                f = Morphism(src, dst, a, (1,))
                 if invert(cat, f) is None:
                     raise ValueError(
                         f"spanning morphism of degree {a} at coset {i} is not invertible")
             spanning[(i, a)] = f
 
     f_field = cat.field
+    p = f_field.p
     values = []
     for a in gH.elements():
         row = []
         for b in gH.elements():
             cell = []
             for i in range(space.size):
-                comp = compose(cat, spanning[(i, b)], spanning[(perms[b][i], a)])
-                target_f = spanning[(i, gH.mul(a, b))]
-                if comp.is_zero():
+                # rank 1: one tensor entry times the two spanning scalars
+                j = perms[b][i]
+                t = cat.tensor(targets[i], targets[j], targets[perms[a][j]], b, a)
+                comp = (t[0][0][0] * spanning[(i, b)].coords[0]
+                        * spanning[(j, a)].coords[0] % p) if t else 0
+                if comp == 0:
                     raise ValueError("composite of spanning morphisms vanished")
-                cell.append(f_field.mul(target_f.coords[0], f_field.inv(comp.coords[0])))
+                target_f = spanning[(i, gH.mul(a, b))]
+                cell.append(f_field.mul(target_f.coords[0], f_field.inv(comp)))
             row.append(tuple(cell))
         values.append(tuple(row))
     # mtau_spec checks L <= ker tau and the cocycle identity of psi
@@ -207,13 +212,8 @@ def decompose(cat: GradedCatPresentation) -> DecompositionReport:
     if orbits:
         skeletons = [build_skeleton(sp) for sp in specs]
         source = skeletons[0] if len(skeletons) == 1 else direct_sum_cat(skeletons)
-        obj_map, hom_maps = [], {}
-        offset = 0
-        for o in orbits:
-            for i in range(o.space.size):
-                obj_map.append(o.shift_targets[i])
-            offset += o.space.size
-        offset = 0
+        obj_map = [y for o in orbits for y in o.shift_targets]
+        hom_maps, offset = {}, 0
         for o in orbits:
             perms = {a: left_action_on_cosets(o.space, a)
                      for a in cat.tau.source.elements()}

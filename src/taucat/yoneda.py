@@ -9,7 +9,10 @@ every Nat space a finite linear solve.
 The evaluation map sends eta: yo^a_X => F to eta_X(id), landing in the
 a^-1 component of FX; its inverse sends v there to the transformation
 f -> (Ff)(v).  Both directions are computed explicitly and are checked
-to be mutually inverse in the tests.
+to be mutually inverse in the tests.  Every map here composes with a
+fixed morphism, so each is a matrix read off category.postcompose or
+precompose: F(g) is block diagonal in postcompose(g) over the summands,
+and the evaluation inverse stacks precompose(v_z) over them.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from itertools import product
 from operator import mul
 
 from . import fplinalg
-from .category import (GradedCatPresentation, Morphism, basis_morphism,
-                       compose, identity_morphism)
+from .category import GradedCatPresentation, Morphism, postcompose, precompose
 
 
 @dataclass(frozen=True)
@@ -113,32 +115,26 @@ def _nat_rows(cat: GradedCatPresentation, x: int, a: int, F: RepTarget, layout,
     for y in cat.objects():
         for (y2, k, rk) in cat.out_homs(y):
             for gi in range(rk):
-                g = basis_morphism(cat, y, y2, k, gi)
+                g = Morphism(y, y2, k, tuple(int(i == gi) for i in range(rk)))
                 for h in gH.elements():
-                    sdim = cat.rank(x, y, gH.mul(h, a))
+                    ha = gH.mul(h, a)
+                    sdim = cat.rank(x, y, ha)
                     if sdim == 0:
                         continue
                     kh = gH.mul(k, h)
-                    tdim_src = _target_dim(cat, F, y, h)
-                    tdim_dst = _target_dim(cat, F, y2, kh)
-                    moved = [_apply_rep(cat, F, g, y, h, [int(i == d) for i in range(tdim_src)])
-                             for d in range(tdim_src)]
+                    moved = _rep_matrix(cat, F, g, h)  # F(g): (y, h) -> (y2, kh)
+                    gf = postcompose(cat, g, x, ha)  # f -> g o f into Hom^{kha}(x, y2)
+                    s1, _, off1 = pos[(y, h)]
+                    s2, _, off2 = pos.get((y2, kh), (0, 0, 0))
                     for fi in range(sdim):
-                        f = basis_morphism(cat, x, y, gH.mul(h, a), fi)
-                        gf = compose(cat, f, g).coords  # in Hom^{kha}(x, y2)
-                        for r_out in range(tdim_dst):
+                        for r_out, moved_row in enumerate(moved):
                             row = [0] * nvars
-                            if (y2, kh) in pos:
-                                s2, t2, off2 = pos[(y2, kh)]
-                                for c in range(s2):
-                                    if gf[c]:
-                                        row[off2 + r_out * s2 + c] = (
-                                            row[off2 + r_out * s2 + c] + gf[c]) % p
-                            s1, t1, off1 = pos[(y, h)]
-                            for d in range(t1):
-                                if moved[d][r_out]:
+                            for c in range(s2):
+                                row[off2 + r_out * s2 + c] = gf[c][fi]
+                            for d, m in enumerate(moved_row):
+                                if m:
                                     idx = off1 + d * s1 + fi
-                                    row[idx] = (row[idx] - moved[d][r_out]) % p
+                                    row[idx] = (row[idx] - m) % p
                             yield row
 
 
@@ -147,19 +143,27 @@ def nat_space(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
     p = cat.field.p
     layout, nvars = _block_index(cat, x, a, F)
     rows = [row for row in _nat_rows(cat, x, a, F, layout, nvars) if any(row)]
-    basis = fplinalg.nullspace(rows, p, ncols=nvars)
-    out = []
-    for vec in basis:
-        blocks = {}
-        for (y, h, sdim, tdim, off) in layout:
-            if tdim == 0:
-                continue
-            mat = tuple(tuple(vec[off + r * sdim + c] for c in range(sdim))
-                        for r in range(tdim))
-            if any(any(rw) for rw in mat):
-                blocks[(y, h)] = mat
-        out.append(GradedNatTrans(x, a, F, blocks))
-    return out
+    return [GradedNatTrans(x, a, F, _blocks(layout, vec))
+            for vec in fplinalg.nullspace(rows, p, ncols=nvars)]
+
+
+def _blocks(layout, vec) -> dict:
+    """The nonzero blocks of a vector of unknowns laid out as layout."""
+    blocks = {}
+    for (y, h, sdim, tdim, off) in layout:
+        mat = tuple(tuple(vec[off + r * sdim:off + (r + 1) * sdim]) for r in range(tdim))
+        if any(any(rw) for rw in mat):
+            blocks[(y, h)] = mat
+    return blocks
+
+
+def _unknowns(layout, nvars: int, nt: GradedNatTrans) -> list:
+    """The blocks of nt as one vector of unknowns laid out as layout."""
+    vec = [0] * nvars
+    for (y, h, sdim, tdim, off) in layout:
+        for r, row in enumerate(nt.block(y, h, tdim, sdim)):
+            vec[off + r * sdim:off + (r + 1) * sdim] = row
+    return vec
 
 
 def verify_graded_nat(cat: GradedCatPresentation, nt: GradedNatTrans) -> bool:
@@ -167,29 +171,23 @@ def verify_graded_nat(cat: GradedCatPresentation, nt: GradedNatTrans) -> bool:
     the blocks, laid out as nat_space's unknowns, satisfy every row."""
     p = cat.field.p
     layout, nvars = _block_index(cat, nt.x, nt.a, nt.F)
-    vec = [0] * nvars
-    for (y, h, sdim, tdim, off) in layout:
-        for r, row in enumerate(nt.block(y, h, tdim, sdim)):
-            vec[off + r * sdim:off + (r + 1) * sdim] = row
+    vec = _unknowns(layout, nvars, nt)
     return all(sum(map(mul, row, vec)) % p == 0
                for row in _nat_rows(cat, nt.x, nt.a, nt.F, layout, nvars))
 
 
-def _apply_rep(cat: GradedCatPresentation, F: RepTarget, g: Morphism, y: int,
-               h: int, vec):
-    """F(g) applied to a vector in the (y, h) component of the target."""
+def _rep_matrix(cat: GradedCatPresentation, F: RepTarget, g: Morphism, h: int):
+    """Matrix of F(g) from the (g.src, h) component of F to its (g.dst, |g|h)
+    component: block diagonal, u -> g o u on each summand Hom^{hb}(z, g.src)."""
     gH = cat.tau.source
-    out = []
-    seg = 0
-    for (b, z) in F.pairs:
-        r = cat.rank(z, y, gH.mul(h, b))
-        piece = Morphism(z, y, gH.mul(h, b), tuple(vec[seg:seg + r]))
-        seg += r
-        if r == 0:
-            out.extend((0,) * cat.rank(z, g.dst, gH.mul(gH.mul(g.degree, h), b)))
-        else:
-            out.extend(compose(cat, piece, g).coords)
-    return out
+    blocks = [(postcompose(cat, g, z, gH.mul(h, b)), cat.rank(z, g.src, gH.mul(h, b)))
+              for (b, z) in F.pairs]
+    total = sum(w for _, w in blocks)
+    rows, left = [], 0
+    for blk, w in blocks:
+        rows.extend((0,) * left + row + (0,) * (total - left - w) for row in blk)
+        left += w
+    return rows
 
 
 def value_layout(cat: GradedCatPresentation, F: RepTarget, x: int, a: int):
@@ -201,36 +199,34 @@ def value_layout(cat: GradedCatPresentation, F: RepTarget, x: int, a: int):
 
 def phi(cat: GradedCatPresentation, nt: GradedNatTrans):
     """Evaluate at the identity: the image of id_x under the x-component."""
-    gH = cat.tau.source
-    x, a = nt.x, nt.a
-    a_inv = gH.inv(a)
-    sdim = cat.rank(x, x, gH.identity)
-    tdim = _target_dim(cat, nt.F, x, a_inv)
-    block = nt.block(x, a_inv, tdim, sdim)
-    idc = identity_morphism(cat, x).coords
-    p = cat.field.p
-    return tuple(sum(block[r][c] * idc[c] for c in range(sdim)) % p
-                 for r in range(tdim))
+    a_inv = cat.tau.source.inv(nt.a)
+    idc = cat.identities[nt.x]
+    block = nt.block(nt.x, a_inv, _target_dim(cat, nt.F, nt.x, a_inv), len(idc))
+    return fplinalg.matvec(block, idc, cat.field.p)
 
 
 def phi_inv(cat: GradedCatPresentation, x: int, a: int, F: RepTarget, v):
-    """The transformation f -> (F f)(v) attached to v in (F x)_{a^-1}."""
+    """The transformation f -> (F f)(v) attached to v in (F x)_{a^-1}.
+
+    Its (y, h) block stacks, over the summands yo^b_z, the matrices of
+    f -> f o v_z, where v_z in Hom^{a^-1 b}(z, x) is v's segment there.
+    """
     gH = cat.tau.source
     a_inv = gH.inv(a)
-    if sum(r for _, _, r in value_layout(cat, F, x, a)) != len(v):
+    layout = value_layout(cat, F, x, a)
+    if sum(r for _, _, r in layout) != len(v):
         raise ValueError("value vector has the wrong length")
+    pieces, seg = [], 0
+    for (b, z, r) in layout:
+        pieces.append(Morphism(z, x, gH.mul(a_inv, b), tuple(v[seg:seg + r])))
+        seg += r
     blocks = {}
     for y in cat.objects():
         for h in gH.elements():
-            sdim = cat.rank(x, y, gH.mul(h, a))
-            if sdim == 0:
+            ha = gH.mul(h, a)
+            if cat.rank(x, y, ha) == 0 or _target_dim(cat, F, y, h) == 0:
                 continue
-            tdim = _target_dim(cat, F, y, h)
-            if tdim == 0:
-                continue
-            mat = fplinalg.from_columns([
-                _apply_rep(cat, F, basis_morphism(cat, x, y, gH.mul(h, a), fi), x, a_inv, v)
-                for fi in range(sdim)])
+            mat = tuple(row for piece in pieces for row in precompose(cat, piece, y, ha))
             if any(any(rw) for rw in mat):
                 blocks[(y, h)] = mat
     return GradedNatTrans(x, a, F, blocks)
@@ -280,26 +276,13 @@ def has_invertible_nat(cat: GradedCatPresentation, x: int, a: int, F: RepTarget,
             return True
     if p ** len(basis) > max_enum:
         return False
-    layout, _ = _block_index(cat, x, a, F)
+    layout, nvars = _block_index(cat, x, a, F)
+    columns = list(zip(*(_unknowns(layout, nvars, nt) for nt in basis)))
     for coeffs in product(range(p), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        blocks = {}
-        for (y, h, sdim, tdim, off) in layout:
-            if tdim == 0:
-                continue
-            mat = [[0] * sdim for _ in range(tdim)]
-            for c, nt in zip(coeffs, basis):
-                if c == 0:
-                    continue
-                blk = nt.block(y, h, tdim, sdim)
-                for r in range(tdim):
-                    for s in range(sdim):
-                        mat[r][s] = (mat[r][s] + c * blk[r][s]) % p
-            if any(any(rw) for rw in mat):
-                blocks[(y, h)] = tuple(tuple(rw) for rw in mat)
-        if nat_invertible(cat, GradedNatTrans(x, a, F, blocks)):
-            return True
+        if any(coeffs):
+            vec = [sum(map(mul, coeffs, col)) % p for col in columns]
+            if nat_invertible(cat, GradedNatTrans(x, a, F, _blocks(layout, vec))):
+                return True
     return False
 
 
@@ -316,22 +299,13 @@ def whisker_object_morphism(cat: GradedCatPresentation, nt: GradedNatTrans,
     blocks = {}
     for y in cat.objects():
         for h in gH.elements():
-            sdim2 = cat.rank(x2, y, gH.mul(h, a := nt.a))
-            if sdim2 == 0:
+            ha = gH.mul(h, nt.a)
+            if cat.rank(x2, y, ha) == 0 or (tdim := _target_dim(cat, nt.F, y, h)) == 0:
                 continue
-            tdim = _target_dim(cat, nt.F, y, h)
-            if tdim == 0:
-                continue
-            sdim = cat.rank(nt.x, y, gH.mul(h, a))
-            a1 = nt.block(y, h, tdim, sdim)
-            cols = []
-            for fi in range(sdim2):
-                f = basis_morphism(cat, x2, y, gH.mul(h, a), fi)
-                fx = compose(cat, xm, f).coords  # f o xm in Hom^{ha}(x, y)
-                col = [sum(a1[r][c] * fx[c] for c in range(sdim)) % cat.field.p
-                       for r in range(tdim)]
-                cols.append(col)
-            mat = fplinalg.from_columns(cols)
+            a1 = nt.block(y, h, tdim, cat.rank(nt.x, y, ha))
+            # block times the matrix of f -> f o xm, Hom^{ha}(x', y) -> Hom^{ha}(x, y)
+            mat = tuple(map(tuple, fplinalg.matmul(a1, precompose(cat, xm, y, ha),
+                                                   cat.field.p)))
             if any(any(rw) for rw in mat):
                 blocks[(y, h)] = mat
     return GradedNatTrans(x2, nt.a, nt.F, blocks)
@@ -340,4 +314,4 @@ def whisker_object_morphism(cat: GradedCatPresentation, nt: GradedNatTrans,
 def apply_rep_to_value(cat: GradedCatPresentation, F: RepTarget, xm: Morphism,
                        a: int, v):
     """(F xm) applied to a vector in (F x)_{a^-1}; lands in (F x')_{a^-1}."""
-    return _apply_rep(cat, F, xm, xm.src, cat.tau.source.inv(a), v)
+    return fplinalg.matvec(_rep_matrix(cat, F, xm, cat.tau.source.inv(a)), v, cat.field.p)

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from taucat import fplinalg
 from taucat.category import (FunctorData, GradedCatPresentation, Morphism,
-                             NatTransData, Verdict, apply_functor,
-                             basis_morphism, compose, compose_functors,
+                             NatTransData, Verdict, compose, compose_functors,
                              direct_sum_cat, find_invertible, find_shift,
                              identity_functor, identity_morphism, invert,
-                             is_simple, are_disjoint_deg1, verify_axioms,
-                             verify_functor, verify_nat, zero_morphism)
+                             is_simple, are_disjoint_deg1, postcompose,
+                             precompose, verify_axioms, verify_functor,
+                             verify_nat)
 from taucat.cochains import (c1_inv, c1_mul, d0_cochain, d1_cochain,
                              random_cochain0, random_cochain1)
 from taucat.completion import AdditiveCompletion
@@ -23,6 +23,8 @@ from taucat.mtau import (build_skeleton, cyclic_subgroup_of_order,
                          trivial_spec)
 from taucat.structure import (EquivalenceDatum, classify_equivalences,
                               realize_functor)
+
+from morphisms import apply_functor, basis_morphism, zero_morphism
 
 F5 = field(5)
 TAU = parity_tau()
@@ -527,3 +529,54 @@ def test_rank_one_invert_matches_general_solve(p, same, t_gf, t_fg, ids, v):
                                 [(i,) for i in ids[:n]])
     f = Morphism(0, n - 1, 0, (v,))
     assert invert(cat, f) == _reference_invert(cat, f)
+
+
+def _composable_pairs(cat):
+    """(x, y, h, r1, z, h2, r2) for each pair Hom^h(x, y), Hom^{h2}(y, z) of
+    nonzero hom spaces."""
+    return [(x, y, h, r1, z, h2, r2) for x in cat.objects()
+            for (y, h, r1) in cat.out_homs(x) for (z, h2, r2) in cat.out_homs(y)]
+
+
+@lru_cache(maxsize=None)
+def _composition_case(name, deleted):
+    """An AXIOM_CASES presentation, with three of its tensors deleted when
+    `deleted`, so that some composites read an absent tensor."""
+    cat = AXIOM_CASES[name]()
+    if deleted:
+        rng = Random(name)
+        for _ in range(3):
+            cat = _corrupt(cat, "delete", rng)
+    return cat, _composable_pairs(cat)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(sorted(AXIOM_CASES)), deleted=st.booleans())
+def test_pre_and_postcompose_match_compose(data, name, deleted):
+    # u -> u o f and u -> g o u, applied to random vectors, are compose
+    cat, pairs = _composition_case(name, deleted)
+    p = cat.field.p
+    x, y, h, r1, z, h2, r2 = data.draw(st.sampled_from(pairs))
+    vector = st.integers(0, p - 1)
+    f = Morphism(x, y, h, tuple(data.draw(st.lists(vector, min_size=r1, max_size=r1))))
+    g = Morphism(y, z, h2, tuple(data.draw(st.lists(vector, min_size=r2, max_size=r2))))
+    want = compose(cat, f, g).coords
+    assert fplinalg.matvec(precompose(cat, f, z, h2), g.coords, p) == want
+    assert fplinalg.matvec(postcompose(cat, g, x, h), f.coords, p) == want
+
+
+@pytest.mark.parametrize("coords", [(1, 0), ()], ids=["extra", "empty"])
+def test_compose_checks_coordinate_counts(coords):
+    # Hom^1(0, 1) has rank 1: a vector of another length is no morphism there
+    cat = cyclic_table_category(F5, 2)
+    bad = Morphism(0, 1, 1, coords)
+    good = basis_morphism(cat, 1, 2, 1, 0)
+    with pytest.raises(ValueError, match="coordinates for a hom space of rank 1"):
+        compose(cat, bad, good)
+    with pytest.raises(ValueError, match="coordinates for a hom space of rank 1"):
+        compose(cat, identity_morphism(cat, 0), bad)
+    with pytest.raises(ValueError, match="coordinates for a hom space of rank 1"):
+        precompose(cat, bad, 2, 1)
+    with pytest.raises(ValueError, match="coordinates for a hom space of rank 1"):
+        postcompose(cat, bad, 0, 0)
+    assert invert(cat, bad) is None

@@ -57,8 +57,20 @@ def test_malformed_input_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("variant", ["objects_int", "tensor_int", "top_level_list",
-                                     "compose_degree_out_of_range"])
-def test_schema_errors_exit_2_without_traceback(tmp_path, category_file, variant):
+                                     "compose_degree_out_of_range", "psi_value_int",
+                                     "psi_top_level_list", "psi_key_out_of_range",
+                                     "spec_L_int", "datum_gamma_value_int",
+                                     "datum_t_out_of_range", "L_option_out_of_range"])
+def test_schema_errors_exit_2_without_traceback(tmp_path, tau_file, category_file,
+                                                variant):
+    bad = tmp_path / "bad.json"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_doc([0, 4])))
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps({"t": 0}))
+    # the psi, spec and datum files and the --L option reach build-mtau,
+    # classify-equiv and classify-nat; the others are category files for verify
+    argv = ("verify", str(bad))
     doc = json.loads(open(category_file).read())
     if variant == "objects_int":
         doc["objects"] = 5
@@ -66,11 +78,29 @@ def test_schema_errors_exit_2_without_traceback(tmp_path, category_file, variant
         doc["compose"][0]["tensor"] = 7
     elif variant == "compose_degree_out_of_range":
         doc["compose"][0]["h2"] = 99
+    elif variant.startswith("psi_"):
+        doc = {"subgroup": [0, 4], "values": {"1,2": [1, 1]}}
+        if variant == "psi_value_int":
+            doc["values"]["1,2"] = 5
+        elif variant == "psi_top_level_list":
+            doc = [doc]
+        else:
+            doc["values"]["9,9"] = [1, 1]
+        argv = ("build-mtau", "--tau", tau_file, "--L", "0,4", "--psi", str(bad))
+    elif variant == "spec_L_int":
+        doc = {**spec_doc([0, 4]), "L": 5}
+        argv = ("classify-equiv", str(bad), str(spec))
+    elif variant == "L_option_out_of_range":
+        argv = ("build-mtau", "--tau", tau_file, "--L", "0,99")
+    elif variant.startswith("datum_"):
+        doc = ({"t": 0, "gamma": {"values": {"0": 3}}} if variant == "datum_gamma_value_int"
+               else {"t": 99})
+        argv = ("classify-nat", str(spec), str(spec), "--datumA", str(bad),
+                "--datumB", str(datum))
     else:
         doc = [doc]
-    bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    r = run_cli("verify", str(bad))
+    r = run_cli(*argv)
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
 

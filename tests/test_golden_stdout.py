@@ -1,8 +1,8 @@
 """Golden stdout: sha256 digests of stdout, with exit codes, of fixed CLI runs.
 
 The inputs are C8/C12/C16 skeleton files built by `build-mtau`, a direct
-sum, an additive-completion file and the module files `extract` writes for
-them.  Each command runs in process from a temporary working directory with
+sum, two additive-completion files (one closed under shifts) and the module
+files `extract` writes for them.  Each command runs in process from a temporary working directory with
 relative file names, because reports echo their input paths.  A refactor
 that keeps every verdict and every report byte keeps this table; a change
 that moves a digest changes what the CLI prints.
@@ -40,6 +40,7 @@ GOLDEN = {
     "verify/C8L1.json": (0, "ef3ad5cf615a4945c7a8feae72265fc066260824e1c4eacaa83213ad4fe470a4"),
     "decompose/C8L1.json": (0, "761a505de6200a0343c16d9d8ab9f4da840a3623769025a6705173187fe20ec6"),
     "roundtrip/C8L1.json": (0, "3601b7a12deecb3f9b82b3d80a6acbaa1859cc8a2ddf74d305aa284dce48f77d"),
+    "yoneda-check/C8L1.json": (0, "3dba07753a2211bd0bd7bdb29a5460109d1b5e1e0d43cbfcf0ed0184c4457fed"),
     "extract/C8L1.json": (0, "d365425c0330181f1fc6121c2889d538ef6b396846731d3a1e4a5c9f624460a5"),
     "bullet/C8L1-mod.json": (0, "97a422530e0c8e219a0b02b4bceb655207de63b35451eca870c764b329e00251"),
     "verify/C12L2.json": (0, "eba36308ecc7389f8bf2ea06a329f6bd0306d98da77e7f0461950550b8b2abb8"),
@@ -55,12 +56,19 @@ GOLDEN = {
     "verify/sum.json": (0, "b576806cbc29f931e4da3498d3a4cb6f9e6ee5dd6c5aeb641434b754326512a3"),
     "decompose/sum.json": (0, "344092a618eb303d13d1a543009ee4a0acf23f11e39c6f7c6e152f49b4a90f24"),
     "roundtrip/sum.json": (0, "d4d446d98ee4ff8ea5cab49a3360e2f25837d1c3afdda049073f9c6091847626"),
+    "yoneda-check/sum.json": (0, "ee5e8b37c69cfd4bb362c6cda8c9f2f0c0b257789383c2329015c5fe802f51e3"),
     "extract/sum.json": (0, "f67fc236a85cf46dadad35dbeb95572aaee5e0005447bf1bbbc253cb9a2d177d"),
     "bullet/sum-mod.json": (0, "f7ed4cfa5c2b9d96a912a6c3d3efe70c17c0f2212c6bc9d2b2923f9a399e498d"),
     "verify/completion.json": (0, "bf204787d63d07a5c7c4adce22bfa240e4260cd78d0145dfd4fa79bacfa6fe0a"),
     "decompose/completion.json": (0, "52522dbc0035a13c46b7d8bbc7410e58ee70aba70256158cf3cf9a91a05df5a2"),
     "roundtrip/completion.json": (1, "8e0333b90b9ad5b601f6829f693688fd1bc10b923b9b599ed9c3c8571a281d66"),
-    "extract/completion.json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "yoneda-check/completion.json": (0, "6da7e0a308c855ab8ab8ff4a8cf8ce45ae25fd78d494c64e2d95233b2b8cedb1"),
+    "extract/completion.json": (1, "b31dfa6d8771905ffe7c8409cea6433bcb365b976bb496163b896cdf8e8e5e1c"),
+    "verify/closed.json": (0, "218718bfa596669902c0a153c8cd9281ce5fcb90149a585ad6e821eaf53a805b"),
+    "decompose/closed.json": (0, "a436cfb37f111b4a9addfb0ffbdd4f45f5daa5941bcbb2a635558ae66312b268"),
+    "roundtrip/closed.json": (0, "e266df94c3d541a06fce8580518cc2bc20c3d104f9eb3324639e7a57b29b385f"),
+    "extract/closed.json": (0, "5e509fe4a4fb3e1d5ab98642a8ef4be329222d556ac3704777c5fa3926ec5571"),
+    "bullet/closed-mod.json": (0, "fe2653603948ec14b81ce28d9d3d6fd80855f06410009c19a3f55a86ce0919e1"),
 }
 
 
@@ -105,9 +113,15 @@ def golden_runs():
     pres = AdditiveCompletion(build_skeleton(spec)).presentation_of(
         [(0,), (1,), (2,), (3,), (0, 2)])
     categories.append(_write("completion.json", jsonio.category_to_json(pres)))
+    # every object has all its shifts, so the round trip runs on rank-2 homs
+    closed = AdditiveCompletion(build_skeleton(spec)).presentation_of(
+        [(0,), (1,), (2,), (3,), (0, 2), (1, 3)])
+    categories.append(_write("closed.json", jsonio.category_to_json(closed)))
     for name in categories:
         for cmd in ("verify", "decompose", "roundtrip"):
             yield f"{cmd}/{name}", [cmd, name]
+        if name in ("C8L1.json", "sum.json", "completion.json"):
+            yield f"yoneda-check/{name}", ["yoneda-check", name]
         stem = name.removesuffix(".json")
         yield f"extract/{name}", ["extract", name, "-o", f"{stem}-mod.json"]
         if name != "completion.json":  # a sum object has no shift to extract

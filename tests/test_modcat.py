@@ -11,8 +11,7 @@ import pytest
 from taucat import cli, jsonio, modcat
 
 from taucat.category import (FunctorData, GradedCatPresentation, Morphism,
-                             NatTransData, Verdict, apply_functor,
-                             basis_morphism, compose, compose_functors,
+                             NatTransData, Verdict, compose, compose_functors,
                              identity_functor, identity_morphism, invert,
                              verify_axioms, verify_functor, verify_nat)
 from taucat.completion import AdditiveCompletion
@@ -31,6 +30,8 @@ from taucat.modcat import (ModuleCatData, ModuleFunctorData, bullet,
                            verify_module_category, verify_module_functor,
                            verify_module_nat)
 from taucat.structure import classify_equivalences, identity_datum, realize_functor
+
+from morphisms import apply_functor, basis_morphism
 
 F5 = field(5)
 TAU = parity_tau()
@@ -434,10 +435,20 @@ def _shift_closed_completion():
     return comp.presentation_of([(0,), (1,), (0, 0), (1, 1)])
 
 
+def _rank2_completion():
+    """Shift-closed objects of an additive completion: End((0, 2)) has rank 2."""
+    comp = AdditiveCompletion(twisted_cat(98, k=2))
+    return comp.presentation_of([(0,), (1,), (2,), (3,), (0, 2), (1, 3)])
+
+
+ROUNDTRIP_SOURCES = {"skeleton": lambda: twisted_cat(96),
+                     "rank2_completion": _rank2_completion,
+                     "completion": _shift_closed_completion}
+
+
 @lru_cache(maxsize=None)
 def _roundtrip_of(name):
-    return roundtrip({"skeleton": lambda: twisted_cat(96),
-                      "completion": _shift_closed_completion}[name]())
+    return roundtrip(ROUNDTRIP_SOURCES[name]())
 
 
 MODULE_CASES = {
@@ -642,16 +653,16 @@ def test_verify_module_functor_reference_cases_reach_every_kind():
 
 def test_verifiers_build_no_morphisms(monkeypatch):
     # the verifiers and invert read every law off tensors, hom matrices and
-    # component coordinates; the round trip still composes Morphisms elsewhere
+    # component coordinates, and the constructions read every composite off
+    # composition matrices: no compose call is left in the whole round trip
     tau = reduction_hom(12, 2)
     L = subgroup(tau.source, [0, 6])
     psi = d1_cochain(random_cochain1(F5, coset_space(tau.source, L), Random(97)))
     cat = build_skeleton(mtau_spec(tau, F5, L, psi, 1))
-    made = {fn.__name__: _count_in_taucat(monkeypatch, fn)
-            for fn in (compose, apply_functor, basis_morphism)}
+    calls = _count_in_taucat(monkeypatch, compose)
 
     def total():
-        return sum(len(calls) for calls in made.values())
+        return len(calls)
 
     inside = {}
     for fn in (verify_module_category, verify_functor, verify_nat, invert):
@@ -666,4 +677,209 @@ def test_verifiers_build_no_morphisms(monkeypatch):
     roundtrip(cat)
     assert set(inside) == {"verify_module_category", "verify_functor", "invert"}
     assert inside == dict.fromkeys(inside, 0)
-    assert len(made["compose"]) > 0
+    assert calls == []
+
+
+def _reference_hom_maps(src, image):
+    """Hom matrices on src whose column k at (x, y, h) is image(basis_k)."""
+    return {key: tuple(zip(*[image(basis_morphism(src, *key, k)).coords
+                             for k in range(r)]))
+            for key, r in src.hom_rank.items()}
+
+
+def _reference_extract_action(cat, table):
+    """The action hom maps, as r o f o r^-1 on each basis morphism f, and the
+    mu components, as two compose calls each."""
+    gH = cat.tau.source
+    base = degree_one_part(cat)
+    maps = {h: _reference_hom_maps(base, lambda f, h=h: compose(
+        cat, compose(cat, table[(f.src, h)][2], f), table[(f.dst, h)][1]))
+        for h in gH.elements()}
+    mu = {}
+    for a in gH.elements():
+        for b in gH.elements():
+            comps = []
+            for x in cat.objects():
+                xb = table[(x, b)][0]
+                m = compose(cat, table[(xb, a)][2], table[(x, b)][2])
+                comps.append(compose(cat, m, table[(x, gH.mul(a, b))][1]))
+            mu[(a, b)] = tuple(comps)
+    return maps, mu
+
+
+def _reference_roundtrip_maps(cat, table, rt):
+    """The hom maps of eta, eta_inv, nu and nu_inv as compose on basis morphisms."""
+    e = cat.tau.source.identity
+    eta = _reference_hom_maps(rt.rebuilt, lambda f: compose(
+        cat, table[(f.src, f.degree)][1],
+        Morphism(table[(f.src, f.degree)][0], f.dst, e, f.coords)))
+    eta_inv = _reference_hom_maps(cat, lambda f: compose(
+        cat, table[(f.src, f.degree)][2], f))
+    mod = rt.mod
+    a1 = mod.action[e].obj_map
+    nu = _reference_hom_maps(rt.rebuilt_mod.base, lambda f: compose(
+        mod.base, mod.epsilon[f.src], Morphism(a1[f.src], f.dst, e, f.coords)))
+    nu_inv = _reference_hom_maps(mod.base, lambda f: compose(
+        mod.base, mod.inverses[0][f.src], f))
+    return eta, eta_inv, nu, nu_inv
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_SOURCES))
+def test_constructions_match_reference(name):
+    # the action, mu and the round-trip functors read off composition
+    # matrices equal the same maps composed basis morphism by basis morphism
+    cat = ROUNDTRIP_SOURCES[name]()
+    assert max(cat.hom_rank.values()) == {"skeleton": 1, "rank2_completion": 2,
+                                          "completion": 4}[name]
+    table = shift_table(cat)
+    rt = _roundtrip_of(name)
+    maps, mu = _reference_extract_action(cat, table)
+    assert {h: F.hom_maps for h, F in rt.mod.action.items()} == maps
+    assert rt.mod.mu == mu
+    eta, eta_inv, nu, nu_inv = _reference_roundtrip_maps(cat, table, rt)
+    assert rt.eta.hom_maps == eta
+    assert rt.eta_inv.hom_maps == eta_inv
+    assert rt.nu.functor.hom_maps == nu
+    assert rt.nu_inv.functor.hom_maps == nu_inv
+
+
+def _random_iso(cat, x, y, rng, tries=30):
+    """A random invertible degree-1 morphism x -> y, or None if none was found."""
+    e = cat.tau.source.identity
+    r = cat.rank(x, y, e)
+    if not r or r != cat.rank(y, x, e):
+        return None
+    for _ in range(tries):
+        m = Morphism(x, y, e, tuple(rng.randrange(F5.p) for _ in range(r)))
+        if invert(cat, m) is not None:
+            return m
+    return None
+
+
+def _twisted_table(cat, table, rng):
+    """Another choice of shifts, at every degree including the unit:
+    r_{x,a} becomes j o r_{x,a} o u for a random automorphism u of x and a
+    random iso j from x<a> onto an object isomorphic to it, possibly another."""
+    out = {}
+    for (x, a), (y, iso, _) in table.items():
+        u = _random_iso(cat, x, x, rng)
+        js = [j for z in cat.objects() if (j := _random_iso(cat, y, z, rng))]
+        twisted = compose(cat, compose(cat, u, iso), rng.choice(js))
+        out[(x, a)] = (twisted.dst, twisted, invert(cat, twisted))
+    return out
+
+
+def _conjugation_functor(cat, v):
+    """The graded functor f -> v_y o f o v_x^-1 for automorphisms v_x."""
+    inv = [invert(cat, m) for m in v]
+    return FunctorData(cat, cat, list(cat.objects()), _reference_hom_maps(
+        cat, lambda f: compose(cat, compose(cat, inv[f.src], f), v[f.dst])))
+
+
+def _reference_restrict_comparisons(F, table_c, table_d):
+    return {a: tuple(compose(F.target, table_d[(F.obj_map[x], a)][2],
+                             apply_functor(F, table_c[(x, a)][1]))
+                     for x in F.source.objects())
+            for a in F.source.tau.source.elements()}
+
+
+def _reference_compose_comparisons(mf1, mf2, src):
+    F, E = mf1.functor, mf2.functor
+    return {h: tuple(compose(E.target, mf2.comparison[h][F.obj_map[x]],
+                             apply_functor(E, mf1.comparison[h][x]))
+                     for x in src.base.objects())
+            for h in src.group.elements()}
+
+
+def _reference_bullet_functor_maps(mf, src, dst, b_src):
+    """The hom maps of bullet_functor on b_src = bullet(src), as F f o s^h_X."""
+    e = src.group.identity
+    return _reference_hom_maps(b_src, lambda f: compose(
+        dst.base, mf.comparison[f.degree][f.src],
+        apply_functor(mf.functor, Morphism(src.action[f.degree].obj_map[f.src], f.dst,
+                                           e, f.coords))))
+
+
+def _reference_verify_module_nat(nt, mf_src, mf_dst, src, dst):
+    v = verify_nat(nt)
+    if not v.ok:
+        return Verdict([("naturality", v.violations[0])])
+    violations = []
+    for h in src.group.elements():
+        for x in src.base.objects():
+            lhs = compose(dst.base, mf_src.comparison[h][x],
+                          nt.component(src.action[h].obj_map[x]))
+            rhs = compose(dst.base, apply_functor(dst.action[h], nt.component(x)),
+                          mf_dst.comparison[h][x])
+            if lhs != rhs:
+                violations.append(("module-square", h, x))
+    return Verdict(violations)
+
+
+def _reference_bullet_nat(nt, mf_src, mf_dst, src, dst):
+    comps = []
+    for x in src.base.objects():
+        ex = mf_src.functor.obj_map[x]
+        m = compose(dst.base, dst.inverses[0][ex], nt.component(x))
+        comps.append(Morphism(ex, mf_dst.functor.obj_map[x], src.group.identity, m.coords))
+    return tuple(comps)
+
+
+def _as_tuples(maps):
+    return {k: tuple(map(tuple, m)) for k, m in maps.items()}
+
+
+MODULE_FUNCTOR_SOURCES = {
+    **ROUNDTRIP_SOURCES,
+    # rank 1, but with isomorphic distinct objects for the twisted shifts to
+    # land on, so a composite taken in the wrong order is not even composable
+    "duplicated": lambda: AdditiveCompletion(twisted_cat(95, k=4))
+    .presentation_of([(0,), (1,), (0,), (1,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_FUNCTOR_SOURCES))
+def test_module_constructions_match_reference(name):
+    # restrict_functor, compose_module_functors, bullet_functor,
+    # verify_module_nat and bullet_nat against compose on Morphisms, for the
+    # identity and a conjugation functor restricted along twisted shift
+    # tables, so that every comparison and epsilon is a random automorphism
+    cat = MODULE_FUNCTOR_SOURCES[name]()
+    rng = Random(name)
+    t1 = shift_table(cat)
+    t2, t3 = _twisted_table(cat, t1, rng), _twisted_table(cat, t1, rng)
+    v = [_random_iso(cat, x, x, rng) for x in cat.objects()]
+    K, ident = _conjugation_functor(cat, v), identity_functor(cat)
+
+    mf_k, m1, m2 = restrict_functor(K, t1, t2)
+    mf_a = restrict_functor(ident, t1, t2)[0]
+    mf_i, _, m3 = restrict_functor(ident, t2, t3)
+    assert mf_k.comparison == _reference_restrict_comparisons(K, t1, t2)
+    assert mf_i.comparison == _reference_restrict_comparisons(ident, t2, t3)
+    assert mf_k.comparison != mf_a.comparison
+
+    composed = compose_module_functors(mf_k, mf_i, m1, m2, m3)
+    assert composed.comparison == _reference_compose_comparisons(mf_k, mf_i, m1)
+    assert composed == restrict_functor(compose_functors(K, ident), t1, t3)[0]
+
+    bf = bullet_functor(mf_k, m1, m2)
+    assert _as_tuples(bf.hom_maps) == _reference_bullet_functor_maps(mf_k, m1, m2, bf.source)
+
+    # v is natural from the identity to K, and compatible with the comparisons
+    nt = NatTransData(mf_a.functor, mf_k.functor, list(v))
+    assert verify_module_nat(nt, mf_a, mf_k, m1, m2).ok
+    assert bullet_nat(nt, mf_a, mf_k, m1, m2).components == \
+        _reference_bullet_nat(nt, mf_a, mf_k, m1, m2)
+    # corrupted components, and the right components against K paired with
+    # the identity's comparisons
+    cases = [(NatTransData(nt.source, nt.target,
+                           _corrupt_component(nt.components, rng, kind)), mf_k)
+             for kind in ("coordinate", "scale", "zero") for _ in range(3)]
+    cases.append((nt, ModuleFunctorData(mf_k.functor, mf_a.comparison)))
+    kinds = set()
+    for bad, mf_dst in cases:
+        got = verify_module_nat(bad, mf_a, mf_dst, m1, m2).violations
+        assert got == _reference_verify_module_nat(bad, mf_a, mf_dst, m1, m2).violations
+        kinds.update(g[0] for g in got)
+    assert "module-square" in kinds
+    assert name == "skeleton" or "naturality" in kinds

@@ -3,18 +3,20 @@ from random import Random
 
 import pytest
 
-from taucat.category import (Morphism, basis_morphism, find_invertible,
-                             identity_morphism)
+from taucat.category import Morphism, compose, find_invertible, identity_morphism
 from taucat.cochains import d1_cochain, random_cochain1
 from taucat.completion import AdditiveCompletion
 from taucat.fields import field
 from taucat.groups import coset_space, cyclic_group
 from taucat.mtau import (build_skeleton, cyclic_subgroup_of_order,
                          cyclic_table_category, mtau_spec, parity_tau)
-from taucat.yoneda import (GradedNatTrans, apply_rep_to_value, evaluate_yoneda,
+from taucat.yoneda import (GradedNatTrans, _block_index, _nat_rows, _target_dim,
+                           apply_rep_to_value, evaluate_yoneda,
                            has_invertible_nat, nat_equal, nat_space, phi,
                            phi_inv, rep_sum, representable, value_layout,
                            verify_graded_nat, whisker_object_morphism)
+
+from morphisms import basis_morphism
 
 F5 = field(5)
 TAU = parity_tau()
@@ -149,3 +151,98 @@ def test_shift_representability_cross_check():
                 direct = find_invertible(C2CAT, x, y, a) is not None
                 via_nat = has_invertible_nat(C2CAT, y, 0, representable(a, x))
                 assert direct == via_nat
+
+
+def _reference_apply_rep(cat, F, g, y, h, vec):
+    """F(g) on a vector of the (y, h) component, one compose per summand."""
+    gH = cat.tau.source
+    out, seg = [], 0
+    for (b, z) in F.pairs:
+        r = cat.rank(z, y, gH.mul(h, b))
+        piece = Morphism(z, y, gH.mul(h, b), tuple(vec[seg:seg + r]))
+        seg += r
+        if r == 0:
+            out.extend((0,) * cat.rank(z, g.dst, gH.mul(gH.mul(g.degree, h), b)))
+        else:
+            out.extend(compose(cat, piece, g).coords)
+    return out
+
+
+def _reference_nat_rows(cat, x, a, F, layout, nvars):
+    """nat_space's rows from compose on basis morphisms and _reference_apply_rep."""
+    gH = cat.tau.source
+    p = cat.field.p
+    pos = {(y, h): (sdim, tdim, off) for (y, h, sdim, tdim, off) in layout}
+    for y in cat.objects():
+        for (y2, k, rk) in cat.out_homs(y):
+            for gi in range(rk):
+                g = basis_morphism(cat, y, y2, k, gi)
+                for h in gH.elements():
+                    sdim = cat.rank(x, y, gH.mul(h, a))
+                    if sdim == 0:
+                        continue
+                    kh = gH.mul(k, h)
+                    tdim_src = _target_dim(cat, F, y, h)
+                    moved = [_reference_apply_rep(cat, F, g, y, h,
+                                                  [int(i == d) for i in range(tdim_src)])
+                             for d in range(tdim_src)]
+                    for fi in range(sdim):
+                        f = basis_morphism(cat, x, y, gH.mul(h, a), fi)
+                        gf = compose(cat, f, g).coords
+                        for r_out in range(_target_dim(cat, F, y2, kh)):
+                            row = [0] * nvars
+                            if (y2, kh) in pos:
+                                s2, _, off2 = pos[(y2, kh)]
+                                for c in range(s2):
+                                    row[off2 + r_out * s2 + c] = gf[c]
+                            s1, t1, off1 = pos[(y, h)]
+                            for d in range(t1):
+                                idx = off1 + d * s1 + fi
+                                row[idx] = (row[idx] - moved[d][r_out]) % p
+                            yield row
+
+
+def _reference_phi_inv(cat, x, a, F, v):
+    """phi_inv with column f_i of each block F(f_i)(v), f_i a basis morphism."""
+    gH = cat.tau.source
+    blocks = {}
+    for y in cat.objects():
+        for h in gH.elements():
+            sdim = cat.rank(x, y, gH.mul(h, a))
+            if sdim == 0 or _target_dim(cat, F, y, h) == 0:
+                continue
+            mat = tuple(zip(*[_reference_apply_rep(
+                cat, F, basis_morphism(cat, x, y, gH.mul(h, a), fi), x, gH.inv(a), v)
+                for fi in range(sdim)]))
+            if any(any(rw) for rw in mat):
+                blocks[(y, h)] = mat
+    return GradedNatTrans(x, a, F, blocks)
+
+
+YONEDA_CASES = {
+    # End((0, 0)) has rank 4 and Hom((0,), (0, 0)) rank 2
+    "completion": lambda: AdditiveCompletion(C2CAT).presentation_of(
+        [(0,), (0, 0), (1,), (2,)]),
+    # End((0, 2)) has rank 2, over a skeleton with a nontrivial cocycle
+    "twisted_completion": lambda: AdditiveCompletion(twisted_cat(73)).presentation_of(
+        [(0,), (1,), (0, 2), (1, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(YONEDA_CASES))
+def test_nat_rows_and_phi_inv_match_reference(name):
+    pres = YONEDA_CASES[name]()
+    assert max(pres.hom_rank.values()) == {"completion": 4, "twisted_completion": 2}[name]
+    rng = Random(name)
+    p = pres.field.p
+    for x in pres.objects():
+        for a in (0, 1, 6):
+            for F in [representable(a, y) for y in pres.objects()] + [rep_sum((a, 1), (0, 2))]:
+                layout, nvars = _block_index(pres, x, a, F)
+                want = list(_reference_nat_rows(pres, x, a, F, layout, nvars))
+                assert list(_nat_rows(pres, x, a, F, layout, nvars)) == want
+                width = sum(r for (_, _, r) in value_layout(pres, F, x, a))
+                vectors = [tuple(int(i == k) for i in range(width)) for k in range(width)]
+                vectors.append(tuple(rng.randrange(p) for _ in range(width)))
+                for v in vectors:
+                    assert phi_inv(pres, x, a, F, v) == _reference_phi_inv(pres, x, a, F, v)
