@@ -136,7 +136,7 @@ def cmd_classify_nat(args) -> int:
                    args.datum_a: _digest(args.datum_a),
                    args.datum_b: _digest(args.datum_b)},
         "isomorphic": bool(etas),
-        "etas": [list(e.values) for e in etas],
+        "etas": [list(e.units()) for e in etas],
     }
     _emit(report, args.output)
     return 0 if etas else 1

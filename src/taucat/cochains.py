@@ -14,213 +14,226 @@ Differentials (all multiplicative, pointwise on cosets):
 With these conventions d1(d0(eta)) = 1 and d2(d1(gamma)) = 1 identically,
 and a 1-cochain gamma solving  target = d1(gamma)  twists basis morphisms
 e -> gamma * e' into a functor that strictly preserves composition.
+
+Storage.  F_p^x is cyclic of order m = p - 1, so every value is g^k for
+the field's generator g, and a cochain stores the exponent k in Z/m, not
+the unit: products become sums and inverses negations mod m, and every
+differential above is linear.  The exponents of one cochain sit in one
+flat immutable buffer, 4 bytes each (array type 'I', enough for any
+p < 2^32).  With n = |H| and s = |H/L|, entry (a, b, coset i) of a
+2-cochain is at (a*n + b)*s + i, entry (a, i) of a 1-cochain at a*s + i,
+and entry i of a unit function (a 0-cochain) at i.  The action of H on
+the cosets is read off `space.act`, the table that `groups.coset_space`
+builds once per (H, L) and every cochain on that space shares.  Units
+appear only at the edges: `unit_function`, `cochain1` and `cochain2` take
+them (through `PrimeField.log`, which rejects 0), `units()` gives them back.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from random import Random
 
 from . import znsolve
 from .fields import PrimeField
-from .groups import (CosetSpace, conjugate_subgroup, coset_space,
-                     left_action_on_cosets)
+from .groups import CosetSpace, conjugate_subgroup, coset_space
+
+
+def _pack(exps) -> bytes:
+    return array("I", exps).tobytes()
+
+
+def _modulus(field: PrimeField) -> int:
+    return max(field.unit_order, 1)
 
 
 @dataclass(frozen=True)
-class UnitFunction:
-    """A unit of F_p attached to every coset of H/L."""
-
+class _Exponents:
     field: PrimeField
     space: CosetSpace
-    values: tuple[int, ...]
+    data: bytes  # packed exponents, laid out as in the module docstring
+    degree = 0  # the cochain degree, also how deep units() nests the rows
+
+    @property
+    def exps(self) -> memoryview:
+        return memoryview(self.data).cast("I")
+
+    def units(self) -> tuple:
+        """The values as units, indexed [a][b][i], [a][i] or [i] by degree."""
+        vals = tuple(map(self.field.exp, self.exps))
+        for size in (self.space.size, self.space.parent.order)[:self.degree]:
+            vals = tuple(vals[k:k + size] for k in range(0, len(vals), size))
+        return vals
+
+    def _row(self, k: int) -> UnitFunction:
+        s = 4 * self.space.size
+        return UnitFunction(self.field, self.space, self.data[k * s:(k + 1) * s])
+
+
+class UnitFunction(_Exponents):
+    """A unit of F_p attached to every coset of H/L."""
+
+
+Cochain0 = UnitFunction  # a 0-cochain is one unit per coset
+
+
+class Cochain1(_Exponents):
+    degree = 1
+
+    def at(self, a: int) -> UnitFunction:
+        return self._row(a)
+
+
+class Cochain2(_Exponents):
+    degree = 2
+
+    def at(self, a: int, b: int) -> UnitFunction:
+        return self._row(a * self.space.parent.order + b)
+
+
+def _logs(field: PrimeField, space: CosetSpace, rows, what: str) -> bytes:
+    """Packed exponents of rows of units, one unit per coset in each row."""
+    rows = [list(row) for row in rows]
+    if any(len(row) != space.size for row in rows):
+        raise ValueError(f"{what} needs one unit per coset in every entry")
+    try:
+        return _pack([field.log(int(u)) for u in chain.from_iterable(rows)])
+    except ZeroDivisionError:
+        raise ValueError(f"{what} values must be units, not 0") from None
 
 
 def unit_function(field: PrimeField, space: CosetSpace, values) -> UnitFunction:
-    vals = tuple(int(v) % field.p for v in values)
-    if len(vals) != space.size:
-        raise ValueError("one unit per coset required")
-    if any(v == 0 for v in vals):
-        raise ValueError("unit functions must avoid 0")
-    return UnitFunction(field, space, vals)
+    return UnitFunction(field, space, _logs(field, space, [values], "unit function"))
 
 
 def constant_one(field: PrimeField, space: CosetSpace) -> UnitFunction:
-    return UnitFunction(field, space, (1,) * space.size)
-
-
-def uf_mul(f: UnitFunction, g: UnitFunction) -> UnitFunction:
-    return UnitFunction(f.field, f.space,
-                        tuple(f.field.mul(a, b) for a, b in zip(f.values, g.values)))
-
-
-def uf_inv(f: UnitFunction) -> UnitFunction:
-    return UnitFunction(f.field, f.space, tuple(f.field.inv(v) for v in f.values))
+    return UnitFunction(field, space, bytes(4 * space.size))
 
 
 def act(f: UnitFunction, h: int) -> UnitFunction:
     """Right action: act(f, h)(kL) = f(h k L)."""
-    perm = left_action_on_cosets(f.space, h)
-    return UnitFunction(f.field, f.space, tuple(f.values[perm[i]] for i in range(f.space.size)))
-
-
-@dataclass(frozen=True)
-class Cochain0:
-    field: PrimeField
-    space: CosetSpace
-    values: tuple[int, ...]  # unit per coset
-
-
-@dataclass(frozen=True)
-class Cochain1:
-    field: PrimeField
-    space: CosetSpace
-    values: tuple[tuple[int, ...], ...]  # values[a][coset]
-
-    def at(self, a: int) -> UnitFunction:
-        return UnitFunction(self.field, self.space, self.values[a])
-
-
-@dataclass(frozen=True)
-class Cochain2:
-    field: PrimeField
-    space: CosetSpace
-    values: tuple[tuple[tuple[int, ...], ...], ...]  # values[a][b][coset]
-
-    def at(self, a: int, b: int) -> UnitFunction:
-        return UnitFunction(self.field, self.space, self.values[a][b])
+    x = f.exps
+    return UnitFunction(f.field, f.space, _pack([x[j] for j in f.space.act[h]]))
 
 
 def cochain1(field: PrimeField, space: CosetSpace, values) -> Cochain1:
     n = space.parent.order
-    e = space.parent.identity
-    vals = tuple(tuple(int(v) % field.p for v in values[a]) for a in range(n))
-    for a in range(n):
-        if len(vals[a]) != space.size or any(v == 0 for v in vals[a]):
-            raise ValueError("1-cochain needs a unit per (element, coset)")
-    if any(v != 1 for v in vals[e]):
+    gamma = Cochain1(field, space, _logs(field, space, (values[a] for a in range(n)),
+                                         "1-cochain"))
+    if any(gamma.at(space.parent.identity).exps):
         raise ValueError("1-cochain must be normalised: value 1 at the identity")
-    return Cochain1(field, space, vals)
+    return gamma
 
 
 def cochain2(field: PrimeField, space: CosetSpace, values) -> Cochain2:
-    n = space.parent.order
-    e = space.parent.identity
-    vals = tuple(
-        tuple(tuple(int(v) % field.p for v in values[a][b]) for b in range(n))
-        for a in range(n)
-    )
-    for a in range(n):
-        for b in range(n):
-            if len(vals[a][b]) != space.size or any(v == 0 for v in vals[a][b]):
-                raise ValueError("2-cochain needs a unit per (pair, coset)")
-    for h in range(n):
-        if any(v != 1 for v in vals[e][h]) or any(v != 1 for v in vals[h][e]):
-            raise ValueError("2-cochain must be normalised on identity pairs")
-    return Cochain2(field, space, vals)
+    n, e = space.parent.order, space.parent.identity
+    psi = Cochain2(field, space, _logs(
+        field, space, (values[a][b] for a in range(n) for b in range(n)), "2-cochain"))
+    if any(any(psi.at(e, h).exps) or any(psi.at(h, e).exps) for h in range(n)):
+        raise ValueError("2-cochain must be normalised on identity pairs")
+    return psi
 
 
 def trivial_cochain1(field: PrimeField, space: CosetSpace) -> Cochain1:
-    n = space.parent.order
-    return Cochain1(field, space, tuple(((1,) * space.size) for _ in range(n)))
+    return Cochain1(field, space, bytes(4 * space.parent.order * space.size))
 
 
 def trivial_cochain2(field: PrimeField, space: CosetSpace) -> Cochain2:
-    n = space.parent.order
-    row = tuple(((1,) * space.size) for _ in range(n))
-    return Cochain2(field, space, tuple(row for _ in range(n)))
+    return Cochain2(field, space, bytes(4 * space.parent.order ** 2 * space.size))
 
 
 def random_cochain1(field: PrimeField, space: CosetSpace, rng: Random) -> Cochain1:
-    n = space.parent.order
-    e = space.parent.identity
-    m = max(field.unit_order, 1)
-    vals = []
-    for a in range(n):
-        if a == e:
-            vals.append((1,) * space.size)
-        else:
-            vals.append(tuple(field.exp(rng.randrange(m)) for _ in range(space.size)))
-    return Cochain1(field, space, tuple(vals))
+    e, m = space.parent.identity, _modulus(field)
+    return Cochain1(field, space, _pack([0 if a == e else rng.randrange(m)
+                                         for a in range(space.parent.order)
+                                         for _ in range(space.size)]))
 
 
 def random_cochain0(field: PrimeField, space: CosetSpace, rng: Random) -> Cochain0:
-    m = max(field.unit_order, 1)
-    return Cochain0(field, space,
-                    tuple(field.exp(rng.randrange(m)) for _ in range(space.size)))
+    m = _modulus(field)
+    return Cochain0(field, space, _pack([rng.randrange(m) for _ in range(space.size)]))
 
 
-def c1_mul(x: Cochain1, y: Cochain1) -> Cochain1:
-    f = x.field
-    return Cochain1(f, x.space, tuple(
-        tuple(f.mul(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(x.values, y.values)))
+def c2_mul(x, y):
+    """Pointwise product of two cochains of one degree on one space."""
+    m = _modulus(x.field)
+    return type(x)(x.field, x.space, _pack([(u + v) % m for u, v in zip(x.exps, y.exps)]))
 
 
-def c1_inv(x: Cochain1) -> Cochain1:
-    f = x.field
-    return Cochain1(f, x.space, tuple(tuple(f.inv(v) for v in row) for row in x.values))
+def c2_inv(x):
+    """Pointwise inverse of a cochain of any degree."""
+    m = _modulus(x.field)
+    return type(x)(x.field, x.space, _pack([-u % m for u in x.exps]))
 
 
-def c2_mul(x: Cochain2, y: Cochain2) -> Cochain2:
-    f = x.field
-    return Cochain2(f, x.space, tuple(
-        tuple(tuple(f.mul(a, b) for a, b in zip(ca, cb)) for ca, cb in zip(ra, rb))
-        for ra, rb in zip(x.values, y.values)))
-
-
-def c2_inv(x: Cochain2) -> Cochain2:
-    f = x.field
-    return Cochain2(f, x.space, tuple(
-        tuple(tuple(f.inv(v) for v in cell) for cell in row) for row in x.values))
+c1_mul, c1_inv = c2_mul, c2_inv
 
 
 def d0(eta: Cochain0, a: int) -> UnitFunction:
-    f = eta.field
-    perm = left_action_on_cosets(eta.space, a)
-    return UnitFunction(f, eta.space, tuple(
-        f.mul(eta.values[i], f.inv(eta.values[perm[i]])) for i in range(eta.space.size)))
+    x, m = eta.exps, _modulus(eta.field)
+    return UnitFunction(eta.field, eta.space, _pack(
+        [(x[i] - x[j]) % m for i, j in enumerate(eta.space.act[a])]))
 
 
 def d0_cochain(eta: Cochain0) -> Cochain1:
     n = eta.space.parent.order
-    return Cochain1(eta.field, eta.space, tuple(d0(eta, a).values for a in range(n)))
+    return Cochain1(eta.field, eta.space, b"".join(d0(eta, a).data for a in range(n)))
 
 
 def d1(gamma: Cochain1, a: int, b: int) -> UnitFunction:
-    f = gamma.field
-    g = gamma.space.parent
-    perm_b = left_action_on_cosets(gamma.space, b)
-    ab = g.mul(a, b)
-    vals = tuple(
-        f.mul(gamma.values[ab][i],
-              f.inv(f.mul(gamma.values[a][perm_b[i]], gamma.values[b][i])))
-        for i in range(gamma.space.size)
-    )
-    return UnitFunction(f, gamma.space, vals)
+    x, s, m = gamma.exps, gamma.space.size, _modulus(gamma.field)
+    ab = gamma.space.parent.mul(a, b) * s
+    return UnitFunction(gamma.field, gamma.space, _pack(
+        [(x[ab + i] - x[a * s + j] - x[b * s + i]) % m
+         for i, j in enumerate(gamma.space.act[b])]))
 
 
 def d1_cochain(gamma: Cochain1) -> Cochain2:
     n = gamma.space.parent.order
-    return Cochain2(gamma.field, gamma.space, tuple(
-        tuple(d1(gamma, a, b).values for b in range(n)) for a in range(n)))
+    return Cochain2(gamma.field, gamma.space, b"".join(
+        d1(gamma, a, b).data for a in range(n) for b in range(n)))
 
 
 def d2(psi: Cochain2, a: int, b: int, c: int) -> UnitFunction:
-    g = psi.space.parent
-    ab, bc = g.mul(a, b), g.mul(b, c)
-    out = uf_mul(psi.at(b, c), uf_inv(psi.at(ab, c)))
-    out = uf_mul(out, psi.at(a, bc))
-    return uf_mul(out, act(uf_inv(psi.at(a, b)), c))
+    g, s, x, m = psi.space.parent, psi.space.size, psi.exps, _modulus(psi.field)
+    n = g.order
+    bc, abc = (b * n + c) * s, (g.mul(a, b) * n + c) * s
+    a_bc, ab = (a * n + g.mul(b, c)) * s, (a * n + b) * s
+    return UnitFunction(psi.field, psi.space, _pack(
+        [(x[bc + i] - x[abc + i] + x[a_bc + i] - x[ab + j]) % m
+         for i, j in enumerate(psi.space.act[c])]))
+
+
+def _gather(idx):
+    """seq -> tuple(seq[k] for k in idx), in C; a tuple even for one index."""
+    return itemgetter(*idx) if len(idx) > 1 else lambda seq: (seq[idx[0]],)
 
 
 def cocycle_violation(psi: Cochain2):
-    """First (a, b, c) where the 2-cocycle identity fails, else None."""
-    n = psi.space.parent.order
+    """First (a, b, c) where the 2-cocycle identity fails, else None.
+
+    Every (a, b, c, coset) is checked, in that order.  For fixed (a, b) the
+    identity at all lanes (c, i) is one vector equation mod m,
+        psi(b, c)(i) + psi(a, bc)(i) = psi(ab, c)(i) + psi(a, b)(c.i),
+    whose four terms are a block of the buffer, a block with its rows
+    permuted by b, and the row psi(a, b) spread through the action table.
+    """
+    g, s, m = psi.space.parent, psi.space.size, _modulus(psi.field)
+    n, ns, x = g.order, g.order * s, psi.exps.tolist()
+    block = [x[k:k + ns] for k in range(0, n * ns, ns)]  # block[a][c*s + i]
+    times = [_gather([g.mul(b, c) * s + i for c in range(n) for i in range(s)])
+             for b in range(n)]
+    spread = _gather([j for perm in psi.space.act for j in perm])
     for a in range(n):
         for b in range(n):
-            for c in range(n):
-                if any(v != 1 for v in d2(psi, a, b, c).values):
-                    return (a, b, c)
+            row = x[(a * n + b) * s:(a * n + b + 1) * s]
+            lanes = [(u + v - w - z) % m for u, v, w, z in zip(
+                block[b], times[b](block[a]), block[g.mul(a, b)], spread(row))]
+            if any(lanes):
+                return (a, b, next(k for k, d in enumerate(lanes) if d) // s)
     return None
 
 
@@ -228,32 +241,24 @@ def is_cocycle(psi: Cochain2) -> bool:
     return cocycle_violation(psi) is None
 
 
-def _conjugate_lookup(space: CosetSpace, t: int):
-    """The coset space of t L' t^-1, and for each of its cosets hL the
-    L'-coset of h*t, which is independent of the representative chosen."""
-    g = space.parent
+def translate(x, t: int):
+    """Transport a 1- or 2-cochain on H/L' to the conjugate subgroup t L' t^-1.
+
+    The new row entry at a coset hL is the old one at the L'-coset of h*t,
+    which is independent of the representative chosen.
+    """
+    g, space = x.space.parent, x.space
     new_space = coset_space(g, conjugate_subgroup(space.subgroup, t))
-    return new_space, tuple(space.coset_of[g.mul(r, t)] for r in new_space.reps)
-
-
-def translate(psi: Cochain2, t: int) -> Cochain2:
-    """Transport a 2-cochain on H/L' to the conjugate subgroup t L' t^-1."""
-    new_space, lookup = _conjugate_lookup(psi.space, t)
-    return Cochain2(psi.field, new_space, tuple(
-        tuple(tuple(cell[i] for i in lookup) for cell in row) for row in psi.values))
-
-
-def translate_c1(gamma: Cochain1, t: int) -> Cochain1:
-    """Same transport as `translate`, one degree down."""
-    new_space, lookup = _conjugate_lookup(gamma.space, t)
-    return Cochain1(gamma.field, new_space, tuple(
-        tuple(row[i] for i in lookup) for row in gamma.values))
+    lookup = [space.coset_of[g.mul(r, t)] for r in new_space.reps]
+    e = x.exps
+    return type(x)(x.field, new_space, _pack(
+        [e[k + j] for k in range(0, len(e), space.size) for j in lookup]))
 
 
 # -- linear solvers ----------------------------------------------------------
 #
-# Unknowns are discrete logs of the cochain values; the multiplicative
-# equations then become linear systems over Z/(p-1), solved exactly.
+# The unknowns are the stored exponents themselves; the multiplicative
+# equations are linear systems over Z/(p-1), solved exactly.
 
 
 def _c1_vars(space: CosetSpace):
@@ -263,22 +268,19 @@ def _c1_vars(space: CosetSpace):
 
 
 def _c1_to_exponents(gamma: Cochain1):
-    f = gamma.field
-    return tuple(f.log(gamma.values[a][i]) for (a, i) in _c1_vars(gamma.space))
+    x, s, e = gamma.exps.tolist(), gamma.space.size, gamma.space.parent.identity
+    return tuple(x[:e * s] + x[(e + 1) * s:])
 
 
 def _exponents_to_c1(field: PrimeField, space: CosetSpace, vec) -> Cochain1:
-    n = space.parent.order
-    e = space.parent.identity
-    grid = [[1] * space.size for _ in range(n)]
-    for (a, i), x in zip(_c1_vars(space), vec):
-        grid[a][i] = field.exp(x)
-    grid[e] = [1] * space.size
-    return Cochain1(field, space, tuple(tuple(row) for row in grid))
+    m, s, e = _modulus(field), space.size, space.parent.identity
+    vec = [x % m for x in vec]
+    return Cochain1(field, space, _pack(vec[:e * s] + [0] * s + vec[e * s:]))
 
 
 def _exponents_to_c0(field: PrimeField, space: CosetSpace, vec) -> Cochain0:
-    return Cochain0(field, space, tuple(field.exp(x) for x in vec))
+    m = _modulus(field)
+    return Cochain0(field, space, _pack([x % m for x in vec]))
 
 
 @dataclass(frozen=True)
@@ -303,7 +305,7 @@ class CochainSolutions:
 
 def _factored(field: PrimeField, space: CosetSpace, rows, nvars: int, from_exponents):
     """Solve rows . x = rhs over Z/(p-1) for any rhs, the rows factored once."""
-    system = znsolve.System(rows, max(field.unit_order, 1), nvars)
+    system = znsolve.System(rows, _modulus(field), nvars)
 
     def solve(rhs):
         sol = system.solve(rhs)
@@ -321,28 +323,28 @@ def d1_solver(field: PrimeField, space: CosetSpace):
     (a, b, coset) with a, b != 1; a target only supplies the right-hand
     side.  So the matrix is built and factored once, here.
     """
-    g = space.parent
+    g, s = space.parent, space.size
     e = g.identity
-    variables = _c1_vars(space)
-    var_index = {v: k for k, v in enumerate(variables)}
+    var_index = {v: k for k, v in enumerate(_c1_vars(space))}
     pairs = [(a, b) for a in range(g.order) for b in range(g.order) if e not in (a, b)]
     rows = []
     for a, b in pairs:
         ab = g.mul(a, b)
-        perm_b = left_action_on_cosets(space, b)
-        for i in range(space.size):
-            row = [0] * len(variables)
+        for i, j in enumerate(space.act[b]):
+            row = [0] * len(var_index)
             if ab != e:
                 row[var_index[(ab, i)]] += 1
-            row[var_index[(a, perm_b[i])]] -= 1
+            row[var_index[(a, j)]] -= 1
             row[var_index[(b, i)]] -= 1
             rows.append(row)
-    solve = _factored(field, space, rows, len(variables), _exponents_to_c1)
+    solve = _factored(field, space, rows, len(var_index), _exponents_to_c1)
+    starts = [(a * g.order + b) * s for a, b in pairs]
 
     def solve_target(target: Cochain2):
         if not is_cocycle(target):
             raise ValueError("solve_d1 target is not a 2-cocycle")
-        return solve([field.log(v) for a, b in pairs for v in target.values[a][b]])
+        x = target.exps
+        return solve([x[k + i] for k in starts for i in range(s)])
     return solve_target
 
 
@@ -357,30 +359,21 @@ def solve_d1(target: Cochain2):
 
 def solve_d0(target: Cochain1):
     """All eta with d0(eta) = target, or None."""
-    space, f = target.space, target.field
-    rows, rhs = [], []
-    for a in range(space.parent.order):
-        perm = left_action_on_cosets(space, a)
-        for i in range(space.size):
+    space = target.space
+    rows = []
+    for perm in space.act:
+        for i, j in enumerate(perm):
             row = [0] * space.size
             row[i] += 1
-            row[perm[i]] -= 1
+            row[j] -= 1
             rows.append(row)
-            rhs.append(f.log(target.values[a][i]))
-    return _factored(f, space, rows, space.size, _exponents_to_c0)(rhs)
+    return _factored(target.field, space, rows, space.size,
+                     _exponents_to_c0)(target.exps.tolist())
 
 
 def coboundary_basis_c1(field: PrimeField, space: CosetSpace):
-    """Exponent vectors spanning the image of d0 inside 1-cochains."""
-    n = space.size
-    m = max(field.unit_order, 1)
-    gens = []
-    for k in range(n):
-        eta = [0] * n
-        eta[k] = 1
-        vec = []
-        for (a, i) in _c1_vars(space):
-            perm = left_action_on_cosets(space, a)
-            vec.append((eta[i] - eta[perm[i]]) % m)
-        gens.append(tuple(vec))
-    return gens
+    """Exponent vectors spanning the image of d0 inside 1-cochains: the
+    image of each coset's indicator eta_k."""
+    m = _modulus(field)
+    return [tuple(((i == k) - (space.act[a][i] == k)) % m for a, i in _c1_vars(space))
+            for k in range(space.size)]

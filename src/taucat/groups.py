@@ -7,7 +7,7 @@ makes brute force the most trustworthy option.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 
@@ -181,18 +181,23 @@ class CosetSpace:
     subgroup: Subgroup
     reps: tuple[int, ...]
     coset_of: tuple[int, ...]
+    # act[a][i] is the coset of a * reps[i]; fixed by the fields above
+    act: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.reps)
 
 
+@lru_cache(maxsize=None)
 def coset_space(parent: FiniteGroup, sub: Subgroup) -> CosetSpace:
-    """Left cosets aL with canonical representatives.
+    """Left cosets aL with canonical representatives and the action table.
 
     The subgroup's own coset is listed first with the identity as its
     representative; the remaining cosets carry their least element and are
     ordered by it, so every downstream construction is deterministic.
+    Memoised, like `cyclic_group`: every cochain on the same (H, L) shares
+    one space, and so one action table.
     """
     if sub.parent is not parent and sub.parent != parent:
         raise ValueError("subgroup belongs to a different group")
@@ -217,13 +222,12 @@ def coset_space(parent: FiniteGroup, sub: Subgroup) -> CosetSpace:
             coset_of[x] = i
     if len(reps) * sub.order != n:
         raise ValueError("cosets do not partition the group")
-    return CosetSpace(parent, sub, tuple(reps), tuple(coset_of))
+    act = tuple(tuple(coset_of[parent.mul(a, r)] for r in reps) for a in range(n))
+    if any(sorted(perm) != list(range(len(reps))) for perm in act):
+        raise ValueError("left action did not give a permutation")
+    return CosetSpace(parent, sub, tuple(reps), tuple(coset_of), act)
 
 
 def left_action_on_cosets(space: CosetSpace, a: int) -> tuple[int, ...]:
     """The permutation i -> coset of a * reps[i]."""
-    g = space.parent
-    perm = tuple(space.coset_of[g.mul(a, r)] for r in space.reps)
-    if sorted(perm) != list(range(space.size)):
-        raise ValueError("left action did not give a permutation")
-    return perm
+    return space.act[a]

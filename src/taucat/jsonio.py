@@ -116,10 +116,8 @@ def parse_cochain2(doc, f: PrimeField, tau: GroupHom) -> Cochain2:
 
 def cochain2_to_json(psi: Cochain2):
     out = {"subgroup": list(psi.space.subgroup.elements), "values": {}}
-    n = psi.space.parent.order
-    for a in range(n):
-        for b in range(n):
-            vals = psi.values[a][b]
+    for a, row in enumerate(psi.units()):
+        for b, vals in enumerate(row):
             if any(v != 1 for v in vals):
                 out["values"][f"{a},{b}"] = list(vals)
     return out
@@ -133,8 +131,7 @@ def parse_cochain1(doc, f: PrimeField, tau: GroupHom) -> Cochain1:
 
 def cochain1_to_json(gamma: Cochain1):
     out = {"subgroup": list(gamma.space.subgroup.elements), "values": {}}
-    for a in range(gamma.space.parent.order):
-        vals = gamma.values[a]
+    for a, vals in enumerate(gamma.units()):
         if any(v != 1 for v in vals):
             out["values"][str(a)] = list(vals)
     return out

@@ -109,6 +109,12 @@ class ModuleCatData:
         return ([invert(base, c) for c in self.epsilon],
                 {ab: [invert(base, c) for c in comps] for ab, comps in self.mu.items()})
 
+    @cached_property
+    def rebuilt(self) -> GradedCatPresentation:
+        """bullet(self), rebuilt once per instance for roundtrip and for
+        every bullet functor out of or into it."""
+        return bullet(self)
+
 
 @dataclass
 class ModuleFunctorData:
@@ -478,8 +484,7 @@ def verify_module_nat(nt: NatTransData, mf_src: ModuleFunctorData,
 def bullet_functor(mf: ModuleFunctorData, src: ModuleCatData,
                    dst: ModuleCatData) -> FunctorData:
     """Degree-h morphisms f: alpha^h X -> Y map to F f o s^h_X."""
-    b_src = bullet(src)
-    b_dst = bullet(dst)
+    b_src, b_dst = src.rebuilt, dst.rebuilt
     F = mf.functor
     e = src.group.identity
     p = dst.base.field.p
@@ -558,7 +563,7 @@ def roundtrip(cat: GradedCatPresentation) -> RoundTrip:
     """Extract the action, rebuild once, and check both round trips."""
     table = shift_table(cat)
     mod = extract_action(cat, shifts=table)
-    rebuilt = bullet(mod)
+    rebuilt = mod.rebuilt
     eta, eta_inv = roundtrip_eta(cat, table, rebuilt)
     nu, nu_inv, rebuilt_mod = roundtrip_nu(mod, rebuilt)
     return RoundTrip(mod, rebuilt, eta, eta_inv, nu, nu_inv, rebuilt_mod)

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import GradedCatPresentation, Morphism
-from .cochains import Cochain2, cocycle_violation, trivial_cochain2
+from .cochains import Cochain2, c2_inv, cocycle_violation, trivial_cochain2
 from .fields import PrimeField
-from .groups import (GroupHom, Subgroup, coset_space, kernel,
-                     left_action_on_cosets, reduction_hom, subgroup)
+from .groups import GroupHom, Subgroup, coset_space, kernel, reduction_hom, subgroup
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,8 @@ def build_skeleton(spec: MtauSpec) -> GradedCatPresentation:
     gH, gG = tau.source, tau.target
     space = spec.psi.space
     n = space.size
-    perms = [left_action_on_cosets(space, a) for a in gH.elements()]
+    perms = space.act
+    psi_inv = c2_inv(spec.psi).units()
 
     degrees = [gG.mul(tau.map[space.reps[i]], spec.g) for i in range(n)]
     hom_rank = {}
@@ -74,9 +74,7 @@ def build_skeleton(spec: MtauSpec) -> GradedCatPresentation:
             j = perms[b][i]
             for a in gH.elements():
                 k = perms[a][j]
-                ab = gH.mul(a, b)
-                scalar = f.inv(spec.psi.values[a][b][i])
-                comp[(i, j, k, b, a)] = (((scalar,),),)
+                comp[(i, j, k, b, a)] = (((psi_inv[a][b][i],),),)
     identities = [(1,)] * n
     shifts = {}
     for i in range(n):
@@ -90,9 +88,9 @@ def basis_inverse(spec: MtauSpec, coset: int, a: int) -> Morphism:
     """Closed-form inverse of the basis morphism e^a out of the given coset."""
     gH = spec.tau.source
     space = spec.psi.space
-    j = left_action_on_cosets(space, a)[coset]
+    j = space.act[a][coset]
     a_inv = gH.inv(a)
-    scalar = spec.psi.values[a_inv][a][coset]
+    scalar = spec.field.exp(spec.psi.at(a_inv, a).exps[coset])
     return Morphism(j, coset, a_inv, (scalar,))
 
 
@@ -190,7 +188,7 @@ def check_skeleton_inverses(spec: MtauSpec, cat: GradedCatPresentation) -> bool:
     space = spec.psi.space
     for i in range(space.size):
         for a in gH.elements():
-            e = Morphism(i, left_action_on_cosets(space, a)[i], a, (1,))
+            e = Morphism(i, space.act[a][i], a, (1,))
             direct = basis_inverse(spec, i, a)
             if invert(cat, e) != direct:
                 return False

@@ -26,12 +26,12 @@ from .category import (FunctorData, GradedCatPresentation, Morphism,
                        NatTransData, Verdict, compose,
                        find_invertible, find_shift, identity_morphism, invert,
                        is_simple, verify_functor, verify_nat)
-from .cochains import (Cochain1, Cochain2, c2_inv, c2_mul,
-                       coboundary_basis_c1, d1_cochain,
+from .cochains import (Cochain1, c1_inv, c1_mul, c2_inv, c2_mul,
+                       coboundary_basis_c1, cochain2, d1_cochain,
                        d1_solver, trivial_cochain1, _c1_to_exponents, _c1_vars,
                        _exponents_to_c1, solve_d0, translate)
 from .groups import (CosetSpace, Subgroup, conjugate_subgroup, coset_space,
-                     left_action_on_cosets, subgroup)
+                     subgroup)
 from .mtau import MtauSpec, build_skeleton, mtau_spec
 
 
@@ -82,7 +82,7 @@ def analyze_simple(cat: GradedCatPresentation, s: int) -> SimpleOrbit:
     e = gH.identity
     L = stabilizer_subgroup(cat, s)
     space = coset_space(gH, L)
-    perms = {a: left_action_on_cosets(space, a) for a in gH.elements()}
+    perms = space.act
 
     targets, isos = [], []
     for rep in space.reps:
@@ -131,7 +131,7 @@ def analyze_simple(cat: GradedCatPresentation, s: int) -> SimpleOrbit:
             row.append(tuple(cell))
         values.append(tuple(row))
     # mtau_spec checks L <= ker tau and the cocycle identity of psi
-    spec = mtau_spec(cat.tau, f_field, L, Cochain2(f_field, space, tuple(values)),
+    spec = mtau_spec(cat.tau, f_field, L, cochain2(f_field, space, values),
                      cat.degrees[s])
     return SimpleOrbit(s, space, tuple(targets), tuple(isos), spanning, spec)
 
@@ -215,8 +215,7 @@ def decompose(cat: GradedCatPresentation) -> DecompositionReport:
         obj_map = [y for o in orbits for y in o.shift_targets]
         hom_maps, offset = {}, 0
         for o in orbits:
-            perms = {a: left_action_on_cosets(o.space, a)
-                     for a in cat.tau.source.elements()}
+            perms = o.space.act
             for i in range(o.space.size):
                 for a in cat.tau.source.elements():
                     j = perms[a][i]
@@ -388,6 +387,12 @@ def realize_functor(spec_a: MtauSpec, spec_b: MtauSpec,
                     datum: EquivalenceDatum) -> FunctorData:
     """The equivalence R_hL -> R'_{htL'}, e^a -> gamma(a)(hL) e'^a."""
     _check_datum(spec_a, spec_b, datum)
+    return _realize_checked(spec_a, spec_b, datum)
+
+
+def _realize_checked(spec_a: MtauSpec, spec_b: MtauSpec,
+                     datum: EquivalenceDatum) -> FunctorData:
+    """`realize_functor` for a datum that `_check_datum` has accepted."""
     src = build_skeleton(spec_a)
     tgt = build_skeleton(spec_b)
     gH = spec_a.tau.source
@@ -397,13 +402,13 @@ def realize_functor(spec_a: MtauSpec, spec_b: MtauSpec,
     if len(set(obj_map)) != space_a.size or space_a.size != space_b.size:
         raise ValueError("translation by t is not a bijection on cosets")
     hom_maps = {}
-    perms = {a: left_action_on_cosets(space_a, a) for a in gH.elements()}
+    units = datum.gamma.units()
     for i in range(space_a.size):
         for a in gH.elements():
-            j = perms[a][i]
+            j = space_a.act[a][i]
             if tgt.rank(obj_map[i], obj_map[j], a) != 1:
                 raise ValueError("target hom space missing where required")
-            hom_maps[(i, j, a)] = ((datum.gamma.values[a][i],),)
+            hom_maps[(i, j, a)] = ((units[a][i],),)
     functor = FunctorData(src, tgt, obj_map, hom_maps)
     verdict = verify_functor(functor)
     if not verdict.ok:
@@ -414,25 +419,25 @@ def realize_functor(spec_a: MtauSpec, spec_b: MtauSpec,
 def classify_nat_isos(spec_a: MtauSpec, spec_b: MtauSpec,
                       datum_f: EquivalenceDatum, datum_g: EquivalenceDatum,
                       cap: int = 4096):
-    """0-cochains eta giving natural isomorphisms F_{t,gamma} => F_{s,delta}."""
+    """0-cochains eta giving natural isomorphisms F_{t,gamma} => F_{s,delta}.
+
+    Both data are checked first, so an invalid datum is an error even when
+    the two functors could not be isomorphic anyway.
+    """
+    _check_datum(spec_a, spec_b, datum_f)
+    _check_datum(spec_a, spec_b, datum_g)
     space_b = spec_b.psi.space
     if space_b.coset_of[datum_f.t] != space_b.coset_of[datum_g.t]:
         return []
-    f = spec_a.field
-    space = spec_a.psi.space
-    target = Cochain1(f, space, tuple(
-        tuple(f.mul(a, f.inv(b)) for a, b in zip(ra, rb))
-        for ra, rb in zip(datum_f.gamma.values, datum_g.gamma.values)))
-    sols = solve_d0(target)
+    sols = solve_d0(c1_mul(datum_f.gamma, c1_inv(datum_g.gamma)))
     if sols is None:
         return []
     etas = list(sols.enumerate(cap))
-    F = realize_functor(spec_a, spec_b, datum_f)
-    G = realize_functor(spec_a, spec_b, datum_g)
+    F = _realize_checked(spec_a, spec_b, datum_f)
+    G = _realize_checked(spec_a, spec_b, datum_g)
     for eta in etas:
-        comps = [Morphism(F.obj_map[i], G.obj_map[i], spec_a.tau.source.identity,
-                          (eta.values[i],))
-                 for i in range(space.size)]
+        comps = [Morphism(F.obj_map[i], G.obj_map[i], spec_a.tau.source.identity, (u,))
+                 for i, u in enumerate(eta.units())]
         nt = NatTransData(F, G, comps)
         verdict = verify_nat(nt)
         if not verdict.ok:
@@ -444,19 +449,9 @@ def composite_datum(spec_a: MtauSpec, spec_b: MtauSpec, spec_c: MtauSpec,
                     d1_: EquivalenceDatum, d2_: EquivalenceDatum) -> EquivalenceDatum:
     """Datum of the composite equivalence A -> B -> C."""
     gH = spec_a.tau.source
-    space_a = spec_a.psi.space
-    space_b = spec_b.psi.space
-    f = spec_a.field
-    t = gH.mul(d1_.t, d2_.t)
-    vals = []
-    for a in gH.elements():
-        row = []
-        for i in range(space_a.size):
-            jb = space_b.coset_of[gH.mul(space_a.reps[i], d1_.t)]
-            row.append(f.mul(d1_.gamma.values[a][i], d2_.gamma.values[a][jb]))
-        vals.append(tuple(row))
-    gamma = Cochain1(f, space_a, tuple(vals))
-    datum = EquivalenceDatum(t, gamma)
+    # gamma(a)(hL) = gamma1(a)(hL) * gamma2(a)(h t1 L_B): gamma2 moved onto H/L
+    gamma = c1_mul(d1_.gamma, translate(d2_.gamma, d1_.t))
+    datum = EquivalenceDatum(gH.mul(d1_.t, d2_.t), gamma)
     _check_datum(spec_a, spec_c, datum)
     return datum
 

@@ -16,7 +16,7 @@ import pytest
 from taucat import fplinalg
 from taucat.category import (direct_sum_cat, find_invertible, find_shift,
                              is_simple, verify_axioms, verify_functor)
-from taucat.cochains import (Cochain0, c1_inv, c1_mul, cochain1, cochain2,
+from taucat.cochains import (c1_inv, c1_mul, cochain1, cochain2,
                              d0_cochain, d1_cochain, random_cochain0,
                              random_cochain1, solve_d1, trivial_cochain2)
 from taucat.fields import field
@@ -67,7 +67,7 @@ def _associativity_oracle(spec) -> bool:
     f = spec.field
     space = spec.psi.space
     perms = {a: left_action_on_cosets(space, a) for a in g.elements()}
-    vals = spec.psi.values
+    vals = spec.psi.units()
     for a in g.elements():
         for b in g.elements():
             ab = g.mul(a, b)
@@ -190,7 +190,7 @@ def test_criterion_4_cohomology_small_scale():
         coboundaries.add(d1_cochain(cochain1(F3, space, grid)))
 
     ok = cocycles == coboundaries
-    for target in sorted(cocycles, key=lambda c: c.values):
+    for target in sorted(cocycles, key=lambda c: c.units()):
         sols = solve_d1(target)
         ok = ok and sols is not None and d1_cochain(sols.particular) == target
 

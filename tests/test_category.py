@@ -373,7 +373,7 @@ def _realized_pair():
     other = EquivalenceDatum(base.t, c1_mul(base.gamma, c1_inv(d0_cochain(eta))))
     F = realize_functor(spec, spec, base)
     G = realize_functor(spec, spec, other)
-    comps = [Morphism(F.obj_map[x], G.obj_map[x], 0, (eta.values[x],))
+    comps = [Morphism(F.obj_map[x], G.obj_map[x], 0, (eta.units()[x],))
              for x in range(spec.psi.space.size)]
     return F, G, comps
 

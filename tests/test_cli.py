@@ -58,6 +58,7 @@ def test_malformed_input_exit_2(tmp_path):
 
 @pytest.mark.parametrize("variant", ["objects_int", "tensor_int", "top_level_list",
                                      "compose_degree_out_of_range", "psi_value_int",
+                                     "psi_value_zero",
                                      "psi_top_level_list", "psi_key_out_of_range",
                                      "spec_L_int", "datum_gamma_value_int",
                                      "datum_t_out_of_range", "L_option_out_of_range"])
@@ -82,6 +83,8 @@ def test_schema_errors_exit_2_without_traceback(tmp_path, tau_file, category_fil
         doc = {"subgroup": [0, 4], "values": {"1,2": [1, 1]}}
         if variant == "psi_value_int":
             doc["values"]["1,2"] = 5
+        elif variant == "psi_value_zero":
+            doc["values"]["1,2"] = [0, 1]  # 0 is not a unit
         elif variant == "psi_top_level_list":
             doc = [doc]
         else:
@@ -102,6 +105,24 @@ def test_schema_errors_exit_2_without_traceback(tmp_path, tau_file, category_fil
     bad.write_text(json.dumps(doc))
     r = run_cli(*argv)
     assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
+def test_classify_nat_rejects_an_invalid_datum(tmp_path):
+    # t = 1 has tau(1) = 1, not g_A g_B^-1 = 0, so the first datum is no
+    # equivalence datum at all; that is an input error even though the two
+    # data's t also lie in different cosets of L
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_doc([0, 4])))
+    data = []
+    for t in (1, 0):
+        data.append(tmp_path / f"datum{t}.json")
+        data[-1].write_text(json.dumps({"t": t}))
+    r = run_cli("classify-nat", str(spec), str(spec), "--datumA", str(data[0]),
+                "--datumB", str(data[1]))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ")
     assert "Traceback" not in r.stderr
 
 

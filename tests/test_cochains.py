@@ -1,17 +1,18 @@
-from itertools import product
+from itertools import permutations, product
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
-from taucat.cochains import (Cochain0, Cochain1, Cochain2, UnitFunction, act,
-                             cochain1, cochain2, cocycle_violation, constant_one,
+from taucat.cochains import (act, cochain1, cochain2, cocycle_violation, constant_one,
                              coboundary_basis_c1, d0, d0_cochain, d1, d1_cochain,
-                             d2, is_cocycle, random_cochain0, random_cochain1,
-                             solve_d0, solve_d1, translate, translate_c1,
-                             trivial_cochain1, trivial_cochain2, unit_function)
+                             d2, random_cochain0, random_cochain1,
+                             solve_d0, solve_d1, translate,
+                             trivial_cochain1, trivial_cochain2, unit_function,
+                             _exponents_to_c0, _exponents_to_c1)
 from taucat.fields import field
-from taucat.groups import coset_space, cyclic_group, reduction_hom, subgroup
+from taucat.groups import (conjugate_subgroup, coset_space, cyclic_group,
+                           group_from_table, reduction_hom, subgroup)
 
 F5 = field(5)
 F3 = field(3)
@@ -39,7 +40,7 @@ def test_act_fixes_constants():
 
 def test_act_example():
     f = unit_function(F5, SP84, (1, 2, 3, 4))
-    assert act(f, 1).values == (2, 3, 4, 1)
+    assert act(f, 1).units() == (2, 3, 4, 1)
 
 
 def test_act_is_right_action():
@@ -58,7 +59,7 @@ def test_unit_function_rejects_zero():
 def test_d2_trivial_cocycle():
     psi = trivial_cochain2(F5, SP84)
     for a, b, c in all_triples(8):
-        assert all(v == 1 for v in d2(psi, a, b, c).values)
+        assert all(v == 1 for v in d2(psi, a, b, c).units())
 
 
 def test_d1_of_gamma_is_cocycle():
@@ -72,30 +73,29 @@ def test_d1_of_gamma_is_cocycle():
 def test_perturbed_cocycle_detected():
     rng = Random(5)
     psi = d1_cochain(random_cochain1(F5, SP84, rng))
-    vals = [list(list(cell) for cell in row) for row in psi.values]
+    vals = [list(list(cell) for cell in row) for row in psi.units()]
     vals[3][2][1] = F5.mul(vals[3][2][1], 2)
-    broken = Cochain2(F5, SP84, tuple(
-        tuple(tuple(c) for c in row) for row in vals))
+    broken = cochain2(F5, SP84, vals)
     assert cocycle_violation(broken) is not None
 
 
 def test_d1_trivial_and_normalisation():
     gamma = trivial_cochain1(F5, SP84)
     psi = d1_cochain(gamma)
-    assert all(v == 1 for row in psi.values for cell in row for v in cell)
+    assert all(v == 1 for row in psi.units() for cell in row for v in cell)
     rng = Random(2)
     gamma = random_cochain1(F5, SP84, rng)
     for h in range(8):
-        assert all(v == 1 for v in d1(gamma, 0, h).values)
-        assert all(v == 1 for v in d1(gamma, h, 0).values)
+        assert all(v == 1 for v in d1(gamma, 0, h).units())
+        assert all(v == 1 for v in d1(gamma, h, 0).units())
 
 
 def test_d0_trivial_and_identity_degree():
-    eta = Cochain0(F5, SP84, (1, 1, 1, 1))
-    assert all(all(v == 1 for v in d0(eta, a).values) for a in range(8))
+    eta = unit_function(F5, SP84, (1, 1, 1, 1))
+    assert all(all(v == 1 for v in d0(eta, a).units()) for a in range(8))
     rng = Random(3)
     eta = random_cochain0(F5, SP84, rng)
-    assert all(v == 1 for v in d0(eta, 0).values)
+    assert all(v == 1 for v in d0(eta, 0).units())
 
 
 def test_dd_is_one():
@@ -104,7 +104,7 @@ def test_dd_is_one():
         eta = random_cochain0(F5, SP84, rng)
         gamma = d0_cochain(eta)
         psi = d1_cochain(gamma)
-        assert all(v == 1 for row in psi.values for cell in row for v in cell)
+        assert all(v == 1 for row in psi.units() for cell in row for v in cell)
 
 
 def test_translate_identity_and_inverse():
@@ -127,14 +127,14 @@ def test_translate_commutes_with_d1():
     rng = Random(8)
     gamma = random_cochain1(F5, SP84, rng)
     for t in range(8):
-        assert translate(d1_cochain(gamma), t) == d1_cochain(translate_c1(gamma, t))
+        assert translate(d1_cochain(gamma), t) == d1_cochain(translate(gamma, t))
 
 
 def test_solve_d1_trivial_target():
     target = trivial_cochain2(F5, SP84)
     sols = solve_d1(target)
     assert sols is not None
-    assert all(v == 1 for row in sols.particular.values for v in row)
+    assert all(v == 1 for row in sols.particular.units() for v in row)
     # kernel elements decode to 1-cocycles: their coboundary is trivial
     for vec in sols.kernel:
         from taucat.cochains import _exponents_to_c1
@@ -156,9 +156,9 @@ def test_solve_d1_round_trip():
 def test_solve_d1_rejects_non_cocycle():
     rng = Random(5)
     psi = d1_cochain(random_cochain1(F5, SP84, rng))
-    vals = [list(list(cell) for cell in row) for row in psi.values]
+    vals = [list(list(cell) for cell in row) for row in psi.units()]
     vals[3][2][1] = F5.mul(vals[3][2][1], 2)
-    broken = Cochain2(F5, SP84, tuple(tuple(tuple(c) for c in row) for row in vals))
+    broken = cochain2(F5, SP84, vals)
     with pytest.raises(ValueError):
         solve_d1(broken)
 
@@ -249,7 +249,7 @@ def test_solve_d0_trivial_target_gives_constants():
     target = trivial_cochain1(F5, SP84)
     sols = solve_d0(target)
     assert sols is not None
-    got = {e.values for e in sols.enumerate()}
+    got = {e.units() for e in sols.enumerate()}
     assert got == {(u, u, u, u) for u in (1, 2, 3, 4)}
 
 
@@ -267,7 +267,7 @@ def test_solve_d0_infeasible():
     # exhaustive scan on C4 over F_3: find a normalised 1-cochain off the image
     images = set()
     for vals in product((1, 2), repeat=SP4_TRIV.size):
-        images.add(d0_cochain(Cochain0(F3, SP4_TRIV, vals)))
+        images.add(d0_cochain(unit_function(F3, SP4_TRIV, vals)))
     found = None
     n = C4.order
     for exps in product(range(2), repeat=(n - 1) * SP4_TRIV.size):
@@ -292,7 +292,7 @@ def test_coboundary_basis_spans_d0_image():
     span = set(znsolve.span_members(gens, F3.unit_order, len(gens[0])))
     images = set()
     for vals in product((1, 2), repeat=SP4_TRIV.size):
-        images.add(_c1_to_exponents(d0_cochain(Cochain0(F3, SP4_TRIV, vals))))
+        images.add(_c1_to_exponents(d0_cochain(unit_function(F3, SP4_TRIV, vals))))
     assert images == span
 
 
@@ -300,7 +300,7 @@ def test_coboundary_basis_spans_d0_image():
 @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7), st.integers(0, 2 ** 16))
 def test_d2_of_d1_vanishes_everywhere(a, b, c, seed):
     gamma = random_cochain1(F5, SP84, Random(seed))
-    assert all(v == 1 for v in d2(d1_cochain(gamma), a, b, c).values)
+    assert all(v == 1 for v in d2(d1_cochain(gamma), a, b, c).units())
 
 
 def test_one_coset_degenerate_space():
@@ -321,3 +321,164 @@ def test_one_coset_degenerate_space():
     eta = random_cochain0(F5, space, rng)
     back = solve_d0(d0_cochain(eta))
     assert back is not None and eta in set(back.enumerate())
+
+
+def test_constructors_reject_zero():
+    with pytest.raises(ValueError, match="not 0"):
+        cochain1(F5, SP84, [[1] * 4] + [[1, 1, 0, 1]] + [[1] * 4] * 6)
+    row = [[1] * 4] * 8
+    with pytest.raises(ValueError, match="not 0"):
+        cochain2(F5, SP84, [row, [[1] * 4, [0, 1, 1, 1]] + [[1] * 4] * 6] + [row] * 6)
+
+
+def test_packed_layout():
+    # 4 bytes per entry, entry (a, b, coset i) at (a*n + b)*s + i, exponents
+    # past one byte kept whole
+    f = field(263)
+    gamma = random_cochain1(f, SP84, Random(1))
+    psi = d1_cochain(gamma)
+    assert len(psi.data) == 4 * 8 * 8 * 4 and len(gamma.data) == 4 * 8 * 4
+    assert max(psi.exps) > 255
+    units = psi.units()
+    for a, b, i in product(range(8), range(8), range(4)):
+        assert f.exp(psi.exps[(a * 8 + b) * 4 + i]) == units[a][b][i]
+        assert psi.at(a, b).units()[i] == units[a][b][i]
+    assert cochain2(f, SP84, units) == psi
+
+
+# -- unit-form reference oracles ---------------------------------------------
+#
+# d1, d2, cocycle_violation and translate as they were written on units, with
+# the coset action recomputed from the Cayley table instead of read off the
+# coset space's table, so the exponent kernel is checked against a separate
+# implementation.
+
+
+def _perm(space, a):
+    g = space.parent
+    return tuple(space.coset_of[g.mul(a, r)] for r in space.reps)
+
+
+def _reference_d0(f, space, eta):
+    return tuple(tuple(f.mul(eta[i], f.inv(eta[j])) for i, j in enumerate(_perm(space, a)))
+                 for a in range(space.parent.order))
+
+
+def _reference_d1(f, space, gamma):
+    g = space.parent
+    return tuple(tuple(tuple(
+        f.mul(gamma[g.mul(a, b)][i], f.inv(f.mul(gamma[a][j], gamma[b][i])))
+        for i, j in enumerate(_perm(space, b))) for b in range(g.order))
+        for a in range(g.order))
+
+
+def _reference_d2(f, space, psi, a, b, c):
+    g = space.parent
+    ab, bc = g.mul(a, b), g.mul(b, c)
+    return tuple(f.mul(f.mul(psi[b][c][i], f.inv(psi[ab][c][i])),
+                       f.mul(psi[a][bc][i], f.inv(psi[a][b][j])))
+                 for i, j in enumerate(_perm(space, c)))
+
+
+def _reference_cocycle_violation(f, space, psi):
+    for a, b, c in all_triples(space.parent.order):
+        if any(v != 1 for v in _reference_d2(f, space, psi, a, b, c)):
+            return (a, b, c)
+    return None
+
+
+def _reference_translate(space, psi, t):
+    g = space.parent
+    new_space = coset_space(g, conjugate_subgroup(space.subgroup, t))
+    lookup = [space.coset_of[g.mul(r, t)] for r in new_space.reps]
+    return new_space, tuple(tuple(tuple(cell[i] for i in lookup) for cell in row)
+                            for row in psi)
+
+
+def _s3():
+    """S3 as permutations of {0, 1, 2}, composed right to left; the identity
+    is element 0 and the transposition (0 1) is element 2."""
+    perms = list(permutations(range(3)))
+    index = {q: k for k, q in enumerate(perms)}
+    return group_from_table([[index[tuple(x[y[i]] for i in range(3))] for y in perms]
+                             for x in perms])
+
+
+S3 = _s3()
+REFERENCE_SPACES = {
+    "C4/1": (cyclic_group(4), [0]), "C4/2": (cyclic_group(4), [0, 2]),
+    "C6/2": (cyclic_group(6), [0, 3]), "C6/3": (cyclic_group(6), [0, 2, 4]),
+    "C8/2": (C8, [0, 4]), "C12/2": (cyclic_group(12), [0, 6]),
+    "C12/4": (cyclic_group(12), [0, 3, 6, 9]),
+    # a non-normal L: conjugation moves it, and a*r differs from r*a
+    "S3/2": (S3, [0, 2]), "S3/1": (S3, [0]),
+}
+
+
+def _corrupt(units, rng, f, depth):
+    """One entry off the identity rows multiplied by a unit other than 1."""
+    n = len(units)
+    cells = [list(map(list, row)) if depth == 2 else list(row) for row in units]
+    a, b = rng.randrange(1, n), rng.randrange(1, n)
+    cell = cells[a][b] if depth == 2 else cells[a]
+    i = rng.randrange(len(cell))
+    cell[i] = f.mul(cell[i], f.exp(1 + rng.randrange(f.unit_order - 1)))
+    return cells
+
+
+# no shrink phase: a smaller seed is no simpler a counterexample
+@settings(max_examples=5, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.integers(0, 2 ** 16))
+def test_exponent_kernel_matches_unit_reference(seed):
+    # every space, prime and corruption in each example, none left to the draw
+    for name, p, corrupt in product(sorted(REFERENCE_SPACES), (3, 5, 7, 263), (False, True)):
+        _check_against_reference(name, p, seed, corrupt)
+
+
+def _check_against_reference(name, p, seed, corrupt):
+    g, elements = REFERENCE_SPACES[name]
+    space = coset_space(g, subgroup(g, elements))
+    f, rng = field(p), Random(seed)
+    assert g.identity == 0
+
+    gamma = random_cochain1(f, space, rng)
+    if corrupt:
+        gamma = cochain1(f, space, _corrupt(gamma.units(), rng, f, 1))
+    psi = d1_cochain(gamma)
+    assert psi.units() == _reference_d1(f, space, gamma.units())
+    if corrupt:
+        psi = cochain2(f, space, _corrupt(psi.units(), rng, f, 2))
+    units = psi.units()
+
+    # with |H| >= 3 a changed entry off the identity rows always breaks d2 = 1
+    bad = cocycle_violation(psi)
+    assert bad == _reference_cocycle_violation(f, space, units)
+    assert (bad is None) == (not corrupt)
+
+    t = rng.randrange(g.order)
+    moved = translate(psi, t)
+    ref_space, ref_units = _reference_translate(space, units, t)
+    assert moved.space == ref_space and moved.units() == ref_units
+
+    if corrupt:
+        with pytest.raises(ValueError):
+            solve_d1(psi)
+    else:
+        sols = solve_d1(psi)
+        assert _reference_d1(f, space, sols.particular.units()) == units
+        ones = trivial_cochain2(f, space).units()
+        for vec in sols.kernel:
+            assert _reference_d1(f, space, _exponents_to_c1(f, space, vec).units()) == ones
+
+    eta = random_cochain0(f, space, rng)
+    target = d0_cochain(eta)
+    assert target.units() == _reference_d0(f, space, eta.units())
+    if corrupt:
+        target = cochain1(f, space, _corrupt(target.units(), rng, f, 1))
+    sols = solve_d0(target)
+    assert (sols is not None) or corrupt
+    if sols is not None:
+        assert _reference_d0(f, space, sols.particular.units()) == target.units()
+        for vec in sols.kernel:  # d0 kills exactly the constants
+            assert len(set(_exponents_to_c0(f, space, vec).units())) == 1

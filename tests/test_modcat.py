@@ -233,11 +233,31 @@ def test_bullet_nat_planted():
     mf_g, _, _ = restrict_functor(realize_functor(spec, spec, other),
                                   table, table)
     comps = [Morphism(mf_f.functor.obj_map[x], mf_g.functor.obj_map[x], 0,
-                      (eta0.values[x],)) for x in mc.base.objects()]
+                      (eta0.units()[x],)) for x in mc.base.objects()]
     nt = NatTransData(mf_f.functor, mf_g.functor, comps)
     assert verify_module_nat(nt, mf_f, mf_g, mc, md).ok
     out = bullet_nat(nt, mf_f, mf_g, mc, md)
     assert verify_nat(out).ok
+
+
+def test_bullet_nat_rebuilds_each_category_once(monkeypatch):
+    # both bullet functors of one bullet_nat share the rebuilt source and
+    # target categories: one bullet each, not one per functor
+    spec = trivial_spec(TAU, F5, cyclic_subgroup_of_order(2), 0)
+    skel = build_skeleton(spec)
+    table = shift_table(skel)
+    mf, mc, md = restrict_functor(identity_functor(skel), table, table)
+    assert mc is not md
+    nt = NatTransData(mf.functor, mf.functor,
+                      [identity_morphism(mc.base, x) for x in mc.base.objects()])
+    calls = []
+    real = modcat.bullet
+    monkeypatch.setattr(modcat, "bullet", lambda mod: calls.append(mod) or real(mod))
+    out = bullet_nat(nt, mf, mf, mc, md)
+    assert verify_nat(out).ok
+    assert len(calls) == 2  # four before the rebuild was kept on the module
+    assert calls[0] is mc and calls[1] is md
+    assert out.source.source is mc.rebuilt and out.source.target is md.rebuilt
 
 
 def test_module_square_failure_detected():

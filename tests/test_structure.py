@@ -7,7 +7,7 @@ from taucat import cochains, znsolve
 
 from taucat.category import (direct_sum_cat, identity_functor, is_simple,
                              verify_axioms, verify_functor)
-from taucat.cochains import (Cochain0, c1_mul, c1_inv, d0_cochain, d1_cochain,
+from taucat.cochains import (c1_mul, c1_inv, d0_cochain, d1_cochain,
                              random_cochain0, random_cochain1, trivial_cochain1,
                              trivial_cochain2)
 from taucat.completion import AdditiveCompletion
@@ -48,7 +48,7 @@ def test_analyze_simple_on_table_category():
     cat = cyclic_table_category(F5, 2)
     orbit = analyze_simple(cat, 0)
     assert orbit.spec.L.elements == (0, 4)
-    assert all(v == 1 for row in orbit.spec.psi.values for cell in row for v in cell)
+    assert all(v == 1 for row in orbit.spec.psi.units() for cell in row for v in cell)
 
 
 def test_analyze_simple_trivial_group():
@@ -57,7 +57,7 @@ def test_analyze_simple_trivial_group():
     cat = build_skeleton(spec)
     orbit = analyze_simple(cat, 0)
     assert orbit.spec.L.order == 1
-    assert orbit.spec.psi.values == (((1,),),)
+    assert orbit.spec.psi.units() == (((1,),),)
 
 
 def test_stabilizer_on_table_category():
@@ -197,11 +197,10 @@ def test_realize_rejects_stale_datum():
 def test_realize_perturbed_gamma_fails():
     spec = trivial_spec(TAU, F5, cyclic_subgroup_of_order(2), 0)
     ident = identity_datum(spec)
-    vals = [list(row) for row in ident.gamma.values]
+    vals = [list(row) for row in ident.gamma.units()]
     vals[3][1] = 2
-    from taucat.cochains import Cochain1
-    bad = EquivalenceDatum(0, Cochain1(F5, spec.psi.space,
-                                       tuple(tuple(r) for r in vals)))
+    from taucat.cochains import cochain1
+    bad = EquivalenceDatum(0, cochain1(F5, spec.psi.space, vals))
     with pytest.raises(ValueError):
         realize_functor(spec, spec, bad)
 
@@ -227,9 +226,9 @@ def test_nat_isos_identity_pair():
     spec = trivial_spec(TAU, F5, cyclic_subgroup_of_order(2), 0)
     ident = identity_datum(spec)
     etas = classify_nat_isos(spec, spec, ident, ident)
-    assert any(all(v == 1 for v in e.values) for e in etas)
+    assert any(all(v == 1 for v in e.units()) for e in etas)
     # solutions of the trivial equation are exactly the constants
-    assert {e.values for e in etas} == {(u,) * 4 for u in (1, 2, 3, 4)}
+    assert {e.units() for e in etas} == {(u,) * 4 for u in (1, 2, 3, 4)}
 
 
 def test_nat_isos_planted():
