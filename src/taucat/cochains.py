@@ -19,10 +19,11 @@ Storage.  F_p^x is cyclic of order m = p - 1, so every value is g^k for
 the field's generator g, and a cochain stores the exponent k in Z/m, not
 the unit: products become sums and inverses negations mod m, and every
 differential above is linear.  The exponents of one cochain sit in one
-flat immutable buffer, 4 bytes each (array type 'I', enough for any
-p < 2^32).  With n = |H| and s = |H/L|, entry (a, b, coset i) of a
-2-cochain is at (a*n + b)*s + i, entry (a, i) of a 1-cochain at a*s + i,
-and entry i of a unit function (a 0-cochain) at i.  The action of H on
+flat immutable buffer, 1 byte each when p - 1 <= 256, 2 when p - 1 <=
+65536 and 4 beyond (array types 'B', 'H', 'I'), so one field has one
+width and equality stays on bytes.  With n = |H| and s = |H/L|, entry
+(a, b, coset i) of a 2-cochain is at (a*n + b)*s + i, entry (a, i) of a
+1-cochain at a*s + i, and entry i of a unit function at i.  The action of H on
 the cosets is read off `space.act`, the table that `groups.coset_space`
 builds once per (H, L) and every cochain on that space shares.  Units
 appear only at the edges: `unit_function`, `cochain1` and `cochain2` take
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from random import Random
@@ -42,8 +44,13 @@ from .fields import PrimeField
 from .groups import CosetSpace, conjugate_subgroup, coset_space
 
 
-def _pack(exps) -> bytes:
-    return array("I", exps).tobytes()
+def _code(field: PrimeField) -> str:
+    """Array typecode of the exponents 0..p-2: the narrowest that holds them."""
+    return "B" if field.unit_order <= 256 else "H" if field.unit_order <= 65536 else "I"
+
+
+def _pack(field: PrimeField, exps) -> bytes:
+    return array(_code(field), exps).tobytes()
 
 
 def _modulus(field: PrimeField) -> int:
@@ -59,7 +66,7 @@ class _Exponents:
 
     @property
     def exps(self) -> memoryview:
-        return memoryview(self.data).cast("I")
+        return memoryview(self.data).cast(_code(self.field))
 
     def units(self) -> tuple:
         """The values as units, indexed [a][b][i], [a][i] or [i] by degree."""
@@ -69,7 +76,7 @@ class _Exponents:
         return vals
 
     def _row(self, k: int) -> UnitFunction:
-        s = 4 * self.space.size
+        s = self.exps.itemsize * self.space.size
         return UnitFunction(self.field, self.space, self.data[k * s:(k + 1) * s])
 
 
@@ -100,7 +107,7 @@ def _logs(field: PrimeField, space: CosetSpace, rows, what: str) -> bytes:
     if any(len(row) != space.size for row in rows):
         raise ValueError(f"{what} needs one unit per coset in every entry")
     try:
-        return _pack([field.log(int(u)) for u in chain.from_iterable(rows)])
+        return _pack(field, [field.log(int(u)) for u in chain.from_iterable(rows)])
     except ZeroDivisionError:
         raise ValueError(f"{what} values must be units, not 0") from None
 
@@ -110,13 +117,13 @@ def unit_function(field: PrimeField, space: CosetSpace, values) -> UnitFunction:
 
 
 def constant_one(field: PrimeField, space: CosetSpace) -> UnitFunction:
-    return UnitFunction(field, space, bytes(4 * space.size))
+    return UnitFunction(field, space, _pack(field, [0] * space.size))
 
 
 def act(f: UnitFunction, h: int) -> UnitFunction:
     """Right action: act(f, h)(kL) = f(h k L)."""
     x = f.exps
-    return UnitFunction(f.field, f.space, _pack([x[j] for j in f.space.act[h]]))
+    return UnitFunction(f.field, f.space, _pack(f.field, [x[j] for j in f.space.act[h]]))
 
 
 def cochain1(field: PrimeField, space: CosetSpace, values) -> Cochain1:
@@ -138,35 +145,36 @@ def cochain2(field: PrimeField, space: CosetSpace, values) -> Cochain2:
 
 
 def trivial_cochain1(field: PrimeField, space: CosetSpace) -> Cochain1:
-    return Cochain1(field, space, bytes(4 * space.parent.order * space.size))
+    return Cochain1(field, space, _pack(field, [0] * space.parent.order * space.size))
 
 
 def trivial_cochain2(field: PrimeField, space: CosetSpace) -> Cochain2:
-    return Cochain2(field, space, bytes(4 * space.parent.order ** 2 * space.size))
+    return Cochain2(field, space, _pack(field, [0] * space.parent.order ** 2 * space.size))
 
 
 def random_cochain1(field: PrimeField, space: CosetSpace, rng: Random) -> Cochain1:
     e, m = space.parent.identity, _modulus(field)
-    return Cochain1(field, space, _pack([0 if a == e else rng.randrange(m)
-                                         for a in range(space.parent.order)
-                                         for _ in range(space.size)]))
+    return Cochain1(field, space, _pack(field, [0 if a == e else rng.randrange(m)
+                                                for a in range(space.parent.order)
+                                                for _ in range(space.size)]))
 
 
 def random_cochain0(field: PrimeField, space: CosetSpace, rng: Random) -> Cochain0:
     m = _modulus(field)
-    return Cochain0(field, space, _pack([rng.randrange(m) for _ in range(space.size)]))
+    return Cochain0(field, space, _pack(field, [rng.randrange(m) for _ in range(space.size)]))
 
 
 def c2_mul(x, y):
     """Pointwise product of two cochains of one degree on one space."""
     m = _modulus(x.field)
-    return type(x)(x.field, x.space, _pack([(u + v) % m for u, v in zip(x.exps, y.exps)]))
+    return type(x)(x.field, x.space,
+                   _pack(x.field, [(u + v) % m for u, v in zip(x.exps, y.exps)]))
 
 
 def c2_inv(x):
     """Pointwise inverse of a cochain of any degree."""
     m = _modulus(x.field)
-    return type(x)(x.field, x.space, _pack([-u % m for u in x.exps]))
+    return type(x)(x.field, x.space, _pack(x.field, [-u % m for u in x.exps]))
 
 
 c1_mul, c1_inv = c2_mul, c2_inv
@@ -174,7 +182,7 @@ c1_mul, c1_inv = c2_mul, c2_inv
 
 def d0(eta: Cochain0, a: int) -> UnitFunction:
     x, m = eta.exps, _modulus(eta.field)
-    return UnitFunction(eta.field, eta.space, _pack(
+    return UnitFunction(eta.field, eta.space, _pack(eta.field,
         [(x[i] - x[j]) % m for i, j in enumerate(eta.space.act[a])]))
 
 
@@ -186,15 +194,26 @@ def d0_cochain(eta: Cochain0) -> Cochain1:
 def d1(gamma: Cochain1, a: int, b: int) -> UnitFunction:
     x, s, m = gamma.exps, gamma.space.size, _modulus(gamma.field)
     ab = gamma.space.parent.mul(a, b) * s
-    return UnitFunction(gamma.field, gamma.space, _pack(
+    return UnitFunction(gamma.field, gamma.space, _pack(gamma.field,
         [(x[ab + i] - x[a * s + j] - x[b * s + i]) % m
          for i, j in enumerate(gamma.space.act[b])]))
 
 
+def _gather(idx):
+    """seq -> tuple(seq[k] for k in idx), in C; a tuple even for one index."""
+    return itemgetter(*idx) if len(idx) > 1 else lambda seq: (seq[idx[0]],)
+
+
 def d1_cochain(gamma: Cochain1) -> Cochain2:
-    n = gamma.space.parent.order
-    return Cochain2(gamma.field, gamma.space, b"".join(
-        d1(gamma, a, b).data for a in range(n) for b in range(n)))
+    """All of d1(gamma) in one pass over the rows of gamma."""
+    s, m, x = gamma.space.size, _modulus(gamma.field), gamma.exps.tolist()
+    rows = [x[k:k + s] for k in range(0, len(x), s)]
+    moved = [_gather(perm) for perm in gamma.space.act]  # moved[b](row)[i] = row[b.i]
+    out = []
+    for row_a, prods in zip(rows, gamma.space.parent.table):
+        for b, row_b in enumerate(rows):
+            out += [(u - v - w) % m for u, v, w in zip(rows[prods[b]], moved[b](row_a), row_b)]
+    return Cochain2(gamma.field, gamma.space, _pack(gamma.field, out))
 
 
 def d2(psi: Cochain2, a: int, b: int, c: int) -> UnitFunction:
@@ -202,14 +221,9 @@ def d2(psi: Cochain2, a: int, b: int, c: int) -> UnitFunction:
     n = g.order
     bc, abc = (b * n + c) * s, (g.mul(a, b) * n + c) * s
     a_bc, ab = (a * n + g.mul(b, c)) * s, (a * n + b) * s
-    return UnitFunction(psi.field, psi.space, _pack(
+    return UnitFunction(psi.field, psi.space, _pack(psi.field,
         [(x[bc + i] - x[abc + i] + x[a_bc + i] - x[ab + j]) % m
          for i, j in enumerate(psi.space.act[c])]))
-
-
-def _gather(idx):
-    """seq -> tuple(seq[k] for k in idx), in C; a tuple even for one index."""
-    return itemgetter(*idx) if len(idx) > 1 else lambda seq: (seq[idx[0]],)
 
 
 def cocycle_violation(psi: Cochain2):
@@ -251,7 +265,7 @@ def translate(x, t: int):
     new_space = coset_space(g, conjugate_subgroup(space.subgroup, t))
     lookup = [space.coset_of[g.mul(r, t)] for r in new_space.reps]
     e = x.exps
-    return type(x)(x.field, new_space, _pack(
+    return type(x)(x.field, new_space, _pack(x.field,
         [e[k + j] for k in range(0, len(e), space.size) for j in lookup]))
 
 
@@ -275,12 +289,12 @@ def _c1_to_exponents(gamma: Cochain1):
 def _exponents_to_c1(field: PrimeField, space: CosetSpace, vec) -> Cochain1:
     m, s, e = _modulus(field), space.size, space.parent.identity
     vec = [x % m for x in vec]
-    return Cochain1(field, space, _pack(vec[:e * s] + [0] * s + vec[e * s:]))
+    return Cochain1(field, space, _pack(field, vec[:e * s] + [0] * s + vec[e * s:]))
 
 
 def _exponents_to_c0(field: PrimeField, space: CosetSpace, vec) -> Cochain0:
     m = _modulus(field)
-    return Cochain0(field, space, _pack([x % m for x in vec]))
+    return Cochain0(field, space, _pack(field, [x % m for x in vec]))
 
 
 @dataclass(frozen=True)
@@ -303,28 +317,22 @@ class CochainSolutions:
             yield self._from_exponents(self.field, self.space, vec)
 
 
-def _factored(field: PrimeField, space: CosetSpace, rows, nvars: int, from_exponents):
-    """Solve rows . x = rhs over Z/(p-1) for any rhs, the rows factored once."""
-    system = znsolve.System(rows, _modulus(field), nvars)
-
-    def solve(rhs):
-        sol = system.solve(rhs)
-        if sol is None:
-            return None
-        return CochainSolutions(field, space, from_exponents(field, space, sol.x0),
-                                sol.kernel, sol, from_exponents)
-    return solve
+def _solutions(field: PrimeField, space: CosetSpace, system, rhs, from_exponents):
+    """All x with system . x = rhs over Z/(p-1), as cochains; None when infeasible."""
+    sol = system.solve(rhs)
+    if sol is None:
+        return None
+    return CochainSolutions(field, space, from_exponents(field, space, sol.x0),
+                            sol.kernel, sol, from_exponents)
 
 
-def d1_solver(field: PrimeField, space: CosetSpace):
-    """`solve_d1` for every target on ``space``.
-
-    The d1 matrix depends only on the coset space, one equation per
-    (a, b, coset) with a, b != 1; a target only supplies the right-hand
-    side.  So the matrix is built and factored once, here.
-    """
-    g, s = space.parent, space.size
-    e = g.identity
+@lru_cache(maxsize=None)
+def _d1_system(m: int, space: CosetSpace):
+    """The d1 equations of ``space`` over Z/m, one per (a, b, coset) with
+    a, b != 1, factored, and where each (a, b) row of a target starts in its
+    buffer.  Memoised like `groups.coset_space`, and keyed on the integer m
+    rather than on the field, whose hash walks its dlog table."""
+    g, e = space.parent, space.parent.identity
     var_index = {v: k for k, v in enumerate(_c1_vars(space))}
     pairs = [(a, b) for a in range(g.order) for b in range(g.order) if e not in (a, b)]
     rows = []
@@ -337,14 +345,24 @@ def d1_solver(field: PrimeField, space: CosetSpace):
             row[var_index[(a, j)]] -= 1
             row[var_index[(b, i)]] -= 1
             rows.append(row)
-    solve = _factored(field, space, rows, len(var_index), _exponents_to_c1)
-    starts = [(a * g.order + b) * s for a, b in pairs]
+    starts = tuple((a * g.order + b) * space.size for a, b in pairs)
+    return znsolve.System(rows, m, len(var_index)), starts
+
+
+def d1_solver(field: PrimeField, space: CosetSpace):
+    """`solve_d1` for every target on ``space``.  The d1 matrix depends only
+    on (p - 1, space), so its factorisation is kept per (modulus, space) for
+    the life of the process (`_d1_system`); a target adds its cocycle check
+    and a back-substitution."""
+    system, starts = _d1_system(_modulus(field), space)
+    s = space.size
 
     def solve_target(target: Cochain2):
         if not is_cocycle(target):
             raise ValueError("solve_d1 target is not a 2-cocycle")
         x = target.exps
-        return solve([x[k + i] for k in starts for i in range(s)])
+        return _solutions(field, space, system, [x[k + i] for k in starts for i in range(s)],
+                          _exponents_to_c1)
     return solve_target
 
 
@@ -360,20 +378,14 @@ def solve_d1(target: Cochain2):
 def solve_d0(target: Cochain1):
     """All eta with d0(eta) = target, or None."""
     space = target.space
-    rows = []
-    for perm in space.act:
-        for i, j in enumerate(perm):
-            row = [0] * space.size
-            row[i] += 1
-            row[j] -= 1
-            rows.append(row)
-    return _factored(target.field, space, rows, space.size,
-                     _exponents_to_c0)(target.exps.tolist())
+    rows = [[(k == i) - (k == j) for k in range(space.size)]
+            for perm in space.act for i, j in enumerate(perm)]
+    system = znsolve.System(rows, _modulus(target.field), space.size)
+    return _solutions(target.field, space, system, target.exps.tolist(), _exponents_to_c0)
 
 
-def coboundary_basis_c1(field: PrimeField, space: CosetSpace):
-    """Exponent vectors spanning the image of d0 inside 1-cochains: the
-    image of each coset's indicator eta_k."""
-    m = _modulus(field)
+def coboundary_basis_c1(m: int, space: CosetSpace):
+    """Exponent vectors over Z/m spanning the image of d0 inside 1-cochains:
+    the image of each coset's indicator eta_k."""
     return [tuple(((i == k) - (space.act[a][i] == k)) % m for a, i in _c1_vars(space))
             for k in range(space.size)]

@@ -19,6 +19,7 @@ gamma = delta * d0(eta).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, prod
 
 from . import znsolve
@@ -29,7 +30,7 @@ from .category import (FunctorData, GradedCatPresentation, Morphism,
 from .cochains import (Cochain1, c1_inv, c1_mul, c2_inv, c2_mul,
                        coboundary_basis_c1, cochain2, d1_cochain,
                        d1_solver, trivial_cochain1, _c1_to_exponents, _c1_vars,
-                       _exponents_to_c1, solve_d0, translate)
+                       _d1_system, _exponents_to_c1, solve_d0, translate)
 from .groups import (CosetSpace, Subgroup, conjugate_subgroup, coset_space,
                      subgroup)
 from .mtau import MtauSpec, build_skeleton, mtau_spec
@@ -279,18 +280,20 @@ def linear_semisimple_check(cat: GradedCatPresentation):
     return Verdict(violations), [tuple(c) for c in classes.classes()]
 
 
-def _class_offsets(kernel, space, field, cap: int = 100000):
-    """Offsets from a particular d1 solution, one per class of solutions
-    modulo d0-coboundaries, and the coboundary generators.
+@lru_cache(maxsize=None)
+def _class_offsets(space: CosetSpace, m: int, cap: int = 100000):
+    """Coboundary generators, and offsets from a particular d1 solution, one
+    per class of solutions modulo d0-coboundaries, over Z/m.
 
     Only the kernel of d1 and the coboundaries enter, so one computation
-    serves every target on the coset space.  The coboundary submodule is
-    pulled back through the kernel generators, the pullback is
+    serves every target on the coset space; like the d1 factorisation it
+    reads the kernel from, it is kept per (space, modulus).  The coboundary
+    submodule is pulled back through the kernel generators, the pullback is
     diagonalised, and one coefficient vector is read off per class.
     """
-    m = max(field.unit_order, 1)
+    kernel = _d1_system(m, space)[0].kernel
     nvars = len(_c1_vars(space))
-    b_gens = [g for g in coboundary_basis_c1(field, space) if any(x % m for x in g)]
+    b_gens = tuple(g for g in coboundary_basis_c1(m, space) if any(x % m for x in g))
     k = len(kernel)
     combined = [[g[r] for g in kernel] + [g[r] for g in b_gens] for r in range(nvars)]
     pulled = [g[:k] for g in znsolve.kernel_generators(combined, m, ncols=k + len(b_gens))]
@@ -304,9 +307,9 @@ def _class_offsets(kernel, space, field, cap: int = 100000):
     offsets = []
     for idx in znsolve.index_vectors(ranges):
         c = znsolve.unapply_rows(ops, idx, m)
-        offsets.append([sum(cj * g[r] for cj, g in zip(c, kernel)) % m
-                        for r in range(nvars)])
-    return b_gens, offsets
+        offsets.append(tuple(sum(cj * g[r] for cj, g in zip(c, kernel)) % m
+                             for r in range(nvars)))
+    return b_gens, tuple(offsets)
 
 
 def _solution_classes(sols, b_gens, offsets):
@@ -347,16 +350,15 @@ def classify_equivalences(spec_a: MtauSpec, spec_b: MtauSpec):
     out = []
     if not targets:
         return out
-    # every target lives on H/L: one d1 factorisation and one class
-    # computation, made at the first solvable target, serve them all
+    # every target lives on H/L: the d1 factorisation and the classes
+    # modulo coboundaries are kept per (modulus, space), so only the first
+    # classification on a coset space works them out
     solve = d1_solver(spec_a.field, space_a)
-    classes = None
     for t, target in targets:
         sols = solve(target)
         if sols is None:
             continue
-        if classes is None:
-            classes = _class_offsets(sols.kernel, space_a, spec_a.field)
+        classes = _class_offsets(space_a, max(spec_a.field.unit_order, 1))
         for gamma in _solution_classes(sols, *classes):
             datum = EquivalenceDatum(t, gamma)
             _check_datum(spec_a, spec_b, datum, target)

@@ -183,26 +183,21 @@ class System:
                 raise ValueError("empty system needs explicit ncols")
             ncols = len(matrix[0])
         self.m, self.ncols = m, ncols
+        # every field is a tuple: a factored system may be shared (memoised)
         distinct = {}
-        self._row_of = []
-        for row in matrix:
-            key = tuple(x % m for x in row)
-            self._row_of.append(distinct.setdefault(key, len(distinct)) if any(key) else None)
+        keys = (tuple(x % m for x in row) for row in matrix)
+        self._row_of = tuple(distinct.setdefault(key, len(distinct)) if any(key) else None
+                             for key in keys)
         self._rows = len(distinct)
-        if distinct:
-            d, self._ops, self._v = diagonalize(list(distinct), m)
-        else:
-            d, self._ops, self._v = [], [], _identity(ncols)
+        d, ops, v = diagonalize(list(distinct), m) if distinct else ([], [], _identity(ncols))
+        self._ops, self._v = tuple(ops), tuple(map(tuple, v))
         # x = V y, and y[j] is pinned modulo m / g with g = gcd(D[j][j], m);
         # a column beyond the rows has D[j][j] = 0 and is free
         diag = [d[j][j] if j < self._rows else 0 for j in range(ncols)]
-        self._pivots = []
-        self._col_steps = []
-        for dj in diag:
-            g = gcd(dj, m)
-            self._pivots.append((g, pow(dj // g, -1, m // g) if m > g else 0))
-            self._col_steps.append((m // g, g))
-        v = self._v
+        gs = [gcd(dj, m) for dj in diag]
+        self._pivots = tuple((g, pow(dj // g, -1, m // g) if m > g else 0)
+                             for dj, g in zip(diag, gs))
+        self._col_steps = tuple((m // g, g) for g in gs)
         kernel = ([(v[i][j] * step) % m for i in range(ncols)]
                   for j, (step, count) in enumerate(self._col_steps) if count > 1)
         self.kernel = tuple(tuple(gen) for gen in kernel if any(gen))

@@ -286,7 +286,7 @@ def test_solve_d0_infeasible():
 
 
 def test_coboundary_basis_spans_d0_image():
-    gens = coboundary_basis_c1(F3, SP4_TRIV)
+    gens = coboundary_basis_c1(F3.unit_order, SP4_TRIV)
     from taucat import znsolve
     from taucat.cochains import _c1_to_exponents
     span = set(znsolve.span_members(gens, F3.unit_order, len(gens[0])))
@@ -332,18 +332,28 @@ def test_constructors_reject_zero():
 
 
 def test_packed_layout():
-    # 4 bytes per entry, entry (a, b, coset i) at (a*n + b)*s + i, exponents
-    # past one byte kept whole
-    f = field(263)
-    gamma = random_cochain1(f, SP84, Random(1))
-    psi = d1_cochain(gamma)
-    assert len(psi.data) == 4 * 8 * 8 * 4 and len(gamma.data) == 4 * 8 * 4
-    assert max(psi.exps) > 255
-    units = psi.units()
-    for a, b, i in product(range(8), range(8), range(4)):
-        assert f.exp(psi.exps[(a * 8 + b) * 4 + i]) == units[a][b][i]
-        assert psi.at(a, b).units()[i] == units[a][b][i]
-    assert cochain2(f, SP84, units) == psi
+    # one width per field, the narrowest that holds 0..p-2: entry (a, b,
+    # coset i) at (a*n + b)*s + i, and the top exponents kept whole
+    for p, width in ((5, 1), (257, 1), (263, 2), (65537, 2), (65539, 4)):
+        f, m = field(p), p - 1
+        gamma = random_cochain1(f, SP84, Random(p))
+        psi = d1_cochain(gamma)
+        assert len(psi.data) == width * 8 * 8 * 4 and len(gamma.data) == width * 8 * 4
+        assert len(trivial_cochain2(f, SP84).data) == len(psi.data)
+        assert constant_one(f, SP84).data == bytes(width * 4)
+        # exponents m-1, m-2, ... off the identity rows; past the next
+        # narrower width at p = 263 and p = 65539
+        top = cochain2(f, SP84, [[[1] * 4 if 0 in (a, b) else
+                                  [f.exp(m - a * b - i) for i in range(4)]
+                                  for b in range(8)] for a in range(8)])
+        assert max(top.exps) == m - 1 >= 256 ** (width // 2)
+        for x in (psi, top):
+            units = x.units()
+            for a, b, i in product(range(8), range(8), range(4)):
+                assert f.exp(x.exps[(a * 8 + b) * 4 + i]) == units[a][b][i]
+                assert x.at(a, b).units()[i] == units[a][b][i]
+            assert cochain2(f, SP84, units) == x
+        assert cochain1(f, SP84, gamma.units()) == gamma
 
 
 # -- unit-form reference oracles ---------------------------------------------
@@ -432,7 +442,8 @@ def _corrupt(units, rng, f, depth):
 @given(st.integers(0, 2 ** 16))
 def test_exponent_kernel_matches_unit_reference(seed):
     # every space, prime and corruption in each example, none left to the draw
-    for name, p, corrupt in product(sorted(REFERENCE_SPACES), (3, 5, 7, 263), (False, True)):
+    for name, p, corrupt in product(sorted(REFERENCE_SPACES), (3, 5, 7, 263, 65539),
+                                    (False, True)):
         _check_against_reference(name, p, seed, corrupt)
 
 

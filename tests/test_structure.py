@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from taucat import cochains, znsolve
+from taucat import cochains, structure, znsolve
 
 from taucat.category import (direct_sum_cat, identity_functor, is_simple,
                              verify_axioms, verify_functor)
@@ -352,9 +352,17 @@ def _count_calls(monkeypatch, fn):
     return calls
 
 
+def _clear_classify_caches():
+    """Forget every kept d1 factorisation and class computation."""
+    cochains._d1_system.cache_clear()
+    structure._class_offsets.cache_clear()
+
+
 def test_classify_factors_the_d1_matrix_once(monkeypatch):
     # the four cosets of t share one d1 system on H/L, and the classes
-    # modulo coboundaries are worked out once for all of them
+    # modulo coboundaries are worked out once for all of them; both are
+    # kept, so another classification on the same space factors nothing
+    _clear_classify_caches()
     a, b = twisted_spec(71, k=1), twisted_spec(72, k=1)
     nvars = len(cochains._c1_vars(a.psi.space))
     calls = _count_calls(monkeypatch, znsolve.diagonalize)
@@ -362,6 +370,34 @@ def test_classify_factors_the_d1_matrix_once(monkeypatch):
     assert len({d.t for d in data}) == 4
     assert sum(len(matrix[0]) == nvars for matrix, _ in calls) == 1
     assert len(calls) == 3  # d1, then the kernel and the pullback of B^1
+    calls.clear()
+    assert classify_equivalences(a, b) == data
+    assert len(classify_equivalences(twisted_spec(75, k=1), twisted_spec(76, k=1))) == 4
+    assert calls == []
+
+
+def test_classify_keeps_one_factorisation_per_modulus(monkeypatch):
+    # one coset space at p = 5 (m = 4), then at p = 7 (m = 6): the second
+    # field factors its own d1 system, and each agrees with a cold run
+    L = cyclic_subgroup_of_order(2)
+    space = coset_space(C8, L)
+
+    def blocks(f, seed):
+        rng = Random(seed)
+        return [mtau_spec(TAU, f, L, d1_cochain(random_cochain1(f, space, rng)), 0)
+                for _ in range(2)]
+    pairs = [blocks(F5, 81), blocks(field(7), 82)]
+    cold = []
+    for a, b in pairs:
+        _clear_classify_caches()
+        cold.append(classify_equivalences(a, b))
+    _clear_classify_caches()
+    calls = _count_calls(monkeypatch, znsolve.diagonalize)
+    for (a, b), want in zip(pairs, cold):
+        calls.clear()
+        assert classify_equivalences(a, b) == want
+        assert len(calls) == 3
+    assert [len(data) for data in cold] == [4, 4]
 
 
 def test_classify_translates_each_target_once(monkeypatch):
