@@ -18,13 +18,14 @@ read off one tensor, `precompose` (u -> u o f) or `postcompose`
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import mul
 from random import Random
 
 from . import fplinalg
 from .fields import PrimeField
-from .groups import GroupHom
+from .groups import GroupHom, cayley_tree
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,30 @@ class GradedCatPresentation:
 
     def hom_keys(self):
         return sorted(self.hom_rank)
+
+    @cached_property
+    def nat_degrees(self):
+        """The degrees whose naturality squares fix every transformation, or None.
+
+        These are S and the identity, for the generating set S of
+        cayley_tree(H), when composition verifies and every Hom^h(x, y), h
+        outside them, is spanned by the composites Hom^s(z, y) o Hom^{h'}(x, z)
+        over all z, along h's tree edge h = s h'.  Then, by induction along
+        the tree, every morphism is a sum of composites of morphisms of these
+        degrees, and a transformation natural for f and g is natural for
+        g o f and for sums (Mac Lane, CWM II.7).
+        """
+        gens, parent = cayley_tree(self.tau.source)
+        degrees = frozenset(gens) | {self.tau.source.identity}
+        for (x, y, h), r in self.hom_rank.items():
+            if h not in degrees:
+                h1, s = parent[h]
+                cols = [[layer[j][i] for layer in t] for z in self.objects()
+                        if (t := self.tensor(x, z, y, h1, s))
+                        for j in range(len(t[0])) for i in range(len(t[0][0]))]
+                if fplinalg.nullspace(cols, self.field.p, ncols=r):
+                    return None
+        return degrees if verify_axioms(self).ok else None
 
     def __eq__(self, other):
         if not isinstance(other, GradedCatPresentation):

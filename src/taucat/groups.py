@@ -161,6 +161,28 @@ def generated_subgroup(parent: FiniteGroup, generators) -> Subgroup:
     return subgroup(parent, elts)
 
 
+@lru_cache(maxsize=None)
+def cayley_tree(g: FiniteGroup):
+    """(S, parent): a generating set S of g and a spanning tree of its Cayley graph.
+
+    S is greedy in element order (so (1,) for cyclic_group(n)); the tree is
+    breadth first from the identity, and parent[h] = (h', s) with s in S and
+    h = s h' for every h other than the identity, whose entry is None.
+    """
+    gens, reached = [], {g.identity}
+    for a in g.elements():
+        if a not in reached:
+            gens.append(a)
+            reached = set(generated_subgroup(g, gens).elements)
+    parent, queue = {g.identity: None}, [g.identity]
+    for h in queue:
+        for s in gens:
+            if (c := g.mul(s, h)) not in parent:
+                parent[c] = (h, s)
+                queue.append(c)
+    return tuple(gens), tuple(parent[h] for h in g.elements())
+
+
 def conjugate_subgroup(sub: Subgroup, t: int) -> Subgroup:
     g = sub.parent
     return subgroup(g, (g.mul(g.mul(t, a), g.inv(t)) for a in sub.elements))

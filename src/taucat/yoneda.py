@@ -9,10 +9,13 @@ every Nat space a finite linear solve.
 The evaluation map sends eta: yo^a_X => F to eta_X(id), landing in the
 a^-1 component of FX; its inverse sends v there to the transformation
 f -> (Ff)(v).  Both directions are computed explicitly and are checked
-to be mutually inverse in the tests.  Every map here composes with a
-fixed morphism, so each is a matrix read off category.postcompose or
-precompose: F(g) is block diagonal in postcompose(g) over the summands,
-and the evaluation inverse stacks precompose(v_z) over them.
+to be mutually inverse in the tests.  A map that composes with a fixed
+morphism is a matrix read off category.postcompose or precompose: F(g)
+is block diagonal in postcompose(g) over the summands, and the
+evaluation inverse stacks precompose(v_z) over them.  The naturality
+equations are read straight off the composition tensors, for the degrees
+in cat.nat_degrees alone, which the presentation proves generate every
+morphism (for every degree when the proof fails).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from operator import mul
 
 from . import fplinalg
 from .category import GradedCatPresentation, Morphism, postcompose, precompose
+from .znsolve import CapExceeded
 
 
 @dataclass(frozen=True)
@@ -85,17 +89,20 @@ class GradedNatTrans:
         return blk
 
 
-def _block_index(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
-    """Ordered unknown blocks (y, h, source dim, target dim) with offsets."""
+def _shapes(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
+    """(y, h, source dim, target dim) of every block of a yo^a_x => F."""
     gH = cat.tau.source
-    layout = []
-    offset = 0
     for y in cat.objects():
         for h in gH.elements():
-            sdim = cat.rank(x, y, gH.mul(h, a))
-            if sdim == 0:
-                continue
-            tdim = _target_dim(cat, F, y, h)
+            yield y, h, cat.rank(x, y, gH.mul(h, a)), _target_dim(cat, F, y, h)
+
+
+def _block_index(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
+    """Ordered unknown blocks (y, h, source dim, target dim) with offsets."""
+    layout = []
+    offset = 0
+    for (y, h, sdim, tdim) in _shapes(cat, x, a, F):
+        if sdim:
             layout.append((y, h, sdim, tdim, offset))
             offset += sdim * tdim
     return layout, offset
@@ -105,41 +112,51 @@ def _nat_rows(cat: GradedCatPresentation, x: int, a: int, F: RepTarget, layout,
               nvars: int):
     """The naturality equations of yo^a_x => F, one row per equation.
 
-    For each basis element g: y -> y2 of degree k and each basis element f
-    of Hom^{ha}(x, y), every coordinate of A2 . (g o f) - F(g) . (A1 f) = 0,
-    where A1 and A2 are the (y, h) and (y2, kh) unknown blocks of layout.
+    For each basis element g: y -> y2 of degree k in cat.nat_degrees (every
+    degree when that is None) and each basis element f of Hom^{ha}(x, y),
+    every coordinate of A2 . (g o f) - F(g) . (A1 f) = 0, where A1 and A2
+    are the (y, h) and (y2, kh) unknown blocks of layout.  Both terms are
+    read off tensors: g o f is T(x, y, y2; ha, k)[.][g][f], and F(g) on a
+    summand yo^b_z is T(z, y, y2; hb, k)[.][g][.].
     """
     gH = cat.tau.source
     p = cat.field.p
-    pos = {(y, h): (sdim, tdim, off) for (y, h, sdim, tdim, off) in layout}
-    for y in cat.objects():
+    degrees = cat.nat_degrees or gH.elements()
+    pos = {(y, h): (sdim, off) for (y, h, sdim, _, off) in layout}
+    for (y, h, s1, _, off1) in layout:
+        ha = gH.mul(h, a)
         for (y2, k, rk) in cat.out_homs(y):
-            for gi in range(rk):
-                g = Morphism(y, y2, k, tuple(int(i == gi) for i in range(rk)))
-                for h in gH.elements():
-                    ha = gH.mul(h, a)
-                    sdim = cat.rank(x, y, ha)
-                    if sdim == 0:
-                        continue
-                    kh = gH.mul(k, h)
-                    moved = _rep_matrix(cat, F, g, h)  # F(g): (y, h) -> (y2, kh)
-                    gf = postcompose(cat, g, x, ha)  # f -> g o f into Hom^{kha}(x, y2)
-                    s1, _, off1 = pos[(y, h)]
-                    s2, _, off2 = pos.get((y2, kh), (0, 0, 0))
-                    for fi in range(sdim):
-                        for r_out, moved_row in enumerate(moved):
-                            row = [0] * nvars
-                            for c in range(s2):
-                                row[off2 + r_out * s2 + c] = gf[c][fi]
-                            for d, m in enumerate(moved_row):
-                                if m:
-                                    idx = off1 + d * s1 + fi
-                                    row[idx] = (row[idx] - m) % p
-                            yield row
+            if k not in degrees:
+                continue
+            kh = gH.mul(k, h)
+            s2, off2 = pos.get((y2, kh), (0, 0))
+            t_gf = cat.tensor(x, y, y2, ha, k)
+            moved, d = [], 0  # F(g), summand by summand: (tensor, column offset, rows)
+            for (b, z) in F.pairs:
+                hb = gH.mul(h, b)
+                moved.append((cat.tensor(z, y, y2, hb, k), d, cat.rank(z, y2, gH.mul(k, hb))))
+                d += cat.rank(z, y, hb)
+            for gi, fi in product(range(rk), range(s1)):
+                gf = [layer[gi][fi] for layer in t_gf] if t_gf else [0] * s2
+                r_out = 0
+                for (t, d0, rows) in moved:
+                    for q in range(rows):
+                        row = [0] * nvars
+                        row[off2 + r_out * s2:off2 + (r_out + 1) * s2] = gf
+                        for d, m in enumerate(t[q][gi] if t else ()):
+                            if m:
+                                idx = off1 + (d0 + d) * s1 + fi
+                                row[idx] = (row[idx] - m) % p
+                        yield row
+                        r_out += 1
 
 
 def nat_space(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
-    """Basis of Nat(yo^a_x, F) by one exhaustive linear solve over F_p."""
+    """Basis of Nat(yo^a_x, F) by one exhaustive linear solve over F_p.
+
+    The squares of cat.nat_degrees span the row space of the squares of
+    every morphism, so the echelon form, and the basis, are the same.
+    """
     p = cat.field.p
     layout, nvars = _block_index(cat, x, a, F)
     rows = [row for row in _nat_rows(cat, x, a, F, layout, nvars) if any(row)]
@@ -234,30 +251,18 @@ def phi_inv(cat: GradedCatPresentation, x: int, a: int, F: RepTarget, v):
 
 def nat_equal(cat: GradedCatPresentation, F: RepTarget, n1: GradedNatTrans,
               n2: GradedNatTrans) -> bool:
-    gH = cat.tau.source
-    for y in cat.objects():
-        for h in gH.elements():
-            sdim = cat.rank(n1.x, y, gH.mul(h, n1.a))
-            tdim = _target_dim(cat, F, y, h)
-            if n1.block(y, h, tdim, sdim) != n2.block(y, h, tdim, sdim):
-                return False
-    return True
+    return all(n1.block(y, h, tdim, sdim) == n2.block(y, h, tdim, sdim)
+               for (y, h, sdim, tdim) in _shapes(cat, n1.x, n1.a, F))
 
 
 def nat_invertible(cat: GradedCatPresentation, nt: GradedNatTrans) -> bool:
     """Componentwise invertibility: every block square and nonsingular."""
-    gH = cat.tau.source
-    for y in cat.objects():
-        for h in gH.elements():
-            sdim = cat.rank(nt.x, y, gH.mul(h, nt.a))
-            tdim = _target_dim(cat, nt.F, y, h)
-            if sdim != tdim:
-                return False
-            if sdim == 0:
-                continue
-            blk = [list(r) for r in nt.block(y, h, tdim, sdim)]
-            if fplinalg.matinv(blk, cat.field.p) is None:
-                return False
+    for (y, h, sdim, tdim) in _shapes(cat, nt.x, nt.a, nt.F):
+        if sdim != tdim:
+            return False
+        blk = [list(r) for r in nt.block(y, h, tdim, sdim)]
+        if sdim and fplinalg.matinv(blk, cat.field.p) is None:
+            return False
     return True
 
 
@@ -265,17 +270,21 @@ def has_invertible_nat(cat: GradedCatPresentation, x: int, a: int, F: RepTarget,
                        max_enum: int = 4096) -> bool:
     """Whether some combination of the Nat basis is componentwise invertible.
 
-    Combinations are tried in odometer order, last coefficient fastest.
+    No combination is when some block is not square.  Otherwise the basis
+    vectors, then all combinations in odometer order (last coefficient
+    fastest) are tried; CapExceeded is raised, the question undecided, when
+    there are more than max_enum combinations and no basis vector is
+    invertible.
     """
     basis = nat_space(cat, x, a, F)
-    if not basis:
+    if not basis or any(s != t for (_, _, s, t) in _shapes(cat, x, a, F)):
         return False
     p = cat.field.p
-    for nt in basis:
-        if nat_invertible(cat, nt):
-            return True
+    if any(nat_invertible(cat, nt) for nt in basis):
+        return True
     if p ** len(basis) > max_enum:
-        return False
+        raise CapExceeded(f"{p ** len(basis)} combinations of the Nat basis "
+                          f"exceed cap {max_enum}")
     layout, nvars = _block_index(cat, x, a, F)
     columns = list(zip(*(_unknowns(layout, nvars, nt) for nt in basis)))
     for coeffs in product(range(p), repeat=len(basis)):

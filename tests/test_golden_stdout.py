@@ -1,9 +1,11 @@
 """Golden stdout: sha256 digests of stdout, with exit codes, of fixed CLI runs.
 
 The inputs are C8/C12/C16 skeleton files built by `build-mtau`, a direct
-sum, two additive-completion files (one closed under shifts) and the module
-files `extract` writes for them.  Each command runs in process from a temporary working directory with
-relative file names, because reports echo their input paths.  A refactor
+sum, two additive-completion files (one closed under shifts), the module
+files `extract` writes for them, and a one-object C4 -> 1 presentation
+whose Yoneda audit cannot be solved on a generating set of degrees.  Each
+command runs in process from a temporary working directory with relative
+file names, because reports echo their input paths.  A refactor
 that keeps every verdict and every report byte keeps this table; a change
 that moves a digest changes what the CLI prints.
 
@@ -26,6 +28,7 @@ from taucat.completion import AdditiveCompletion
 from taucat.fields import field
 from taucat.groups import coset_space, cyclic_group, subgroup
 from taucat.mtau import build_skeleton, mtau_spec, parity_tau
+from test_yoneda import ungenerated_cat
 
 F5 = field(5)
 
@@ -69,6 +72,7 @@ GOLDEN = {
     "roundtrip/closed.json": (0, "e266df94c3d541a06fce8580518cc2bc20c3d104f9eb3324639e7a57b29b385f"),
     "extract/closed.json": (0, "5e509fe4a4fb3e1d5ab98642a8ef4be329222d556ac3704777c5fa3926ec5571"),
     "bullet/closed-mod.json": (0, "fe2653603948ec14b81ce28d9d3d6fd80855f06410009c19a3f55a86ce0919e1"),
+    "yoneda-check/ungenerated.json": (0, "cb4eb313a5b2f3ac1f002eed0e6c9fcc8c48a762855acdad5ba82632c89cd016"),
 }
 
 
@@ -126,6 +130,9 @@ def golden_runs():
         yield f"extract/{name}", ["extract", name, "-o", f"{stem}-mod.json"]
         if name != "completion.json":  # a sum object has no shift to extract
             yield f"bullet/{stem}-mod.json", ["bullet", f"{stem}-mod.json"]
+    # a presentation no generating set of degrees certifies
+    name = _write("ungenerated.json", jsonio.category_to_json(ungenerated_cat()))
+    yield f"yoneda-check/{name}", ["yoneda-check", name]
 
 
 def record():

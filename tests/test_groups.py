@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from taucat.groups import (CosetSpace, GroupHom, conjugate_subgroup,
+from taucat.groups import (CosetSpace, GroupHom, cayley_tree, conjugate_subgroup,
                            coset_space, cyclic_group, generated_subgroup,
                            group_from_table, hom, image, kernel,
                            left_action_on_cosets, reduction_hom, subgroup,
@@ -94,6 +94,27 @@ def test_generated_subgroup():
     g = cyclic_group(8)
     assert generated_subgroup(g, [2]).elements == (0, 2, 4, 6)
     assert generated_subgroup(g, []).elements == (0,)
+
+
+def test_cayley_tree():
+    from test_cochains import S3
+
+    klein = group_from_table([[a ^ b for b in range(4)] for a in range(4)])
+    for g, want in ((cyclic_group(1), ()), (cyclic_group(8), (1,)), (klein, (1, 2)),
+                    (S3, (1, 2))):
+        gens, parent = cayley_tree(g)
+        assert gens == want
+        assert generated_subgroup(g, gens).order == g.order
+        assert parent[g.identity] is None
+        for h in g.elements():
+            if h != g.identity:
+                h1, s = parent[h]
+                assert s in gens and g.mul(s, h1) == h
+            # the parents lead to the identity: a tree, not a cycle
+            path = [h]
+            while path[-1] != g.identity:
+                path.append(parent[path[-1]][0])
+                assert len(path) <= g.order
 
 
 def test_coset_space_shapes():

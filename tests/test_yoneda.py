@@ -1,22 +1,27 @@
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 from random import Random
 
 import pytest
 
-from taucat.category import Morphism, compose, find_invertible, identity_morphism
+from taucat import category, cli, fplinalg
+from taucat.category import (GradedCatPresentation, Morphism, compose, find_invertible,
+                             identity_morphism, verify_axioms)
 from taucat.cochains import d1_cochain, random_cochain1
 from taucat.completion import AdditiveCompletion
 from taucat.fields import field
-from taucat.groups import coset_space, cyclic_group
+from taucat.groups import coset_space, cyclic_group, hom, subgroup
 from taucat.mtau import (build_skeleton, cyclic_subgroup_of_order,
                          cyclic_table_category, mtau_spec, parity_tau)
-from taucat.yoneda import (GradedNatTrans, _block_index, _nat_rows, _target_dim,
+from taucat.yoneda import (GradedNatTrans, _block_index, _blocks, _target_dim,
                            apply_rep_to_value, evaluate_yoneda,
                            has_invertible_nat, nat_equal, nat_space, phi,
                            phi_inv, rep_sum, representable, value_layout,
                            verify_graded_nat, whisker_object_morphism)
+from taucat.znsolve import CapExceeded
 
 from morphisms import basis_morphism
+from test_cochains import S3
 
 F5 = field(5)
 TAU = parity_tau()
@@ -28,6 +33,31 @@ def twisted_cat(seed=71):
     sp = coset_space(cyclic_group(8), L)
     psi = d1_cochain(random_cochain1(F5, sp, Random(seed)))
     return build_skeleton(mtau_spec(TAU, F5, L, psi, 0))
+
+
+def s3_cat(seed=75):
+    """The skeleton over the sign map S3 -> C2 with L = 1: six objects, and
+    the greedy generating set of S3 has two elements."""
+    perms = list(permutations(range(3)))
+    sign = hom(S3, cyclic_group(2), [sum(q[j] > q[i] for i in range(3) for j in range(i))
+                                     % 2 for q in perms])
+    L = subgroup(S3, [S3.identity])
+    psi = d1_cochain(random_cochain1(F5, coset_space(S3, L), Random(seed)))
+    return build_skeleton(mtau_spec(sign, F5, L, psi, 0))
+
+
+def ungenerated_cat():
+    """One object over C4 -> 1 with basis 1, u, v in degrees 0, 1, 2.
+
+    Every product of non-units is zero, so the presentation verifies, but v
+    is no composite of degree-1 morphisms: naturality on the generator
+    u alone leaves the degree-2 component free.
+    """
+    unit = (((1,),),)
+    comp = {(0, 0, 0, 0, h): unit for h in range(3)}
+    comp.update({(0, 0, 0, h, 0): unit for h in range(3)})
+    return GradedCatPresentation(hom(cyclic_group(4), cyclic_group(1), [0] * 4), F5, [0],
+                                 {(0, 0, h): 1 for h in range(3)}, comp, [(1,)])
 
 
 def test_evaluate_examples():
@@ -219,30 +249,95 @@ def _reference_phi_inv(cat, x, a, F, v):
     return GradedNatTrans(x, a, F, blocks)
 
 
+def _reference_nat_space(cat, x, a, F):
+    """nat_space's basis from the squares of every basis morphism."""
+    layout, nvars = _block_index(cat, x, a, F)
+    rows = list(_reference_nat_rows(cat, x, a, F, layout, nvars))
+    return [GradedNatTrans(x, a, F, _blocks(layout, vec))
+            for vec in fplinalg.nullspace(rows, cat.field.p, ncols=nvars)]
+
+
 YONEDA_CASES = {
-    # End((0, 0)) has rank 4 and Hom((0,), (0, 0)) rank 2
+    # End((0, 0)) has rank 4 and Hom((0,), (0, 0)) rank 2; the subcategory
+    # lacks object 3, so degree-1 morphisms do not generate it
     "completion": lambda: AdditiveCompletion(C2CAT).presentation_of(
         [(0,), (0, 0), (1,), (2,)]),
     # End((0, 2)) has rank 2, over a skeleton with a nontrivial cocycle
     "twisted_completion": lambda: AdditiveCompletion(twisted_cat(73)).presentation_of(
         [(0,), (1,), (0, 2), (1, 3)]),
+    "skeleton": twisted_cat,
+    # a nonabelian H, generated by two elements
+    "s3_skeleton": s3_cat,
 }
 
 
 @pytest.mark.parametrize("name", sorted(YONEDA_CASES))
 def test_nat_rows_and_phi_inv_match_reference(name):
+    """nat_space solves on the squares of nat_degrees alone; its basis is the
+    one the squares of every basis morphism give, vector for vector."""
     pres = YONEDA_CASES[name]()
-    assert max(pres.hom_rank.values()) == {"completion": 4, "twisted_completion": 2}[name]
+    assert max(pres.hom_rank.values()) == {"completion": 4, "twisted_completion": 2}.get(name, 1)
+    assert len(pres.nat_degrees or ()) == {"completion": 0, "s3_skeleton": 3}.get(name, 2)
     rng = Random(name)
     p = pres.field.p
     for x in pres.objects():
-        for a in (0, 1, 6):
+        for a in (0, 1, pres.tau.source.order - 2):
             for F in [representable(a, y) for y in pres.objects()] + [rep_sum((a, 1), (0, 2))]:
-                layout, nvars = _block_index(pres, x, a, F)
-                want = list(_reference_nat_rows(pres, x, a, F, layout, nvars))
-                assert list(_nat_rows(pres, x, a, F, layout, nvars)) == want
+                assert nat_space(pres, x, a, F) == _reference_nat_space(pres, x, a, F)
                 width = sum(r for (_, _, r) in value_layout(pres, F, x, a))
                 vectors = [tuple(int(i == k) for i in range(width)) for k in range(width)]
                 vectors.append(tuple(rng.randrange(p) for _ in range(width)))
                 for v in vectors:
                     assert phi_inv(pres, x, a, F, v) == _reference_phi_inv(pres, x, a, F, v)
+
+
+def test_unproved_generators_take_the_full_path():
+    F = representable(0, 0)
+    cat = ungenerated_cat()
+    assert verify_axioms(cat).ok and cat.nat_degrees is None
+    assert len(nat_space(cat, 0, 0, F)) == 1
+    assert nat_space(cat, 0, 0, F) == _reference_nat_space(cat, 0, 0, F)
+    # solving on the generator u alone would leave the degree-2 block free
+    forced = ungenerated_cat()
+    forced.nat_degrees = frozenset({0, 1})
+    assert len(nat_space(forced, 0, 0, F)) == 2
+    # one structure constant changed: composition fails to verify, so even
+    # with degree-1 morphisms spanning everything the proof is refused
+    comp = dict(C2CAT.compose_t)
+    comp[(0, 1, 2, 1, 1)] = (((2,),),)
+    bad = GradedCatPresentation(C2CAT.tau, F5, C2CAT.degrees, C2CAT.hom_rank, comp,
+                                C2CAT.identities)
+    assert not verify_axioms(bad).ok and bad.nat_degrees is None
+    for a in (0, 1):
+        for y in bad.objects():
+            F = representable(a, y)
+            assert nat_space(bad, 0, a, F) == _reference_nat_space(bad, 0, a, F)
+
+
+def test_generation_proof_runs_once_per_presentation(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(category, "verify_axioms", counted("verify", verify_axioms))
+    prop = GradedCatPresentation.nat_degrees
+    monkeypatch.setattr(prop, "func", counted("proof", prop.func))
+    monkeypatch.setattr(cli, "nat_space", counted("nat_space", nat_space))
+    ok, _ = cli._yoneda_audit(twisted_cat())
+    assert ok
+    assert calls == {"nat_space": 128, "verify": 1, "proof": 1}
+
+
+def test_has_invertible_nat_is_exact_or_undecided():
+    # every block is 1 x 2, so no combination is invertible, whatever the cap
+    assert has_invertible_nat(C2CAT, 0, 0, rep_sum((0, 0), (0, 0)), max_enum=1) is False
+    # object 1 is (0, 0): an invertible combination exists, but no basis
+    # vector alone is one, and one cap below 5^4 leaves the question open
+    pres = YONEDA_CASES["completion"]()
+    assert has_invertible_nat(pres, 1, 0, representable(0, 1)) is True
+    with pytest.raises(CapExceeded):
+        has_invertible_nat(pres, 1, 0, representable(0, 1), max_enum=1)
