@@ -7,10 +7,16 @@ degrees: Hom^{h'}(Y,Z) x Hom^h(X,Y) -> Hom^{h'h}(X,Z).  Nonzero degree-h
 morphisms are only allowed between objects whose degrees differ by tau(h);
 `verify_axioms` checks that, the unit laws and associativity exhaustively
 over the stored bases.  It reads the laws off the composition tensors:
-associativity on every composable path and basis triple is one identity
-between two contractions of stored tensors, mod p, and `verify_functor`
-and `verify_nat` read theirs off the tensors, the functor hom matrices and
-the component coordinates.  Composing with a fixed morphism is one matrix
+associativity on a composable path and basis triple is one identity
+between two contractions of stored tensors, mod p.  The middle morphisms g
+with (h o g) o f = h o (g o f) for all f and h form a subspace closed under
+composition (Light's test, Clifford and Preston, The Algebraic Theory of
+Semigroups I, 1.2).  So once a presentation proves that the morphisms of
+its `generating_degrees` generate every morphism, the paths with a middle
+degree among them decide the verdict; a failing verdict is reported from
+the full scan of every path.  `verify_functor` and `verify_nat` read their
+laws off the tensors, the functor hom matrices and the component
+coordinates.  Composing with a fixed morphism is one matrix
 read off one tensor, `precompose` (u -> u o f) or `postcompose`
 (u -> g o u); `invert` solves the two stacked.
 """
@@ -108,16 +114,16 @@ class GradedCatPresentation:
         return sorted(self.hom_rank)
 
     @cached_property
-    def nat_degrees(self):
-        """The degrees whose naturality squares fix every transformation, or None.
+    def generating_degrees(self):
+        """S and the identity, for the generating set S of cayley_tree(H), or None.
 
-        These are S and the identity, for the generating set S of
-        cayley_tree(H), when composition verifies and every Hom^h(x, y), h
-        outside them, is spanned by the composites Hom^s(z, y) o Hom^{h'}(x, z)
-        over all z, along h's tree edge h = s h'.  Then, by induction along
-        the tree, every morphism is a sum of composites of morphisms of these
-        degrees, and a transformation natural for f and g is natural for
-        g o f and for sums (Mac Lane, CWM II.7).
+        This is the generation proof, computed once per presentation: every
+        Hom^h(x, y), h outside these degrees, must be spanned by the
+        composites Hom^s(z, y) o Hom^{h'}(x, z) over all z, along h's tree
+        edge h = s h'.  Then, by induction along the tree, every morphism is
+        a sum of composites of morphisms of these degrees.  The proof reads
+        only ranks and tensors; it assumes neither associativity nor units,
+        so `verify_axioms` can rest on it.
         """
         gens, parent = cayley_tree(self.tau.source)
         degrees = frozenset(gens) | {self.tau.source.identity}
@@ -129,7 +135,22 @@ class GradedCatPresentation:
                         for j in range(len(t[0])) for i in range(len(t[0][0]))]
                 if fplinalg.nullspace(cols, self.field.p, ncols=r):
                     return None
-        return degrees if verify_axioms(self).ok else None
+        return degrees
+
+    @cached_property
+    def verdict(self) -> Verdict:
+        """verify_axioms(self), run once per presentation."""
+        return verify_axioms(self)
+
+    @cached_property
+    def nat_degrees(self):
+        """The degrees whose naturality squares fix every transformation, or None.
+
+        These are the generating degrees when composition verifies: a
+        transformation natural for f and g is natural for g o f and for sums
+        (Mac Lane, CWM II.7).
+        """
+        return self.generating_degrees if self.verdict.ok else None
 
     def __eq__(self, other):
         if not isinstance(other, GradedCatPresentation):
@@ -250,7 +271,7 @@ def verify_axioms(cat: GradedCatPresentation) -> Verdict:
 
     The unit laws and associativity are read off the stored tensors
     T(x, y, z; h, h2) = cat.tensor(x, y, z, h, h2), an absent tensor counting
-    as zero.  For every path w -h1-> x -h2-> y -h3-> z and basis indices
+    as zero.  For a path w -h1-> x -h2-> y -h3-> z and basis indices
     (i, j, k) of the three hom spaces, associativity is the identity, mod p,
 
         sum_m T(w,y,z; h2h1,h3)[q][k][m] T(w,x,y; h1,h2)[m][j][i]
@@ -259,12 +280,19 @@ def verify_axioms(cat: GradedCatPresentation) -> Verdict:
     for every q, and each (i, j, k) where it fails is one violation.  The
     unit laws contract identities[x] against T(x,x,y; e,h) and
     T(x,y,y; h,e) in the same way.
+
+    Associativity is first checked only on paths whose middle degree h2 lies
+    in cat.generating_degrees.  The middle morphisms that associate with
+    every f and h form a subspace closed under composition, so when the
+    proof holds and these paths pass, every path passes.  Otherwise (no
+    proof, or a violation found) every path is scanned in order, and the
+    list is the one the full scan gives.
     """
     violations = []
     gH, gG = cat.tau.source, cat.tau.target
     e = gH.identity
     p = cat.field.p
-    rank, tensor, hmul = cat.hom_rank.get, cat.compose_t.get, gH.mul
+    rank, tensor = cat.hom_rank.get, cat.compose_t.get
 
     for (x, y, h) in cat.hom_keys():
         if cat.degrees[y] != gG.mul(cat.tau.map[h], cat.degrees[x]):
@@ -291,9 +319,22 @@ def verify_axioms(cat: GradedCatPresentation) -> Verdict:
             if id_y and left[k] != unit:
                 violations.append(("unit-left", x, y, h, k))
 
+    middle = cat.generating_degrees
+    if middle is None or next(_assoc_violations(cat, middle), None):
+        violations.extend(_assoc_violations(cat))
+    return Verdict(violations)
+
+
+def _assoc_violations(cat: GradedCatPresentation, middle=None):
+    """The associativity violations of every path whose middle degree lies
+    in middle (every path when None), in path and basis order."""
+    p = cat.field.p
+    rank, tensor, hmul = cat.hom_rank.get, cat.compose_t.get, cat.tau.source.mul
+    mids = [[hom for hom in cat.out_homs(x) if middle is None or hom[1] in middle]
+            for x in cat.objects()]
     for w in cat.objects():
         for (x, h1, r1) in cat.out_homs(w):
-            for (y, h2, r2) in cat.out_homs(x):
+            for (y, h2, r2) in mids[x]:
                 h21 = hmul(h2, h1)
                 r21 = rank((w, y, h21), 0)
                 t_gf = tensor((w, x, y, h1, h2))
@@ -310,11 +351,10 @@ def verify_axioms(cat: GradedCatPresentation) -> Verdict:
                         lhs = t_l[0][0][0] * t_gf[0][0][0] if t_l and t_gf else 0
                         rhs = t_r[0][0][0] * t_hg[0][0][0] if t_r and t_hg else 0
                         if (lhs - rhs) % p:
-                            violations.append(("assoc", (w, x, y, z), (h1, h2, h3), (0, 0, 0)))
+                            yield ("assoc", (w, x, y, z), (h1, h2, h3), (0, 0, 0))
                         continue
                     for ijk in _assoc_failures(p, r, r1, r2, r3, t_gf, t_l, t_hg, t_r):
-                        violations.append(("assoc", (w, x, y, z), (h1, h2, h3), ijk))
-    return Verdict(violations)
+                        yield ("assoc", (w, x, y, z), (h1, h2, h3), ijk)
 
 
 def _assoc_failures(p, r, r1, r2, r3, t_gf, t_l, t_hg, t_r):

@@ -18,7 +18,7 @@ import time
 from random import Random
 
 from . import jsonio
-from .category import (direct_sum_cat, find_shift, verify_axioms)
+from .category import direct_sum_cat, find_invertible, find_shift
 from .cochains import d1_cochain, random_cochain1
 from .fields import field
 from .groups import coset_space, cyclic_group
@@ -55,7 +55,7 @@ def _violations_json(verdict):
 
 def cmd_verify(args) -> int:
     cat = jsonio.parse_category(_load(args.category))
-    verdict = verify_axioms(cat)
+    verdict = cat.verdict
     report = {
         "command": "verify",
         "inputs": {args.category: _digest(args.category)},
@@ -90,7 +90,7 @@ def cmd_build_groupoid(args) -> int:
 
 def cmd_decompose(args) -> int:
     cat = jsonio.parse_category(_load(args.category))
-    verdict = verify_axioms(cat)
+    verdict = cat.verdict
     if not verdict.ok:
         _emit({"command": "decompose", "ok": False,
                "error": "category fails verification",
@@ -167,7 +167,7 @@ def _yoneda_audit(cat):
 
 def cmd_yoneda_check(args) -> int:
     cat = jsonio.parse_category(_load(args.category))
-    verdict = verify_axioms(cat)
+    verdict = cat.verdict
     if not verdict.ok:
         _emit({"command": "yoneda-check", "ok": False,
                "error": "category fails verification"}, args.output)
@@ -185,7 +185,7 @@ def cmd_yoneda_check(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     cat = jsonio.parse_category(_load(args.category))
-    verdict = verify_axioms(cat)
+    verdict = cat.verdict
     if not verdict.ok:
         _emit({"command": "roundtrip", "ok": False,
                "error": "category fails verification"}, args.output)
@@ -216,7 +216,7 @@ def cmd_bullet(args) -> int:
 
 def cmd_extract(args) -> int:
     cat = jsonio.parse_category(_load(args.category))
-    verdict = verify_axioms(cat)
+    verdict = cat.verdict
     if not verdict.ok:
         _emit({"command": "extract", "ok": False,
                "error": "category fails verification"}, args.output)
@@ -238,19 +238,18 @@ def run_paper_suite(p: int, seed: int):
     report = {"command": "paper-suite", "p": p, "seed": seed, "sections": {}}
     ok_all = True
 
-    # 1. hand-written cyclic family
+    # 1. hand-written cyclic family; sections 3 to 5 reuse these presentations
     sect = {}
-    for k in (1, 2, 4):
-        cat = cyclic_table_category(f, k)
-        v = verify_axioms(cat)
+    tables = {k: cyclic_table_category(f, k) for k in (1, 2, 4)}
+    for k, cat in tables.items():
+        v = cat.verdict
         dims = set()
         for x in cat.objects():
             for y in cat.objects():
                 dims.add(sum(cat.rank(x, y, h) for h in range(8)))
         sect[f"C_{k}"] = {"ok": v.ok, "total_hom_dim": sorted(dims)}
         ok_all = ok_all and v.ok and dims == {k}
-    c8 = cyclic_table_category(f, 8)
-    v8 = verify_axioms(c8)
+    v8 = cyclic_table_category(f, 8).verdict
     witness = [v for v in v8.violations if v[0] == "grading"]
     c8_ok = (not v8.ok) and witness and witness[0][1] == 0 and witness[0][3] == 1
     sect["C_8"] = {"grading_violation": bool(witness),
@@ -277,7 +276,7 @@ def run_paper_suite(p: int, seed: int):
     all_good = True
     for spec in specs:
         cat = build_skeleton(spec)
-        good = verify_axioms(cat).ok
+        good = cat.verdict.ok
         good = good and check_skeleton_inverses(spec, cat)
         census = simple_census(cat)
         want = kernel_order // spec.L.order
@@ -296,7 +295,7 @@ def run_paper_suite(p: int, seed: int):
         rep = decompose(cat)
         good = good and rep.semisimple and len(rep.summands) == 1
         good = good and bool(classify_equivalences(spec, rep.summands[0]))
-    both = direct_sum_cat([cyclic_table_category(f, 2), cyclic_table_category(f, 4)])
+    both = direct_sum_cat([tables[2], tables[4]])
     rep2 = decompose(both)
     good = good and rep2.semisimple and len(rep2.summands) == 2
     sect["ok"] = good
@@ -305,7 +304,7 @@ def run_paper_suite(p: int, seed: int):
 
     # 4. yoneda audit on C_2 and one twisted skeleton
     sect = {}
-    good, _ = _yoneda_audit(cyclic_table_category(f, 2))
+    good, _ = _yoneda_audit(tables[2])
     L2 = cyclic_subgroup_of_order(2)
     space2 = coset_space(c8g, L2)
     tw = build_skeleton(mtau_spec(tau, f, L2,
@@ -318,7 +317,7 @@ def run_paper_suite(p: int, seed: int):
 
     # 5. shifts and module round trips
     sect = {}
-    cats = [cyclic_table_category(f, k) for k in (1, 2, 4)]
+    cats = list(tables.values())
     cats += [cat for _, cat in built[:4]]
     good = True
     for cat in cats:
@@ -335,8 +334,7 @@ def run_paper_suite(p: int, seed: int):
             roundtrip(cat)
         except ValueError:
             good = False
-    c2cat = cyclic_table_category(f, 2)
-    from .category import find_invertible
+    c2cat = tables[2]
     for x in c2cat.objects():
         for y in c2cat.objects():
             for a in range(8):

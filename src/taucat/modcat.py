@@ -36,7 +36,7 @@ from .category import (FunctorData, GradedCatPresentation, Morphism,
                        NatTransData, Verdict, _check_rank, _contract,
                        compose_functors, find_shift, identity_functor,
                        identity_morphism, invert, postcompose, precompose,
-                       verify_axioms, verify_functor, verify_nat)
+                       verify_functor, verify_nat)
 from .fplinalg import matmul, matvec
 
 
@@ -386,7 +386,7 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
             shifts[(x, a)] = (ax, Morphism(x, ax, a, base.identities[ax]))
     out = GradedCatPresentation(base.tau, base.field, base.degrees, hom_rank,
                                 comp, identities, shifts=shifts)
-    verdict = verify_axioms(out)
+    verdict = out.verdict
     if not verdict.ok:
         raise ValueError(f"incoherent action data: {verdict.violations[0]}")
     return out

@@ -25,6 +25,7 @@ from taucat.structure import (EquivalenceDatum, classify_equivalences,
                               realize_functor)
 
 from morphisms import apply_functor, basis_morphism, zero_morphism
+from test_yoneda import s3_cat, ungenerated_cat
 
 F5 = field(5)
 TAU = parity_tau()
@@ -216,9 +217,10 @@ def _reference_verify_axioms(cat):
     return Verdict(violations)
 
 
-def _c12_skeleton(seed):
-    tau = reduction_hom(12, 2)
-    L = subgroup(tau.source, [0, 6])
+def _cyclic_skeleton(n, k, seed):
+    """The C_n -> C2 skeleton on a random coboundary, with |L| = k and g = 1."""
+    tau = reduction_hom(n, 2)
+    L = subgroup(tau.source, range(0, n, n // k))
     psi = d1_cochain(random_cochain1(F5, coset_space(tau.source, L), Random(seed)))
     return build_skeleton(mtau_spec(tau, F5, L, psi, 1))
 
@@ -236,7 +238,7 @@ def _zero_composite():
 
 AXIOM_CASES = {
     "c8_skeleton": lambda: build_skeleton(twisted_skeleton(21, k=2)),
-    "c12_skeleton": lambda: _c12_skeleton(22),
+    "c12_skeleton": lambda: _cyclic_skeleton(12, 2, 22),
     # End((0, 0)) has rank 4 and Hom((0,), (0, 2)) rank 2
     "completion": lambda: AdditiveCompletion(build_skeleton(twisted_skeleton(23, k=2)))
     .presentation_of([(0,), (1,), (0, 0), (0, 2)]),
@@ -271,11 +273,26 @@ def _corrupt(cat, kind, rng):
                                  comp, ids)
 
 
-@pytest.mark.parametrize("name", sorted(AXIOM_CASES))
+# verify_axioms is also checked on a larger cyclic H, a nonabelian H with a
+# two-element generating set, and a presentation its degree-1 morphisms do
+# not generate
+VERIFY_CASES = {
+    **AXIOM_CASES,
+    "c16_skeleton": lambda: _cyclic_skeleton(16, 4, 26),
+    "s3_skeleton": s3_cat,
+    "ungenerated": ungenerated_cat,
+}
+# no generation proof: associativity is checked on every path
+UNPROVED = {"completion", "ungenerated"}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
 def test_verify_axioms_matches_reference(name):
     # the tensor contraction reports the same violations, in the same order,
-    # as composing basis morphisms one by one
-    cat = AXIOM_CASES[name]()
+    # as composing basis morphisms one by one, whether associativity is
+    # decided on the generating middle degrees or on every path
+    cat = VERIFY_CASES[name]()
+    assert (cat.generating_degrees is None) == (name in UNPROVED)
     assert verify_axioms(cat).violations == _reference_verify_axioms(cat).violations
     rng = Random(name)
     kinds = set()
@@ -286,6 +303,24 @@ def test_verify_axioms_matches_reference(name):
             assert verify_axioms(bad).violations == want
             kinds.update(v[0] for v in want)
     assert {"assoc", "unit-left", "unit-right"} <= kinds
+
+
+def test_failing_associativity_is_reported_on_every_path():
+    # one structure constant changed at degrees outside S and the unit: the
+    # generating middle degrees see a violation, and the list reported is the
+    # full scan's, most of it on paths whose middle degree is not generating
+    cat = _cyclic_skeleton(12, 2, 22)
+    key = next(k for k in sorted(cat.compose_t) if min(k[3:]) >= 2)
+    comp = dict(cat.compose_t)
+    comp[key] = (((comp[key][0][0][0] * 2,),),)
+    bad = GradedCatPresentation(cat.tau, cat.field, cat.degrees, cat.hom_rank, comp,
+                                cat.identities)
+    middle = bad.generating_degrees
+    assert middle == {0, 1}
+    want = _reference_verify_axioms(bad).violations
+    outside = [v for v in want if v[2][1] not in middle]
+    assert outside and len(outside) < len(want)
+    assert verify_axioms(bad).violations == want
 
 
 def _reference_verify_functor(F):

@@ -2,8 +2,12 @@
 
 The inputs are C8/C12/C16 skeleton files built by `build-mtau`, a direct
 sum, two additive-completion files (one closed under shifts), the module
-files `extract` writes for them, and a one-object C4 -> 1 presentation
-whose Yoneda audit cannot be solved on a generating set of degrees.  Each
+files `extract` writes for them, a one-object C4 -> 1 presentation
+whose Yoneda audit cannot be solved on a generating set of degrees, and two
+presentations that fail verification: the C12 skeleton with one structure
+constant changed at degrees outside the generating set, and a completion
+that no generating set of degrees spans, with one structure constant
+changed.  Each
 command runs in process from a temporary working directory with relative
 file names, because reports echo their input paths.  A refactor
 that keeps every verdict and every report byte keeps this table; a change
@@ -73,6 +77,10 @@ GOLDEN = {
     "extract/closed.json": (0, "5e509fe4a4fb3e1d5ab98642a8ef4be329222d556ac3704777c5fa3926ec5571"),
     "bullet/closed-mod.json": (0, "fe2653603948ec14b81ce28d9d3d6fd80855f06410009c19a3f55a86ce0919e1"),
     "yoneda-check/ungenerated.json": (0, "cb4eb313a5b2f3ac1f002eed0e6c9fcc8c48a762855acdad5ba82632c89cd016"),
+    "verify/C12bad.json": (1, "72d647404a351f00d303a52e8347eac5c4139acb73f36ffede5a3bc823b2c3fe"),
+    "decompose/C12bad.json": (1, "bf1e2cf38df97e3f81f0a30b61f4b66490b9f60cd1f1ba036f38f985a88f0da0"),
+    "verify/gappy.json": (1, "f4781f7e8dc13f72a8fc3036086d4fbd3d142954fe244fcad67811a812f89245"),
+    "decompose/gappy.json": (1, "12bc2b2fee67a83491afe0c78f609fb4b398d929c7c375a0edab6e32656503b0"),
 }
 
 
@@ -133,6 +141,25 @@ def golden_runs():
     # a presentation no generating set of degrees certifies
     name = _write("ungenerated.json", jsonio.category_to_json(ungenerated_cat()))
     yield f"yoneda-check/{name}", ["yoneda-check", name]
+    # failing runs print every violation; C12 is generated by degree 1, and
+    # the completion lacks the objects (2,) and (3,) its degree-1 homs factor through
+    with open("C12L2.json", encoding="utf-8") as fh:
+        c12 = json.load(fh)
+    _write("C12bad.json", _changed_entry(c12, lambda e: min(e["h"], e["h2"]) >= 2))
+    gappy = AdditiveCompletion(build_skeleton(spec)).presentation_of(
+        [(0,), (1,), (0, 0), (0, 2)])
+    _write("gappy.json", _changed_entry(jsonio.category_to_json(gappy),
+                                        lambda e: len(e["tensor"]) > 1))
+    for name in ("C12bad.json", "gappy.json"):
+        for cmd in ("verify", "decompose"):
+            yield f"{cmd}/{name}", [cmd, name]
+
+
+def _changed_entry(doc, where):
+    """doc with entry [0][0][0] of the first tensor satisfying where doubled mod 5."""
+    entry = next(e for e in doc["compose"] if where(e) and e["tensor"][0][0][0])
+    entry["tensor"][0][0][0] = entry["tensor"][0][0][0] * 2 % 5
+    return doc
 
 
 def record():

@@ -1,10 +1,13 @@
+import contextlib
+import io
+import json
 from collections import Counter
 from itertools import permutations, product
 from random import Random
 
 import pytest
 
-from taucat import category, cli, fplinalg
+from taucat import category, cli, fplinalg, jsonio
 from taucat.category import (GradedCatPresentation, Morphism, compose, find_invertible,
                              identity_morphism, verify_axioms)
 from taucat.cochains import d1_cochain, random_cochain1
@@ -314,7 +317,9 @@ def test_unproved_generators_take_the_full_path():
             assert nat_space(bad, 0, a, F) == _reference_nat_space(bad, 0, a, F)
 
 
-def test_generation_proof_runs_once_per_presentation(monkeypatch):
+def test_generation_proof_runs_once_per_presentation(monkeypatch, tmp_path):
+    """One proof and one verdict per presentation serve verify_axioms, which
+    checks associativity on the generating middle degrees, and nat_degrees."""
     calls = Counter()
 
     def counted(name, fn):
@@ -324,11 +329,22 @@ def test_generation_proof_runs_once_per_presentation(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(category, "verify_axioms", counted("verify", verify_axioms))
-    prop = GradedCatPresentation.nat_degrees
+    prop = GradedCatPresentation.generating_degrees
     monkeypatch.setattr(prop, "func", counted("proof", prop.func))
     monkeypatch.setattr(cli, "nat_space", counted("nat_space", nat_space))
-    ok, _ = cli._yoneda_audit(twisted_cat())
+    cat = twisted_cat()
+    ok, _ = cli._yoneda_audit(cat)
     assert ok
+    assert calls == {"nat_space": 128, "verify": 1, "proof": 1}
+    assert category.verify_axioms(cat).ok and cat.verdict.ok
+    assert calls == {"nat_space": 128, "verify": 2, "proof": 1}
+    # yoneda-check verifies the file's presentation once, and the audit reuses
+    # that verdict and its proof
+    calls.clear()
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(jsonio.category_to_json(twisted_cat())))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["yoneda-check", str(path)]) == 0
     assert calls == {"nat_space": 128, "verify": 1, "proof": 1}
 
 
