@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import cache
 from random import Random
 
 from . import jsonio
@@ -355,7 +356,9 @@ def cmd_paper_suite(args) -> int:
     return 0 if ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not change it."""
     ap = argparse.ArgumentParser(prog="taucat",
                                  description="exact engine for group-homomorphism-graded categories")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -15,6 +15,10 @@ With these conventions d1(d0(eta)) = 1 and d2(d1(gamma)) = 1 identically,
 and a 1-cochain gamma solving  target = d1(gamma)  twists basis morphisms
 e -> gamma * e' into a functor that strictly preserves composition.
 
+Generators.  d1(gamma) = target is solved for the values of gamma at the
+generating set S of `groups.cayley_tree` (`d1_solver`, which proves that
+nothing is lost).
+
 Storage.  F_p^x is cyclic of order m = p - 1, so every value is g^k for
 the field's generator g, and a cochain stores the exponent k in Z/m, not
 the unit: products become sums and inverses negations mod m, and every
@@ -41,7 +45,8 @@ from random import Random
 
 from . import znsolve
 from .fields import PrimeField
-from .groups import CosetSpace, conjugate_subgroup, coset_space
+from .groups import (CosetSpace, FiniteGroup, cayley_tree, conjugate_subgroup,
+                     coset_space)
 
 
 def _code(field: PrimeField) -> str:
@@ -251,10 +256,6 @@ def cocycle_violation(psi: Cochain2):
     return None
 
 
-def is_cocycle(psi: Cochain2) -> bool:
-    return cocycle_violation(psi) is None
-
-
 def translate(x, t: int):
     """Transport a 1- or 2-cochain on H/L' to the conjugate subgroup t L' t^-1.
 
@@ -275,94 +276,109 @@ def translate(x, t: int):
 # equations are linear systems over Z/(p-1), solved exactly.
 
 
-def _c1_vars(space: CosetSpace):
-    e = space.parent.identity
-    return [(a, i) for a in range(space.parent.order) if a != e
-            for i in range(space.size)]
-
-
-def _c1_to_exponents(gamma: Cochain1):
-    x, s, e = gamma.exps.tolist(), gamma.space.size, gamma.space.parent.identity
-    return tuple(x[:e * s] + x[(e + 1) * s:])
-
-
-def _exponents_to_c1(field: PrimeField, space: CosetSpace, vec) -> Cochain1:
-    m, s, e = _modulus(field), space.size, space.parent.identity
-    vec = [x % m for x in vec]
-    return Cochain1(field, space, _pack(field, vec[:e * s] + [0] * s + vec[e * s:]))
-
-
-def _exponents_to_c0(field: PrimeField, space: CosetSpace, vec) -> Cochain0:
-    m = _modulus(field)
-    return Cochain0(field, space, _pack(field, [x % m for x in vec]))
-
-
 @dataclass(frozen=True)
 class CochainSolutions:
-    """All solutions of one coboundary equation: a particular cochain plus
-    the kernel generators, as exponent vectors over Z/(p-1)."""
+    """All solutions of one coboundary equation: a particular cochain, the
+    kernel generators as exponent vectors over Z/(p-1) (for a 1-cochain,
+    every row but the identity's), and every solution through `enumerate`.
+    ``coords`` solves the system actually factored, which for d1 is on the
+    values at the generators of H, and ``lift`` turns its vectors into
+    cochains."""
 
-    field: PrimeField
-    space: CosetSpace
     particular: Cochain0 | Cochain1
     kernel: tuple[tuple[int, ...], ...]
-    _raw: znsolve.SolutionSet
-    _from_exponents: object  # (field, space, exponent vector) -> cochain
+    coords: znsolve.SolutionSet
+    lift: object
 
     def count(self) -> int:
-        return self._raw.count()
+        return self.coords.count()
 
     def enumerate(self, cap: int = 100000):
-        for vec in self._raw.enumerate(cap):
-            yield self._from_exponents(self.field, self.space, vec)
-
-
-def _solutions(field: PrimeField, space: CosetSpace, system, rhs, from_exponents):
-    """All x with system . x = rhs over Z/(p-1), as cochains; None when infeasible."""
-    sol = system.solve(rhs)
-    if sol is None:
-        return None
-    return CochainSolutions(field, space, from_exponents(field, space, sol.x0),
-                            sol.kernel, sol, from_exponents)
+        return map(self.lift, self.coords.enumerate(cap))
 
 
 @lru_cache(maxsize=None)
-def _d1_system(m: int, space: CosetSpace):
-    """The d1 equations of ``space`` over Z/m, one per (a, b, coset) with
-    a, b != 1, factored, and where each (a, b) row of a target starts in its
-    buffer.  Memoised like `groups.coset_space`, and keyed on the integer m
-    rather than on the field, whose hash walks its dlog table."""
-    g, e = space.parent, space.parent.identity
-    var_index = {v: k for k, v in enumerate(_c1_vars(space))}
-    pairs = [(a, b) for a in range(g.order) for b in range(g.order) if e not in (a, b)]
-    rows = []
-    for a, b in pairs:
-        ab = g.mul(a, b)
-        for i, j in enumerate(space.act[b]):
-            row = [0] * len(var_index)
-            if ab != e:
-                row[var_index[(ab, i)]] += 1
-            row[var_index[(a, j)]] -= 1
-            row[var_index[(b, i)]] -= 1
-            rows.append(row)
-    starts = tuple((a * g.order + b) * space.size for a, b in pairs)
-    return znsolve.System(rows, m, len(var_index)), starts
+def _tree(g: FiniteGroup):
+    """(S, steps, edges) of `groups.cayley_tree`: steps holds (h, h', s) with
+    h = s h' for every h off S and 1, parents first, and edges the pairs
+    (s, b) for which b -> s b is not a tree edge."""
+    gens, parent = cayley_tree(g)
+
+    def depth(h):
+        return 0 if parent[h] is None else 1 + depth(parent[h][0])
+    steps = [(h, *parent[h]) for h in sorted(g.elements(), key=depth)
+             if parent[h] is not None and parent[h][0] != g.identity]
+    edges = [(s, b) for s in gens for b in g.elements() if parent[g.mul(s, b)] != (b, s)]
+    return gens, steps, edges
+
+
+def _extend(space: CosetSpace, m: int, x, t=None) -> list[int]:
+    """Exponents of the 1-cochain with values x at S that solves d1 = t on
+    every tree edge (t None: zero), gamma(s h')(i) = t(s, h')(i) +
+    gamma(s)(h'.i) + gamma(h')(i); its identity row included."""
+    n, sz = space.parent.order, space.size
+    gens, steps, _ = _tree(space.parent)
+    out = [0] * (n * sz)
+    for k, s in enumerate(gens):
+        out[s * sz:(s + 1) * sz] = x[k * sz:(k + 1) * sz]
+    for h, h1, s in steps:
+        k = (s * n + h1) * sz
+        out[h * sz:(h + 1) * sz] = [
+            (out[s * sz + j] + out[h1 * sz + i] + (t[k + i] if t else 0)) % m
+            for i, j in enumerate(space.act[h1])]
+    return out
+
+
+def _residual(space: CosetSpace, gamma, t=None) -> list[int]:
+    """d1(gamma)(s, b)(i) - t(s, b)(i) on every non-tree edge (s, b)."""
+    g, sz = space.parent, space.size
+    return [gamma[g.mul(s, b) * sz + i] - gamma[s * sz + j] - gamma[b * sz + i]
+            - (t[(s * g.order + b) * sz + i] if t else 0)
+            for s, b in _tree(g)[2] for i, j in enumerate(space.act[b])]
+
+
+@lru_cache(maxsize=None)
+def _tree_system(m: int, space: CosetSpace):
+    """The `d1_solver` system of ``space`` over Z/m, factored, and its kernel
+    as 1-cochains.  Memoised like `groups.coset_space`, and keyed on the
+    integer m rather than on the field, whose hash walks its dlog table."""
+    r, e, sz = len(_tree(space.parent)[0]) * space.size, space.parent.identity, space.size
+    columns = [_residual(space, _extend(space, m, [int(j == k) for j in range(r)]))
+               for k in range(r)]
+    system = znsolve.System([list(row) for row in zip(*columns)], m, r)
+    full = (_extend(space, m, gen) for gen in system.kernel)
+    return system, tuple(tuple(x[:e * sz] + x[(e + 1) * sz:]) for x in full)
 
 
 def d1_solver(field: PrimeField, space: CosetSpace):
-    """`solve_d1` for every target on ``space``.  The d1 matrix depends only
-    on (p - 1, space), so its factorisation is kept per (modulus, space) for
-    the life of the process (`_d1_system`); a target adds its cocycle check
-    and a back-substitution."""
-    system, starts = _d1_system(_modulus(field), space)
-    s = space.size
+    """`solve_d1` for every target on ``space``, by the presentation method
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 7.6).
+
+    Solving d1(gamma) = target on the edges of the spanning tree of
+    `groups.cayley_tree` fixes gamma by its values at S (`_extend`), so
+    those |S| s exponents are the unknowns and the non-tree edges the
+    equations.  For a cocycle target that is all: delta = d1(gamma) -
+    target is then a cocycle with delta(s, b) = 0 for s in S, and the
+    cocycle identity at (s, b, c) reads delta(s b, c) = delta(b, c), so
+    delta = 0 by induction on word length.  The system depends only on
+    (p - 1, space) and is kept for the life of the process (`_tree_system`);
+    a target adds its cocycle check, two tree walks and a back-substitution.
+    """
+    m = _modulus(field)
+    system, kernel = _tree_system(m, space)
 
     def solve_target(target: Cochain2):
-        if not is_cocycle(target):
+        if cocycle_violation(target) is not None:
             raise ValueError("solve_d1 target is not a 2-cocycle")
-        x = target.exps
-        return _solutions(field, space, system, [x[k + i] for k in starts for i in range(s)],
-                          _exponents_to_c1)
+        t = target.exps.tolist()
+        base = _extend(space, m, [0] * system.ncols, t)
+        sol = system.solve([-r for r in _residual(space, base, t)])
+        if sol is None:
+            return None
+
+        def lift(x):
+            return Cochain1(field, space, _pack(field, _extend(space, m, x, t)))
+        return CochainSolutions(lift(sol.x0), kernel, sol, lift)
     return solve_target
 
 
@@ -377,15 +393,21 @@ def solve_d1(target: Cochain2):
 
 def solve_d0(target: Cochain1):
     """All eta with d0(eta) = target, or None."""
-    space = target.space
+    field, space, m = target.field, target.space, _modulus(target.field)
     rows = [[(k == i) - (k == j) for k in range(space.size)]
             for perm in space.act for i, j in enumerate(perm)]
-    system = znsolve.System(rows, _modulus(target.field), space.size)
-    return _solutions(target.field, space, system, target.exps.tolist(), _exponents_to_c0)
+    sol = znsolve.System(rows, m, space.size).solve(target.exps.tolist())
+    if sol is None:
+        return None
+
+    def lift(x):
+        return Cochain0(field, space, _pack(field, [v % m for v in x]))
+    return CochainSolutions(lift(sol.x0), sol.kernel, sol, lift)
 
 
-def coboundary_basis_c1(m: int, space: CosetSpace):
-    """Exponent vectors over Z/m spanning the image of d0 inside 1-cochains:
-    the image of each coset's indicator eta_k."""
-    return [tuple(((i == k) - (space.act[a][i] == k)) % m for a, i in _c1_vars(space))
+def coboundary_basis_c1(m: int, space: CosetSpace, elements):
+    """Exponent vectors over Z/m spanning the image of d0 inside 1-cochains,
+    on the rows of ``elements``: the image of each coset's indicator."""
+    return [tuple(((i == k) - (space.act[a][i] == k)) % m
+                  for a in elements for i in range(space.size))
             for k in range(space.size)]

@@ -27,9 +27,6 @@ class PrimeField:
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.p
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 

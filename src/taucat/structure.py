@@ -28,11 +28,10 @@ from .category import (FunctorData, GradedCatPresentation, Morphism,
                        find_invertible, find_shift, identity_morphism, invert,
                        is_simple, verify_functor, verify_nat)
 from .cochains import (Cochain1, c1_inv, c1_mul, c2_inv, c2_mul,
-                       coboundary_basis_c1, cochain2, d1_cochain,
-                       d1_solver, trivial_cochain1, _c1_to_exponents, _c1_vars,
-                       _d1_system, _exponents_to_c1, solve_d0, translate)
-from .groups import (CosetSpace, Subgroup, conjugate_subgroup, coset_space,
-                     subgroup)
+                       coboundary_basis_c1, cochain2, d1_cochain, d1_solver,
+                       trivial_cochain1, _tree_system, solve_d0, translate)
+from .groups import (CosetSpace, Subgroup, cayley_tree, conjugate_subgroup,
+                     coset_space, subgroup)
 from .mtau import MtauSpec, build_skeleton, mtau_spec
 
 
@@ -283,17 +282,22 @@ def linear_semisimple_check(cat: GradedCatPresentation):
 @lru_cache(maxsize=None)
 def _class_offsets(space: CosetSpace, m: int, cap: int = 100000):
     """Coboundary generators, and offsets from a particular d1 solution, one
-    per class of solutions modulo d0-coboundaries, over Z/m.
+    per class of solutions modulo d0-coboundaries, over Z/m, all on the
+    |S| s values at the generators S of `groups.cayley_tree`.
 
-    Only the kernel of d1 and the coboundaries enter, so one computation
-    serves every target on the coset space; like the d1 factorisation it
-    reads the kernel from, it is kept per (space, modulus).  The coboundary
-    submodule is pulled back through the kernel generators, the pullback is
-    diagonalised, and one coefficient vector is read off per class.
+    A 1-cocycle is fixed by its values on S (`cochains.d1_solver`), so the
+    kernel of the tree system is Z^1 in those coordinates, and B^1 is the
+    restriction of the d0 image to the rows of S.  Only the kernel and the
+    coboundaries enter, so one computation serves every target on the
+    coset space; like the tree system it reads the kernel from, it is kept
+    per (space, modulus).  The coboundary submodule is pulled back through
+    the kernel generators, the pullback is diagonalised, and one
+    coefficient vector is read off per class.
     """
-    kernel = _d1_system(m, space)[0].kernel
-    nvars = len(_c1_vars(space))
-    b_gens = tuple(g for g in coboundary_basis_c1(m, space) if any(x % m for x in g))
+    gens = cayley_tree(space.parent)[0]
+    kernel = _tree_system(m, space)[0].kernel
+    nvars = len(gens) * space.size
+    b_gens = tuple(g for g in coboundary_basis_c1(m, space, gens) if any(g))
     k = len(kernel)
     combined = [[g[r] for g in kernel] + [g[r] for g in b_gens] for r in range(nvars)]
     pulled = [g[:k] for g in znsolve.kernel_generators(combined, m, ncols=k + len(b_gens))]
@@ -314,12 +318,20 @@ def _class_offsets(space: CosetSpace, m: int, cap: int = 100000):
 
 def _solution_classes(sols, b_gens, offsets):
     """Class representatives of a d1 solution set modulo d0-coboundaries,
-    each canonicalised to its lexicographically least exponent vector."""
-    m = max(sols.field.unit_order, 1)
-    x0 = _c1_to_exponents(sols.particular)
+    each canonicalised to its lexicographically least exponent vector.
+
+    The least vector is found on the generator values and then lifted.
+    That is the same cochain as the least full 1-cochain of the class: S
+    is greedy in element order, so every element below the k-th generator
+    lies in the subgroup generated by the ones before it, and the rows of
+    a solution up to that generator are fixed by its values at the
+    earlier generators.  Two solutions therefore first differ at a
+    generator coordinate, and in the same place in both orders.
+    """
+    m, x0 = sols.coords.m, sols.coords.x0
     canon = {znsolve.lexmin_coset([(a + b) % m for a, b in zip(x0, off)], b_gens, m)
              for off in offsets}
-    return [_exponents_to_c1(sols.field, sols.space, v) for v in sorted(canon)]
+    return [sols.lift(v) for v in sorted(canon)]
 
 
 def classify_equivalences(spec_a: MtauSpec, spec_b: MtauSpec):
@@ -350,8 +362,8 @@ def classify_equivalences(spec_a: MtauSpec, spec_b: MtauSpec):
     out = []
     if not targets:
         return out
-    # every target lives on H/L: the d1 factorisation and the classes
-    # modulo coboundaries are kept per (modulus, space), so only the first
+    # every target lives on H/L: the tree system and the classes modulo
+    # coboundaries are kept per (modulus, space), so only the first
     # classification on a coset space works them out
     solve = d1_solver(spec_a.field, space_a)
     for t, target in targets:

@@ -4,15 +4,16 @@ from random import Random
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from taucat.cochains import (act, cochain1, cochain2, cocycle_violation, constant_one,
-                             coboundary_basis_c1, d0, d0_cochain, d1, d1_cochain,
-                             d2, random_cochain0, random_cochain1,
-                             solve_d0, solve_d1, translate,
-                             trivial_cochain1, trivial_cochain2, unit_function,
-                             _exponents_to_c0, _exponents_to_c1)
+from taucat.cochains import (Cochain0, Cochain1, act, cochain1, cochain2,
+                             cocycle_violation, constant_one, coboundary_basis_c1, d0,
+                             d0_cochain, d1, d1_cochain, d2, random_cochain0,
+                             random_cochain1, solve_d0, solve_d1, translate,
+                             trivial_cochain1, trivial_cochain2, unit_function, _pack)
+from taucat import znsolve
 from taucat.fields import field
-from taucat.groups import (conjugate_subgroup, coset_space, cyclic_group,
-                           group_from_table, reduction_hom, subgroup)
+from taucat.groups import (cayley_tree, conjugate_subgroup, coset_space, cyclic_group,
+                           generated_subgroup, group_from_table, reduction_hom,
+                           subgroup)
 
 F5 = field(5)
 F3 = field(3)
@@ -21,6 +22,23 @@ C4 = cyclic_group(4)
 SP84 = coset_space(C8, subgroup(C8, [0, 4]))          # four cosets of C8
 SP4_TRIV = coset_space(C4, subgroup(C4, [0]))          # C4 over the trivial subgroup
 SP4_HALF = coset_space(C4, subgroup(C4, [0, 2]))       # two cosets of C4
+
+
+def exponents_to_c0(f, space, vec):
+    return Cochain0(f, space, _pack(f, [x % f.unit_order for x in vec]))
+
+
+def exponents_to_c1(f, space, vec):
+    """The 1-cochain whose exponents off the identity row are ``vec``, the
+    layout of a `solve_d1` kernel generator."""
+    s, e = space.size, space.parent.identity
+    vec = [x % f.unit_order for x in vec]
+    return Cochain1(f, space, _pack(f, vec[:e * s] + [0] * s + vec[e * s:]))
+
+
+def c1_to_exponents(gamma):
+    x, s, e = gamma.exps.tolist(), gamma.space.size, gamma.space.parent.identity
+    return tuple(x[:e * s] + x[(e + 1) * s:])
 
 
 def all_triples(n):
@@ -137,8 +155,7 @@ def test_solve_d1_trivial_target():
     assert all(v == 1 for row in sols.particular.units() for v in row)
     # kernel elements decode to 1-cocycles: their coboundary is trivial
     for vec in sols.kernel:
-        from taucat.cochains import _exponents_to_c1
-        gamma = _exponents_to_c1(F5, SP84, vec)
+        gamma = exponents_to_c1(F5, SP84, vec)
         assert d1_cochain(gamma) == target
 
 
@@ -286,13 +303,11 @@ def test_solve_d0_infeasible():
 
 
 def test_coboundary_basis_spans_d0_image():
-    gens = coboundary_basis_c1(F3.unit_order, SP4_TRIV)
-    from taucat import znsolve
-    from taucat.cochains import _c1_to_exponents
+    gens = coboundary_basis_c1(F3.unit_order, SP4_TRIV, range(1, 4))
     span = set(znsolve.span_members(gens, F3.unit_order, len(gens[0])))
     images = set()
     for vals in product((1, 2), repeat=SP4_TRIV.size):
-        images.add(_c1_to_exponents(d0_cochain(unit_function(F3, SP4_TRIV, vals))))
+        images.add(c1_to_exponents(d0_cochain(unit_function(F3, SP4_TRIV, vals))))
     assert images == span
 
 
@@ -480,7 +495,7 @@ def _check_against_reference(name, p, seed, corrupt):
         assert _reference_d1(f, space, sols.particular.units()) == units
         ones = trivial_cochain2(f, space).units()
         for vec in sols.kernel:
-            assert _reference_d1(f, space, _exponents_to_c1(f, space, vec).units()) == ones
+            assert _reference_d1(f, space, exponents_to_c1(f, space, vec).units()) == ones
 
     eta = random_cochain0(f, space, rng)
     target = d0_cochain(eta)
@@ -492,4 +507,90 @@ def _check_against_reference(name, p, seed, corrupt):
     if sols is not None:
         assert _reference_d0(f, space, sols.particular.units()) == target.units()
         for vec in sols.kernel:  # d0 kills exactly the constants
-            assert len(set(_exponents_to_c0(f, space, vec).units())) == 1
+            assert len(set(exponents_to_c0(f, space, vec).units())) == 1
+
+
+# -- the first violation, where a generator-middle scan could go wrong ------
+#
+# A scan of the middles in the generating set S of `groups.cayley_tree`
+# alone decides whether psi is a cocycle (Light's test); these cases pin the
+# first violation that such a scan would have to hand over to the full one.
+
+
+def _subgroups(g):
+    """Every subgroup of g; each one of these groups is generated by two elements."""
+    found = {generated_subgroup(g, (a, b)).elements
+             for a in g.elements() for b in g.elements()}
+    return [subgroup(g, elements) for elements in sorted(found)]
+
+
+MIDDLE_SPACES = [coset_space(g, sub)
+                 for g in (cyclic_group(4), cyclic_group(6), C8, cyclic_group(12), S3)
+                 for sub in _subgroups(g)]
+
+
+def _corrupt_at(units, f, rng, middles):
+    """One entry psi(a, b)(i) with a off the identity and b in ``middles``,
+    multiplied by a unit other than 1."""
+    cells = [list(map(list, row)) for row in units]
+    a, b = rng.randrange(1, len(units)), rng.choice(middles)
+    i = rng.randrange(len(cells[a][b]))
+    cells[a][b][i] = f.mul(cells[a][b][i], f.exp(1 + rng.randrange(f.unit_order - 1)))
+    return cells
+
+
+def _random_units2(f, space, rng):
+    """A random normalised 2-cochain, as units; almost never a cocycle."""
+    n, e = space.parent.order, space.parent.identity
+    return [[[1 if e in (a, b) else f.exp(rng.randrange(f.unit_order))
+              for _ in range(space.size)] for b in range(n)] for a in range(n)]
+
+
+@settings(max_examples=3, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.integers(0, 2 ** 16))
+def test_first_violation_matches_reference_on_every_subgroup(seed):
+    # every subgroup of C4, C6, C8, C12 and S3 at p in {3, 5, 7}: a cocycle,
+    # a random cochain, and one entry corrupted at any middle and at a middle
+    # off the generating set; the first violation must be the reference's
+    for space, p in product(MIDDLE_SPACES, (3, 5, 7)):
+        f, rng, g = field(p), Random(seed), space.parent
+        gens = cayley_tree(g)[0]
+        off_gens = [b for b in g.elements() if b not in gens and b != g.identity]
+        assert g.identity == 0 and off_gens
+        cocycle = d1_cochain(random_cochain1(f, space, rng)).units()
+        cases = [cocycle, _random_units2(f, space, rng),
+                 _corrupt_at(cocycle, f, rng, list(range(1, g.order))),
+                 _corrupt_at(cocycle, f, rng, off_gens)]
+        for k, units in enumerate(cases):
+            want = _reference_cocycle_violation(f, space, units)
+            assert cocycle_violation(cochain2(f, space, units)) == want
+            assert (want is None) == (k == 0)
+
+
+def test_generator_scan_reaches_every_generator():
+    # S3 needs two generators.  A 2-cochain that satisfies the identity at
+    # every middle in the subgroup of the first one, but not at the second,
+    # passes any scan that leaves a generator of S out.
+    g1 = cayley_tree(S3)[0][0]
+    pairs = [(a, b) for a in range(1, 6) for b in range(1, 6)]
+    for space, p in product([sp for sp in MIDDLE_SPACES if sp.parent is S3], (3, 5, 7)):
+        f, s = field(p), space.size
+        var = {(a, b, i): k * s + i for k, (a, b) in enumerate(pairs) for i in range(s)}
+        rows = []
+        for a, c, i in product(range(6), range(6), range(s)):
+            row = [0] * len(var)
+            for key, sign in (((g1, c, i), 1), ((S3.mul(a, g1), c, i), -1),
+                              ((a, S3.mul(g1, c), i), 1), ((a, g1, space.act[c][i]), -1)):
+                if key in var:
+                    row[var[key]] += sign
+            rows.append(row)
+        kernel = znsolve.System(rows, f.unit_order, len(var)).kernel
+        rng = Random(p)
+        coeffs = [rng.randrange(f.unit_order) for _ in kernel]
+        units = [[[f.exp(sum(c * k[var[a, b, i]] for c, k in zip(coeffs, kernel)))
+                   if (a, b, i) in var else 1 for i in range(s)] for b in range(6)]
+                 for a in range(6)]
+        want = _reference_cocycle_violation(f, space, units)
+        assert want is not None and want[1] not in generated_subgroup(S3, [g1]).elements
+        assert cocycle_violation(cochain2(f, space, units)) == want

@@ -1,4 +1,7 @@
 import sys
+from functools import lru_cache
+from itertools import product
+from math import gcd
 from random import Random
 
 import pytest
@@ -7,12 +10,13 @@ from taucat import cochains, structure, znsolve
 
 from taucat.category import (direct_sum_cat, identity_functor, is_simple,
                              verify_axioms, verify_functor)
-from taucat.cochains import (c1_mul, c1_inv, d0_cochain, d1_cochain,
-                             random_cochain0, random_cochain1, trivial_cochain1,
-                             trivial_cochain2)
+from taucat.cochains import (c1_mul, c1_inv, c2_inv, c2_mul, cochain2, d0_cochain,
+                             d1_cochain, random_cochain0, random_cochain1,
+                             trivial_cochain1, trivial_cochain2)
 from taucat.completion import AdditiveCompletion
 from taucat.fields import field
-from taucat.groups import coset_space, cyclic_group, reduction_hom, subgroup
+from taucat.groups import (cayley_tree, conjugate_subgroup, coset_space, cyclic_group,
+                           generated_subgroup, hom, kernel, reduction_hom, subgroup)
 from taucat.mtau import (build_group_groupoid, build_skeleton,
                          cyclic_subgroup_of_order, cyclic_table_category,
                          mtau_spec, parity_tau, trivial_spec)
@@ -21,6 +25,7 @@ from taucat.structure import (EquivalenceDatum, analyze_simple,
                               composite_datum, decompose, identity_datum,
                               linear_semisimple_check, realize_functor,
                               simple_orbits, stabilizer_subgroup)
+from test_cochains import S3, _subgroups, exponents_to_c1
 
 F5 = field(5)
 F3 = field(3)
@@ -353,32 +358,38 @@ def _count_calls(monkeypatch, fn):
 
 
 def _clear_classify_caches():
-    """Forget every kept d1 factorisation and class computation."""
-    cochains._d1_system.cache_clear()
+    """Forget every kept tree system and class computation."""
+    cochains._tree_system.cache_clear()
     structure._class_offsets.cache_clear()
 
 
+def _tree_width(space):
+    """Unknowns of the tree system: one per generator of H and coset."""
+    return len(cayley_tree(space.parent)[0]) * space.size
+
+
 def test_classify_factors_the_d1_matrix_once(monkeypatch):
-    # the four cosets of t share one d1 system on H/L, and the classes
+    # the four cosets of t share one tree system on H/L, and the classes
     # modulo coboundaries are worked out once for all of them; both are
     # kept, so another classification on the same space factors nothing
     _clear_classify_caches()
     a, b = twisted_spec(71, k=1), twisted_spec(72, k=1)
-    nvars = len(cochains._c1_vars(a.psi.space))
     calls = _count_calls(monkeypatch, znsolve.diagonalize)
     data = classify_equivalences(a, b)
     assert len({d.t for d in data}) == 4
-    assert sum(len(matrix[0]) == nvars for matrix, _ in calls) == 1
-    assert len(calls) == 3  # d1, then the kernel and the pullback of B^1
+    assert cochains._tree_system.cache_info().misses == 1
+    assert len(calls) == 3  # the tree system, then the kernel and the pullback of B^1
+    assert len(calls[0][0][0]) == _tree_width(a.psi.space)
     calls.clear()
     assert classify_equivalences(a, b) == data
     assert len(classify_equivalences(twisted_spec(75, k=1), twisted_spec(76, k=1))) == 4
     assert calls == []
+    assert cochains._tree_system.cache_info().misses == 1
 
 
 def test_classify_keeps_one_factorisation_per_modulus(monkeypatch):
     # one coset space at p = 5 (m = 4), then at p = 7 (m = 6): the second
-    # field factors its own d1 system, and each agrees with a cold run
+    # field factors its own tree system, and each agrees with a cold run
     L = cyclic_subgroup_of_order(2)
     space = coset_space(C8, L)
 
@@ -393,10 +404,16 @@ def test_classify_keeps_one_factorisation_per_modulus(monkeypatch):
         cold.append(classify_equivalences(a, b))
     _clear_classify_caches()
     calls = _count_calls(monkeypatch, znsolve.diagonalize)
-    for (a, b), want in zip(pairs, cold):
+    for misses, ((a, b), want) in enumerate(zip(pairs, cold), 1):
         calls.clear()
         assert classify_equivalences(a, b) == want
         assert len(calls) == 3
+        assert len(calls[0][0][0]) == _tree_width(space)
+        assert cochains._tree_system.cache_info().misses == misses
+    calls.clear()
+    for (a, b), want in zip(pairs, cold):
+        assert classify_equivalences(a, b) == want
+    assert calls == []
     assert [len(data) for data in cold] == [4, 4]
 
 
@@ -416,3 +433,141 @@ def test_decompose_checks_each_cocycle_once(monkeypatch):
     rep = decompose(cat)
     assert rep.semisimple and len(rep.orbits) == 2
     assert len(calls) == len(rep.orbits)
+
+
+# -- the tree solver against the dense d1 system ------------------------------
+#
+# The classification as it was before the spanning-tree solver: one d1
+# equation per (a, b, coset) with a, b != 1 on every value of a normalised
+# 1-cochain off the identity, and each class canonicalised on all of those
+# values.
+
+
+@lru_cache(maxsize=None)
+def _reference_d1_system(m, space):
+    g, e = space.parent, space.parent.identity
+    unknowns = [(a, i) for a in g.elements() if a != e for i in range(space.size)]
+    var = {v: k for k, v in enumerate(unknowns)}
+    pairs = [(a, b) for a in g.elements() for b in g.elements() if e not in (a, b)]
+    rows = []
+    for a, b in pairs:
+        ab = g.mul(a, b)
+        for i, j in enumerate(space.act[b]):
+            row = [0] * len(var)
+            if ab != e:
+                row[var[(ab, i)]] += 1
+            row[var[(a, j)]] -= 1
+            row[var[(b, i)]] -= 1
+            rows.append(row)
+    starts = [(a * g.order + b) * space.size for a, b in pairs]
+    return znsolve.System(rows, m, len(var)), starts
+
+
+def _reference_solve_d1(target):
+    """The solutions of d1(gamma) = target on the dense system, or None."""
+    m, s = max(target.field.unit_order, 1), target.space.size
+    system, starts = _reference_d1_system(m, target.space)
+    x = target.exps
+    return system.solve([x[k + i] for k in starts for i in range(s)])
+
+
+def _reference_classes(field_, space, sol):
+    """The least full exponent vector of each class of ``sol`` modulo B^1."""
+    m = max(field_.unit_order, 1)
+    kernel = sol.kernel
+    nvars = len(sol.x0)
+    b_gens = [g for g in cochains.coboundary_basis_c1(
+        m, space, [a for a in space.parent.elements() if a != space.parent.identity]) if any(g)]
+    k = len(kernel)
+    combined = [[g[r] for g in kernel] + [g[r] for g in b_gens] for r in range(nvars)]
+    pulled = [g[:k] for g in znsolve.kernel_generators(combined, m, ncols=k + len(b_gens))]
+    pulled = [g for g in pulled if any(g)]
+    d, ops, _ = znsolve.diagonalize([[g[i] for g in pulled] for i in range(k)], m)
+    ranges = [gcd(d[i][i] if i < len(pulled) else 0, m) for i in range(k)]
+    canon = set()
+    for idx in znsolve.index_vectors(ranges):
+        c = znsolve.unapply_rows(ops, idx, m)
+        x = [(x0 + sum(cj * g[r] for cj, g in zip(c, kernel))) % m
+             for r, x0 in enumerate(sol.x0)]
+        canon.add(znsolve.lexmin_coset(x, b_gens, m))
+    return [exponents_to_c1(field_, space, v) for v in sorted(canon)]
+
+
+def _assert_tree_solver_matches_dense(a, b):
+    """Same solvability, solution count and class list per t, and the same
+    data from classify_equivalences; returns the number of classes."""
+    tau, space_b = a.tau, b.psi.space
+    gG = tau.target
+    want = []
+    for c, t in enumerate(space_b.reps):
+        if tau.map[t] != gG.mul(a.g, gG.inv(b.g)):
+            continue
+        if set(conjugate_subgroup(b.L, t).elements) != set(a.L.elements):
+            continue
+        target = c2_mul(a.psi, c2_inv(cochains.translate(b.psi, t)))
+        dense, tree = _reference_solve_d1(target), cochains.solve_d1(target)
+        assert (dense is None) == (tree is None)
+        if tree is None:
+            continue
+        assert tree.count() == dense.count()
+        classes = _reference_classes(a.field, a.psi.space, dense)
+        assert classes == structure._solution_classes(
+            tree, *structure._class_offsets(a.psi.space, max(a.field.unit_order, 1)))
+        want += [EquivalenceDatum(t, gamma) for gamma in classes]
+    assert classify_equivalences(a, b) == want
+    return len(want)
+
+
+def _coboundary_spec(tau, f, L, rng, g=0):
+    space = coset_space(tau.source, L)
+    return mtau_spec(tau, f, L, d1_cochain(random_cochain1(f, space, rng)), g)
+
+
+# the (|H|, |L|) shapes over C_n -> C_2 of the classify benchmark
+POOL_SHAPES = [(8, 1), (8, 2), (8, 4), (12, 1), (12, 2), (12, 3), (12, 6),
+               (16, 2), (16, 4), (16, 8)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_tree_solver_matches_dense_system_on_cyclic_blocks(p):
+    f, rng = field(p), Random(p)
+    cases = [(reduction_hom(n, 2), k) for n, k in POOL_SHAPES]
+    cases += [(reduction_hom(n, 3), k) for n in (6, 9) for k in (1, n // 3)]
+    for tau, k in cases:
+        n = tau.source.order
+        L = subgroup(tau.source, range(0, n, n // k))
+        a = _coboundary_spec(tau, f, L, rng, rng.randrange(tau.target.order))
+        b = _coboundary_spec(tau, f, L, rng, rng.randrange(tau.target.order))
+        # Shapiro's lemma: (|ker tau| / |L|) * |Hom(L, F_p^x)| classes
+        assert _assert_tree_solver_matches_dense(a, b) == (
+            n // tau.target.order // k * gcd(k, p - 1))
+
+
+def test_tree_solver_matches_dense_system_on_carry_classes():
+    # psi_k(a, b) = 2^(k floor((a + b) / 4)) on C4 -> 1 with L = C4 at p = 5:
+    # one class of H^2(C4, F_5^x) = Z/4 each, so only equal k are equivalent
+    tau, c4 = reduction_hom(4, 1), cyclic_group(4)
+    L = subgroup(c4, range(4))
+    space = coset_space(c4, L)
+    specs = [mtau_spec(tau, F5, L, cochain2(F5, space, [
+        [[F5.exp(k * ((a + b) // 4) % 4)] for b in range(4)] for a in range(4)]), 0)
+        for k in range(4)]
+    counts = [[_assert_tree_solver_matches_dense(a, b) for b in specs] for a in specs]
+    assert counts == [[4 if j == k else 0 for k in range(4)] for j in range(4)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_tree_solver_matches_dense_system_on_s3(p):
+    f, rng = field(p), Random(p)
+    c2 = cyclic_group(2)
+    # S3 -> 1, and the sign S3 -> C2, which sends the elements of order 2 to 1
+    taus = [hom(S3, cyclic_group(1), [0] * 6),
+            hom(S3, cyclic_group(2), [int(generated_subgroup(S3, [x]).order == 2)
+                                      for x in S3.elements()])]
+    for tau in taus:
+        ker = set(kernel(tau).elements)
+        subs = [L for L in _subgroups(S3) if L.order < 6 and set(L.elements) <= ker]
+        for la, lb in product(subs, repeat=2):
+            if la.order == lb.order:
+                _assert_tree_solver_matches_dense(_coboundary_spec(tau, f, la, rng),
+                                                  _coboundary_spec(tau, f, lb, rng))
