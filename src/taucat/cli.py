@@ -70,7 +70,8 @@ def cmd_verify(args) -> int:
 def cmd_build_mtau(args) -> int:
     tau = jsonio.parse_hom(_load(args.tau))
     f = field(args.p)
-    sub = jsonio.parse_subgroup(args.L.split(","), "--L", tau.source)
+    sub = jsonio.parse_subgroup([int(v) for v in args.L.split(",")], "--L",
+                                tau.source)
     if args.psi == "trivial":
         spec = trivial_spec(tau, f, sub, args.g)
     else:

@@ -14,7 +14,8 @@ nor ModuleCatData stores them.
 
 from __future__ import annotations
 
-from .category import FunctorData, GradedCatPresentation, Morphism
+from .category import FunctorData, GradedCatPresentation, Morphism, _int
+from .category import _array as _check_array
 from .cochains import Cochain1, Cochain2, cochain1, cochain2, trivial_cochain2
 from .fields import PrimeField, field
 from .groups import (FiniteGroup, GroupHom, coset_space, cyclic_group,
@@ -29,17 +30,9 @@ def _object(doc, what: str) -> dict:
     return doc
 
 
-def _int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"{what} must be an integer, not {value!r}") from None
-
-
 def _array(value, what: str, depth: int = 0) -> list:
     """A JSON array; with depth > 0, integers nested that many arrays deep."""
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON array, not {type(value).__name__}")
+    _check_array(value, what)
     if depth == 1:
         return [_int(v, what) for v in value]
     if depth > 1:
@@ -59,7 +52,11 @@ def _records(value, what: str, *keys: str):
     """Each object of a JSON array, with the named integer fields read off."""
     for rec in _array(value, what):
         rec = _object(rec, what)
-        yield rec, tuple(_int(rec[k], f"{what} {k}") for k in keys)
+        fields = tuple(rec[k] for k in keys)
+        if not all(type(v) is int for v in fields):
+            for k, v in zip(keys, fields):
+                _int(v, f"{what} {k}")
+        yield rec, fields
 
 
 def parse_group(doc) -> FiniteGroup:
@@ -100,7 +97,8 @@ def _cochain_doc(doc, tau: GroupHom, arity: int):
     space = coset_space(tau.source, parse_subgroup(doc["subgroup"], "subgroup", tau.source))
     entries = {}
     for key, vals in _object(doc.get("values", {}), f"{what} values").items():
-        elements = tuple(_degree(v, f"{what} key", tau.source.order) for v in key.split(","))
+        elements = tuple(_degree(int(v), f"{what} key", tau.source.order)
+                         for v in key.split(","))
         if len(elements) != arity:
             raise ValueError(f"{what} key {key!r} needs {arity} comma-separated elements")
         entries[elements] = _array(vals, f"{what} value at {key!r}", 1)
@@ -165,9 +163,9 @@ def parse_category(doc) -> GradedCatPresentation:
     degrees = [deg for _, (deg,) in _records(doc["objects"], "objects", "deg")]
     hom_rank = {key: _int(rec["rank"], "hom rank")
                 for rec, key in _records(doc.get("homs", []), "homs", "src", "dst", "h")}
-    comp = {key: _array(rec["tensor"], "composition tensor", 3)
-            for rec, key in _records(doc.get("compose", []), "compose",
-                                     "src", "mid", "dst", "h", "h2")}
+    # GradedCatPresentation checks each tensor in the walk that normalises it
+    comp = {key: rec["tensor"] for rec, key in _records(
+        doc.get("compose", []), "compose", "src", "mid", "dst", "h", "h2")}
     identities = _array(doc["identities"], "identities", 2)
     e = tau.source.identity
     sums = {}
@@ -245,7 +243,7 @@ def parse_modcat(doc) -> ModuleCatData:
         maps = {(x, y, e): _array(rec["matrix"], "action matrix", 2)
                 for rec, (x, y) in _records(blk.get("maps", []), "action maps",
                                             "src", "dst")}
-        action[_degree(h_s, "action degree", gH.order)] = FunctorData(
+        action[_degree(int(h_s), "action degree", gH.order)] = FunctorData(
             base, base, _object_map(blk["objects"], "action objects", n), maps)
     if len(action) != gH.order:
         raise ValueError(f"action needs one entry per element of H, not {len(action)}")
@@ -253,7 +251,7 @@ def parse_modcat(doc) -> ModuleCatData:
                 for x, coords in enumerate(_components(doc["epsilon"], "epsilon", n)))
     mu = {}
     for key, rows in _object(doc["mu"], "mu").items():
-        a, b = (_degree(v, "mu degree", gH.order) for v in key.split(","))
+        a, b = (_degree(int(v), "mu degree", gH.order) for v in key.split(","))
         ab = gH.mul(a, b)
         mu[(a, b)] = tuple(
             _component(base, action[a].obj_map[action[b].obj_map[x]],

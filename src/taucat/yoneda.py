@@ -53,9 +53,6 @@ class GradedModule:
     def dim(self, h: int) -> int:
         return len(self.components.get(h, ()))
 
-    def total_dim(self) -> int:
-        return sum(len(v) for v in self.components.values())
-
 
 def evaluate_yoneda(cat: GradedCatPresentation, x: int, a: int, y: int) -> GradedModule:
     """The graded module yo^a_x(y): h-component basis of Hom^{ha}(x, y)."""

@@ -9,7 +9,7 @@ from taucat.category import (FunctorData, GradedCatPresentation, Morphism,
                              NatTransData, Verdict, compose, compose_functors,
                              direct_sum_cat, find_invertible, find_shift,
                              identity_functor, identity_morphism, invert,
-                             is_simple, are_disjoint_deg1, postcompose,
+                             is_simple, postcompose,
                              precompose, verify_axioms, verify_functor,
                              verify_nat)
 from taucat.cochains import (c1_inv, c1_mul, d0_cochain, d1_cochain,
@@ -108,6 +108,12 @@ def test_find_shift_examples():
             y, iso, inverse = find_shift(cat, x, a)
             assert y == (x + a) % 4
             assert compose(cat, iso, inverse) == identity_morphism(cat, x)
+
+
+def are_disjoint_deg1(cat, x, y):
+    """No degree-1 morphism between x and y in either direction."""
+    e = cat.tau.source.identity
+    return cat.rank(x, y, e) == 0 and cat.rank(y, x, e) == 0
 
 
 def test_simplicity_and_disjointness():
@@ -426,13 +432,19 @@ FUNCTOR_CASES = {
     "completion_roundtrip": lambda: roundtrip(_shift_closed_completion()).eta,
     "degree_shift": lambda: FunctorData(_one_object(0), _one_object(1), [0],
                                         {(0, 0, 0): ((1,),)}),
+    "s3_skeleton": lambda: identity_functor(s3_cat()),
 }
+# lawful presentations with a generation proof and degrees outside it: the
+# composition law is decided on the generating outer degrees
+RESTRICTED_FUNCTORS = ("completion_roundtrip", "realized", "s3_skeleton", "skeleton")
 
 
-def _corrupt_matrix(F, rng):
-    """F with one entry of one nonempty hom matrix changed."""
+def _corrupt_matrix(F, rng, degrees=None):
+    """F with one entry of one nonempty hom matrix changed, at a degree in
+    degrees when given."""
     maps = dict(F.hom_maps)
-    key = rng.choice(sorted(k for k, m in maps.items() if m and m[0]))
+    key = rng.choice(sorted(k for k, m in maps.items()
+                            if m and m[0] and (degrees is None or k[2] in degrees)))
     mat = [list(row) for row in maps[key]]
     i, j = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
     mat[i][j] = (mat[i][j] + rng.randrange(1, F.target.field.p)) % F.target.field.p
@@ -449,6 +461,24 @@ def test_verify_functor_matches_reference(name):
         bad = _corrupt_matrix(F, rng)
         want = _reference_verify_functor(bad).violations
         assert want and verify_functor(bad).violations == want
+
+
+@pytest.mark.parametrize("name", RESTRICTED_FUNCTORS)
+def test_verify_functor_on_generating_degrees_matches_reference(name):
+    # a matrix corrupted at a degree outside the generating set breaks paths
+    # with that outer degree too; the list reported is the full scan's
+    F = FUNCTOR_CASES[name]()
+    assert F.source.verdict.ok and F.target.verdict.ok
+    gens = F.source.generating_degrees
+    outside = {h for (_, _, h) in F.source.hom_rank} - (gens or set())
+    assert gens is not None and outside
+    assert verify_functor(F).violations == _reference_verify_functor(F).violations == []
+    rng = Random(name)
+    for _ in range(3):
+        bad = _corrupt_matrix(F, rng, outside)
+        want = _reference_verify_functor(bad).violations
+        assert any(v[2][1] not in gens for v in want)
+        assert verify_functor(bad).violations == want
 
 
 def test_verify_functor_reference_cases_reach_every_kind():

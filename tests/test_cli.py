@@ -108,6 +108,29 @@ def test_schema_errors_exit_2_without_traceback(tmp_path, tau_file, category_fil
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("variant", ["tensor_entry_float", "p_float", "p_string",
+                                     "rank_bool"])
+def test_non_integers_are_not_read_as_integers(tmp_path, category_file, variant):
+    # int() would read 1.5 and 5.9 as 1 and 5, "5" as 5 and true as 1, and
+    # the tensor case would verify; JSON integers are the only integers
+    doc = json.loads(open(category_file).read())
+    if variant == "tensor_entry_float":
+        doc["compose"][0]["tensor"][0][0][0] += 0.5
+    elif variant == "p_float":
+        doc["p"] = 5.9
+    elif variant == "p_string":
+        doc["p"] = "5"
+    else:
+        doc["homs"][0]["rank"] = True
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    r = run_cli("verify", str(bad))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "must be an integer" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_classify_nat_rejects_an_invalid_datum(tmp_path):
     # t = 1 has tau(1) = 1, not g_A g_B^-1 = 0, so the first datum is no
     # equivalence datum at all; that is an input error even though the two

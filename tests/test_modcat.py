@@ -32,6 +32,7 @@ from taucat.modcat import (ModuleCatData, ModuleFunctorData, bullet,
 from taucat.structure import classify_equivalences, identity_datum, realize_functor
 
 from morphisms import apply_functor, basis_morphism
+from test_yoneda import s3_cat
 
 F5 = field(5)
 TAU = parity_tau()
@@ -466,21 +467,30 @@ ROUNDTRIP_SOURCES = {"skeleton": lambda: twisted_cat(96),
                      "completion": _shift_closed_completion}
 
 
+def _lawful(cat):
+    """cat once its verdict has passed, as the CLI has it before it extracts
+    or round-trips: the square and functor scans shorten only then."""
+    assert cat.verdict.ok
+    return cat
+
+
 @lru_cache(maxsize=None)
 def _roundtrip_of(name):
-    return roundtrip(ROUNDTRIP_SOURCES[name]())
+    return roundtrip(_lawful(ROUNDTRIP_SOURCES[name]()))
 
 
 MODULE_CASES = {
     "skeleton": lambda: _roundtrip_of("skeleton").mod,
-    "table": lambda: extract_action(cyclic_table_category(F5, 2)),
+    "table": lambda: extract_action(_lawful(cyclic_table_category(F5, 2))),
     "rebuilt": lambda: _roundtrip_of("skeleton").rebuilt_mod,
     "completion": lambda: _roundtrip_of("completion").mod,
     # rank 1 everywhere, but with isomorphic distinct objects, so the laws
     # compose across objects and a deleted tensor can reach them
-    "duplicated": lambda: extract_action(AdditiveCompletion(twisted_cat(95, k=4))
-                                         .presentation_of([(0,), (1,), (0,), (1,)])),
+    "duplicated": lambda: extract_action(_lawful(AdditiveCompletion(twisted_cat(95, k=4))
+                                                 .presentation_of([(0,), (1,), (0,), (1,)]))),
     "trivial_rank2": _trivial_c2_action,
+    # nonabelian H: S3 over the sign map, with a two-element generating set
+    "s3": lambda: extract_action(_lawful(s3_cat())),
 }
 
 
@@ -541,11 +551,27 @@ def _corrupt_module(mod, kind, rng):
     return ModuleCatData(mod.base, action, eps, mu)
 
 
+def _rescale_mu(mod, middles, rng):
+    """mod with every component of one mu[(a, b)], a not the unit and b
+    outside middles, multiplied by one unit other than 1.  The result is
+    still natural and invertible, and satisfies both unit triangles."""
+    e = mod.group.identity
+    p = mod.base.field.p
+    ab = rng.choice(sorted((a, b) for (a, b) in mod.mu if a != e and b not in middles))
+    s = rng.randrange(2, p)
+    comps = tuple(Morphism(c.src, c.dst, c.degree, tuple(s * v % p for v in c.coords))
+                  for c in mod.mu[ab])
+    return ModuleCatData(mod.base, mod.action, mod.epsilon, {**mod.mu, ab: comps})
+
+
 @pytest.mark.parametrize("name", sorted(MODULE_CASES))
 def test_verify_module_category_matches_reference(name):
     # the contraction reports the same violations, in the same order, as
-    # composing Morphism objects law by law
+    # composing Morphism objects law by law, whether a passing square is
+    # decided on the middle degrees S and the unit or on every degree
     mod = MODULE_CASES[name]()
+    middles = modcat._square_middles(mod)
+    assert (middles is None) == (name == "trivial_rank2")  # S and the unit are all of C2
     assert verify_module_category(mod).ok and _reference_verify_module_category(mod).ok
     rng = Random(name)
     for kind in CORRUPTIONS + ("tensor",):
@@ -553,6 +579,55 @@ def test_verify_module_category_matches_reference(name):
             bad = _corrupt_module(mod, kind, rng)
             want = _reference_verify_module_category(bad).violations
             assert verify_module_category(bad).violations == want
+    for _ in range(2 if middles else 0):
+        # only squares fail, some with a middle outside S and the unit: the
+        # list is the full scan's, not the restricted scan's
+        bad = _rescale_mu(mod, middles, rng)
+        want = _reference_verify_module_category(bad).violations
+        assert {v[0] for v in want} == {"assoc"}
+        assert any(v[2] not in middles for v in want)
+        assert verify_module_category(bad).violations == want
+
+
+def _c16_skeleton(seed=99):
+    """The C16 -> C2 skeleton with |L| = 4 (four objects), psi a coboundary."""
+    tau = reduction_hom(16, 2)
+    L = subgroup(tau.source, [0, 4, 8, 12])
+    psi = d1_cochain(random_cochain1(F5, coset_space(tau.source, L), Random(seed)))
+    return build_skeleton(mtau_spec(tau, F5, L, psi, 0))
+
+
+def test_passing_module_square_scans_generating_middles(monkeypatch):
+    # |H| |S u {e}| |H| objects squares instead of |H|^3 objects: each costs
+    # two `then` calls, after two per naturality square and unit triangle
+    mod = extract_action(_lawful(_c16_skeleton()))
+    calls = []
+    real = modcat._scalar_ops
+
+    def counted(m):
+        then, image = real(m)
+        return (lambda f, g: calls.append(1) or then(f, g)), image
+
+    monkeypatch.setattr(modcat, "_scalar_ops", counted)
+    assert verify_module_category(mod).ok
+    order, n = mod.group.order, mod.base.n_objects
+    basis = sum(mod.base.hom_rank.values())
+    squares = (len(calls) - 2 * (1 + order ** 2) * basis - 2 * order * n) / 2
+    assert modcat._square_middles(mod) == {0, 1}
+    assert squares == order * 2 * order * n == 2048
+
+
+@pytest.mark.parametrize("command, verified", [("roundtrip", 2), ("decompose", 1)])
+def test_read_commands_verify_only_their_presentations(tmp_path, monkeypatch, command,
+                                                       verified):
+    # roundtrip verifies the input file and the rebuild, decompose the input
+    # file: the functor and module scans read verdicts already computed and
+    # run verify_axioms on nothing else, such as decompose's skeletons
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(jsonio.category_to_json(_c16_skeleton())))
+    calls = _count_in_taucat(monkeypatch, verify_axioms)
+    assert cli.main([command, str(path)]) == 0
+    assert len(calls) == verified
 
 
 def test_verify_module_category_reference_cases_reach_every_kind():
