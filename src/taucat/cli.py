@@ -248,7 +248,7 @@ def run_paper_suite(p: int, seed: int):
         dims = set()
         for x in cat.objects():
             for y in cat.objects():
-                dims.add(sum(cat.rank(x, y, h) for h in range(8)))
+                dims.add(sum(cat.rank(x, y, h) for h in cat.tau.source.elements()))
         sect[f"C_{k}"] = {"ok": v.ok, "total_hom_dim": sorted(dims)}
         ok_all = ok_all and v.ok and dims == {k}
     v8 = cyclic_table_category(f, 8).verdict
@@ -339,7 +339,7 @@ def run_paper_suite(p: int, seed: int):
     c2cat = tables[2]
     for x in c2cat.objects():
         for y in c2cat.objects():
-            for a in range(8):
+            for a in c2cat.tau.source.elements():
                 direct = find_invertible(c2cat, x, y, a) is not None
                 via = has_invertible_nat(c2cat, y, 0, representable(a, x))
                 good = good and direct == via

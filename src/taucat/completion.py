@@ -1,19 +1,22 @@
 """Additive completion: formal direct sums with block-matrix morphisms.
 
 Objects are tuples of base objects; a degree-h morphism is a matrix of
-base morphisms, one block per (destination part, source part).  The
+base morphisms, one block per (destination part, source part), and its
+coordinates are the blocks' coordinates in that row-major order.  The
 classification algorithms all run on skeletal presentations, so the
 completion exists to exercise direct sums, h-direct sums and the matrix
 calculus, plus `presentation_of` to re-expose finite families of sum
-objects to the ordinary verifiers.
+objects to the ordinary verifiers.  Composition reads the base tensors
+directly: a completion tensor is the base tensors placed by block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import fplinalg
-from .category import (GradedCatPresentation, Morphism, compose, find_shift,
+from .category import (GradedCatPresentation, Morphism, _contract, find_shift,
                        invert)
 
 
@@ -59,34 +62,21 @@ class AdditiveCompletion:
             for rf, rg in zip(f.blocks, g.blocks))
         return BlockMorphism(f.src, f.dst, f.degree, blocks)
 
-    def scale(self, c: int, f: BlockMorphism) -> BlockMorphism:
-        p = self.field.p
-        blocks = tuple(tuple(tuple((c * x) % p for x in blk) for blk in row)
-                       for row in f.blocks)
-        return BlockMorphism(f.src, f.dst, f.degree, blocks)
-
     def compose(self, f: BlockMorphism, g: BlockMorphism) -> BlockMorphism:
-        """g after f (matrix product over base composition)."""
+        """g after f: block (c, a) is the sum over b of g[c][b] o f[b][a]."""
         if f.dst != g.src:
             raise ValueError("block morphisms are not composable")
-        base = self.base
+        base, p = self.base, self.field.p
         deg = base.tau.source.mul(g.degree, f.degree)
         out = []
         for ci, c_obj in enumerate(g.dst):
             row = []
             for ai, a_obj in enumerate(f.src):
-                acc = Morphism(a_obj, c_obj, deg,
-                               (0,) * base.rank(a_obj, c_obj, deg))
-                for bi, b_obj in enumerate(f.dst):
-                    fm = Morphism(a_obj, b_obj, f.degree, f.blocks[bi][ai])
-                    gm = Morphism(b_obj, c_obj, g.degree, g.blocks[ci][bi])
-                    if fm.is_zero() or gm.is_zero():
-                        continue
-                    term = compose(base, fm, gm)
-                    acc = Morphism(a_obj, c_obj, deg, tuple(
-                        self.field.add(x, y)
-                        for x, y in zip(acc.coords, term.coords)))
-                row.append(acc.coords)
+                r = base.rank(a_obj, c_obj, deg)
+                terms = [_contract(p, base.tensor(a_obj, b_obj, c_obj, f.degree, g.degree),
+                                   r, f.blocks[bi][ai], g.blocks[ci][bi])
+                         for bi, b_obj in enumerate(f.dst)]
+                row.append(tuple(sum(col) % p for col in zip((0,) * r, *terms)))
             out.append(tuple(row))
         return BlockMorphism(f.src, g.dst, deg, tuple(out))
 
@@ -180,57 +170,50 @@ class AdditiveCompletion:
                 out.extend(blk)
         return out
 
-    def _hom_basis(self, src: tuple, dst: tuple, h: int):
-        basis = []
-        for bi, b in enumerate(dst):
-            for ai, a in enumerate(src):
-                for k in range(self.base.rank(a, b, h)):
-                    basis.append((bi, ai, k))
-        return basis
-
-    def _basis_morphism(self, src: tuple, dst: tuple, h: int, which):
-        bi0, ai0, k0 = which
-        blocks = []
-        for bi, b in enumerate(dst):
+    def _offsets(self, src: tuple, dst: tuple, h: int):
+        """(starts, rank) of Hom^h(src, dst): starts[bi][ai] is the first
+        coordinate of block (bi, ai) in the flattened morphism."""
+        starts, total = [], 0
+        for b in dst:
             row = []
-            for ai, a in enumerate(src):
-                r = self.base.rank(a, b, h)
-                if (bi, ai) == (bi0, ai0):
-                    row.append(tuple(1 if k == k0 else 0 for k in range(r)))
-                else:
-                    row.append((0,) * r)
-            blocks.append(tuple(row))
-        return BlockMorphism(tuple(src), tuple(dst), h, tuple(blocks))
+            for a in src:
+                row.append(total)
+                total += self.base.rank(a, b, h)
+            starts.append(row)
+        return starts, total
+
+    def _unflatten(self, src: tuple, dst: tuple, h: int, vec) -> BlockMorphism:
+        """The degree-h block morphism src -> dst with flattened coordinates vec."""
+        starts, _ = self._offsets(src, dst, h)
+        blocks = tuple(
+            tuple(tuple(vec[s:s + self.base.rank(a, b, h)]) for a, s in zip(src, row))
+            for b, row in zip(dst, starts))
+        return BlockMorphism(tuple(src), tuple(dst), h, blocks)
 
     def invert(self, f: BlockMorphism):
         """Two-sided inverse found by one linear solve, or None."""
-        gH = self.base.tau.source
-        a_inv = gH.inv(f.degree)
-        basis = self._hom_basis(f.dst, f.src, a_inv)
-        if not basis:
+        a_inv = self.base.tau.source.inv(f.degree)
+        n = self.rank(f.dst, f.src, a_inv)
+        if not n:
             return None
         cols = []
-        for which in basis:
-            g = self._basis_morphism(f.dst, f.src, a_inv, which)
-            left = self._flatten(self.compose(f, g))
-            right = self._flatten(self.compose(g, f))
-            cols.append(left + right)
+        for k in range(n):
+            g = self._unflatten(f.dst, f.src, a_inv, [int(i == k) for i in range(n)])
+            cols.append(self._flatten(self.compose(f, g)) + self._flatten(self.compose(g, f)))
         rhs = self._flatten(self.identity(f.src)) + self._flatten(self.identity(f.dst))
-        x = fplinalg.solve(fplinalg.from_columns(cols), rhs, self.field.p,
-                           ncols=len(cols))
-        if x is None:
-            return None
-        out = self.zero(f.dst, f.src, a_inv)
-        for coeff, which in zip(x, basis):
-            if coeff:
-                out = self.add(out, self.scale(coeff, self._basis_morphism(
-                    f.dst, f.src, a_inv, which)))
-        return out
+        x = fplinalg.solve(fplinalg.from_columns(cols), rhs, self.field.p, ncols=n)
+        return None if x is None else self._unflatten(f.dst, f.src, a_inv, x)
 
     def presentation_of(self, objs) -> GradedCatPresentation:
         """Expose finitely many sum objects as an ordinary presentation.
 
-        Every object must be degree-homogeneous.  Sum objects whose
+        Every object must be degree-homogeneous.  Composing basis element l
+        of block (bi, ai) of Hom^h(a, b) with basis element m of block
+        (ci, bi) of Hom^{h2}(b, c) gives entry n of the base tensor
+        T(a[ai], b[bi], c[ci]; h, h2)[n][m][l] in block (ci, ai) of
+        Hom^{h2 h}(a, c); other block pairs compose to zero.  So each
+        tensor is the base tensors placed by block, with a (possibly zero)
+        tensor for every triple of nonzero hom spaces.  Sum objects whose
         singleton parts are all present get declared direct-sum structure,
         which is what the semisimplicity verdicts consume.
         """
@@ -242,37 +225,26 @@ class AdditiveCompletion:
             if len(degs) > 1:
                 raise ValueError(f"object {o} mixes degrees {degs}")
             degrees.append(degs.pop() if degs else base.tau.target.identity)
-        hom_rank, comp = {}, {}
-        bases = {}
-        for i, a in enumerate(objs):
-            for j, b in enumerate(objs):
-                for h in base.tau.source.elements():
-                    r = self.rank(a, b, h)
-                    if r:
-                        hom_rank[(i, j, h)] = r
-                        bases[(i, j, h)] = self._hom_basis(a, b, h)
-        hmul = base.tau.source.mul
-        for i, a in enumerate(objs):
-            for j, b in enumerate(objs):
-                for k, c in enumerate(objs):
-                    for h in base.tau.source.elements():
-                        r1 = hom_rank.get((i, j, h), 0)
-                        if not r1:
-                            continue
-                        for h2 in base.tau.source.elements():
-                            r2 = hom_rank.get((j, k, h2), 0)
-                            r3 = hom_rank.get((i, k, hmul(h2, h)), 0)
-                            if not r2 or not r3:
-                                continue
-                            tensor = [[[0] * r1 for _ in range(r2)] for _ in range(r3)]
-                            for jj, wb in enumerate(bases[(j, k, h2)]):
-                                gm = self._basis_morphism(b, c, h2, wb)
-                                for ii, wa in enumerate(bases[(i, j, h)]):
-                                    fm = self._basis_morphism(a, b, h, wa)
-                                    coords = self._flatten(self.compose(fm, gm))
-                                    for kk in range(r3):
-                                        tensor[kk][jj][ii] = coords[kk]
-                            comp[(i, j, k, h, h2)] = tensor
+        elements, hmul = base.tau.source.elements(), base.tau.source.mul
+        hom_rank, comp, starts = {}, {}, {}
+        for (i, a), (j, b), h in product(enumerate(objs), enumerate(objs), elements):
+            starts[(i, j, h)], r = self._offsets(a, b, h)
+            if r:
+                hom_rank[(i, j, h)] = r
+        for (i, a), (j, b), (k, c) in product(enumerate(objs), repeat=3):
+            for h, h2 in product(elements, repeat=2):
+                key1, key2, key3 = (i, j, h), (j, k, h2), (i, k, hmul(h2, h))
+                if not (key1 in hom_rank and key2 in hom_rank and key3 in hom_rank):
+                    continue
+                s1, s2, s3 = starts[key1], starts[key2], starts[key3]
+                tensor = [[[0] * hom_rank[key1] for _ in range(hom_rank[key2])]
+                          for _ in range(hom_rank[key3])]
+                for (ci, z), (bi, y), (ai, x) in product(enumerate(c), enumerate(b), enumerate(a)):
+                    o1, o2 = s1[bi][ai], s2[ci][bi]
+                    for layer, out in zip(base.tensor(x, y, z, h, h2) or (), tensor[s3[ci][ai]:]):
+                        for row, dst in zip(layer, out[o2:]):
+                            dst[o1:o1 + len(row)] = row
+                comp[(i, j, k, h, h2)] = tensor
         identities = [self._flatten(self.identity(o)) for o in objs]
         singleton_index = {o[0]: i for i, o in enumerate(objs) if len(o) == 1}
         sums = {}
