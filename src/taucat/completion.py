@@ -108,9 +108,16 @@ class AdditiveCompletion:
 
     def shift_data(self, x: int, h: int):
         """(target, iso, inverse) of the shift of base object x by h."""
+        y, iso, inverse = self._shift(x, h)
+        return y, iso, invert(self.base, iso) if inverse is None else inverse
+
+    def _shift(self, x: int, h: int):
+        """(target, iso, inverse) of the shift of base object x by h, with
+        the inverse None for a recorded shift: find_shift computes one, a
+        recorded shift is inverted only by callers that need it."""
         if self.base.shifts is not None and (x, h) in self.base.shifts:
             y, iso = self.base.shifts[(x, h)]
-            return y, iso, invert(self.base, iso)
+            return y, iso, None
         hit = find_shift(self.base, x, h)
         if hit is None:
             raise ValueError(f"base object {x} has no shift by {h}")
@@ -133,7 +140,7 @@ class AdditiveCompletion:
 
     def sum_shift(self, obj: tuple, h: int):
         """Block-diagonal shift iso of a sum object (componentwise shifts)."""
-        data = [self.shift_data(x, h) for x in obj]
+        data = [self._shift(x, h) for x in obj]
         target = tuple(y for y, _, _ in data)
         isos = [iso for _, iso, _ in data]
         blocks = []

@@ -20,7 +20,7 @@ from .cochains import Cochain1, Cochain2, cochain1, cochain2, trivial_cochain2
 from .fields import PrimeField, field
 from .groups import (FiniteGroup, GroupHom, coset_space, cyclic_group,
                      group_from_table, hom, subgroup)
-from .modcat import ModuleCatData, verify_module_category
+from .modcat import ModuleCatData
 from .mtau import MtauSpec, mtau_spec
 
 
@@ -260,7 +260,7 @@ def parse_modcat(doc) -> ModuleCatData:
     if len(mu) != gH.order ** 2:
         raise ValueError(f"mu needs one entry per pair of elements of H, not {len(mu)}")
     mod = ModuleCatData(base, action, eps, mu)
-    verdict = verify_module_category(mod)
+    verdict = mod.verdict
     if not verdict.ok:
         raise ValueError(f"module data fails coherence: {verdict.violations[0]}")
     return mod

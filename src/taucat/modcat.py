@@ -26,14 +26,15 @@ The bullet rebuild fills its composition tensors the same way, and the
 constructions read every hom map off category.precompose and postcompose, e.g.
 alpha^h at (x, y) is postcompose(r_{y,h}) precompose(r_{x,h}^-1).
 
-The associativity square is the costly law, |H|^3 squares per object.  Over
-a lawful base, with each alpha^a a functor and mu natural and invertible,
-the middle degrees b whose squares all hold are closed under products:
-in the cube on (a, b1, b2, c) every face but (a, b1 b2, c) has middle b1
-or b2, and that face follows from the others because mu is invertible
-(d3 d2 = 0, categorically).  So a passing square is decided on the middles
-S and the unit of groups.cayley_tree, and a failing one is reported from
-the full scan; verify_module_category spells the cube out.
+Over a lawful base, with each alpha^a a functor and every component
+invertible, the module laws are decided on the degrees S and the unit of
+groups.cayley_tree.  The degrees b whose column mu_{., b} is natural are
+closed under left multiplication by S, through the square (a, s, c); the
+middle degrees b whose squares all hold are closed under products, through
+the cube on (a, b1, b2, c) (d3 d2 = 0, categorically).  Between lawful
+modules the hexagons of a module functor close like the columns of mu.  A
+failing verdict is reported from the full scan; verify_module_category and
+verify_module_functor spell the proofs out.
 """
 
 from __future__ import annotations
@@ -123,6 +124,30 @@ class ModuleCatData:
                 {ab: [invert(base, c) for c in comps] for ab, comps in self.mu.items()})
 
     @cached_property
+    def square_middles(self):
+        """_square_middles(self), once per instance.  Its verify_functor runs
+        are what proves each alpha^a a functor on a lawful base."""
+        return _square_middles(self)
+
+    @cached_property
+    def verdict(self) -> Verdict:
+        """verify_module_category(self), run once per instance."""
+        return verify_module_category(self)
+
+    @property
+    def lawful(self) -> bool:
+        """Whether `verdict` has been computed and passed, with `square_middles`
+        proving the base lawful and every alpha^a a functor.
+
+        Reading this runs no check, as GradedCatPresentation.lawful: the
+        full scan of verify_module_category never checks functoriality, so a
+        verdict it passed alone does not make the module lawful here.
+        """
+        verdict = self.__dict__.get("verdict")
+        return (verdict is not None and verdict.ok
+                and self.__dict__.get("square_middles") is not None)
+
+    @cached_property
     def rebuilt(self) -> GradedCatPresentation:
         """bullet(self), rebuilt once per instance for roundtrip and for
         every bullet functor out of or into it."""
@@ -173,7 +198,7 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
                 comps.append(_after(cat, _after(cat, inv_a, inv_b), table[(x, ab)][1]))
             mu[(a, b)] = tuple(comps)
     mod = ModuleCatData(base, action, eps, mu)
-    verdict = verify_module_category(mod)
+    verdict = mod.verdict
     if not verdict.ok:
         raise ValueError(f"extracted action fails coherence: {verdict.violations[0]}")
     return mod
@@ -272,7 +297,7 @@ def _naturality(base: GradedCatPresentation, tgt: GradedCatPresentation, comps,
 
 
 def verify_module_category(mod: ModuleCatData) -> Verdict:
-    """Naturality, invertibility, unit triangle and associativity square.
+    """Naturality, invertibility, unit triangles and associativity square.
 
     epsilon is checked as id => alpha^1 and mu[(a, b)] as
     alpha^a alpha^b => alpha^{ab}, with the endpoints applied from the
@@ -282,14 +307,32 @@ def verify_module_category(mod: ModuleCatData) -> Verdict:
     (skeletons, their direct sums, bullet rebuilds) each morphism is a
     single scalar.
 
+    When `square_middles` holds (the base is lawful, every alpha^a keeps
+    identities and composites, and S and the unit are not all of H, S the
+    generating set of cayley_tree(H)), one restricted pass runs first:
+    epsilon naturality, invertibility of every component, naturality of
+    mu[(a, b)] only for b in S and the unit, both unit triangles, and the
+    squares with middle degree b in S and the unit.  A clean pass decides
+    the verdict, by the two closures below.  Otherwise, as whenever the
+    hypotheses fail, every law is scanned in order, and the list is the one
+    the full scan gives.
+
     The square for (a, b, c) at x is
 
-        mu_{ab,c,x} o mu_{a,b,alpha^c x} = mu_{a,bc,x} o alpha^a(mu_{b,c,x}),
+        mu_{ab,c,x} o mu_{a,b,alpha^c x} = mu_{a,bc,x} o alpha^a(mu_{b,c,x}).
 
-    and it is first checked only for middle degrees b in S and the unit, S
-    the generating set of cayley_tree(H), once naturality and invertibility
-    have passed, the base is lawful and every alpha^a keeps identities and
-    composites.  Let M be the set of middles b for which the square holds
+    mu-naturality.  Let N be the set of degrees c whose column mu_{., c}
+    is natural; the pass puts S and the unit in N.  For s in S the square
+    (a, s, c), middle s, gives
+    mu_{a,sc} = mu_{as,c} o mu_{a,s} alpha^c o alpha^a(mu_{s,c})^-1, every
+    component being invertible.  For c in N the three factors are natural:
+    mu_{as,c} since c is in N, mu_{a,s} whiskered by alpha^c since s is in
+    N, and alpha^a(mu_{s,c})^-1 since alpha^a is a functor and mu_{s,c} a
+    natural iso.  Over an associative base their composite is natural, so
+    sc is in N.  Every element of the finite group H is a product of
+    elements of S, so N = H (Mac Lane, CWM II.7).
+
+    Squares.  Let M be the set of middles b for which the square holds
     for every a, c and x; M is closed under products.  Take b1, b2 in M and
     P = mu_{a b1 b2,c} o mu_{a b1,b2} o mu_{a,b1}, from
     alpha^a alpha^b1 alpha^b2 alpha^c x to alpha^{a b1 b2 c} x.  The faces
@@ -302,20 +345,29 @@ def verify_module_category(mod: ModuleCatData) -> Verdict:
     mu_{a b1 b2,c} o mu_{a,b1 b2} o alpha^a(mu_{b1,b2}).  The common last
     factor alpha^a(mu_{b1,b2,alpha^c x}) is invertible, since mu is and
     alpha^a is a functor, so the (a, b1 b2, c) face commutes: this is the
-    identity d3 d2 = 0 in categorical form.  Hence M contains <S> = H,
-    and the restricted scan decides the verdict.  A failing verdict is
-    reported from the full ordered scan, as is every verdict whose
-    hypotheses are not established.
+    identity d3 d2 = 0 in categorical form (Light's test, Clifford and
+    Preston I, 1.2).  Hence M contains <S> = H.
     """
-    violations = []
+    base = mod.base
+    # images repeat across the degrees the naturality squares pair them with
+    then, image = _scalar_ops(mod) or (lambda f, g: _then(base, f, g),
+                                       cache(lambda a, f: _image(mod.action[a], f)))
+    middles = mod.square_middles
+    if middles is not None and next(_module_violations(mod, then, image, middles), None) is None:
+        return Verdict([])
+    return Verdict(list(_module_violations(mod, then, image)))
+
+
+def _module_violations(mod: ModuleCatData, then, image, middles=None):
+    """The law violations of mod in report order, with mu-naturality and
+    the squares scanned only for b in middles (every b when None).  A
+    component that is not natural or not invertible ends the scan before
+    the unit triangles and squares."""
     base = mod.base
     gH = mod.group
     e = gH.identity
     eps_inv, mu_inv = mod.inverses
-    # images repeat across the degrees the naturality squares pair them with
-    then, image = _scalar_ops(mod) or (lambda f, g: _then(base, f, g),
-                                       cache(lambda a, f: _image(mod.action[a], f)))
-
+    violations = []
     v = _naturality(base, base, mod.epsilon, lambda f: f, lambda f: image(e, f), then)
     if v:
         violations.append(("epsilon-naturality", v))
@@ -323,16 +375,18 @@ def verify_module_category(mod: ModuleCatData) -> Verdict:
         if eps_inv[x] is None:
             violations.append(("epsilon-not-invertible", x))
     for (a, b), comps in sorted(mod.mu.items()):
-        ab = gH.mul(a, b)
-        v = _naturality(base, base, comps, lambda f: image(a, image(b, f)),
-                        lambda f: image(ab, f), then)
-        if v:
-            violations.append(("mu-naturality", a, b, v))
+        if middles is None or b in middles:
+            ab = gH.mul(a, b)
+            v = _naturality(base, base, comps, lambda f: image(a, image(b, f)),
+                            lambda f: image(ab, f), then)
+            if v:
+                violations.append(("mu-naturality", a, b, v))
         for x in base.objects():
             if mu_inv[(a, b)][x] is None:
                 violations.append(("mu-not-invertible", a, b, x))
     if violations:
-        return Verdict(violations)
+        yield from violations
+        return
 
     eps = [_coords(c) for c in mod.epsilon]
     mu = {ab: [_coords(c) for c in comps] for ab, comps in mod.mu.items()}
@@ -342,25 +396,21 @@ def verify_module_category(mod: ModuleCatData) -> Verdict:
             hx = ah[x]
             identity = (hx, hx, base.identities[hx])
             if then(eps[hx], mu[(e, h)][x]) != identity:
-                violations.append(("unit-left", h, x))
+                yield ("unit-left", h, x)
             if then(image(h, eps[x]), mu[(h, e)][x]) != identity:
-                violations.append(("unit-right", h, x))
-
-    middles = _square_middles(mod)
-    if middles is None or next(_square_violations(mod, mu, then, image, middles), None):
-        violations.extend(_square_violations(mod, mu, then, image))
-    return Verdict(violations)
+                yield ("unit-right", h, x)
+    yield from _square_violations(mod, mu, then, image, middles)
 
 
 def _square_middles(mod: ModuleCatData):
-    """S and the unit, when the squares with these middle degrees decide the
-    rest (see verify_module_category), or None.
+    """S and the unit, when the laws at these degrees decide the rest (see
+    verify_module_category), or None; ModuleCatData.square_middles keeps it.
 
     None when they are every degree, when the base is not known lawful, or
     when some alpha^a is no functor on the base: one on another presentation,
     or one that breaks the identity or composition law.  verify_functor also
-    reports that alpha^a moves object degrees, by tau(a), which the proof
-    does not need.
+    reports that alpha^a moves object degrees, by tau(a), which the proofs
+    do not need.
     """
     gH, base = mod.group, mod.base
     middles = frozenset(cayley_tree(gH)[0]) | {gH.identity}
@@ -467,7 +517,30 @@ def verify_module_functor(mf: ModuleFunctorData, src: ModuleCatData,
     """Functor axioms plus the unit triangle and composition hexagon for s.
 
     Each comparison s^h is checked as beta^h F => F alpha^h, with the
-    endpoints applied from the current functor and actions.
+    endpoints applied from the current functor and actions.  The hexagon
+    H(a, b) at x is
+
+        s^{ab}_x o mu^beta_{a,b,Fx} = F(mu^alpha_{a,b,x}) o s^a_{alpha^b x} o beta^a(s^b_x).
+
+    Once F is a functor from src.base to dst.base, every s^h is natural and
+    invertible, the unit triangle holds, and both modules are lawful
+    (ModuleCatData.lawful) over one group, the hexagons are first scanned
+    only for b in S and the unit (src.square_middles).  For s in S, H(a, sc)
+    follows from H(as, c), H(a, s) at alpha^c x and H(s, c).  Compose its
+    left side with the invertible beta^a(mu^beta_{s,c,Fx}) and rewrite:
+    the square (a, s, c) of beta splits mu^beta_{a,sc}; H(as, c) moves
+    mu^beta_{as,c} across; naturality of mu^beta_{a,s} at s^c_x and then
+    H(a, s) at alpha^c x move mu^beta_{a,s}; F is a functor, so the square
+    (a, s, c) of alpha joins F(mu^alpha_{as,c}) o F(mu^alpha_{a,s,alpha^c x})
+    into F(mu^alpha_{a,sc}) o F alpha^a(mu^alpha_{s,c}); naturality of s^a
+    at mu^alpha_{s,c,x} and beta^a a functor collect
+    beta^a(F(mu^alpha_{s,c}) o s^s_{alpha^c x} o beta^s(s^c_x)), which is
+    beta^a(s^{sc}_x o mu^beta_{s,c,Fx}) by H(s, c).  Both sides of H(a, sc)
+    then end in beta^a(mu^beta_{s,c,Fx}), which cancels.  So the columns b
+    whose hexagons all hold contain the unit and are closed under left
+    multiplication by S: they are all of H.  A violation found there, or a
+    hypothesis not established, runs the full ordered scan, and the list is
+    the one it gives.
     """
     violations = []
     F = mf.functor
@@ -496,8 +569,26 @@ def verify_module_functor(mf: ModuleFunctorData, src: ModuleCatData,
         lhs = _then(base_d, _coords(dst.epsilon[F.obj_map[x]]), s[e][x])
         if lhs != _image(F, _coords(src.epsilon[x])):
             violations.append(("unit-triangle", x))
+    middles = None
+    if (not violations and src.lawful and dst.lawful and src.group == dst.group
+            and F.source is src.base and F.target is base_d):
+        middles = src.square_middles
+    if middles is None or next(_hexagon_violations(mf, src, dst, s, middles), None):
+        violations.extend(_hexagon_violations(mf, src, dst, s))
+    return Verdict(violations)
+
+
+def _hexagon_violations(mf: ModuleFunctorData, src: ModuleCatData, dst: ModuleCatData,
+                        s, middles=None):
+    """The hexagons (a, b, x) that fail, with b in middles (every b when
+    None), in (a, b, x) order; s holds the comparisons as coordinates."""
+    F = mf.functor
+    gH = src.group
+    base_d = dst.base
     for a in gH.elements():
         for b in gH.elements():
+            if middles is not None and b not in middles:
+                continue
             ab = gH.mul(a, b)
             for x in src.base.objects():
                 bx = src.action[b].obj_map[x]
@@ -505,8 +596,7 @@ def verify_module_functor(mf: ModuleFunctorData, src: ModuleCatData,
                 step = _then(base_d, _image(dst.action[a], s[b][x]), s[a][bx])
                 rhs = _then(base_d, step, _image(F, _coords(src.mu[(a, b)][x])))
                 if lhs != rhs:
-                    violations.append(("hexagon", a, b, x))
-    return Verdict(violations)
+                    yield ("hexagon", a, b, x)
 
 
 def identity_module_functor(mod: ModuleCatData) -> ModuleFunctorData:

@@ -6,8 +6,8 @@ import pytest
 
 from taucat import fplinalg, jsonio
 
-from taucat.category import (GradedCatPresentation, Morphism, compose, is_simple,
-                             verify_axioms)
+from taucat.category import (GradedCatPresentation, Morphism, compose, invert,
+                             is_simple, verify_axioms)
 from taucat.cochains import d1_cochain, random_cochain1
 from taucat.completion import AdditiveCompletion, BlockMorphism
 from taucat.fields import field
@@ -329,12 +329,12 @@ def test_invert_matches_reference():
     assert comp.invert(idem) is None and _reference_invert(comp, idem) is None
 
 
-def _compose_calls(fn) -> int:
-    """Calls of category.compose while fn runs, by any caller."""
+def _calls(target, fn) -> int:
+    """Calls of the function target while fn runs, by any caller."""
     calls = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is compose.__code__:
+        if event == "call" and frame.f_code is target.__code__:
             calls.append(frame)
 
     sys.setprofile(profile)
@@ -349,6 +349,25 @@ def test_completion_makes_no_compose_calls():
     # each completion operation reads the base tensors directly
     comp = AdditiveCompletion(base_category(seed=24))
     target, shift = comp.sum_shift((0, 2), 3)
-    assert _compose_calls(lambda: comp.presentation_of([(0,), (2,), (0, 2)])) == 0
-    assert _compose_calls(lambda: comp.compose(shift, comp.identity(target))) == 0
-    assert _compose_calls(lambda: comp.invert(shift)) == 0
+    assert _calls(compose, lambda: comp.presentation_of([(0,), (2,), (0, 2)])) == 0
+    assert _calls(compose, lambda: comp.compose(shift, comp.identity(target))) == 0
+    assert _calls(compose, lambda: comp.invert(shift)) == 0
+
+
+def _reference_sum_shift(comp, obj, h):
+    """sum_shift built from shift_data, which inverts each part's shift."""
+    data = [comp.shift_data(x, h) for x in obj]
+    target = tuple(y for y, _, _ in data)
+    blocks = tuple(tuple(data[ai][1].coords if ai == bi else (0,) * comp.base.rank(a, b, h)
+                         for ai, a in enumerate(obj)) for bi, b in enumerate(target))
+    return target, BlockMorphism(tuple(obj), target, h, blocks)
+
+
+def test_sum_shift_inverts_no_recorded_shift():
+    # the block-diagonal shift iso needs each part's iso, not its inverse
+    comp = AdditiveCompletion(base_category(seed=25))
+    assert comp.base.shifts
+    for obj, h in [((0, 2, 0), h) for h in range(8)] + [((1, 3), 5), ((), 2)]:
+        got = []
+        assert _calls(invert, lambda: got.append(comp.sum_shift(obj, h))) == 0
+        assert got == [_reference_sum_shift(comp, obj, h)]

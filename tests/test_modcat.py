@@ -17,7 +17,8 @@ from taucat.category import (FunctorData, GradedCatPresentation, Morphism,
 from taucat.completion import AdditiveCompletion
 from taucat.cochains import d1_cochain, random_cochain1
 from taucat.fields import field
-from taucat.groups import coset_space, cyclic_group, reduction_hom, subgroup
+from taucat.groups import (cayley_tree, coset_space, cyclic_group, reduction_hom,
+                           subgroup)
 from taucat.mtau import (build_skeleton, cyclic_subgroup_of_order,
                          cyclic_table_category, mtau_spec, parity_tau,
                          trivial_spec)
@@ -589,6 +590,26 @@ def test_verify_module_category_matches_reference(name):
         assert verify_module_category(bad).violations == want
 
 
+@pytest.mark.parametrize("name", ["completion", "duplicated", "s3"])
+def test_mu_changes_outside_generating_degrees_match_reference(name):
+    # one coordinate of one component of each mu[(a, b)], b outside S and the
+    # unit, changed: the restricted pass reads no naturality square of these
+    # columns, and the list reported is the full scan's
+    mod = MODULE_CASES[name]()
+    middles = mod.square_middles
+    assert middles is not None
+    rng = Random(name)
+    reported = []
+    for ab in sorted(k for k in mod.mu if k[1] not in middles):
+        comps = _corrupt_component(mod.mu[ab], rng, "coordinate")
+        bad = ModuleCatData(mod.base, mod.action, mod.epsilon, {**mod.mu, ab: comps})
+        want = _reference_verify_module_category(bad).violations
+        assert verify_module_category(bad).violations == want
+        reported += want
+    # some change is reported at a degree b outside S and the unit
+    assert any(v[0] in ("mu-naturality", "assoc") and v[2] not in middles for v in reported)
+
+
 def _c16_skeleton(seed=99):
     """The C16 -> C2 skeleton with |L| = 4 (four objects), psi a coboundary."""
     tau = reduction_hom(16, 2)
@@ -598,8 +619,10 @@ def _c16_skeleton(seed=99):
 
 
 def test_passing_module_square_scans_generating_middles(monkeypatch):
-    # |H| |S u {e}| |H| objects squares instead of |H|^3 objects: each costs
-    # two `then` calls, after two per naturality square and unit triangle
+    # epsilon and the |H| |S u {e}| mu transformations with b in S and the
+    # unit are checked for naturality, then |H| |S u {e}| |H| objects squares
+    # instead of |H|^3 objects: each costs two `then` calls, as does each
+    # naturality square and unit triangle
     mod = extract_action(_lawful(_c16_skeleton()))
     calls = []
     real = modcat._scalar_ops
@@ -612,9 +635,27 @@ def test_passing_module_square_scans_generating_middles(monkeypatch):
     assert verify_module_category(mod).ok
     order, n = mod.group.order, mod.base.n_objects
     basis = sum(mod.base.hom_rank.values())
-    squares = (len(calls) - 2 * (1 + order ** 2) * basis - 2 * order * n) / 2
+    squares = (len(calls) - 2 * (1 + order * 2) * basis - 2 * order * n) / 2
     assert modcat._square_middles(mod) == {0, 1}
     assert squares == order * 2 * order * n == 2048
+
+
+def test_passing_module_functor_scans_generating_hexagons(monkeypatch):
+    # between lawful modules the hexagons (a, b, x) are scanned for b in S
+    # and the unit: |H| |S u {e}| objects instead of |H|^2 objects, three
+    # `_then` calls each, after two per naturality square of the |H|
+    # comparisons and one per unit triangle
+    rt = roundtrip(_lawful(_c16_skeleton()))
+    src, dst = rt.rebuilt_mod, rt.mod
+    assert src.lawful and dst.lawful
+    calls = []
+    real = modcat._then
+    monkeypatch.setattr(modcat, "_then", lambda *args: calls.append(1) or real(*args))
+    assert verify_module_functor(rt.nu, src, dst).ok
+    order, n = src.group.order, src.base.n_objects
+    basis = sum(src.base.hom_rank.values())
+    hexagons = (len(calls) - 2 * order * basis - n) / 3
+    assert hexagons == order * 2 * n == 128  # 1,024 on the full scan
 
 
 @pytest.mark.parametrize("command, verified", [("roundtrip", 2), ("decompose", 1)])
@@ -689,6 +730,11 @@ def _restricted_equivalence():
     return restrict_functor(F, table, table)
 
 
+@lru_cache(maxsize=None)
+def _s3_roundtrip():
+    return roundtrip(_lawful(s3_cat()))
+
+
 MODULE_FUNCTOR_CASES = {
     "nu": lambda: (_roundtrip_of("skeleton").nu, _roundtrip_of("skeleton").rebuilt_mod,
                    _roundtrip_of("skeleton").mod),
@@ -698,6 +744,8 @@ MODULE_FUNCTOR_CASES = {
     "restricted": _restricted_equivalence,
     "trivial_rank2": lambda: (identity_module_functor(_trivial_c2_action()),
                               _trivial_c2_action(), _trivial_c2_action()),
+    # nonabelian H: the hexagons are decided on a two-element S and the unit
+    "s3": lambda: (_s3_roundtrip().nu, _s3_roundtrip().rebuilt_mod, _s3_roundtrip().mod),
 }
 
 
@@ -731,6 +779,28 @@ def test_verify_module_functor_matches_reference(name):
             bad = _corrupt_module_functor(mf, kind, rng)
             want = _reference_verify_module_functor(bad, src, dst).violations
             assert verify_module_functor(bad, src, dst).violations == want
+
+
+# S and the unit are all of C2 in trivial_rank2
+@pytest.mark.parametrize("name", sorted(set(MODULE_FUNCTOR_CASES) - {"trivial_rank2"}))
+def test_rescaled_comparisons_match_reference(name):
+    # a whole comparison s^h, h outside S and the unit, times a unit stays
+    # natural and invertible and keeps the unit triangle: only hexagons fail,
+    # some with b outside S and the unit, and the list is the full scan's
+    # whether the modules are lawful (restricted scan first) or not
+    mf, src, dst = MODULE_FUNCTOR_CASES[name]()
+    assert (src.lawful and dst.lawful) == (name != "restricted")
+    middles = frozenset(cayley_tree(src.group)[0]) | {src.group.identity}
+    p = dst.base.field.p
+    outside = [h for h in sorted(mf.comparison) if h not in middles]
+    for h, u in product(outside, range(2, p)):
+        comps = tuple(Morphism(c.src, c.dst, c.degree, tuple(u * v % p for v in c.coords))
+                      for c in mf.comparison[h])
+        bad = ModuleFunctorData(mf.functor, {**mf.comparison, h: comps})
+        want = _reference_verify_module_functor(bad, src, dst).violations
+        assert {v[0] for v in want} == {"hexagon"}
+        assert any(v[2] not in middles for v in want)
+        assert verify_module_functor(bad, src, dst).violations == want
 
 
 def test_verify_module_functor_reference_cases_reach_every_kind():
