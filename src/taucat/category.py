@@ -38,6 +38,7 @@ from random import Random
 from . import fplinalg
 from .fields import PrimeField
 from .groups import GroupHom, cayley_tree
+from .znsolve import CapExceeded
 
 
 _ARRAYS = (list, tuple)
@@ -478,16 +479,18 @@ def invert(cat: GradedCatPresentation, f: Morphism):
     return Morphism(f.dst, f.src, a_inv, tuple(x))
 
 
-def _candidate_vectors(p: int, r: int, max_enum: int = 4096, samples: int = 64,
-                       seed: int = 0):
+_MAX_ENUM, _SAMPLES = 4096, 64
+
+
+def _candidate_vectors(p: int, r: int, seed: int = 0):
     if r == 1:
         yield (1,)
         return
-    if p ** r <= max_enum:
+    if p ** r <= _MAX_ENUM:
         yield from (vec for vec in product(range(p), repeat=r) if any(vec))
         return
     rng = Random(seed)
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         vec = tuple(rng.randrange(p) for _ in range(r))
         if any(vec):
             yield vec
@@ -496,17 +499,25 @@ def _candidate_vectors(p: int, r: int, max_enum: int = 4096, samples: int = 64,
 def find_invertible(cat: GradedCatPresentation, x: int, y: int, a: int):
     """(f, f^-1) with f an invertible element of Hom^a(x, y), or None.
 
-    Exhaustive over coordinate vectors while p^rank stays small; beyond
-    that a fixed-seed sample is tried, which suffices at this scale.
+    On a lawful presentation an invertible f makes g -> f^-1 o g embed
+    Hom^a(x, y) in End(x), and g -> g o f^-1 embed it in End(y); so when
+    either end is simple, a rank other than 1 is an exact None.  Otherwise
+    the search is exhaustive over coordinate vectors while p^rank <= 4096.
+    Beyond that a fixed-seed sample is tried: a hit is exact, since invert
+    proves it, and a miss raises CapExceeded, the question undecided.
     """
     r = cat.rank(x, y, a)
-    if r == 0:
+    if r == 0 or (r > 1 and cat.lawful and (is_simple(cat, x) or is_simple(cat, y))):
         return None
-    for coords in _candidate_vectors(cat.field.p, r):
+    p = cat.field.p
+    for coords in _candidate_vectors(p, r):
         f = Morphism(x, y, a, coords)
         g = invert(cat, f)
         if g is not None:
             return (f, g)
+    if r > 1 and p ** r > _MAX_ENUM:
+        raise CapExceeded(f"{_SAMPLES} sampled of the {p}^{r} vectors of "
+                          f"Hom^{a}({x}, {y}) hold no invertible")
     return None
 
 

@@ -3,7 +3,8 @@
 Exit codes separate mathematics from operations: 0 means the command ran
 and the verdict was positive, 1 means it ran and the verdict was negative
 (axiom violation, empty classification, not semisimple), 2 means the
-input could not be processed at all.  Reports are canonical JSON on
+input could not be processed at all, or an enumeration passed its cap and
+the question is undecided.  Reports are canonical JSON on
 stdout; wall-clock timing goes to stderr so repeated runs stay
 byte-identical.
 """
@@ -194,6 +195,8 @@ def cmd_roundtrip(args) -> int:
         return 1
     try:
         rt = roundtrip(cat)
+    except CapExceeded:  # an undecided shift search is no negative verdict
+        raise
     except ValueError as err:
         _emit({"command": "roundtrip", "ok": False, "error": str(err)},
               args.output)
@@ -225,6 +228,8 @@ def cmd_extract(args) -> int:
         return 1
     try:
         mod = extract_action(cat)
+    except CapExceeded:
+        raise
     except ValueError as err:  # a missing shift is a negative verdict, as in roundtrip
         _emit({"command": "extract", "ok": False, "error": str(err)}, args.output)
         return 1

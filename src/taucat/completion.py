@@ -4,10 +4,12 @@ Objects are tuples of base objects; a degree-h morphism is a matrix of
 base morphisms, one block per (destination part, source part), and its
 coordinates are the blocks' coordinates in that row-major order.  The
 classification algorithms all run on skeletal presentations, so the
-completion exists to exercise direct sums, h-direct sums and the matrix
-calculus, plus `presentation_of` to re-expose finite families of sum
-objects to the ordinary verifiers.  Composition reads the base tensors
-directly: a completion tensor is the base tensors placed by block.
+completion's job is `presentation_of`: it re-exposes finitely many sum
+objects as an ordinary presentation, on which `category` composes and
+inverts and `structure` checks the declared biproducts.  `compose` is the
+block product the presentation's tensors encode; it reads the base
+tensors directly, as a completion tensor is the base tensors placed by
+block.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from . import fplinalg
-from .category import (GradedCatPresentation, Morphism, _contract, find_shift,
-                       invert)
+from .category import GradedCatPresentation, Morphism, _contract
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,6 @@ class AdditiveCompletion:
         self.base = base
         self.field = base.field
 
-    def rank(self, src: tuple, dst: tuple, h: int) -> int:
-        return sum(self.base.rank(a, b, h) for b in dst for a in src)
-
-    def zero(self, src: tuple, dst: tuple, h: int) -> BlockMorphism:
-        blocks = tuple(
-            tuple((0,) * self.base.rank(a, b, h) for a in src) for b in dst)
-        return BlockMorphism(tuple(src), tuple(dst), h, blocks)
-
     def identity(self, obj: tuple) -> BlockMorphism:
         e = self.base.tau.source.identity
         blocks = []
@@ -53,14 +45,6 @@ class AdditiveCompletion:
                     row.append((0,) * self.base.rank(a, b, e))
             blocks.append(tuple(row))
         return BlockMorphism(tuple(obj), tuple(obj), e, tuple(blocks))
-
-    def add(self, f: BlockMorphism, g: BlockMorphism) -> BlockMorphism:
-        p = self.field.p
-        blocks = tuple(
-            tuple(tuple((x + y) % p for x, y in zip(bf, bg))
-                  for bf, bg in zip(rf, rg))
-            for rf, rg in zip(f.blocks, g.blocks))
-        return BlockMorphism(f.src, f.dst, f.degree, blocks)
 
     def compose(self, f: BlockMorphism, g: BlockMorphism) -> BlockMorphism:
         """g after f: block (c, a) is the sum over b of g[c][b] o f[b][a]."""
@@ -80,9 +64,6 @@ class AdditiveCompletion:
             out.append(tuple(row))
         return BlockMorphism(f.src, g.dst, deg, tuple(out))
 
-    def embed(self, m: Morphism) -> BlockMorphism:
-        return BlockMorphism((m.src,), (m.dst,), m.degree, ((m.coords,),))
-
     def injection(self, obj: tuple, i: int) -> BlockMorphism:
         e = self.base.tau.source.identity
         blocks = []
@@ -98,77 +79,6 @@ class AdditiveCompletion:
             r = self.base.rank(a, obj[i], e)
             row.append(self.base.identities[a] if ai == i else (0,) * r)
         return BlockMorphism(tuple(obj), (obj[i],), e, (tuple(row),))
-
-    def direct_sum(self, parts):
-        """(object, projections, injections) of the 1-direct sum."""
-        obj = tuple(parts)
-        pis = [self.projection(obj, i) for i in range(len(obj))]
-        iotas = [self.injection(obj, i) for i in range(len(obj))]
-        return obj, pis, iotas
-
-    def shift_data(self, x: int, h: int):
-        """(target, iso, inverse) of the shift of base object x by h."""
-        y, iso, inverse = self._shift(x, h)
-        return y, iso, invert(self.base, iso) if inverse is None else inverse
-
-    def _shift(self, x: int, h: int):
-        """(target, iso, inverse) of the shift of base object x by h, with
-        the inverse None for a recorded shift: find_shift computes one, a
-        recorded shift is inverted only by callers that need it."""
-        if self.base.shifts is not None and (x, h) in self.base.shifts:
-            y, iso = self.base.shifts[(x, h)]
-            return y, iso, None
-        hit = find_shift(self.base, x, h)
-        if hit is None:
-            raise ValueError(f"base object {x} has no shift by {h}")
-        return hit
-
-    def h_direct_sum(self, parts, h: int):
-        """Sum with degree-h injections and degree h^-1 projections.
-
-        Realised as the 1-direct sum of the shifted parts: the injection
-        into slot i is the base shift iso composed into the sum, and the
-        projection is its inverse projected out.
-        """
-        data = [self.shift_data(x, h) for x in parts]
-        obj, pis, iotas = self.direct_sum([y for y, _, _ in data])
-        h_iotas = [self.compose(self.embed(iso), iotas[i])
-                   for i, (_, iso, _) in enumerate(data)]
-        h_pis = [self.compose(pis[i], self.embed(inverse))
-                 for i, (_, _, inverse) in enumerate(data)]
-        return obj, h_pis, h_iotas
-
-    def sum_shift(self, obj: tuple, h: int):
-        """Block-diagonal shift iso of a sum object (componentwise shifts)."""
-        data = [self._shift(x, h) for x in obj]
-        target = tuple(y for y, _, _ in data)
-        isos = [iso for _, iso, _ in data]
-        blocks = []
-        for bi, b_obj in enumerate(target):
-            row = []
-            for ai, a_obj in enumerate(obj):
-                if ai == bi:
-                    row.append(isos[ai].coords)
-                else:
-                    row.append((0,) * self.base.rank(a_obj, b_obj, h))
-            blocks.append(tuple(row))
-        return target, BlockMorphism(obj, target, h, tuple(blocks))
-
-    def verify_biproduct(self, obj, parts, pis, iotas) -> bool:
-        for i in range(len(parts)):
-            for j in range(len(parts)):
-                prod = self.compose(iotas[j], pis[i])
-                if i == j:
-                    want = self.identity((parts[i],))
-                else:
-                    want = self.zero((parts[j],), (parts[i],),
-                                     prod.degree)
-                if prod != want:
-                    return False
-        total = self.zero(obj, obj, self.base.tau.source.identity)
-        for i in range(len(parts)):
-            total = self.add(total, self.compose(pis[i], iotas[i]))
-        return total == self.identity(obj)
 
     def _flatten(self, f: BlockMorphism):
         out = []
@@ -188,28 +98,6 @@ class AdditiveCompletion:
                 total += self.base.rank(a, b, h)
             starts.append(row)
         return starts, total
-
-    def _unflatten(self, src: tuple, dst: tuple, h: int, vec) -> BlockMorphism:
-        """The degree-h block morphism src -> dst with flattened coordinates vec."""
-        starts, _ = self._offsets(src, dst, h)
-        blocks = tuple(
-            tuple(tuple(vec[s:s + self.base.rank(a, b, h)]) for a, s in zip(src, row))
-            for b, row in zip(dst, starts))
-        return BlockMorphism(tuple(src), tuple(dst), h, blocks)
-
-    def invert(self, f: BlockMorphism):
-        """Two-sided inverse found by one linear solve, or None."""
-        a_inv = self.base.tau.source.inv(f.degree)
-        n = self.rank(f.dst, f.src, a_inv)
-        if not n:
-            return None
-        cols = []
-        for k in range(n):
-            g = self._unflatten(f.dst, f.src, a_inv, [int(i == k) for i in range(n)])
-            cols.append(self._flatten(self.compose(f, g)) + self._flatten(self.compose(g, f)))
-        rhs = self._flatten(self.identity(f.src)) + self._flatten(self.identity(f.dst))
-        x = fplinalg.solve(fplinalg.from_columns(cols), rhs, self.field.p, ncols=n)
-        return None if x is None else self._unflatten(f.dst, f.src, a_inv, x)
 
     def presentation_of(self, objs) -> GradedCatPresentation:
         """Expose finitely many sum objects as an ordinary presentation.

@@ -734,7 +734,9 @@ def roundtrip_eta(cat: GradedCatPresentation, table, rebuilt: GradedCatPresentat
 
     `table` is the shift table the action of `rebuilt` was extracted with.
     Returns (eta, eta_inv) with eta o eta_inv and eta_inv o eta the identity
-    functors on the nose.
+    functors on the nose.  Only eta is verified: a strict two-sided inverse
+    G of a functor F is a functor, since G(id) = G(F(id)) = id and
+    G(g o f) = G(F(G g) o F(G f)) = G(F(G g o G f)) = G g o G f.
     """
     e = cat.tau.source.identity
     # eta: f -> f o r_{x,h} on Hom(alpha^h x, y); eta_inv: f -> f o r_{x,h}^-1
@@ -744,10 +746,9 @@ def roundtrip_eta(cat: GradedCatPresentation, table, rebuilt: GradedCatPresentat
     eta_inv = FunctorData(cat, rebuilt, list(cat.objects()), {
         (x, y, h): precompose(cat, table[(x, h)][2], y, h) for (x, y, h) in cat.hom_rank})
 
-    for F in (eta, eta_inv):
-        verdict = verify_functor(F)
-        if not verdict.ok:
-            raise ValueError(f"round trip functor fails: {verdict.violations[0]}")
+    verdict = verify_functor(eta)
+    if not verdict.ok:
+        raise ValueError(f"round trip functor fails: {verdict.violations[0]}")
     if compose_functors(eta, eta_inv) != identity_functor(rebuilt):
         raise ValueError("eta_inv is not a strict left inverse")
     if compose_functors(eta_inv, eta) != identity_functor(cat):
@@ -759,7 +760,14 @@ def roundtrip_nu(mod: ModuleCatData, rebuilt: GradedCatPresentation):
     """Strictly invertible module comparison from the rebuilt action to mod.
 
     `rebuilt` is bullet(mod).  Returns (nu, nu_inv, rebuilt_mod); both
-    composites are checked equal to the identity module functors.
+    composites are checked equal to the identity module functors.  Only nu
+    is verified as a module functor.  Write nu = (F, s) and nu_inv = (G, t).
+    G is a functor, as a strict inverse of one (roundtrip_eta).  The
+    composite nu_inv then nu has comparisons F(t^h_x) o s^h_{Gx}, so its
+    being the identity forces t^h_x = G((s^h_{Gx})^-1).  So t^h is G
+    applied to the inverse of the natural iso s^h whiskered by G: natural
+    and invertible.  G applied to the inverted unit triangle and hexagon
+    of (F, s) at Gx gives those of (G, t) at x.
     """
     bmod = extract_action(rebuilt)
     base = mod.base
@@ -778,9 +786,6 @@ def roundtrip_nu(mod: ModuleCatData, rebuilt: GradedCatPresentation):
     v = verify_module_functor(nu, bmod, mod)
     if not v.ok:
         raise ValueError(f"nu fails module axioms: {v.violations[0]}")
-    v = verify_module_functor(nu_inv, mod, bmod)
-    if not v.ok:
-        raise ValueError(f"nu inverse fails module axioms: {v.violations[0]}")
     left = compose_module_functors(nu_inv, nu, mod, bmod, mod)
     if left != ident:
         raise ValueError("nu_inv is not a strict right inverse")

@@ -5,17 +5,20 @@ to a subgroup L <= ker(tau) and a normalised 2-cocycle psi on H/L: one
 object per coset hL, a one-dimensional Hom^a(R_hL, R_ahL) spanned by a
 basis morphism e, composition e^a o e^b = psi(a,b)(hL)^-1 e^{ab}, object
 degrees tau(h) g.  `build_group_groupoid` linearises the action groupoid
-of tau; the cyclic table family gives the hand-written C8 -> C2 examples.
+of tau.  The cyclic table family of C8 -> C2 examples is the trivially
+twisted skeleton on each subgroup of C8, including the whole group, which
+is not inside ker(tau) and so breaks the grading law.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .category import GradedCatPresentation, Morphism
+from .category import GradedCatPresentation, Morphism, invert, is_simple
 from .cochains import Cochain2, c2_inv, cocycle_violation, trivial_cochain2
 from .fields import PrimeField
-from .groups import GroupHom, Subgroup, coset_space, kernel, reduction_hom, subgroup
+from .groups import (GroupHom, Subgroup, coset_space, cyclic_group, kernel, reduction_hom,
+                     subgroup)
 
 
 @dataclass(frozen=True)
@@ -125,42 +128,23 @@ def parity_tau() -> GroupHom:
 
 
 def cyclic_table_category(field: PrimeField, k: int) -> GradedCatPresentation:
-    """The hand-written C8 -> C2 family: 8/k objects, congruence mod 8/k.
+    """The C8 -> C2 table family: 8/k objects, congruence mod 8/k.
 
     Objects a in Z/(8/k) have degree a mod 2 and Hom^{x^n}(a, b) = R exactly
-    when a + n = b mod 8/k; all structure constants are 1.  For k = 8 the
-    single object cannot track parity, so the grading law genuinely fails
-    there and `verify_axioms` reports it.
+    when a + n = b mod 8/k; all structure constants are 1.  That is the
+    trivially twisted skeleton on the order-k subgroup at g = 0, shifts
+    included.  For k = 8 the subgroup is not inside ker(tau), so the spec
+    bypasses mtau_spec: the single object cannot track parity, the grading
+    law genuinely fails there and `verify_axioms` reports it.
     """
-    if k not in (1, 2, 4, 8):
-        raise ValueError("k must divide 8")
     tau = parity_tau()
-    n_obj = 8 // k
-    degrees = [a % 2 for a in range(n_obj)]
-    hom_rank = {}
-    for a in range(n_obj):
-        for n in range(8):
-            hom_rank[(a, (a + n) % n_obj, n)] = 1
-    comp = {}
-    for a in range(n_obj):
-        for n1 in range(8):
-            b = (a + n1) % n_obj
-            for n2 in range(8):
-                c = (b + n2) % n_obj
-                comp[(a, b, c, n1, n2)] = (((1,),),)
-    identities = [(1,)] * n_obj
-    shifts = {}
-    for a in range(n_obj):
-        for n in range(8):
-            shifts[(a, n)] = ((a + n) % n_obj, Morphism(a, (a + n) % n_obj, n, (1,)))
-    return GradedCatPresentation(tau, field, degrees, hom_rank, comp, identities,
-                                 shifts=shifts)
+    L = cyclic_subgroup_of_order(k)
+    psi = trivial_cochain2(field, coset_space(tau.source, L))
+    return build_skeleton(MtauSpec(tau, field, L, psi, 0))
 
 
 def cyclic_subgroup_of_order(k: int) -> Subgroup:
     """The order-k subgroup of C8 (k dividing 8)."""
-    from .groups import cyclic_group
-
     if k not in (1, 2, 4, 8):
         raise ValueError("k must divide 8")
     c8 = cyclic_group(8)
@@ -170,8 +154,6 @@ def cyclic_subgroup_of_order(k: int) -> Subgroup:
 
 def simple_census(cat: GradedCatPresentation):
     """Number of simple objects per object degree."""
-    from .category import is_simple
-
     census = {}
     for x in cat.objects():
         if is_simple(cat, x):
@@ -182,8 +164,6 @@ def simple_census(cat: GradedCatPresentation):
 def check_skeleton_inverses(spec: MtauSpec, cat: GradedCatPresentation) -> bool:
     """basis_inverse agrees with the linear-algebra inverse, which is
     two-sided by construction, on every (coset, a)."""
-    from .category import invert
-
     gH = spec.tau.source
     space = spec.psi.space
     for i in range(space.size):

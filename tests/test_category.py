@@ -23,6 +23,7 @@ from taucat.mtau import (build_skeleton, cyclic_subgroup_of_order,
                          trivial_spec)
 from taucat.structure import (EquivalenceDatum, classify_equivalences,
                               realize_functor)
+from taucat.znsolve import CapExceeded
 
 from morphisms import apply_functor, basis_morphism, zero_morphism
 from test_yoneda import s3_cat, ungenerated_cat
@@ -182,6 +183,27 @@ def test_nat_trans_violation():
 def test_find_invertible_zero_rank():
     cat = cyclic_table_category(F5, 2)
     assert find_invertible(cat, 0, 1, 0) is None  # no degree-1 part between 0,1
+
+
+def test_find_invertible_past_the_cap_is_exact_or_undecided():
+    # the trivial C8 block with |L| = 2: over F_5, Hom^1((0,0,0), (0,0,2)) has
+    # rank 6 and 5^6 > 4096 vectors are sampled, so a miss decides nothing
+    def completion(p):
+        L = cyclic_subgroup_of_order(2)
+        return AdditiveCompletion(build_skeleton(trivial_spec(TAU, field(p), L, 0)))
+
+    sums = completion(5).presentation_of([(0, 0, 0), (0, 0, 2)])
+    assert sums.rank(0, 1, 0) == 6
+    with pytest.raises(CapExceeded):
+        find_invertible(sums, 0, 1, 0)
+    # over F_17, Hom^1((0,), (0,)*3) has rank 3 and 17^3 > 4096; once the laws
+    # hold, an iso out of the simple (0,) would embed it in End((0,)), of rank 1
+    simple = completion(17).presentation_of([(0,), (0,) * 3])
+    assert simple.rank(0, 1, 0) == 3
+    with pytest.raises(CapExceeded):
+        find_invertible(simple, 0, 1, 0)
+    assert simple.verdict.ok
+    assert find_invertible(simple, 0, 1, 0) is None
 
 
 def _reference_verify_axioms(cat):

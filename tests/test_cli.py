@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+from taucat import category, cli, structure
+from taucat.znsolve import CapExceeded
+
 TAUDOC = {"source": {"cyclic": 8}, "target": {"cyclic": 2},
           "map": [0, 1, 0, 1, 0, 1, 0, 1]}
 
@@ -248,6 +251,21 @@ def test_exceeded_cap_is_reported_as_undecided(tmp_path):
     assert r.stdout == ""
     assert r.stderr == ("undecided: enumeration cap exceeded: "
                         "solution set of size 4098 exceeds cap 4096\n")
+
+
+@pytest.mark.parametrize("cmd", ["roundtrip", "extract", "decompose"])
+def test_shift_search_past_the_cap_is_undecided(category_file, monkeypatch, capsys, cmd):
+    # a sampled search for an iso that misses past the cap is no negative
+    # verdict: no report, exit 2
+    def undecided(*args):
+        raise CapExceeded("no invertible sampled")
+
+    monkeypatch.setattr(category, "find_invertible", undecided)
+    monkeypatch.setattr(structure, "find_invertible", undecided)
+    assert cli.main([cmd, category_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "undecided: enumeration cap exceeded: no invertible sampled\n"
 
 
 def test_yoneda_and_roundtrip(category_file):

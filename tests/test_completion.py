@@ -6,8 +6,8 @@ import pytest
 
 from taucat import fplinalg, jsonio
 
-from taucat.category import (GradedCatPresentation, Morphism, compose, invert,
-                             is_simple, verify_axioms)
+from taucat.category import (GradedCatPresentation, Morphism, compose,
+                             identity_morphism, invert, is_simple, verify_axioms)
 from taucat.cochains import d1_cochain, random_cochain1
 from taucat.completion import AdditiveCompletion, BlockMorphism
 from taucat.fields import field
@@ -15,7 +15,7 @@ from taucat.groups import coset_space, cyclic_group, subgroup
 from taucat.mtau import (build_skeleton, cyclic_subgroup_of_order,
                          cyclic_table_category, mtau_spec, parity_tau,
                          reduction_hom, trivial_spec)
-from taucat.structure import decompose, linear_semisimple_check
+from taucat.structure import _declared_sum_ok, decompose, linear_semisimple_check
 
 from test_yoneda import s3_cat
 
@@ -32,57 +32,97 @@ def base_category(seed=None):
     return build_skeleton(mtau_spec(TAU, F5, L, psi, 0))
 
 
+def same_degree_bases(seed):
+    """(base, a, b): the C8 block at the seed and the S3 skeleton, each with
+    two distinct simple objects of degree 0."""
+    return [(base_category(seed=seed), 0, 2), (s3_cat(), 0, 4)]
+
+
+def _placed(comp, src, dst, h, blocks):
+    """The degree-h block morphism src -> dst with blocks[(bi, ai)] in its
+    blocks and zero elsewhere."""
+    rank = comp.base.rank
+    return BlockMorphism(tuple(src), tuple(dst), h, tuple(
+        tuple(blocks.get((bi, ai), (0,) * rank(a, b, h)) for ai, a in enumerate(src))
+        for bi, b in enumerate(dst)))
+
+
+def _sum_shift(comp, obj, h):
+    """The block-diagonal shift iso of a sum object, from the recorded base
+    shifts."""
+    shifts = [comp.base.shifts[(x, h)] for x in obj]
+    target = tuple(y for y, _ in shifts)
+    return _placed(comp, obj, target, h,
+                   {(i, i): iso.coords for i, (_, iso) in enumerate(shifts)})
+
+
+def _on(pres, objs, f):
+    """The block morphism f as a morphism of pres, whose objects are objs."""
+    return Morphism(objs.index(f.src), objs.index(f.dst), f.degree, tuple(_flat(f)))
+
+
 def test_empty_object_is_zero():
     comp = AdditiveCompletion(base_category())
-    empty = ()
-    assert comp.rank(empty, empty, 0) == 0
-    assert comp.identity(empty).blocks == ()
+    pres = comp.presentation_of([(), (0,)])
+    assert pres.identities[0] == ()
+    assert not any(pres.rank(0, y, h) + pres.rank(y, 0, h) for y in (0, 1) for h in range(8))
+    assert comp.identity(()).blocks == ()
 
 
 def test_double_object_end_rank():
     comp = AdditiveCompletion(base_category())
-    assert comp.rank((0, 0), (0, 0), 0) == 4
+    assert comp.presentation_of([(0, 0)]).rank(0, 0, 0) == 4
 
 
 def test_biproduct_identities():
-    comp = AdditiveCompletion(base_category(seed=21))
-    obj, pis, iotas = comp.direct_sum([0, 2, 0])
-    assert comp.verify_biproduct(obj, [0, 2, 0], pis, iotas)
+    # the sums presentation_of declares are 1-direct sums of their parts
+    for base, a, b in same_degree_bases(21):
+        pres = AdditiveCompletion(base).presentation_of([(a,), (b,), (a, b, a)])
+        assert [part for part, _, _ in pres.sums[2]] == [0, 1, 0]
+        assert _declared_sum_ok(pres, 2)
 
 
 def test_h_direct_sum_is_biproduct_with_degrees():
-    comp = AdditiveCompletion(base_category(seed=22))
-    for h in range(8):
-        obj, pis, iotas = comp.h_direct_sum([0, 0], h)
-        for pi, iota in zip(pis, iotas):
-            assert iota.degree == h
-            assert pi.degree == cyclic_group(8).inv(h)
-        assert comp.verify_biproduct(obj, [0, 0], pis, iotas)
+    # the h-direct sum is the 1-direct sum of the shifted parts: the degree-h
+    # injection into slot i is part i's shift iso placed in block i, and the
+    # degree h^-1 projection is its inverse
+    for base, a, b in same_degree_bases(22):
+        comp, gH = AdditiveCompletion(base), base.tau.source
+        parts = (a, b, a)
+        for h in gH.elements():
+            target = _sum_shift(comp, parts, h).dst
+            objs = [(a,), (b,), target]
+            pres = comp.presentation_of(objs)
+            decl = []
+            for i, x in enumerate(parts):
+                iso = base.shifts[(x, h)][1]
+                iota = _placed(comp, (x,), target, h, {(i, 0): iso.coords})
+                pi = _placed(comp, target, (x,), gH.inv(h),
+                             {(0, i): invert(base, iso).coords})
+                decl.append((objs.index((x,)), _on(pres, objs, iota), _on(pres, objs, pi)))
+            pres.sums[2] = tuple(decl)
+            assert _declared_sum_ok(pres, 2)
 
 
 def test_h_sum_equals_shifted_sum_up_to_degree_one_iso():
-    # build the h-direct sum out of shifted parts, then shift the plain sum
-    # with the block-diagonal iso and connect the two by a linear solve
-    comp = AdditiveCompletion(base_category(seed=23))
-    parts = [0, 1]
-    h = 3
-    obj_h, _, _ = comp.h_direct_sum(parts, h)
-    target, r = comp.sum_shift(tuple(parts), h)
-    assert target == obj_h
-    r_inv = comp.invert(r)
-    assert r_inv is not None
-    assert comp.compose(r, r_inv) == comp.identity(tuple(parts))
-    # a permuted presentation of the same sum is degree-1 isomorphic
-    swapped, _, _ = comp.direct_sum([obj_h[1], obj_h[0]])
-    iso = comp.zero(obj_h, swapped, comp.base.tau.source.identity)
-    iso = comp.add(iso, comp.compose(comp.projection(obj_h, 0),
-                                     comp.injection(swapped, 1)))
-    iso = comp.add(iso, comp.compose(comp.projection(obj_h, 1),
-                                     comp.injection(swapped, 0)))
-    iso_inv = comp.invert(iso)
-    assert iso_inv is not None
-    assert comp.compose(iso, iso_inv) == comp.identity(obj_h)
-    assert comp.compose(iso_inv, iso) == comp.identity(swapped)
+    # the block-diagonal shift of the plain sum lands on the h-direct sum's
+    # object, and a permuted presentation of that sum is degree-1 isomorphic
+    for base, a, b in same_degree_bases(23):
+        comp = AdditiveCompletion(base)
+        e = base.tau.source.identity
+        shift = _sum_shift(comp, (a, b), 3)
+        target = shift.dst
+        swapped = target[::-1]
+        swap = _placed(comp, target, swapped, e, {(1, 0): base.identities[target[0]],
+                                                  (0, 1): base.identities[target[1]]})
+        objs = [(a, b), target, swapped]
+        pres = comp.presentation_of(objs)
+        for f in (shift, swap):
+            m = _on(pres, objs, f)
+            m_inv = invert(pres, m)
+            assert m_inv is not None
+            assert compose(pres, m, m_inv) == identity_morphism(pres, m.src)
+            assert compose(pres, m_inv, m) == identity_morphism(pres, m.dst)
 
 
 def test_presentation_of_sums_verifies():
@@ -124,11 +164,13 @@ def test_rank_bookkeeping_on_sums():
     # Hom^1(A, S) counts the multiplicity of the class of S inside A
     comp = AdditiveCompletion(base_category(seed=26))
     e = comp.base.tau.source.identity
-    for multi in [(0,), (0, 0), (0, 0, 0), (0, 2), (2, 2, 0)]:
+    multis = [(0,), (0, 0), (0, 0, 0), (0, 2), (2, 2, 0)]
+    pres = comp.presentation_of([(s,) for s in comp.base.objects()] + multis)
+    for i, multi in enumerate(multis, start=comp.base.n_objects):
         for s in comp.base.objects():
             want = sum(1 for x in multi if x == s)
-            assert comp.rank(multi, (s,), e) == want
-            assert comp.rank((s,), multi, e) == want
+            assert pres.rank(i, s, e) == want
+            assert pres.rank(s, i, e) == want
 
 
 @pytest.mark.parametrize("objs", [[(0,), (1,), (2,), (3,), (0, 0)],
@@ -204,7 +246,8 @@ def _basis(comp, src, dst, h):
 
 
 def _reference_invert(comp, f):
-    """Two-sided inverse solved for on the basis of Hom^{|f|^-1}, or None."""
+    """Coordinates of the two-sided inverse solved for on the basis of
+    Hom^{|f|^-1}, or None."""
     p = comp.field.p
     a_inv = comp.base.tau.source.inv(f.degree)
     basis = _basis(comp, f.dst, f.src, a_inv)
@@ -216,12 +259,8 @@ def _reference_invert(comp, f):
     x = fplinalg.solve(fplinalg.from_columns(cols), rhs, p, ncols=len(cols))
     if x is None:
         return None
-    out = comp.zero(f.dst, f.src, a_inv)
-    for coeff, g in zip(x, basis):
-        blocks = tuple(tuple(tuple(coeff * v % p for v in blk) for blk in row)
-                       for row in g.blocks)
-        out = comp.add(out, BlockMorphism(g.src, g.dst, g.degree, blocks))
-    return out
+    flats = [_flat(g) for g in basis]
+    return tuple(sum(c * g[k] for c, g in zip(x, flats)) % p for k in range(len(basis)))
 
 
 def _reference_presentation_of(comp, objs):
@@ -316,17 +355,26 @@ def test_compose_matches_reference(name):
 
 
 def test_invert_matches_reference():
-    comp = AdditiveCompletion(base_category(seed=23))
-    e = comp.base.tau.source.identity
-    cases = [comp.sum_shift(obj, h)[1] for obj in [(0, 1), (0, 2, 0)] for h in range(8)]
-    obj, pis, iotas = comp.direct_sum([0, 0])
-    idem = comp.compose(pis[0], iotas[0])  # the projection onto slot 0: no inverse
-    cases += [idem, comp.zero(obj, obj, e), iotas[1], pis[0], comp.identity(())]
-    for f in cases:
-        assert comp.invert(f) == _reference_invert(comp, f)
-    _, shift = comp.sum_shift((0, 1), 3)
-    assert comp.invert(shift) is not None
-    assert comp.invert(idem) is None and _reference_invert(comp, idem) is None
+    # category.invert on the presentation of f's two ends
+    for base, a, b in same_degree_bases(23):
+        comp = AdditiveCompletion(base)
+        e = base.tau.source.identity
+        shifts = [_sum_shift(comp, obj, h) for obj in [(a, b), (a, b, a)]
+                  for h in base.tau.source.elements()]
+        obj = (a, a)
+        iotas = [comp.injection(obj, i) for i in range(2)]
+        pis = [comp.projection(obj, i) for i in range(2)]
+        idem = comp.compose(pis[0], iotas[0])  # the projection onto slot 0: no inverse
+        got = {}
+        for f in shifts + [idem, _placed(comp, obj, obj, e, {}), iotas[1], pis[0],
+                           comp.identity(())]:
+            objs = [f.src, f.dst]
+            pres = comp.presentation_of(objs)
+            inv = invert(pres, _on(pres, objs, f))
+            got[f] = None if inv is None else inv.coords
+            assert got[f] == _reference_invert(comp, f)
+        assert all(got[f] is not None for f in shifts)
+        assert got[idem] is None and got[comp.identity(())] is None
 
 
 def _calls(target, fn) -> int:
@@ -346,28 +394,8 @@ def _calls(target, fn) -> int:
 
 
 def test_completion_makes_no_compose_calls():
-    # each completion operation reads the base tensors directly
+    # presentation_of and the block product read the base tensors directly
     comp = AdditiveCompletion(base_category(seed=24))
-    target, shift = comp.sum_shift((0, 2), 3)
+    shift = _sum_shift(comp, (0, 2), 3)
     assert _calls(compose, lambda: comp.presentation_of([(0,), (2,), (0, 2)])) == 0
-    assert _calls(compose, lambda: comp.compose(shift, comp.identity(target))) == 0
-    assert _calls(compose, lambda: comp.invert(shift)) == 0
-
-
-def _reference_sum_shift(comp, obj, h):
-    """sum_shift built from shift_data, which inverts each part's shift."""
-    data = [comp.shift_data(x, h) for x in obj]
-    target = tuple(y for y, _, _ in data)
-    blocks = tuple(tuple(data[ai][1].coords if ai == bi else (0,) * comp.base.rank(a, b, h)
-                         for ai, a in enumerate(obj)) for bi, b in enumerate(target))
-    return target, BlockMorphism(tuple(obj), target, h, blocks)
-
-
-def test_sum_shift_inverts_no_recorded_shift():
-    # the block-diagonal shift iso needs each part's iso, not its inverse
-    comp = AdditiveCompletion(base_category(seed=25))
-    assert comp.base.shifts
-    for obj, h in [((0, 2, 0), h) for h in range(8)] + [((1, 3), 5), ((), 2)]:
-        got = []
-        assert _calls(invert, lambda: got.append(comp.sum_shift(obj, h))) == 0
-        assert got == [_reference_sum_shift(comp, obj, h)]
+    assert _calls(compose, lambda: comp.compose(shift, comp.identity(shift.dst))) == 0

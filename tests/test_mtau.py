@@ -3,8 +3,8 @@ from random import Random
 
 import pytest
 
-from taucat.category import (Morphism, compose, identity_morphism, invert,
-                             is_simple, verify_axioms)
+from taucat.category import (GradedCatPresentation, Morphism, compose,
+                             identity_morphism, invert, is_simple, verify_axioms)
 from taucat.cochains import d1_cochain, random_cochain1, trivial_cochain2
 from taucat.fields import field
 from taucat.groups import (coset_space, cyclic_group, hom, reduction_hom,
@@ -87,6 +87,44 @@ def test_skeleton_matches_table_category():
     for k in (1, 2, 4):
         spec = trivial_spec(TAU, F5, cyclic_subgroup_of_order(k), 0)
         assert build_skeleton(spec) == cyclic_table_category(F5, k)
+
+
+def _reference_cyclic_table(field_, k):
+    """The hand-written table family: objects a in Z/(8/k) of degree a mod 2,
+    Hom^{x^n}(a, b) = R exactly when a + n = b mod 8/k, every structure
+    constant 1."""
+    n_obj = 8 // k
+    degrees = [a % 2 for a in range(n_obj)]
+    hom_rank = {}
+    for a in range(n_obj):
+        for n in range(8):
+            hom_rank[(a, (a + n) % n_obj, n)] = 1
+    comp = {}
+    for a in range(n_obj):
+        for n1 in range(8):
+            b = (a + n1) % n_obj
+            for n2 in range(8):
+                c = (b + n2) % n_obj
+                comp[(a, b, c, n1, n2)] = (((1,),),)
+    identities = [(1,)] * n_obj
+    shifts = {}
+    for a in range(n_obj):
+        for n in range(8):
+            shifts[(a, n)] = ((a + n) % n_obj, Morphism(a, (a + n) % n_obj, n, (1,)))
+    return GradedCatPresentation(TAU, field_, degrees, hom_rank, comp, identities,
+                                 shifts=shifts)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_cyclic_table_matches_reference(k, p):
+    got, want = cyclic_table_category(field(p), k), _reference_cyclic_table(field(p), k)
+    assert got == want and got.shifts == want.shifts
+
+
+def test_cyclic_table_rejects_non_divisors():
+    with pytest.raises(ValueError):
+        cyclic_table_category(F5, 3)
 
 
 def test_simple_census_counts():
