@@ -24,9 +24,6 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
@@ -58,16 +55,16 @@ def _is_prime(p: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def field(p: int, allow_two: bool = False) -> PrimeField:
-    """F_p for an odd prime p (p = 2 only behind ``allow_two``).
+def field(p: int) -> PrimeField:
+    """F_p for an odd prime p.
 
     With p = 2 the unit group is trivial and every multiplicative check
-    becomes vacuous, so it is rejected unless explicitly requested.
+    becomes vacuous, so it is rejected.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p == 2 and not allow_two:
-        raise ValueError("p = 2 makes the unit group trivial; pass allow_two=True")
+    if p == 2:
+        raise ValueError("p = 2 makes the unit group trivial")
     m = p - 1
     gen = None
     for g in range(1, p):

@@ -469,32 +469,24 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
     eps_inv, mu_inv = mod.inverses
     p = base.field.p
 
-    hom_rank = {}
-    for x in base.objects():
-        for h in gH.elements():
-            hx = mod.action[h].obj_map[x]
-            for y in base.objects():
-                r = base.rank(hx, y, e)
-                if r:
-                    hom_rank[(x, y, h)] = r
+    # the base has degree-1 morphisms only: out_homs(hx) lists the nonzero Hom(hx, y)
+    hom_rank = {(x, y, h): r for x in base.objects() for h in gH.elements()
+                for y, _, r in base.out_homs(mod.action[h].obj_map[x])}
     # (g_j o alpha^{h2}(f_i) o mu^-1)[k] = sum_m T(s, h2y, z)[k][j][m] mids[m][i]
     # with column i of mids alpha^{h2}(f_i) o mu^-1_{h2,h,x}: s -> h2y, s = alpha^{h2 h} x
     comp = {}
     for x in base.objects():
         for h in gH.elements():
             hx = mod.action[h].obj_map[x]
-            for y in base.objects():
-                r1 = base.rank(hx, y, e)
-                if not r1:
-                    continue
+            for y, _, r1 in base.out_homs(hx):
                 for h2 in gH.elements():
                     deg = gH.mul(h2, h)
                     start, h2y = mu_inv[(h2, h)][x], mod.action[h2].obj_map[y]
                     mids = matmul(precompose(base, start, h2y, e),
                                   mod.action[h2].matrix(hx, y, e), p)
-                    for z in base.objects():
-                        r2, r3 = base.rank(h2y, z, e), hom_rank.get((x, z, deg), 0)
-                        if r2 and r3:
+                    for z, _, r2 in base.out_homs(h2y):
+                        r3 = hom_rank.get((x, z, deg), 0)
+                        if r3:
                             t = base.tensor(start.src, h2y, z, e, e)
                             comp[(x, y, z, h, h2)] = ([matmul(t_k, mids, p) for t_k in t] if t else
                                                       [[[0] * r1] * r2 for _ in range(r3)])

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import prod
 
 from . import znsolve
 from .category import (FunctorData, GradedCatPresentation, Morphism,
@@ -281,42 +281,40 @@ def linear_semisimple_check(cat: GradedCatPresentation):
 
 @lru_cache(maxsize=None)
 def _class_offsets(space: CosetSpace, m: int, cap: int = 100000):
-    """Coboundary generators, and offsets from a particular d1 solution, one
-    per class of solutions modulo d0-coboundaries, over Z/m, all on the
-    |S| s values at the generators S of `groups.cayley_tree`.
+    """The Howell rows of B^1, and offsets from a particular d1 solution,
+    one per class of solutions modulo d0-coboundaries, over Z/m, all on
+    the |S| s values at the generators S of `groups.cayley_tree`.
 
     A 1-cocycle is fixed by its values on S (`cochains.d1_solver`), so the
     kernel of the tree system is Z^1 in those coordinates, and B^1 is the
-    restriction of the d0 image to the rows of S.  Only the kernel and the
-    coboundaries enter, so one computation serves every target on the
-    coset space; like the tree system it reads the kernel from, it is kept
-    per (space, modulus).  The coboundary submodule is pulled back through
-    the kernel generators, the pullback is diagonalised, and one
-    coefficient vector is read off per class.
+    d0 image on the rows of S.  Like the tree system, kept per (space, m).
+
+    Let Z^1 and B^1 have pivots z_j and b_j at column j (b_j = m where B^1
+    has none).  By the Howell property the members of Z^1 (of B^1)
+    vanishing before j take the values z_j Z/m (b_j Z/m) at j, and z_j
+    divides b_j as B^1 lies in Z^1.  The offsets, sums of t_j times the
+    Z^1 row at j with 0 <= t_j < b_j / z_j, meet each class exactly once.
+    Every class: a member of Z^1 vanishing before j is c z_j at j; with
+    t_j = c mod b_j / z_j the rest is a multiple of b_j at j, which the
+    B^1 row at j clears.  Once: if two offsets first differ at t_j, their
+    difference lies in B^1 and vanishes before j, so b_j divides
+    (t_j - t'_j) z_j, and |t_j - t'_j| < b_j / z_j forces t_j = t'_j.
     """
     gens = cayley_tree(space.parent)[0]
-    kernel = _tree_system(m, space)[0].kernel
-    nvars = len(gens) * space.size
-    b_gens = tuple(g for g in coboundary_basis_c1(m, space, gens) if any(g))
-    k = len(kernel)
-    combined = [[g[r] for g in kernel] + [g[r] for g in b_gens] for r in range(nvars)]
-    pulled = [g[:k] for g in znsolve.kernel_generators(combined, m, ncols=k + len(b_gens))]
-    pulled = [g for g in pulled if any(g)]
-    d, ops, _ = znsolve.diagonalize([[g[i] for g in pulled] for i in range(k)], m)
-    # gcd(0, m) = m: full freedom along a coefficient the pullback misses
-    ranges = [gcd(d[i][i] if i < len(pulled) else 0, m) for i in range(k)]
+    b_rows = znsolve.howell(coboundary_basis_c1(m, space, gens), m)
+    z_rows = znsolve.howell(_tree_system(m, space)[0].kernel, m)
+    b_at = dict(map(znsolve.pivot, b_rows))
+    ranges = [b_at.get(j, m) // z_j for j, z_j in map(znsolve.pivot, z_rows)]
     total = prod(ranges)
     if total > cap:
         raise znsolve.CapExceeded(f"{total} solution classes exceed cap {cap}")
-    offsets = []
-    for idx in znsolve.index_vectors(ranges):
-        c = znsolve.unapply_rows(ops, idx, m)
-        offsets.append(tuple(sum(cj * g[r] for cj, g in zip(c, kernel)) % m
-                             for r in range(nvars)))
-    return b_gens, tuple(offsets)
+    nvars = len(gens) * space.size
+    offsets = tuple(tuple(sum(t * z[r] for t, z in zip(idx, z_rows)) % m for r in range(nvars))
+                    for idx in znsolve.index_vectors(ranges))
+    return tuple(b_rows), offsets
 
 
-def _solution_classes(sols, b_gens, offsets):
+def _solution_classes(sols, b_rows, offsets):
     """Class representatives of a d1 solution set modulo d0-coboundaries,
     each canonicalised to its lexicographically least exponent vector.
 
@@ -329,7 +327,7 @@ def _solution_classes(sols, b_gens, offsets):
     generator coordinate, and in the same place in both orders.
     """
     m, x0 = sols.coords.m, sols.coords.x0
-    canon = {znsolve.lexmin_coset([(a + b) % m for a, b in zip(x0, off)], b_gens, m)
+    canon = {znsolve.lexmin_coset([(a + b) % m for a, b in zip(x0, off)], b_rows, m)
              for off in offsets}
     return [sols.lift(v) for v in sorted(canon)]
 

@@ -10,9 +10,12 @@ composite in general, so pivots need not be units.
 The reduction gives D = U A V.  V is cols x cols and kept as a matrix.  U
 is rows x rows, and the systems solved here are tall, so U is never
 formed: the row operations are logged in the order they are applied, and
-`apply_rows` / `unapply_rows` replay the log to compute U b and U^-1 y.
-A `System` is factored once and then solved for any number of right-hand
-sides; only the back-substitution depends on b.
+`apply_rows` replays the log to compute U b.  A `System` is factored once
+and then solved for any number of right-hand sides.
+
+Submodules of (Z/m)^n are listed and canonicalised in one pass over their
+Howell form (Howell, Linear and Multilinear Algebra 19, 1986; Storjohann
+and Mulders, ESA 1998), which `howell` computes once per submodule.
 """
 
 from __future__ import annotations
@@ -127,17 +130,6 @@ def apply_rows(ops, b, m: int) -> list[int]:
     return b
 
 
-def unapply_rows(ops, y, m: int) -> list[int]:
-    """U^-1 y for the U logged by `diagonalize`: the inverse steps, last first."""
-    y = [x % m for x in y]
-    for i, k, q in reversed(ops):
-        if q is None:
-            y[i], y[k] = y[k], y[i]
-        else:
-            y[i] = (y[i] + q * y[k]) % m
-    return y
-
-
 class SolutionSet:
     """All solutions of A x = b over Z/m: x0 + span of kernel generators."""
 
@@ -240,58 +232,67 @@ def kernel_generators(matrix, m: int, ncols: int | None = None):
     return list(System(matrix, m, ncols).kernel)
 
 
+def pivot(row) -> tuple[int, int]:
+    """The column and the value of the first nonzero entry of ``row``."""
+    return next((j, v) for j, v in enumerate(row) if v)
+
+
+def howell(gens, m: int) -> list[tuple[int, ...]]:
+    """The Howell rows of the submodule of (Z/m)^n spanned by ``gens``:
+    echelon rows whose pivots divide m, such that the members vanishing
+    before column j are spanned by the rows with pivot at j or later.
+
+    ``work`` spans the members vanishing before column j; their values at
+    j are d Z/m for d = gcd(m, work at j).  A combination with d at j is
+    the row at j, and ``work`` less its multiples, plus (m/d) row, spans
+    the members vanishing before j + 1.
+    """
+    work = [g for g in ([v % m for v in g] for g in gens) if any(g)]
+    n = len(work[0]) if work else 0
+    rows = []
+    for j in range(n):
+        d = m
+        for g in work:
+            d = gcd(d, g[j])
+        if d == m:
+            continue  # no member reaches this column
+        # combination vec with vec[j] == d
+        vec, cur = [0] * n, m
+        for g in work:
+            cur, s, t = ext_gcd(cur, g[j])
+            vec = [(s * a + t * b) % m for a, b in zip(vec, g)]
+            if cur == d:
+                break
+        rows.append(tuple(vec))
+        work = [ng for ng in ([(a - g[j] // d * b) % m for a, b in zip(g, vec)]
+                              for g in work) if any(ng)]
+        ann = [(m // d) * b % m for b in vec]
+        if any(ann):
+            work.append(ann)
+    return rows
+
+
 def span_members(gens, m: int, ncols: int, cap: int = 100000):
-    """Enumerate the submodule of (Z/m)^ncols spanned by ``gens``, no duplicates."""
-    # columns of A are the generators; col span(A) = U^{-1} col span(D)
-    a = [[g[i] for g in gens] for i in range(ncols)]
-    d, ops, _ = diagonalize(a, m)
-    diag = [d[i][i] for i in range(min(ncols, len(gens)))]
-    counts = [m // gcd(dii, m) for dii in diag]  # d*t for t < m/g: distinct multiples
+    """Enumerate the submodule of (Z/m)^ncols spanned by ``gens``, no duplicates:
+    the sums of t_k times the k-th Howell row, 0 <= t_k < m / pivot_k."""
+    rows = howell(gens, m)
+    counts = [m // pivot(row)[1] for row in rows]
     total = prod(counts)
     if total > cap:
         raise CapExceeded(f"span of size {total} exceeds cap {cap}")
     for idx in index_vectors(counts):
-        y = [dii * t for dii, t in zip(diag, idx)] + [0] * (ncols - len(diag))
-        yield tuple(unapply_rows(ops, y, m))
+        yield tuple(sum(t * row[i] for t, row in zip(idx, rows)) % m
+                    for i in range(ncols))
 
 
-def lexmin_coset(x0, gens, m: int) -> tuple[int, ...]:
-    """Lexicographically least element of x0 + span(gens) in (Z/m)^n.
-
-    Greedy column sweep: at column j the reachable values form
-    x[j] + d*Z/m for d = gcd(m, generators at j), because the generators
-    are re-closed against each processed column before moving on.
+def lexmin_coset(x0, rows, m: int) -> tuple[int, ...]:
+    """Lexicographically least element of x0 + span(rows) in (Z/m)^n, for
+    Howell rows (`howell`): with the columns before a row's pivot column j
+    held, x[j] reaches exactly x[j] + pivot Z/m, so x[j] drops below it.
     """
-    n = len(x0)
     x = [v % m for v in x0]
-    work = [list(g) for g in gens if any(v % m for v in g)]
-    for j in range(n):
-        d = m
-        for g in work:
-            d = gcd(d, g[j] % m)
-        if d == m:
-            continue  # no freedom at this coordinate
-        # combination vec with vec[j] == d
-        vec = [0] * n
-        cur = m
-        for g in work:
-            gg, s, t = ext_gcd(cur, g[j] % m)
-            vec = [(s * a + t * b) % m for a, b in zip(vec, g)]
-            cur = gg
-            if cur == d:
-                break
-        assert vec[j] % m == d
-        r = x[j] % d
-        q = (x[j] - r) // d
-        x = [(a - q * b) % m for a, b in zip(x, vec)]
-        new_work = []
-        for g in work:
-            q = (g[j] % m) // d
-            ng = [(a - q * b) % m for a, b in zip(g, vec)]
-            if any(ng):
-                new_work.append(ng)
-        ann = [(m // d) * b % m for b in vec]
-        if any(ann):
-            new_work.append(ann)
-        work = new_work
+    for row in rows:
+        j, d = pivot(row)
+        q = x[j] // d
+        x = [(a - q * b) % m for a, b in zip(x, row)]
     return tuple(x)

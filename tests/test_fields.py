@@ -30,12 +30,9 @@ def test_non_prime_rejected():
         field(1)
 
 
-def test_p2_behind_flag():
-    with pytest.raises(ValueError):
+def test_p2_rejected():
+    with pytest.raises(ValueError, match="unit group trivial"):
         field(2)
-    f2 = field(2, allow_two=True)
-    assert f2.unit_order == 1
-    assert f2.exp(0) == 1
 
 
 def test_dlog_is_group_isomorphism():

@@ -7,8 +7,10 @@ whose Yoneda audit cannot be solved on a generating set of degrees, and two
 presentations that fail verification: the C12 skeleton with one structure
 constant changed at degrees outside the generating set, and a completion
 that no generating set of degrees spans, with one structure constant
-changed.  Each
-command runs in process from a temporary working directory with relative
+changed.  Last come the C8 action groupoid, the equivalence classes
+between two pairs of C8 block files, and the natural isomorphisms between
+data of the second pair, which the classification prints.  Each command
+runs in process from a temporary working directory with relative
 file names, because reports echo their input paths.  A refactor
 that keeps every verdict and every report byte keeps this table; a change
 that moves a digest changes what the CLI prints.
@@ -81,6 +83,11 @@ GOLDEN = {
     "decompose/C12bad.json": (1, "bf1e2cf38df97e3f81f0a30b61f4b66490b9f60cd1f1ba036f38f985a88f0da0"),
     "verify/gappy.json": (1, "f4781f7e8dc13f72a8fc3036086d4fbd3d142954fe244fcad67811a812f89245"),
     "decompose/gappy.json": (1, "12bc2b2fee67a83491afe0c78f609fb4b398d929c7c375a0edab6e32656503b0"),
+    "build-groupoid/tau8.json": (0, "266b61f4be57c4e3e7493eff71336f5673f87abab3cd4caf608eea8e52d4b92f"),
+    "classify-equiv/C8L1": (0, "4e951de9ab98482be7e00a006d35db211d1bad4e517f22554d2e59be42957727"),
+    "classify-equiv/C8L4": (0, "c0dde65347ad98ece7c3be046bcf60f6568eec66e9ce33154500a04a8b1991c3"),
+    "classify-nat/datum0.json+datum0.json": (0, "ded69c5e765cf4fe4a891d6a225a0a7cf9fa3468b58e0d2f683e6378f9453fe8"),
+    "classify-nat/datum0.json+datum1.json": (1, "27834183985dacfae380e958235314d3f13f423bf0b617bbe143819208bf61e4"),
 }
 
 
@@ -153,6 +160,20 @@ def golden_runs():
     for name in ("C12bad.json", "gappy.json"):
         for cmd in ("verify", "decompose"):
             yield f"{cmd}/{name}", [cmd, name]
+    yield "build-groupoid/tau8.json", ["build-groupoid", "--tau", "tau8.json", "--p", "5"]
+    # coboundary blocks: with L = 1 each class has its own t, with |L| = 4
+    # the classes share one t and come from H^1(L, F_5^x)
+    for k in (1, 4):
+        L = subgroup(cyclic_group(8), range(0, 8, 8 // k))
+        pair = [_write(f"C8L{k}{s}.json", jsonio.mtau_spec_to_json(
+            mtau_spec(tau8, F5, L, _psi(8, k, seed), 0))) for s, seed in (("a", 90), ("b", 91))]
+        yield f"classify-equiv/C8L{k}", ["classify-equiv", *pair, "-o", f"equiv{k}.json"]
+    # the first datum against itself, then against the second
+    with open("equiv4.json", encoding="utf-8") as fh:
+        data = [_write(f"datum{i}.json", d) for i, d in enumerate(json.load(fh)["data"][:2])]
+    for other in data:
+        yield f"classify-nat/{data[0]}+{other}", [
+            "classify-nat", "C8L4a.json", "C8L4b.json", "--datumA", data[0], "--datumB", other]
 
 
 def _changed_entry(doc, where):

@@ -24,8 +24,6 @@ from functools import cached_property
 
 UNREACHED = [
     # traced by name in bench/layers.json
-    "category.verify_nat",
-    "cochains.solve_d0",
     "cochains.solve_d1",
     "completion.AdditiveCompletion.compose",
     "completion.AdditiveCompletion.presentation_of",
@@ -34,27 +32,12 @@ UNREACHED = [
     "completion.AdditiveCompletion.injection",
     "completion.AdditiveCompletion.projection",
     "groups.left_action_on_cosets",
-    "jsonio.parse_mtau_spec",
-    "structure.classify_nat_isos",
     "structure.realize_functor",
+    "znsolve.kernel_generators",
     "znsolve.solve",
     "znsolve.span_members",
-    # reached by build-groupoid, classify-equiv and classify-nat, which the
-    # golden table does not run
-    "cli.cmd_build_groupoid",
-    "cli.cmd_classify_equiv",
-    "cli.cmd_classify_nat",
-    "cochains.Cochain1.at",
-    "cochains.cochain1",
-    "jsonio.cochain1_to_json",
-    "jsonio.datum_to_json",
-    "jsonio.parse_cochain1",
-    "jsonio.parse_datum",
-    "mtau.build_group_groupoid",
     # called by tests, or by src code on inputs these commands never give
-    "category.NatTransData.component",
     "cochains.CochainSolutions.count",
-    "cochains.CochainSolutions.enumerate",
     "cochains.act",
     "cochains.constant_one",
     "cochains.d0",
@@ -64,7 +47,6 @@ UNREACHED = [
     "cochains.random_cochain0",
     "cochains.trivial_cochain1",
     "cochains.unit_function",
-    "fields.PrimeField.sub",
     "fplinalg.from_columns",
     "groups.image",
     "modcat.bullet_functor",
@@ -80,8 +62,6 @@ UNREACHED = [
     "yoneda.rep_sum",
     "yoneda.verify_graded_nat",
     "yoneda.whisker_object_morphism",
-    "znsolve.SolutionSet.count",
-    "znsolve.SolutionSet.enumerate",
 ]
 
 

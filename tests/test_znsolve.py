@@ -75,6 +75,16 @@ def test_kernel_generators_span_kernel():
     assert spanned == brute_solutions(matrix, [0, 0], m, 2)
 
 
+def brute_span(gens, m, n):
+    """Every combination of ``gens`` in (Z/m)^n, from all coefficient vectors."""
+    return {tuple(sum(c * g[i] for c, g in zip(cs, gens)) % m for i in range(n))
+            for cs in product(range(m), repeat=len(gens))}
+
+
+def brute_lexmin(x0, gens, m):
+    return min(tuple((a + b) % m for a, b in zip(x0, v)) for v in brute_span(gens, m, len(x0)))
+
+
 def test_lexmin_against_enumeration():
     m = 12
     for gens, x0 in [
@@ -83,9 +93,7 @@ def test_lexmin_against_enumeration():
         ([], (9, 2)),
         ([(2, 0), (0, 2), (1, 1)], (3, 3)),
     ]:
-        coset = {tuple((a + b) % m for a, b in zip(x0, v))
-                 for v in znsolve.span_members(list(gens), m, 2)}
-        assert znsolve.lexmin_coset(x0, list(gens), m) == min(sorted(coset))
+        assert znsolve.lexmin_coset(x0, znsolve.howell(gens, m), m) == brute_lexmin(x0, gens, m)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -97,9 +105,26 @@ def test_lexmin_random(data):
     gens = [tuple(data.draw(st.integers(0, m - 1)) for _ in range(n))
             for _ in range(k)]
     x0 = tuple(data.draw(st.integers(0, m - 1)) for _ in range(n))
-    coset = {tuple((a + b) % m for a, b in zip(x0, v))
-             for v in znsolve.span_members(list(gens), m, n)}
-    assert znsolve.lexmin_coset(x0, [list(g) for g in gens], m) == min(sorted(coset))
+    assert znsolve.lexmin_coset(x0, znsolve.howell(gens, m), m) == brute_lexmin(x0, gens, m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_howell_against_enumeration(data):
+    m = data.draw(st.sampled_from([2, 4, 6, 8, 12]))
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(0, 3))
+    gens = [tuple(data.draw(st.integers(0, m - 1)) for _ in range(n)) for _ in range(k)]
+    rows = znsolve.howell(gens, m)
+    leads = [next(j for j, v in enumerate(row) if v) for row in rows]
+    assert leads == sorted(set(leads))  # echelon
+    assert all(m % row[j] == 0 for row, j in zip(rows, leads))
+    span = brute_span(gens, m, n)
+    assert brute_span(rows, m, n) == span
+    for j in range(n):
+        # the members vanishing before column j, from the rows with pivot at j or later
+        tail = [row for row, lead in zip(rows, leads) if lead >= j]
+        assert brute_span(tail, m, n) == {v for v in span if not any(v[:j])}
 
 
 def test_mod_one_collapses():
@@ -138,16 +163,17 @@ def test_one_factorisation_many_right_hand_sides(data):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.data())
 def test_row_log_replays_u(data):
-    # D = U A V, with U applied and undone through the logged row operations
+    # D = U A V, with U rebuilt column by column from the logged row operations
     m = data.draw(st.sampled_from([4, 6, 12]))
     nrows = data.draw(st.integers(1, 5))
     ncols = data.draw(st.integers(1, 3))
     a = [[data.draw(st.integers(0, m - 1)) for _ in range(ncols)]
          for _ in range(nrows)]
     d, ops, v = znsolve.diagonalize(a, m)
-    for j in range(ncols):
-        av = [sum(row[i] * v[i][j] for i in range(ncols)) % m for row in a]
-        assert znsolve.apply_rows(ops, av, m) == [row[j] for row in d]
-    b = [data.draw(st.integers(0, m - 1)) for _ in range(nrows)]
-    assert znsolve.unapply_rows(ops, znsolve.apply_rows(ops, b, m), m) == b
+    u_cols = [znsolve.apply_rows(ops, [int(i == k) for i in range(nrows)], m)
+              for k in range(nrows)]
+    for i in range(nrows):
+        for j in range(ncols):
+            uav = sum(u_cols[k][i] * a[k][l] * v[l][j] for k in range(nrows) for l in range(ncols))
+            assert uav % m == d[i][j]
     assert all(d[i][j] == 0 for i in range(nrows) for j in range(ncols) if i != j)
