@@ -24,7 +24,9 @@ violation.  The constructor normalises each composition tensor and checks
 its shape in one walk; files hand their tensors to it unchecked.
 Composing with a fixed morphism is one matrix
 read off one tensor, `precompose` (u -> u o f) or `postcompose`
-(u -> g o u); `invert` solves the two stacked.
+(u -> g o u); `invert` solves the two stacked.  When every hom space has
+rank 1, `scalars()` lists the one structure constant of each tensor, and a
+composite is a product of scalars.
 """
 
 from __future__ import annotations
@@ -158,6 +160,25 @@ class GradedCatPresentation:
                 if fplinalg.nullspace(cols, self.field.p, ncols=r):
                     return None
         return degrees
+
+    def scalars(self):
+        """{(h, h2): {(x, y, z): c}}, the one structure constant c of each
+        nonzero tensor T(x, y, z; h, h2), or None unless every hom space has
+        rank 1.
+
+        Then every morphism is one coordinate times its basis element, and
+        g o f is c * g * f; an absent key, which includes every tensor with
+        a zero-rank side, counts as c = 0.  The table is built on each call
+        and kept only by its caller, so it costs no memory once the caller
+        is done: each reader builds it once per construction or check.
+        """
+        if any(r != 1 for r in self.hom_rank.values()):
+            return None
+        out = {}
+        for (x, y, z, h, h2), t in self.compose_t.items():
+            if t and t[0] and t[0][0]:
+                out.setdefault((h, h2), {})[(x, y, z)] = t[0][0][0]
+        return out
 
     @cached_property
     def verdict(self) -> Verdict:

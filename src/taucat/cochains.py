@@ -58,10 +58,6 @@ def _pack(field: PrimeField, exps) -> bytes:
     return array(_code(field), exps).tobytes()
 
 
-def _modulus(field: PrimeField) -> int:
-    return max(field.unit_order, 1)
-
-
 @dataclass(frozen=True)
 class _Exponents:
     field: PrimeField
@@ -158,27 +154,27 @@ def trivial_cochain2(field: PrimeField, space: CosetSpace) -> Cochain2:
 
 
 def random_cochain1(field: PrimeField, space: CosetSpace, rng: Random) -> Cochain1:
-    e, m = space.parent.identity, _modulus(field)
+    e, m = space.parent.identity, field.unit_order
     return Cochain1(field, space, _pack(field, [0 if a == e else rng.randrange(m)
                                                 for a in range(space.parent.order)
                                                 for _ in range(space.size)]))
 
 
 def random_cochain0(field: PrimeField, space: CosetSpace, rng: Random) -> Cochain0:
-    m = _modulus(field)
+    m = field.unit_order
     return Cochain0(field, space, _pack(field, [rng.randrange(m) for _ in range(space.size)]))
 
 
 def c2_mul(x, y):
     """Pointwise product of two cochains of one degree on one space."""
-    m = _modulus(x.field)
+    m = x.field.unit_order
     return type(x)(x.field, x.space,
                    _pack(x.field, [(u + v) % m for u, v in zip(x.exps, y.exps)]))
 
 
 def c2_inv(x):
     """Pointwise inverse of a cochain of any degree."""
-    m = _modulus(x.field)
+    m = x.field.unit_order
     return type(x)(x.field, x.space, _pack(x.field, [-u % m for u in x.exps]))
 
 
@@ -186,7 +182,7 @@ c1_mul, c1_inv = c2_mul, c2_inv
 
 
 def d0(eta: Cochain0, a: int) -> UnitFunction:
-    x, m = eta.exps, _modulus(eta.field)
+    x, m = eta.exps, eta.field.unit_order
     return UnitFunction(eta.field, eta.space, _pack(eta.field,
         [(x[i] - x[j]) % m for i, j in enumerate(eta.space.act[a])]))
 
@@ -197,7 +193,7 @@ def d0_cochain(eta: Cochain0) -> Cochain1:
 
 
 def d1(gamma: Cochain1, a: int, b: int) -> UnitFunction:
-    x, s, m = gamma.exps, gamma.space.size, _modulus(gamma.field)
+    x, s, m = gamma.exps, gamma.space.size, gamma.field.unit_order
     ab = gamma.space.parent.mul(a, b) * s
     return UnitFunction(gamma.field, gamma.space, _pack(gamma.field,
         [(x[ab + i] - x[a * s + j] - x[b * s + i]) % m
@@ -211,7 +207,7 @@ def _gather(idx):
 
 def d1_cochain(gamma: Cochain1) -> Cochain2:
     """All of d1(gamma) in one pass over the rows of gamma."""
-    s, m, x = gamma.space.size, _modulus(gamma.field), gamma.exps.tolist()
+    s, m, x = gamma.space.size, gamma.field.unit_order, gamma.exps.tolist()
     rows = [x[k:k + s] for k in range(0, len(x), s)]
     moved = [_gather(perm) for perm in gamma.space.act]  # moved[b](row)[i] = row[b.i]
     out = []
@@ -222,7 +218,7 @@ def d1_cochain(gamma: Cochain1) -> Cochain2:
 
 
 def d2(psi: Cochain2, a: int, b: int, c: int) -> UnitFunction:
-    g, s, x, m = psi.space.parent, psi.space.size, psi.exps, _modulus(psi.field)
+    g, s, x, m = psi.space.parent, psi.space.size, psi.exps, psi.field.unit_order
     n = g.order
     bc, abc = (b * n + c) * s, (g.mul(a, b) * n + c) * s
     a_bc, ab = (a * n + g.mul(b, c)) * s, (a * n + b) * s
@@ -240,7 +236,7 @@ def cocycle_violation(psi: Cochain2):
     whose four terms are a block of the buffer, a block with its rows
     permuted by b, and the row psi(a, b) spread through the action table.
     """
-    g, s, m = psi.space.parent, psi.space.size, _modulus(psi.field)
+    g, s, m = psi.space.parent, psi.space.size, psi.field.unit_order
     n, ns, x = g.order, g.order * s, psi.exps.tolist()
     block = [x[k:k + ns] for k in range(0, n * ns, ns)]  # block[a][c*s + i]
     times = [_gather([g.mul(b, c) * s + i for c in range(n) for i in range(s)])
@@ -364,7 +360,7 @@ def d1_solver(field: PrimeField, space: CosetSpace):
     (p - 1, space) and is kept for the life of the process (`_tree_system`);
     a target adds its cocycle check, two tree walks and a back-substitution.
     """
-    m = _modulus(field)
+    m = field.unit_order
     system, kernel = _tree_system(m, space)
 
     def solve_target(target: Cochain2):
@@ -393,7 +389,7 @@ def solve_d1(target: Cochain2):
 
 def solve_d0(target: Cochain1):
     """All eta with d0(eta) = target, or None."""
-    field, space, m = target.field, target.space, _modulus(target.field)
+    field, space, m = target.field, target.space, target.field.unit_order
     rows = [[(k == i) - (k == j) for k in range(space.size)]
             for perm in space.act for i, j in enumerate(perm)]
     sol = znsolve.System(rows, m, space.size).solve(target.exps.tolist())

@@ -17,6 +17,12 @@ class PrimeField:
     generator: int
     dlog: tuple[int, ...]  # dlog[u] for units u; index 0 is unused (-1)
 
+    def __post_init__(self):
+        # with p = 2 the unit group is trivial and every multiplicative check
+        # becomes vacuous; unit_order is at least 2 on every field built
+        if self.p < 3:
+            raise ValueError(f"p = {self.p} makes the unit group trivial")
+
     @property
     def unit_order(self) -> int:
         return self.p - 1
@@ -34,7 +40,7 @@ class PrimeField:
 
     def exp(self, k: int) -> int:
         """generator**k as a unit."""
-        return pow(self.generator, k % max(self.unit_order, 1), self.p)
+        return pow(self.generator, k % self.unit_order, self.p)
 
     def log(self, u: int) -> int:
         u %= self.p
@@ -56,15 +62,9 @@ def _is_prime(p: int) -> bool:
 
 @lru_cache(maxsize=None)
 def field(p: int) -> PrimeField:
-    """F_p for an odd prime p.
-
-    With p = 2 the unit group is trivial and every multiplicative check
-    becomes vacuous, so it is rejected.
-    """
+    """F_p for an odd prime p; PrimeField itself rejects p = 2."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p == 2:
-        raise ValueError("p = 2 makes the unit group trivial")
     m = p - 1
     gen = None
     for g in range(1, p):

@@ -22,9 +22,17 @@ module-functor hexagon are read off the base's composition tensors, the
 hom matrices of the action functors and the component coordinates, as
 (src, dst, coords) triples rather than Morphism objects; when every
 degree-1 hom space has rank 1 each composite is one product of scalars.
-The bullet rebuild fills its composition tensors the same way, and the
-constructions read every hom map off category.precompose and postcompose, e.g.
-alpha^h at (x, y) is postcompose(r_{y,h}) precompose(r_{x,h}^-1).
+The constructions read every hom map off category.precompose and
+postcompose, e.g. alpha^h at (x, y) is postcompose(r_{y,h})
+precompose(r_{x,h}^-1), and bullet fills its composition tensors from
+them.  When every hom space has rank 1, extract_action reads the action's
+hom maps and each mu component off the shift table's coordinates and the
+presentation's table of structure constants (GradedCatPresentation.scalars),
+and bullet reads its tensors off the base's table and the action's 1 x 1
+hom matrices; the checks above read the same table.  On a lawful
+presentation the inverse of each mu component is composed from the shift
+table in the same loop, r_{X<b>,a} o r_{X,b} o r_{X,ab}^-1, which is
+two-sided because the table's pairs are, so no component is inverted.
 
 Over a lawful base, with each alpha^a a functor and every component
 invertible, the module laws are decided on the degrees S and the unit of
@@ -43,7 +51,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .category import (FunctorData, GradedCatPresentation, Morphism,
-                       NatTransData, Verdict, _check_rank, _contract,
+                       NatTransData, Verdict, _contract, compose,
                        compose_functors, find_shift, identity_functor,
                        identity_morphism, invert, postcompose, precompose,
                        verify_functor, verify_nat)
@@ -116,8 +124,11 @@ class ModuleCatData:
     def inverses(self):
         """(epsilon^-1, mu^-1) componentwise, None where a component has none.
 
-        Inverted once per instance: verify_module_category checks them, and
-        bullet, bullet_nat and roundtrip_nu read them.
+        Computed once per instance: verify_module_category checks them, and
+        bullet, bullet_nat and roundtrip_nu read them.  extract_action fills
+        them from its shift table when its presentation is lawful, as
+        composites of the table's two-sided pairs (see there); otherwise
+        each component is inverted here.
         """
         base = self.base
         return ([invert(base, c) for c in self.epsilon],
@@ -166,54 +177,104 @@ class ModuleFunctorData:
 def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     """The action of H on the degree-1 part induced by a choice of shifts.
 
-    The hom matrix of alpha^h at (x, y) is postcompose(r_{y,h}) times
-    precompose(r_{x,h}^-1); each mu component is two `_after` steps.
+    `shifts` is a shift table (shift_table): each (iso, inverse) pair comes
+    from invert or find_shift, or is the identity, so it is a two-sided
+    pair.  alpha^h sends f: x -> y to r_{y,h} o f o r_{x,h}^-1 and
+    epsilon_x is r_{x,1}.  Each mu component and its inverse are built in
+    one loop:
+
+        mu_{a,b,x} = r_{x,ab} o r_{x,b}^-1 o r_{x<b>,a}^-1,
+        mu'_{a,b,x} = r_{x<b>,a} o r_{x,b} o r_{x,ab}^-1.
+
+    When every hom space of cat has rank 1 (cat.scalars) and every table
+    morphism one coordinate, each hom map and each component is read off
+    as one product of the table's coordinates and two structure constants.
+    A nonzero product proves every hom space on the way rank 1 and every
+    tensor present, so it is what the matrices give; a zero one, which
+    composites of isos in a lawful cat never give, is recomputed as below.
+    Otherwise the hom map at (x, y) is postcompose(r_{y,h}) times
+    precompose(r_{x,h}^-1), and each component is two `compose` steps.
+
+    On a lawful cat, mu'_{a,b,x} is the two-sided inverse of mu_{a,b,x}:
+    mu o mu' = r_{x,ab} o r_{x,b}^-1 o (r_{x<b>,a}^-1 o r_{x<b>,a}) o r_{x,b}
+    o r_{x,ab}^-1 = id by associativity and the units, and mu' o mu = id the
+    same way.  A two-sided inverse is unique (g = g o (f o g') =
+    (g o f) o g' = g'), so it is the one invert would solve for, and
+    mod.inverses is filled with mu' and the table's r_{x,1}^-1.  On a
+    presentation whose verdict was never computed, mod.inverses inverts
+    each component when first read.
     """
     gH = cat.tau.source
     e = gH.identity
     p = cat.field.p
     base = degree_one_part(cat)
     table = shifts if shifts is not None else shift_table(cat)
+    lawful = cat.lawful
+    scalars = cat.scalars()
+    if scalars is not None and any(len(m.coords) != 1 for _, iso, back in table.values()
+                                   for m in (iso, back)):
+        scalars = None
+    elements = list(gH.elements())
+    objects = list(cat.objects())
+    inv = {a: gH.inv(a) for a in elements}
 
     action = {}
-    for h in gH.elements():
-        h_inv = gH.inv(h)
+    for h in elements:
+        h_inv = inv[h]
+        if scalars is not None:  # alpha^h(f) = r_{y,h} o f o r_{x,h}^-1
+            pre, post = scalars.get((h_inv, e), {}), scalars.get((h_inv, h), {})
         hom_maps = {}
         for (x, y, _) in base.hom_rank:
             hx, _, inv_x = table[(x, h)]
-            hom_maps[(x, y, e)] = matmul(postcompose(cat, table[(y, h)][1], hx, h_inv),
-                                         precompose(cat, inv_x, y, e), p)
-        action[h] = FunctorData(base, base, [table[(x, h)][0] for x in cat.objects()],
-                                hom_maps)
+            hy, r_y, _ = table[(y, h)]
+            c = scalars and (pre.get((hx, x, y), 0) * post.get((hx, y, hy), 0)
+                             * inv_x.coords[0] * r_y.coords[0] % p)
+            hom_maps[(x, y, e)] = ((c,),) if c else matmul(
+                postcompose(cat, r_y, hx, h_inv), precompose(cat, inv_x, y, e), p)
+        action[h] = FunctorData(base, base, [table[(x, h)][0] for x in objects], hom_maps)
 
-    eps = tuple(table[(x, e)][1] for x in cat.objects())
-    mu = {}
-    for a in gH.elements():
-        for b in gH.elements():
+    eps = tuple(table[(x, e)][1] for x in objects)
+    if scalars is not None:
+        # per degree, (target, iso coordinate, inverse coordinate) by object
+        rows = {a: [(y, iso.coords[0], back.coords[0])
+                    for y, iso, back in (table[(x, a)] for x in objects)] for a in elements}
+    mu, mu_inv = {}, {}
+    for a in elements:
+        for b in elements:
             ab = gH.mul(a, b)
-            comps = []
-            for x in cat.objects():
-                xb, _, inv_b = table[(x, b)]
-                inv_a = table[(xb, a)][2]
-                comps.append(_after(cat, _after(cat, inv_a, inv_b), table[(x, ab)][1]))
+            if scalars is not None:
+                t_mu = scalars.get((inv[a], inv[b]), {}), scalars.get((inv[ab], ab), {})
+                t_inv = scalars.get((inv[ab], b), {}), scalars.get((inv[a], a), {})
+                rows_a, rows_b, rows_ab = rows[a], rows[b], rows[ab]
+            comps, invs = [], []
+            for x in objects:
+                if scalars is not None:
+                    xb, r_b, i_b = rows_b[x]
+                    xba, r_a, i_a = rows_a[xb]
+                    xab, r_ab, i_ab = rows_ab[x]
+                    c = (t_mu[0].get((xba, xb, x), 0) * t_mu[1].get((xba, x, xab), 0)
+                         * i_a * i_b * r_ab % p)
+                    c_inv = (t_inv[0].get((xab, x, xb), 0) * t_inv[1].get((xab, xb, xba), 0)
+                             * i_ab * r_b * r_a % p)
+                    if c and c_inv:
+                        comps.append(Morphism(xba, xab, e, (c,)))
+                        invs.append(Morphism(xab, xba, e, (c_inv,)))
+                        continue
+                xb, r_b, inv_b = table[(x, b)]
+                _, r_a, inv_a = table[(xb, a)]
+                _, r_ab, inv_ab = table[(x, ab)]
+                comps.append(compose(cat, compose(cat, inv_a, inv_b), r_ab))
+                if lawful:
+                    invs.append(compose(cat, compose(cat, inv_ab, r_b), r_a))
             mu[(a, b)] = tuple(comps)
+            mu_inv[(a, b)] = invs
     mod = ModuleCatData(base, action, eps, mu)
+    if lawful:
+        mod.__dict__["inverses"] = ([table[(x, e)][2] for x in objects], mu_inv)
     verdict = mod.verdict
     if not verdict.ok:
         raise ValueError(f"extracted action fails coherence: {verdict.violations[0]}")
     return mod
-
-
-def _after(cat: GradedCatPresentation, f: Morphism, g: Morphism) -> Morphism:
-    """g o f for morphisms of any degrees, read off cat's tensor like _then."""
-    if f.dst != g.src:
-        raise ValueError("morphisms are not composable")
-    _check_rank(cat, f)
-    _check_rank(cat, g)
-    deg = cat.tau.source.mul(g.degree, f.degree)
-    return Morphism(f.src, g.dst, deg, _contract(
-        cat.field.p, cat.tensor(f.src, f.dst, g.dst, f.degree, g.degree),
-        cat.rank(f.src, g.dst, deg), f.coords, g.coords))
 
 
 def _coords(m: Morphism) -> tuple:
@@ -236,24 +297,29 @@ def _image(F: FunctorData, f: tuple) -> tuple:
     return (F.obj_map[f[0]], F.obj_map[f[1]], matvec(mat, f[2], F.target.field.p))
 
 
+def _action_scalars(mod: ModuleCatData) -> dict:
+    """a -> (object map, {(x, y): c}) of alpha^a, c the entry of its 1 x 1
+    hom matrix at (x, y); an absent key is a zero matrix."""
+    e = mod.group.identity
+    return {a: (F.obj_map, {(x, y): m[0][0] for (x, y, h), m in F.hom_maps.items()
+                            if h == e and m and m[0]})
+            for a, F in mod.action.items()}
+
+
 def _scalar_ops(mod: ModuleCatData):
     """(then, image) on degree-1 (src, dst, coords) morphisms of mod.base,
-    read off scalar tables, or None unless every object's degree-1
-    endomorphisms, every degree-1 hom space and every component have rank 1.
-    A tensor or matrix with a zero-rank side contracts to 0."""
+    read off base.scalars and _action_scalars, or None unless every hom
+    space of the base, every object's endomorphisms and every component
+    have rank 1.  A tensor or matrix with a zero-rank side contracts to 0."""
     base = mod.base
     e = mod.group.identity
+    scalars = base.scalars()
     comps = [*mod.epsilon, *(c for cs in mod.mu.values() for c in cs)]
-    if not (all(r == 1 for (_, _, h), r in base.hom_rank.items() if h == e)
-            and all(len(c) == 1 for c in base.identities)
+    if not (scalars is not None and all(len(c) == 1 for c in base.identities)
             and all(len(c.coords) == 1 and base.rank(c.src, c.dst, e) == 1 for c in comps)):
         return None
     p = base.field.p
-    tensor = {(x, y, z): t[0][0][0] for (x, y, z, h, h2), t in base.compose_t.items()
-              if h == h2 == e and t and t[0] and t[0][0]}
-    mats = {a: (F.obj_map, {(x, y): m[0][0] for (x, y, h), m in F.hom_maps.items()
-                            if h == e and m and m[0]})
-            for a, F in mod.action.items()}
+    tensor, mats = scalars.get((e, e), {}), _action_scalars(mod)
 
     def then(f, g):
         if f[1] != g[0]:
@@ -459,7 +525,21 @@ def check_tau_module(mod: ModuleCatData) -> Verdict:
 
 
 def bullet(mod: ModuleCatData) -> GradedCatPresentation:
-    """Rebuild a graded category: Hom^h(X, Y) := Hom(alpha^h X, Y)."""
+    """Rebuild a graded category: Hom^h(X, Y) := Hom(alpha^h X, Y).
+
+    The degree-h2 morphism g: alpha^{h2} Y -> Z after the degree-h morphism
+    f: alpha^h X -> Y is g o alpha^{h2}(f) o mu^-1_{h2,h,X}, from
+    s = alpha^{h2 h} X.  Its tensor is one precompose(mu^-1) times
+    alpha^{h2}'s hom matrix per (x, h, y, h2), contracted with the base's
+    tensor at (s, alpha^{h2} Y, Z).  When every hom space of the base has
+    rank 1 (base.scalars), alpha^{h2}(f) o mu^-1 is one product of scalars,
+    and each tensor is that product times one structure constant.  A
+    nonzero product proves every space it passes through rank 1, so it is
+    what the matrices give; a zero one, which a lawful module never gives
+    (mu^-1 is an iso, and alpha^{h2} is faithful since alpha^{h2^-1}
+    alpha^{h2} is isomorphic to alpha^1, and so to the identity, through mu
+    and epsilon), is recomputed from the matrices.
+    """
     base = mod.base
     gH = mod.group
     e = gH.identity
@@ -468,6 +548,9 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
         raise ValueError(f"action violates the degree law: {tdeg.violations[0]}")
     eps_inv, mu_inv = mod.inverses
     p = base.field.p
+    scalars = base.scalars()
+    if scalars is not None:
+        tensor, alpha = scalars.get((e, e), {}), _action_scalars(mod)
 
     # the base has degree-1 morphisms only: out_homs(hx) lists the nonzero Hom(hx, y)
     hom_rank = {(x, y, h): r for x in base.objects() for h in gH.elements()
@@ -482,12 +565,21 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
                 for h2 in gH.elements():
                     deg = gH.mul(h2, h)
                     start, h2y = mu_inv[(h2, h)][x], mod.action[h2].obj_map[y]
+                    s = start.src
+                    mid = scalars and (tensor.get((s, start.dst, h2y), 0) * start.coords[0]
+                                       * alpha[h2][1].get((hx, y), 0) % p)
+                    if mid:
+                        for z, _, _ in base.out_homs(h2y):
+                            if (x, z, deg) in hom_rank:
+                                comp[(x, y, z, h, h2)] = (((tensor.get((s, h2y, z), 0)
+                                                            * mid % p,),),)
+                        continue
                     mids = matmul(precompose(base, start, h2y, e),
                                   mod.action[h2].matrix(hx, y, e), p)
                     for z, _, r2 in base.out_homs(h2y):
                         r3 = hom_rank.get((x, z, deg), 0)
                         if r3:
-                            t = base.tensor(start.src, h2y, z, e, e)
+                            t = base.tensor(s, h2y, z, e, e)
                             comp[(x, y, z, h, h2)] = ([matmul(t_k, mids, p) for t_k in t] if t else
                                                       [[[0] * r1] * r2 for _ in range(r3)])
     identities = [eps_inv[x].coords for x in base.objects()]
@@ -689,7 +781,7 @@ def restrict_functor(F: FunctorData, src_shifts=None,
             ax, iso, _ = table_c[(x, a)]
             image = Morphism(F.obj_map[x], F.obj_map[ax], a,
                              matvec(F.matrix(x, ax, a), iso.coords, p))
-            comps.append(_after(cat_d, table_d[(F.obj_map[x], a)][2], image))
+            comps.append(compose(cat_d, table_d[(F.obj_map[x], a)][2], image))
         comparison[a] = tuple(comps)
     mf = ModuleFunctorData(F1, comparison)
     verdict = verify_module_functor(mf, mod_c, mod_d)

@@ -368,7 +368,7 @@ def classify_equivalences(spec_a: MtauSpec, spec_b: MtauSpec):
         sols = solve(target)
         if sols is None:
             continue
-        classes = _class_offsets(space_a, max(spec_a.field.unit_order, 1))
+        classes = _class_offsets(space_a, spec_a.field.unit_order)
         for gamma in _solution_classes(sols, *classes):
             datum = EquivalenceDatum(t, gamma)
             _check_datum(spec_a, spec_b, datum, target)

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from taucat import znsolve
-from taucat.fields import field
+from taucat.fields import PrimeField, field
 
 
 def test_f5_generator_and_dlog():
@@ -33,6 +33,9 @@ def test_non_prime_rejected():
 def test_p2_rejected():
     with pytest.raises(ValueError, match="unit group trivial"):
         field(2)
+    # the constructor itself rejects it, so unit_order >= 2 on every field
+    with pytest.raises(ValueError, match="unit group trivial"):
+        PrimeField(2, 1, (-1, 0))
 
 
 def test_dlog_is_group_isomorphism():

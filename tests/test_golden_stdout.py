@@ -2,7 +2,9 @@
 
 The inputs are C8/C12/C16 skeleton files built by `build-mtau`, a direct
 sum, two additive-completion files (one closed under shifts), the module
-files `extract` writes for them, a one-object C4 -> 1 presentation
+files `extract` writes for them, the six-object S3 -> C2 skeleton (H
+nonabelian, so x<b><a> and x<ab> are reached in different orders), a
+one-object C4 -> 1 presentation
 whose Yoneda audit cannot be solved on a generating set of degrees, and two
 presentations that fail verification: the C12 skeleton with one structure
 constant changed at degrees outside the generating set, and a completion
@@ -34,7 +36,7 @@ from taucat.completion import AdditiveCompletion
 from taucat.fields import field
 from taucat.groups import coset_space, cyclic_group, subgroup
 from taucat.mtau import build_skeleton, mtau_spec, parity_tau
-from test_yoneda import ungenerated_cat
+from test_yoneda import s3_cat, ungenerated_cat
 
 F5 = field(5)
 
@@ -78,6 +80,9 @@ GOLDEN = {
     "roundtrip/closed.json": (0, "e266df94c3d541a06fce8580518cc2bc20c3d104f9eb3324639e7a57b29b385f"),
     "extract/closed.json": (0, "5e509fe4a4fb3e1d5ab98642a8ef4be329222d556ac3704777c5fa3926ec5571"),
     "bullet/closed-mod.json": (0, "fe2653603948ec14b81ce28d9d3d6fd80855f06410009c19a3f55a86ce0919e1"),
+    "extract/S3.json": (0, "e705b6f4edc518a45d3f2c34c03ebb347cf252cf8aac75b10e21220111945c27"),
+    "bullet/S3-mod.json": (0, "0d17f43612189f01bcaa24c06de5c918ef2f1308782dfaf3299ab128b214bf0c"),
+    "roundtrip/S3.json": (0, "ed45054dddbd0c1bb5d0ff0cf12501717091a7ff057dd705a48332214bea4414"),
     "yoneda-check/ungenerated.json": (0, "cb4eb313a5b2f3ac1f002eed0e6c9fcc8c48a762855acdad5ba82632c89cd016"),
     "verify/C12bad.json": (1, "72d647404a351f00d303a52e8347eac5c4139acb73f36ffede5a3bc823b2c3fe"),
     "decompose/C12bad.json": (1, "bf1e2cf38df97e3f81f0a30b61f4b66490b9f60cd1f1ba036f38f985a88f0da0"),
@@ -145,6 +150,12 @@ def golden_runs():
         yield f"extract/{name}", ["extract", name, "-o", f"{stem}-mod.json"]
         if name != "completion.json":  # a sum object has no shift to extract
             yield f"bullet/{stem}-mod.json", ["bullet", f"{stem}-mod.json"]
+    # nonabelian H: its mu components and the rebuilt tensors read x<b><a>
+    # and x<ab>, which an abelian H never tells apart
+    name = _write("S3.json", jsonio.category_to_json(s3_cat()))
+    yield f"extract/{name}", ["extract", name, "-o", "S3-mod.json"]
+    yield "bullet/S3-mod.json", ["bullet", "S3-mod.json"]
+    yield f"roundtrip/{name}", ["roundtrip", name]
     # a presentation no generating set of degrees certifies
     name = _write("ungenerated.json", jsonio.category_to_json(ungenerated_cat()))
     yield f"yoneda-check/{name}", ["yoneda-check", name]

@@ -320,11 +320,16 @@ def test_roundtrip_inverts_each_shift_iso_once(tmp_path, monkeypatch):
     # the shift table carries each iso's inverse to extract_action and
     # roundtrip_eta, which would otherwise invert all 4 x 8 isos once more;
     # the 4 x 7 isos that find_shift scans for come with their inverses.
-    # The extracted action keeps the epsilon and mu inverses its check
-    # computed, so bullet (4 + 4 x 64 components) and roundtrip_nu
-    # (4 epsilon components) invert none of them again.  roundtrip_nu
-    # verifies nu but not its strict inverse, whose 4 x 8 comparisons
-    # would be inverted by a module-functor check
+    # The extracted action keeps its epsilon and mu inverses, so bullet
+    # (4 + 4 x 64 components) and roundtrip_nu (4 epsilon components)
+    # invert none of them again.  roundtrip_nu verifies nu but not its
+    # strict inverse, whose 4 x 8 comparisons would be inverted by a
+    # module-functor check.  Both extracted actions, of the lawful input and
+    # of its lawful rebuild, compose those inverses from their shift tables
+    # instead of inverting them: 2 x (4 + 4 x 64) = 520 fewer.  What is left
+    # is 3 x 4 x 8: the two shift tables (4 identities and the 4 x 7 scans of
+    # the input, the 4 x 8 recorded shifts of the rebuild) and nu's 4 x 8
+    # comparisons
     cat = twisted_cat(93)
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(jsonio.category_to_json(cat)))
@@ -332,7 +337,9 @@ def test_roundtrip_inverts_each_shift_iso_once(tmp_path, monkeypatch):
     assert cli.main(["roundtrip", str(path)]) == 0
     n, order = cat.n_objects, cat.tau.source.order
     reused = n + n * order ** 2 + n
-    assert len(calls) == 972 - n * order - n * (order - 1) - reused - n * order == 616
+    composed = 2 * (n + n * order ** 2)
+    assert (len(calls) == 972 - n * order - n * (order - 1) - reused - n * order - composed
+            == 3 * n * order == 96)
 
 
 def test_traced_layer_functions_resolve():
@@ -855,8 +862,9 @@ def _reference_hom_maps(src, image):
 
 
 def _reference_extract_action(cat, table):
-    """The action hom maps, as r o f o r^-1 on each basis morphism f, and the
-    mu components, as two compose calls each."""
+    """The action hom maps, as r o f o r^-1 on each basis morphism f, the mu
+    components, as two compose calls each, and (epsilon^-1, mu^-1), as
+    invert on each component."""
     gH = cat.tau.source
     base = degree_one_part(cat)
     maps = {h: _reference_hom_maps(base, lambda f, h=h: compose(
@@ -871,7 +879,61 @@ def _reference_extract_action(cat, table):
                 m = compose(cat, table[(xb, a)][2], table[(x, b)][2])
                 comps.append(compose(cat, m, table[(x, gH.mul(a, b))][1]))
             mu[(a, b)] = tuple(comps)
-    return maps, mu
+    inverses = ([invert(base, table[(x, gH.identity)][1]) for x in cat.objects()],
+                {ab: [invert(base, c) for c in comps] for ab, comps in mu.items()})
+    return maps, mu, inverses
+
+
+# the presentations the extracted MODULE_CASES come from, and the rebuilds
+# of the round-trip sources and of s3
+EXTRACT_SOURCES = {
+    "skeleton": lambda: _lawful(ROUNDTRIP_SOURCES["skeleton"]()),
+    "table": lambda: _lawful(cyclic_table_category(F5, 2)),
+    "completion": lambda: _lawful(_shift_closed_completion()),
+    "duplicated": lambda: _lawful(AdditiveCompletion(twisted_cat(95, k=4))
+                                  .presentation_of([(0,), (1,), (0,), (1,)])),
+    "s3": lambda: _lawful(s3_cat()),
+    **{f"rebuilt_{name}": lambda name=name: _roundtrip_of(name).rebuilt
+       for name in ROUNDTRIP_SOURCES},
+    "rebuilt_s3": lambda: roundtrip(_lawful(s3_cat())).rebuilt,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTRACT_SOURCES))
+def test_extract_action_matches_reference(name):
+    # hom maps and mu read off scalars (rank 1) or composed, and the inverses
+    # composed from the shift table, equal compose on basis morphisms and
+    # invert on every component
+    cat = EXTRACT_SOURCES[name]()
+    assert cat.lawful
+    table = shift_table(cat)
+    mod = extract_action(cat, shifts=table)
+    assert "inverses" in mod.__dict__  # filled by extract_action, not inverted
+    maps, mu, inverses = _reference_extract_action(cat, table)
+    assert {h: F.hom_maps for h, F in mod.action.items()} == maps
+    assert mod.mu == mu
+    assert mod.inverses == inverses
+
+
+def test_unverified_presentation_inverts_each_component(monkeypatch):
+    # without a verdict the laws the table's composites rest on are not
+    # known, so each epsilon and mu component is inverted once, when the
+    # module's own check reads it; the same presentation once verified
+    # inverts none and gives the same data
+    cat = twisted_cat(96)
+    table = shift_table(cat)
+    assert not cat.lawful
+    calls = _count_in_taucat(monkeypatch, invert)
+    mod = extract_action(cat, shifts=table)
+    n, order = cat.n_objects, cat.tau.source.order
+    assert len(calls) == n + n * order ** 2
+    maps, mu, inverses = _reference_extract_action(cat, table)
+    assert mod.mu == mu and mod.inverses == inverses
+    calls.clear()
+    lawful = extract_action(_lawful(cat), shifts=table)
+    assert calls == []
+    assert {h: F.hom_maps for h, F in lawful.action.items()} == maps
+    assert lawful.mu == mu and lawful.inverses == inverses
 
 
 def _reference_roundtrip_maps(cat, table, rt):
@@ -900,9 +962,10 @@ def test_constructions_match_reference(name):
                                           "completion": 4}[name]
     table = shift_table(cat)
     rt = _roundtrip_of(name)
-    maps, mu = _reference_extract_action(cat, table)
+    maps, mu, inverses = _reference_extract_action(cat, table)
     assert {h: F.hom_maps for h, F in rt.mod.action.items()} == maps
     assert rt.mod.mu == mu
+    assert rt.mod.inverses == inverses
     eta, eta_inv, nu, nu_inv = _reference_roundtrip_maps(cat, table, rt)
     assert rt.eta.hom_maps == eta
     assert rt.eta_inv.hom_maps == eta_inv
