@@ -32,7 +32,7 @@ composite is a product of scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from operator import mul
 from random import Random
@@ -336,17 +336,28 @@ def postcompose(cat: GradedCatPresentation, g: Morphism, x: int, h: int) -> tupl
                        for i in range(cols)) for layer in t)
 
 
+def _coords(m: Morphism) -> tuple:
+    """m as a (src, dst, coords) triple."""
+    return (m.src, m.dst, m.coords)
+
+
+def _then(cat: GradedCatPresentation, f: tuple, g: tuple, h=None, h2=None) -> tuple:
+    """g o f for (src, dst, coords) morphisms of degrees h and h2, the unit
+    when None, read off cat's tensors."""
+    if f[1] != g[0]:
+        raise ValueError("morphisms are not composable")
+    gH = cat.tau.source
+    h, h2 = gH.identity if h is None else h, gH.identity if h2 is None else h2
+    return (f[0], g[1], _contract(cat.field.p, cat.tensor(f[0], f[1], g[1], h, h2),
+                                  cat.rank(f[0], g[1], gH.mul(h2, h)), f[2], g[2]))
+
+
 def compose(cat: GradedCatPresentation, f: Morphism, g: Morphism) -> Morphism:
     """g after f; the result has degree |g| * |f|."""
-    if f.dst != g.src:
-        raise ValueError("morphisms are not composable")
     _check_rank(cat, f)
     _check_rank(cat, g)
-    h, h2 = f.degree, g.degree
-    deg = cat.tau.source.mul(h2, h)
-    return Morphism(f.src, g.dst, deg, _contract(
-        cat.field.p, cat.tensor(f.src, f.dst, g.dst, h, h2),
-        cat.rank(f.src, g.dst, deg), f.coords, g.coords))
+    src, dst, coords = _then(cat, _coords(f), _coords(g), f.degree, g.degree)
+    return Morphism(src, dst, cat.tau.source.mul(g.degree, f.degree), coords)
 
 
 def verify_axioms(cat: GradedCatPresentation) -> Verdict:
@@ -755,40 +766,52 @@ class NatTransData:
         return self.components[x]
 
 
-def verify_nat(nt: NatTransData) -> Verdict:
-    """Component shapes, then naturality on every basis element.
+def _image(F: FunctorData, f: tuple, h=None) -> tuple:
+    """F applied to a (src, dst, coords) morphism of degree h, the unit when None."""
+    mat = F.matrix(f[0], f[1], F.source.tau.source.identity if h is None else h)
+    return (F.obj_map[f[0]], F.obj_map[f[1]], fplinalg.matvec(mat, f[2], F.target.field.p))
 
-    A component has the right shape when it is a degree-1 morphism Fx -> Gx
-    with one coordinate per basis element of that hom space.
 
-    For f_i in Hom^h(x, y), c_y o F(f_i) = G(f_i) o c_x is postcompose(c_y)
-    applied to column i of F's matrix against precompose(c_x) applied to
-    column i of G's matrix.
+def _nat_violations(src: GradedCatPresentation, tgt: GradedCatPresentation, comps,
+                    F, G, then):
+    """Every violation of comps as a transformation F => G, in report order.
+
+    F(f, h) and G(f, h) send a degree-h (src, dst, coords) morphism f of src
+    to tgt, their object maps read off the images of identities, and
+    then(f, g, h, h2) is g o f in tgt.  Every component that is not a
+    degree-1 morphism Fx -> Gx with one coordinate per basis element of its
+    hom space is reported ("component-shape"); only when none is, every
+    basis element f of src with c_y o F(f) != G(f) o c_x ("naturality").
     """
-    violations = []
-    F, G = nt.source, nt.target
-    src = F.source
-    tgt = F.target
-    e = tgt.tau.source.identity
-    if G.source is not src and G.source != src:
-        violations.append(("endpoint-mismatch",))
-        return Verdict(violations)
+    e = src.tau.source.identity
+    shapes = []
     for x in src.objects():
-        c = nt.component(x)
-        if (c.degree != e or c.src != F.obj_map[x] or c.dst != G.obj_map[x]
+        c = comps[x]
+        ident = (x, x, src.identities[x])
+        if (c.degree != e or (c.src, c.dst) != (F(ident, e)[0], G(ident, e)[0])
                 or len(c.coords) != tgt.rank(c.src, c.dst, e)):
-            violations.append(("component-shape", x))
-    if violations:
-        return Verdict(violations)
-    p = tgt.field.p
+            shapes.append(("component-shape", x))
+    if shapes:
+        yield from shapes
+        return
     for x in src.objects():
+        cx = _coords(comps[x])
         for (y, h, r) in src.out_homs(x):
-            after_cx = precompose(tgt, nt.component(x), G.obj_map[y], h)
-            cy_after = postcompose(tgt, nt.component(y), F.obj_map[x], h)
-            g_cols = _columns(G.matrix(x, y, h), r)
-            f_cols = _columns(F.matrix(x, y, h), r)
+            cy = _coords(comps[y])
             for i in range(r):
-                lhs = fplinalg.matvec(after_cx, g_cols[i], p)
-                if lhs != fplinalg.matvec(cy_after, f_cols[i], p):
-                    violations.append(("naturality", x, y, h, i))
-    return Verdict(violations)
+                f = (x, y, tuple(int(k == i) for k in range(r)))
+                if then(cx, G(f, h), e, h) != then(F(f, h), cy, h, e):
+                    yield ("naturality", x, y, h, i)
+
+
+def verify_nat(nt: NatTransData) -> Verdict:
+    """Component shapes, then naturality on every basis element: once F and
+    G share their source ("endpoint-mismatch"), every violation
+    _nat_violations lists, each composite read off the target's tensors."""
+    F, G = nt.source, nt.target
+    if G.source is not F.source and G.source != F.source:
+        return Verdict([("endpoint-mismatch",)])
+    tgt = F.target
+    return Verdict(list(_nat_violations(
+        F.source, tgt, nt.components, partial(_image, F), partial(_image, G),
+        partial(_then, tgt))))

@@ -91,13 +91,35 @@ def cmd_build_groupoid(args) -> int:
     return 0
 
 
-def cmd_decompose(args) -> int:
+def _verified_category(args, command: str, violations: bool = False):
+    """The category file of a read command, or None once the refusal report
+    of a failing verdict is emitted, with the violations when asked."""
     cat = jsonio.parse_category(_load(args.category))
     verdict = cat.verdict
-    if not verdict.ok:
-        _emit({"command": "decompose", "ok": False,
-               "error": "category fails verification",
-               "violations": _violations_json(verdict)}, args.output)
+    if verdict.ok:
+        return cat
+    report = {"command": command, "ok": False, "error": "category fails verification"}
+    if violations:
+        report["violations"] = _violations_json(verdict)
+    _emit(report, args.output)
+    return None
+
+
+def _reported(args, command: str, fn, cat):
+    """fn(cat), or None once its ValueError is emitted as a negative verdict;
+    CapExceeded, an undecided search, is none and propagates."""
+    try:
+        return fn(cat)
+    except CapExceeded:
+        raise
+    except ValueError as err:  # a missing shift or a failed coherence
+        _emit({"command": command, "ok": False, "error": str(err)}, args.output)
+        return None
+
+
+def cmd_decompose(args) -> int:
+    cat = _verified_category(args, "decompose", violations=True)
+    if cat is None:
         return 1
     rep = decompose(cat)
     report = {
@@ -169,11 +191,8 @@ def _yoneda_audit(cat):
 
 
 def cmd_yoneda_check(args) -> int:
-    cat = jsonio.parse_category(_load(args.category))
-    verdict = cat.verdict
-    if not verdict.ok:
-        _emit({"command": "yoneda-check", "ok": False,
-               "error": "category fails verification"}, args.output)
+    cat = _verified_category(args, "yoneda-check")
+    if cat is None:
         return 1
     ok, table = _yoneda_audit(cat)
     report = {
@@ -187,19 +206,9 @@ def cmd_yoneda_check(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    cat = jsonio.parse_category(_load(args.category))
-    verdict = cat.verdict
-    if not verdict.ok:
-        _emit({"command": "roundtrip", "ok": False,
-               "error": "category fails verification"}, args.output)
-        return 1
-    try:
-        rt = roundtrip(cat)
-    except CapExceeded:  # an undecided shift search is no negative verdict
-        raise
-    except ValueError as err:
-        _emit({"command": "roundtrip", "ok": False, "error": str(err)},
-              args.output)
+    cat = _verified_category(args, "roundtrip")
+    rt = None if cat is None else _reported(args, "roundtrip", roundtrip, cat)
+    if rt is None:
         return 1
     report = {
         "command": "roundtrip",
@@ -220,18 +229,9 @@ def cmd_bullet(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    cat = jsonio.parse_category(_load(args.category))
-    verdict = cat.verdict
-    if not verdict.ok:
-        _emit({"command": "extract", "ok": False,
-               "error": "category fails verification"}, args.output)
-        return 1
-    try:
-        mod = extract_action(cat)
-    except CapExceeded:
-        raise
-    except ValueError as err:  # a missing shift is a negative verdict, as in roundtrip
-        _emit({"command": "extract", "ok": False, "error": str(err)}, args.output)
+    cat = _verified_category(args, "extract")
+    mod = None if cat is None else _reported(args, "extract", extract_action, cat)
+    if mod is None:
         return 1
     _emit(jsonio.modcat_to_json(mod), args.output)
     return 0

@@ -22,17 +22,23 @@ module-functor hexagon are read off the base's composition tensors, the
 hom matrices of the action functors and the component coordinates, as
 (src, dst, coords) triples rather than Morphism objects; when every
 degree-1 hom space has rank 1 each composite is one product of scalars.
-The constructions read every hom map off category.precompose and
-postcompose, e.g. alpha^h at (x, y) is postcompose(r_{y,h})
-precompose(r_{x,h}^-1), and bullet fills its composition tensors from
-them.  When every hom space has rank 1, extract_action reads the action's
-hom maps and each mu component off the shift table's coordinates and the
+Naturality is category._nat_violations, the scan verify_nat lists; the
+module checks take its first violation.
+
+The constructions take verified input: extract_action reads the verdict
+of its presentation and bullet the verdict of its module, and each raises
+the first violation.  Each chooses its arithmetic once per call.  When
+every hom space has rank 1, extract_action reads the action's hom maps
+and each mu component off the shift table's coordinates and the
 presentation's table of structure constants (GradedCatPresentation.scalars),
 and bullet reads its tensors off the base's table and the action's 1 x 1
-hom matrices; the checks above read the same table.  On a lawful
-presentation the inverse of each mu component is composed from the shift
-table in the same loop, r_{X<b>,a} o r_{X,b} o r_{X,ab}^-1, which is
-two-sided because the table's pairs are, so no component is inverted.
+hom matrices; the checks above read the same table.  Otherwise every hom
+map is read off category.precompose and postcompose, e.g. alpha^h at
+(x, y) is postcompose(r_{y,h}) precompose(r_{x,h}^-1), and bullet fills
+its composition tensors from them.  The inverse of each mu component is
+composed from the shift table in the same loop as mu,
+r_{X<b>,a} o r_{X,b} o r_{X,ab}^-1, which is two-sided because the table's
+pairs are, so no component of an extracted action is inverted.
 
 Over a lawful base, with each alpha^a a functor and every component
 invertible, the module laws are decided on the degrees S and the unit of
@@ -48,13 +54,13 @@ verify_module_functor spell the proofs out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 from .category import (FunctorData, GradedCatPresentation, Morphism,
-                       NatTransData, Verdict, _contract, compose,
-                       compose_functors, find_shift, identity_functor,
-                       identity_morphism, invert, postcompose, precompose,
-                       verify_functor, verify_nat)
+                       NatTransData, Verdict, _coords, _image, _nat_violations,
+                       _then, compose, compose_functors, find_shift,
+                       identity_functor, identity_morphism, invert, postcompose,
+                       precompose, verify_functor, verify_nat)
 from .fplinalg import matmul, matvec
 from .groups import cayley_tree
 
@@ -64,8 +70,9 @@ def shift_table(cat: GradedCatPresentation):
 
     Uses the canonical shifts recorded on the presentation when present,
     otherwise scans with find_shift, which returns each inverse it found;
-    raises when some shift is missing or not invertible.  Each iso is
-    inverted at most once, for every user of the table.
+    raises when some shift is missing or not invertible.  The identity is
+    its own inverse, as find_shift pairs it, and each other iso is inverted
+    at most once, for every user of the table.
     """
     gH = cat.tau.source
     e = gH.identity
@@ -75,6 +82,7 @@ def shift_table(cat: GradedCatPresentation):
             inverse = None
             if a == e:
                 y, iso = x, identity_morphism(cat, x)
+                inverse = iso
             elif cat.shifts is not None and (x, a) in cat.shifts:
                 y, iso = cat.shifts[(x, a)]
             else:
@@ -126,9 +134,9 @@ class ModuleCatData:
 
         Computed once per instance: verify_module_category checks them, and
         bullet, bullet_nat and roundtrip_nu read them.  extract_action fills
-        them from its shift table when its presentation is lawful, as
-        composites of the table's two-sided pairs (see there); otherwise
-        each component is inverted here.
+        them from its shift table, as composites of the table's two-sided
+        pairs (see there); a module built any other way, parsed or by hand,
+        inverts each component here.
         """
         base = self.base
         return ([invert(base, c) for c in self.epsilon],
@@ -177,39 +185,40 @@ class ModuleFunctorData:
 def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     """The action of H on the degree-1 part induced by a choice of shifts.
 
-    `shifts` is a shift table (shift_table): each (iso, inverse) pair comes
-    from invert or find_shift, or is the identity, so it is a two-sided
-    pair.  alpha^h sends f: x -> y to r_{y,h} o f o r_{x,h}^-1 and
-    epsilon_x is r_{x,1}.  Each mu component and its inverse are built in
-    one loop:
+    cat must pass verify_axioms: its verdict is read first, and the first
+    violation is raised as a ValueError.  `shifts` is a shift table
+    (shift_table): each (iso, inverse) pair comes from invert or
+    find_shift, or is the identity, so it is a two-sided pair.  alpha^h
+    sends f: x -> y to r_{y,h} o f o r_{x,h}^-1 and epsilon_x is r_{x,1}.
+    Each mu component and its inverse are built in one loop:
 
         mu_{a,b,x} = r_{x,ab} o r_{x,b}^-1 o r_{x<b>,a}^-1,
         mu'_{a,b,x} = r_{x<b>,a} o r_{x,b} o r_{x,ab}^-1.
 
     When every hom space of cat has rank 1 (cat.scalars) and every table
-    morphism one coordinate, each hom map and each component is read off
-    as one product of the table's coordinates and two structure constants.
-    A nonzero product proves every hom space on the way rank 1 and every
-    tensor present, so it is what the matrices give; a zero one, which
-    composites of isos in a lawful cat never give, is recomputed as below.
-    Otherwise the hom map at (x, y) is postcompose(r_{y,h}) times
-    precompose(r_{x,h}^-1), and each component is two `compose` steps.
+    morphism one coordinate, each hom map and each component is one
+    product of the table's coordinates and two structure constants.  Each
+    such constant is present: the composites here are of isos with
+    nonzero morphisms, which are nonzero in a lawful cat.  Otherwise the
+    hom map at (x, y) is postcompose(r_{y,h}) times precompose(r_{x,h}^-1),
+    and each component is two `compose` steps.  The choice is made once
+    per call.
 
-    On a lawful cat, mu'_{a,b,x} is the two-sided inverse of mu_{a,b,x}:
+    mu'_{a,b,x} is the two-sided inverse of mu_{a,b,x}:
     mu o mu' = r_{x,ab} o r_{x,b}^-1 o (r_{x<b>,a}^-1 o r_{x<b>,a}) o r_{x,b}
     o r_{x,ab}^-1 = id by associativity and the units, and mu' o mu = id the
     same way.  A two-sided inverse is unique (g = g o (f o g') =
     (g o f) o g' = g'), so it is the one invert would solve for, and
-    mod.inverses is filled with mu' and the table's r_{x,1}^-1.  On a
-    presentation whose verdict was never computed, mod.inverses inverts
-    each component when first read.
+    mod.inverses is filled with mu' and the table's r_{x,1}^-1.
     """
+    verdict = cat.verdict
+    if not verdict.ok:
+        raise ValueError(f"category fails verification: {verdict.violations[0]}")
     gH = cat.tau.source
     e = gH.identity
     p = cat.field.p
     base = degree_one_part(cat)
     table = shifts if shifts is not None else shift_table(cat)
-    lawful = cat.lawful
     scalars = cat.scalars()
     if scalars is not None and any(len(m.coords) != 1 for _, iso, back in table.values()
                                    for m in (iso, back)):
@@ -221,19 +230,21 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     action = {}
     for h in elements:
         h_inv = inv[h]
+        hom_maps = {}
         if scalars is not None:  # alpha^h(f) = r_{y,h} o f o r_{x,h}^-1
             pre, post = scalars.get((h_inv, e), {}), scalars.get((h_inv, h), {})
-        hom_maps = {}
-        for (x, y, _) in base.hom_rank:
-            hx, _, inv_x = table[(x, h)]
-            hy, r_y, _ = table[(y, h)]
-            c = scalars and (pre.get((hx, x, y), 0) * post.get((hx, y, hy), 0)
-                             * inv_x.coords[0] * r_y.coords[0] % p)
-            hom_maps[(x, y, e)] = ((c,),) if c else matmul(
-                postcompose(cat, r_y, hx, h_inv), precompose(cat, inv_x, y, e), p)
+            for (x, y, _) in base.hom_rank:
+                hx, _, inv_x = table[(x, h)]
+                hy, r_y, _ = table[(y, h)]
+                hom_maps[(x, y, e)] = ((pre[(hx, x, y)] * post[(hx, y, hy)]
+                                        * inv_x.coords[0] * r_y.coords[0] % p,),)
+        else:
+            for (x, y, _) in base.hom_rank:
+                hx, _, inv_x = table[(x, h)]
+                hom_maps[(x, y, e)] = matmul(postcompose(cat, table[(y, h)][1], hx, h_inv),
+                                             precompose(cat, inv_x, y, e), p)
         action[h] = FunctorData(base, base, [table[(x, h)][0] for x in objects], hom_maps)
 
-    eps = tuple(table[(x, e)][1] for x in objects)
     if scalars is not None:
         # per degree, (target, iso coordinate, inverse coordinate) by object
         rows = {a: [(y, iso.coords[0], back.coords[0])
@@ -242,59 +253,35 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     for a in elements:
         for b in elements:
             ab = gH.mul(a, b)
+            comps, invs = [], []
             if scalars is not None:
                 t_mu = scalars.get((inv[a], inv[b]), {}), scalars.get((inv[ab], ab), {})
                 t_inv = scalars.get((inv[ab], b), {}), scalars.get((inv[a], a), {})
                 rows_a, rows_b, rows_ab = rows[a], rows[b], rows[ab]
-            comps, invs = [], []
-            for x in objects:
-                if scalars is not None:
+                for x in objects:
                     xb, r_b, i_b = rows_b[x]
                     xba, r_a, i_a = rows_a[xb]
                     xab, r_ab, i_ab = rows_ab[x]
-                    c = (t_mu[0].get((xba, xb, x), 0) * t_mu[1].get((xba, x, xab), 0)
-                         * i_a * i_b * r_ab % p)
-                    c_inv = (t_inv[0].get((xab, x, xb), 0) * t_inv[1].get((xab, xb, xba), 0)
+                    c = t_mu[0][(xba, xb, x)] * t_mu[1][(xba, x, xab)] * i_a * i_b * r_ab % p
+                    c_inv = (t_inv[0][(xab, x, xb)] * t_inv[1][(xab, xb, xba)]
                              * i_ab * r_b * r_a % p)
-                    if c and c_inv:
-                        comps.append(Morphism(xba, xab, e, (c,)))
-                        invs.append(Morphism(xab, xba, e, (c_inv,)))
-                        continue
-                xb, r_b, inv_b = table[(x, b)]
-                _, r_a, inv_a = table[(xb, a)]
-                _, r_ab, inv_ab = table[(x, ab)]
-                comps.append(compose(cat, compose(cat, inv_a, inv_b), r_ab))
-                if lawful:
+                    comps.append(Morphism(xba, xab, e, (c,)))
+                    invs.append(Morphism(xab, xba, e, (c_inv,)))
+            else:
+                for x in objects:
+                    xb, r_b, inv_b = table[(x, b)]
+                    _, r_a, inv_a = table[(xb, a)]
+                    _, r_ab, inv_ab = table[(x, ab)]
+                    comps.append(compose(cat, compose(cat, inv_a, inv_b), r_ab))
                     invs.append(compose(cat, compose(cat, inv_ab, r_b), r_a))
             mu[(a, b)] = tuple(comps)
             mu_inv[(a, b)] = invs
-    mod = ModuleCatData(base, action, eps, mu)
-    if lawful:
-        mod.__dict__["inverses"] = ([table[(x, e)][2] for x in objects], mu_inv)
+    mod = ModuleCatData(base, action, tuple(table[(x, e)][1] for x in objects), mu)
+    mod.__dict__["inverses"] = ([table[(x, e)][2] for x in objects], mu_inv)
     verdict = mod.verdict
     if not verdict.ok:
         raise ValueError(f"extracted action fails coherence: {verdict.violations[0]}")
     return mod
-
-
-def _coords(m: Morphism) -> tuple:
-    """A degree-1 morphism as (src, dst, coords)."""
-    return (m.src, m.dst, m.coords)
-
-
-def _then(cat: GradedCatPresentation, f: tuple, g: tuple) -> tuple:
-    """g o f for degree-1 (src, dst, coords) morphisms, read off cat's tensors."""
-    if f[1] != g[0]:
-        raise ValueError("morphisms are not composable")
-    e = cat.tau.source.identity
-    return (f[0], g[1], _contract(cat.field.p, cat.tensor(f[0], f[1], g[1], e, e),
-                                  cat.rank(f[0], g[1], e), f[2], g[2]))
-
-
-def _image(F: FunctorData, f: tuple) -> tuple:
-    """F applied to a degree-1 (src, dst, coords) morphism."""
-    mat = F.matrix(f[0], f[1], F.source.tau.source.identity)
-    return (F.obj_map[f[0]], F.obj_map[f[1]], matvec(mat, f[2], F.target.field.p))
 
 
 def _action_scalars(mod: ModuleCatData) -> dict:
@@ -331,35 +318,6 @@ def _scalar_ops(mod: ModuleCatData):
         return (obj_map[f[0]], obj_map[f[1]], (scalars.get((f[0], f[1]), 0) * f[2][0] % p,))
 
     return then, image
-
-
-def _naturality(base: GradedCatPresentation, tgt: GradedCatPresentation, comps,
-                F, G, then):
-    """The first violation of comps as a transformation F => G, or None.
-
-    F and G send degree-1 (src, dst, coords) morphisms of base to tgt, and
-    their object maps are read off the images of identities.  Each
-    component must be a degree-1 morphism Fx -> Gx with one coordinate per
-    basis element of that hom space ("component-shape"), and then
-    c_y o F(f) = G(f) o c_x must hold for every basis element f of every
-    hom space of base ("naturality").
-    """
-    e = base.tau.source.identity
-    for x in base.objects():
-        c = comps[x]
-        ident = (x, x, base.identities[x])
-        if (c.degree != e or (c.src, c.dst) != (F(ident)[0], G(ident)[0])
-                or len(c.coords) != tgt.rank(c.src, c.dst, e)):
-            return ("component-shape", x)
-    for x in base.objects():
-        cx = _coords(comps[x])
-        for (y, h, r) in base.out_homs(x):
-            cy = _coords(comps[y])
-            for i in range(r):
-                f = (x, y, tuple(int(k == i) for k in range(r)))
-                if then(cx, G(f)) != then(F(f), cy):
-                    return ("naturality", x, y, h, i)
-    return None
 
 
 def verify_module_category(mod: ModuleCatData) -> Verdict:
@@ -434,7 +392,14 @@ def _module_violations(mod: ModuleCatData, then, image, middles=None):
     e = gH.identity
     eps_inv, mu_inv = mod.inverses
     violations = []
-    v = _naturality(base, base, mod.epsilon, lambda f: f, lambda f: image(e, f), then)
+
+    def unnatural(comps, F, G):
+        """The first violation of comps as F => G, or None; every morphism
+        of the base has degree 1, so then and image take no degrees."""
+        return next(_nat_violations(base, base, comps, F, G, lambda f, g, *_: then(f, g)),
+                    None)
+
+    v = unnatural(mod.epsilon, lambda f, h: f, lambda f, h: image(e, f))
     if v:
         violations.append(("epsilon-naturality", v))
     for x in base.objects():
@@ -443,8 +408,8 @@ def _module_violations(mod: ModuleCatData, then, image, middles=None):
     for (a, b), comps in sorted(mod.mu.items()):
         if middles is None or b in middles:
             ab = gH.mul(a, b)
-            v = _naturality(base, base, comps, lambda f: image(a, image(b, f)),
-                            lambda f: image(ab, f), then)
+            v = unnatural(comps, lambda f, h: image(a, image(b, f)),
+                          lambda f, h: image(ab, f))
             if v:
                 violations.append(("mu-naturality", a, b, v))
         for x in base.objects():
@@ -527,19 +492,21 @@ def check_tau_module(mod: ModuleCatData) -> Verdict:
 def bullet(mod: ModuleCatData) -> GradedCatPresentation:
     """Rebuild a graded category: Hom^h(X, Y) := Hom(alpha^h X, Y).
 
-    The degree-h2 morphism g: alpha^{h2} Y -> Z after the degree-h morphism
-    f: alpha^h X -> Y is g o alpha^{h2}(f) o mu^-1_{h2,h,X}, from
-    s = alpha^{h2 h} X.  Its tensor is one precompose(mu^-1) times
-    alpha^{h2}'s hom matrix per (x, h, y, h2), contracted with the base's
-    tensor at (s, alpha^{h2} Y, Z).  When every hom space of the base has
-    rank 1 (base.scalars), alpha^{h2}(f) o mu^-1 is one product of scalars,
-    and each tensor is that product times one structure constant.  A
-    nonzero product proves every space it passes through rank 1, so it is
-    what the matrices give; a zero one, which a lawful module never gives
-    (mu^-1 is an iso, and alpha^{h2} is faithful since alpha^{h2^-1}
-    alpha^{h2} is isomorphic to alpha^1, and so to the identity, through mu
-    and epsilon), is recomputed from the matrices.
+    mod must pass verify_module_category: its verdict is read first, and
+    the first violation is raised as a ValueError, as is the first
+    violation of the degree law.  The degree-h2 morphism
+    g: alpha^{h2} Y -> Z after the degree-h morphism f: alpha^h X -> Y is
+    g o alpha^{h2}(f) o mu^-1_{h2,h,X}, from s = alpha^{h2 h} X.  Its tensor
+    is one precompose(mu^-1) times alpha^{h2}'s hom matrix per
+    (x, h, y, h2), contracted with the base's tensor at (s, alpha^{h2} Y, Z).
+    When every hom space of the base has rank 1 (base.scalars),
+    alpha^{h2}(f) o mu^-1 is one product of scalars, and each tensor is that
+    product times one structure constant, an absent one counting as 0, as
+    the matrices give.  The choice is made once per call.
     """
+    verdict = mod.verdict
+    if not verdict.ok:
+        raise ValueError(f"module data fails coherence: {verdict.violations[0]}")
     base = mod.base
     gH = mod.group
     e = gH.identity
@@ -566,22 +533,23 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
                     deg = gH.mul(h2, h)
                     start, h2y = mu_inv[(h2, h)][x], mod.action[h2].obj_map[y]
                     s = start.src
-                    mid = scalars and (tensor.get((s, start.dst, h2y), 0) * start.coords[0]
-                                       * alpha[h2][1].get((hx, y), 0) % p)
-                    if mid:
+                    if scalars is not None:
+                        mid = (tensor.get((s, start.dst, h2y), 0) * start.coords[0]
+                               * alpha[h2][1].get((hx, y), 0) % p)
                         for z, _, _ in base.out_homs(h2y):
                             if (x, z, deg) in hom_rank:
                                 comp[(x, y, z, h, h2)] = (((tensor.get((s, h2y, z), 0)
                                                             * mid % p,),),)
-                        continue
-                    mids = matmul(precompose(base, start, h2y, e),
-                                  mod.action[h2].matrix(hx, y, e), p)
-                    for z, _, r2 in base.out_homs(h2y):
-                        r3 = hom_rank.get((x, z, deg), 0)
-                        if r3:
-                            t = base.tensor(s, h2y, z, e, e)
-                            comp[(x, y, z, h, h2)] = ([matmul(t_k, mids, p) for t_k in t] if t else
-                                                      [[[0] * r1] * r2 for _ in range(r3)])
+                    else:
+                        mids = matmul(precompose(base, start, h2y, e),
+                                      mod.action[h2].matrix(hx, y, e), p)
+                        for z, _, r2 in base.out_homs(h2y):
+                            r3 = hom_rank.get((x, z, deg), 0)
+                            if r3:
+                                t = base.tensor(s, h2y, z, e, e)
+                                comp[(x, y, z, h, h2)] = (
+                                    [matmul(t_k, mids, p) for t_k in t] if t
+                                    else [[[0] * r1] * r2 for _ in range(r3)])
     identities = [eps_inv[x].coords for x in base.objects()]
     shifts = {}
     for x in base.objects():
@@ -637,9 +605,10 @@ def verify_module_functor(mf: ModuleFunctorData, src: ModuleCatData,
     for h in gH.elements():
         comps = mf.comparison[h]
         beta, alpha = dst.action[h], src.action[h]
-        v = _naturality(src.base, base_d, comps, lambda f: _image(beta, _image(F, f)),
-                        lambda f: _image(F, _image(alpha, f)),
-                        lambda f, g: _then(base_d, f, g))
+        v = next(_nat_violations(src.base, base_d, comps,
+                                 lambda f, h: _image(beta, _image(F, f, h), h),
+                                 lambda f, h: _image(F, _image(alpha, f, h), h),
+                                 partial(_then, base_d)), None)
         if v:
             violations.append(("comparison-naturality", h, v))
         for x in src.base.objects():

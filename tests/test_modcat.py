@@ -1,5 +1,6 @@
 import importlib
 import json
+import re
 import sys
 from functools import lru_cache
 from itertools import product
@@ -326,10 +327,11 @@ def test_roundtrip_inverts_each_shift_iso_once(tmp_path, monkeypatch):
     # strict inverse, whose 4 x 8 comparisons would be inverted by a
     # module-functor check.  Both extracted actions, of the lawful input and
     # of its lawful rebuild, compose those inverses from their shift tables
-    # instead of inverting them: 2 x (4 + 4 x 64) = 520 fewer.  What is left
-    # is 3 x 4 x 8: the two shift tables (4 identities and the 4 x 7 scans of
-    # the input, the 4 x 8 recorded shifts of the rebuild) and nu's 4 x 8
-    # comparisons
+    # instead of inverting them: 2 x (4 + 4 x 64) = 520 fewer.  Both shift
+    # tables pair the identity at the unit degree with itself, as find_shift
+    # does, instead of inverting it: 2 x 4 = 8 fewer.  What is left is
+    # 3 x 4 x 8 - 2 x 4 = 88: the 4 x 7 scans of the input, the 4 x 7
+    # recorded shifts of the rebuild off the unit, and nu's 4 x 8 comparisons
     cat = twisted_cat(93)
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(jsonio.category_to_json(cat)))
@@ -338,8 +340,9 @@ def test_roundtrip_inverts_each_shift_iso_once(tmp_path, monkeypatch):
     n, order = cat.n_objects, cat.tau.source.order
     reused = n + n * order ** 2 + n
     composed = 2 * (n + n * order ** 2)
+    identities = 2 * n
     assert (len(calls) == 972 - n * order - n * (order - 1) - reused - n * order - composed
-            == 3 * n * order == 96)
+            - identities == 3 * n * order - 2 * n == 88)
 
 
 def test_traced_layer_functions_resolve():
@@ -733,10 +736,14 @@ def test_component_coordinate_counts_are_shape_violations(coords):
 
 
 def _restricted_equivalence():
+    """A restricted equivalence between fresh copies of its two modules,
+    whose verdicts are not computed: the modules are not known lawful, so
+    the hexagons are scanned in full."""
     spec = trivial_spec(TAU, F5, cyclic_subgroup_of_order(2), 0)
     table = shift_table(build_skeleton(spec))
     F = realize_functor(spec, spec, classify_equivalences(spec, spec)[1])
-    return restrict_functor(F, table, table)
+    mf, src, dst = restrict_functor(F, table, table)
+    return mf, *(ModuleCatData(m.base, m.action, m.epsilon, m.mu) for m in (src, dst))
 
 
 @lru_cache(maxsize=None)
@@ -915,25 +922,61 @@ def test_extract_action_matches_reference(name):
     assert mod.inverses == inverses
 
 
-def test_unverified_presentation_inverts_each_component(monkeypatch):
-    # without a verdict the laws the table's composites rest on are not
-    # known, so each epsilon and mu component is inverted once, when the
-    # module's own check reads it; the same presentation once verified
-    # inverts none and gives the same data
+def test_unverified_presentation_verifies_once_and_inverts_nothing(monkeypatch):
+    # extract_action reads the verdict of a presentation it is handed
+    # unverified: one verify_axioms run, whose pass proves the laws the
+    # table's composites rest on, so no epsilon or mu component is inverted
     cat = twisted_cat(96)
     table = shift_table(cat)
     assert not cat.lawful
-    calls = _count_in_taucat(monkeypatch, invert)
+    verified = _count_in_taucat(monkeypatch, verify_axioms)
+    inverted = _count_in_taucat(monkeypatch, invert)
     mod = extract_action(cat, shifts=table)
-    n, order = cat.n_objects, cat.tau.source.order
-    assert len(calls) == n + n * order ** 2
+    assert cat.lawful and mod.lawful
+    assert len(verified) == 1 and inverted == []
     maps, mu, inverses = _reference_extract_action(cat, table)
+    assert {h: F.hom_maps for h, F in mod.action.items()} == maps
     assert mod.mu == mu and mod.inverses == inverses
+
+
+def test_module_built_elsewhere_inverts_each_component(monkeypatch):
+    # a module that extract_action did not build, parsed or built by hand,
+    # inverts each of its n + n |H|^2 epsilon and mu components once, when
+    # its own check or bullet first reads them
+    mod = extract_action(twisted_cat(96))
+    n, order = mod.base.n_objects, mod.group.order
+    calls = _count_in_taucat(monkeypatch, invert)
+    parsed = jsonio.parse_modcat(jsonio.modcat_to_json(mod))
+    assert len(calls) == n + n * order ** 2
+    assert parsed.inverses == mod.inverses
     calls.clear()
-    lawful = extract_action(_lawful(cat), shifts=table)
-    assert calls == []
-    assert {h: F.hom_maps for h, F in lawful.action.items()} == maps
-    assert lawful.mu == mu and lawful.inverses == inverses
+    by_hand = ModuleCatData(mod.base, mod.action, mod.epsilon, mod.mu)
+    assert bullet(by_hand) == mod.rebuilt
+    assert len(calls) == n + n * order ** 2
+    assert by_hand.inverses == mod.inverses
+
+
+def test_constructions_raise_on_unverified_input():
+    # extract_action refuses a presentation whose verdict fails, and bullet a
+    # module whose verdict fails, with the first violation, before building
+    cat = twisted_cat(96)
+    table = shift_table(cat)
+    comp = dict(cat.compose_t)
+    key = sorted(comp)[5]
+    comp[key] = (((2 * comp[key][0][0][0] % F5.p,),),)
+    bad = GradedCatPresentation(cat.tau, cat.field, cat.degrees, cat.hom_rank, comp,
+                                cat.identities)
+    first = verify_axioms(bad).violations[0]
+    for shifts in (None, table):
+        with pytest.raises(ValueError, match=re.escape(f"category fails verification: {first}")):
+            extract_action(bad, shifts=shifts)
+    rng = Random("bullet")
+    mod = MODULE_CASES["skeleton"]()
+    for kind in CORRUPTIONS:
+        bad_mod = _corrupt_module(mod, kind, rng)
+        first = verify_module_category(bad_mod).violations[0]
+        with pytest.raises(ValueError, match=re.escape(f"module data fails coherence: {first}")):
+            bullet(bad_mod)
 
 
 def _reference_roundtrip_maps(cat, table, rt):

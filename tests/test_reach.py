@@ -37,6 +37,7 @@ UNREACHED = [
     "znsolve.solve",
     "znsolve.span_members",
     # called by tests, or by src code on inputs these commands never give
+    "category.NatTransData.component",
     "cochains.CochainSolutions.count",
     "cochains.act",
     "cochains.constant_one",

@@ -16,7 +16,8 @@ from taucat.cochains import (c1_mul, c1_inv, c2_inv, c2_mul, cochain2, d0_cochai
 from taucat.completion import AdditiveCompletion
 from taucat.fields import field
 from taucat.groups import (cayley_tree, conjugate_subgroup, coset_space, cyclic_group,
-                           generated_subgroup, hom, kernel, reduction_hom, subgroup)
+                           generated_subgroup, group_from_table, hom, kernel,
+                           reduction_hom, subgroup)
 from taucat.mtau import (build_group_groupoid, build_skeleton,
                          cyclic_subgroup_of_order, cyclic_table_category,
                          mtau_spec, parity_tau, trivial_spec)
@@ -590,6 +591,20 @@ def test_tree_solver_matches_dense_system_on_carry_classes():
         for k in range(4)]
     counts = [[_assert_tree_solver_matches_dense(a, b) for b in specs] for a in specs]
     assert counts == [[4 if j == k else 0 for k in range(4)] for j in range(4)]
+
+
+def test_tree_solver_matches_dense_system_on_c2_x_c4():
+    # C2 x C4 -> 1 at p = 5, element (a, b) at index 4a + b, with L = {0, 2, 5, 7}
+    # the cyclic subgroup generated by (1, 1): half of the 8 classes are
+    # reached only through an annihilator row of znsolve.howell
+    c2c4 = group_from_table([[4 * ((i // 4 + j // 4) % 2) + (i + j) % 4 for j in range(8)]
+                             for i in range(8)])
+    tau = hom(c2c4, cyclic_group(1), [0] * 8)
+    L = subgroup(c2c4, [0, 2, 5, 7])
+    rng = Random(24)
+    a, b = _coboundary_spec(tau, F5, L, rng), _coboundary_spec(tau, F5, L, rng)
+    # Shapiro's lemma: (|H| / |L|) * |Hom(C4, F_5^x)| = 2 * 4 classes
+    assert _assert_tree_solver_matches_dense(a, b) == 8
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
