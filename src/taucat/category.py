@@ -95,19 +95,18 @@ class GradedCatPresentation:
     keys mean zero.  compose maps (src, mid, dst, h, h2) to a tensor
     c[k][j][i] expressing (basis_j of Hom^{h2}(mid,dst)) o (basis_i of
     Hom^h(src,mid)) = sum_k c[k][j][i] basis_k in Hom^{h2 h}(src,dst);
-    absent tensors are zero.  `shifts`, when present, records a canonical
-    shift datum (target, iso) per (object, degree); `sums` records declared
-    direct-sum structure (part, injection, projection) per object.
+    absent tensors are zero.  `sums` records declared direct-sum structure
+    (part, injection, projection) per object.  No shift choice is recorded:
+    that is a table its users hold (modcat.shift_table).
     """
 
     def __init__(self, tau: GroupHom, field: PrimeField, degrees, hom_rank,
-                 compose, identities, shifts=None, sums=None):
+                 compose, identities, sums=None):
         self.tau = tau
         self.field = field
         self.degrees = tuple(int(d) for d in degrees)
-        self.hom_rank = {k: int(r) for k, r in hom_rank.items() if int(r) > 0}
+        self.hom_rank = {k: int(r) for k, r in hom_rank.items() if int(r)}
         self.identities = tuple(tuple(int(c) % field.p for c in cid) for cid in identities)
-        self.shifts = dict(shifts) if shifts is not None else None
         self.sums = dict(sums) if sums else {}
         # a file's first fault is found in this order: keys, tensors, identities
         self._validate_keys()
@@ -251,7 +250,8 @@ class GradedCatPresentation:
         return tuple(out)
 
     def _validate_keys(self):
-        """One identity per object, object degrees in G, hom keys in range."""
+        """One identity per object, object degrees in G, hom keys in range,
+        hom ranks not negative."""
         n = len(self.degrees)
         ng = self.tau.target.order
         nh = self.tau.source.order
@@ -263,6 +263,8 @@ class GradedCatPresentation:
         for (x, y, h), r in self.hom_rank.items():
             if not (0 <= x < n and 0 <= y < n and 0 <= h < nh):
                 raise ValueError(f"hom key out of range: {(x, y, h)}")
+            if r < 0:
+                raise ValueError(f"negative hom rank at {(x, y, h)}")
 
     def _validate_shapes(self):
         """Identity and declared-sum coordinates against their ranks."""
@@ -590,7 +592,6 @@ def direct_sum_cat(cats) -> GradedCatPresentation:
             raise ValueError("presentations over different fields")
     degrees, identities = [], []
     hom_rank, comp = {}, {}
-    shifts = {} if all(c.shifts is not None for c in cats) else None
     sums = {}
     offset = 0
     for c in cats:
@@ -600,11 +601,6 @@ def direct_sum_cat(cats) -> GradedCatPresentation:
             comp[(x + offset, y + offset, z + offset, h, h2)] = t
         degrees.extend(c.degrees)
         identities.extend(c.identities)
-        if shifts is not None:
-            for (x, a), (y, m) in c.shifts.items():
-                shifts[(x + offset, a)] = (
-                    y + offset,
-                    Morphism(m.src + offset, m.dst + offset, m.degree, m.coords))
         for x, parts in c.sums.items():
             sums[x + offset] = tuple(
                 (part + offset,
@@ -613,7 +609,7 @@ def direct_sum_cat(cats) -> GradedCatPresentation:
                 for (part, i, q) in parts)
         offset += c.n_objects
     return GradedCatPresentation(first.tau, first.field, degrees, hom_rank,
-                                 comp, identities, shifts=shifts, sums=sums)
+                                 comp, identities, sums=sums)
 
 
 class FunctorData:

@@ -5,11 +5,6 @@ from __future__ import annotations
 from operator import mul
 
 
-def from_columns(cols):
-    """The matrix, as a tuple of rows, whose k-th column is cols[k]."""
-    return tuple(zip(*cols))
-
-
 def matvec(a, v, p):
     """A v over F_p, as a tuple."""
     return tuple(sum(map(mul, row, v)) % p for row in a)

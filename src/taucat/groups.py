@@ -193,10 +193,6 @@ def kernel(h: GroupHom) -> Subgroup:
     return subgroup(h.source, (a for a in h.source.elements() if h.map[a] == e))
 
 
-def image(h: GroupHom) -> Subgroup:
-    return subgroup(h.target, set(h.map))
-
-
 @dataclass(frozen=True)
 class CosetSpace:
     parent: FiniteGroup

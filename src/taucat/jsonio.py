@@ -59,6 +59,16 @@ def _records(value, what: str, *keys: str):
         yield rec, fields
 
 
+def _keyed(value, what: str, *keys: str):
+    """_records, refusing a key (the named fields) that repeats."""
+    seen = set()
+    for rec, key in _records(value, what, *keys):
+        if key in seen:
+            raise ValueError(f"repeated {what} key {key}")
+        seen.add(key)
+        yield rec, key
+
+
 def parse_group(doc) -> FiniteGroup:
     doc = _object(doc, "group")
     if "cyclic" in doc:
@@ -162,14 +172,14 @@ def parse_category(doc) -> GradedCatPresentation:
     f = field(_int(doc["p"], "p"))
     degrees = [deg for _, (deg,) in _records(doc["objects"], "objects", "deg")]
     hom_rank = {key: _int(rec["rank"], "hom rank")
-                for rec, key in _records(doc.get("homs", []), "homs", "src", "dst", "h")}
+                for rec, key in _keyed(doc.get("homs", []), "homs", "src", "dst", "h")}
     # GradedCatPresentation checks each tensor in the walk that normalises it
-    comp = {key: rec["tensor"] for rec, key in _records(
+    comp = {key: rec["tensor"] for rec, key in _keyed(
         doc.get("compose", []), "compose", "src", "mid", "dst", "h", "h2")}
     identities = _array(doc["identities"], "identities", 2)
     e = tau.source.identity
     sums = {}
-    for rec, (x,) in _records(doc.get("sums", []), "sums", "object"):
+    for rec, (x,) in _keyed(doc.get("sums", []), "sums", "object"):
         sums[x] = tuple(
             (part, Morphism(part, x, e, tuple(_array(pd["injection"], "injection", 1))),
              Morphism(x, part, e, tuple(_array(pd["projection"], "projection", 1))))
@@ -180,8 +190,9 @@ def parse_category(doc) -> GradedCatPresentation:
 
 def category_to_json(cat: GradedCatPresentation):
     """The file form of a presentation.  Declared direct sums are kept, with
-    degree-1 injections and projections; shift choices are not, since no
-    verdict depends on which shift is chosen."""
+    degree-1 injections and projections.  A presentation records no shift
+    choice, and no verdict depends on one: a reader of the file takes
+    modcat.shift_table's scan."""
     out = {
         "tau": hom_to_json(cat.tau),
         "p": cat.field.p,
@@ -241,8 +252,7 @@ def parse_modcat(doc) -> ModuleCatData:
     for h_s, blk in _object(doc["action"], "action").items():
         blk = _object(blk, "action entry")
         maps = {(x, y, e): _array(rec["matrix"], "action matrix", 2)
-                for rec, (x, y) in _records(blk.get("maps", []), "action maps",
-                                            "src", "dst")}
+                for rec, (x, y) in _keyed(blk.get("maps", []), "action maps", "src", "dst")}
         action[_degree(int(h_s), "action degree", gH.order)] = FunctorData(
             base, base, _object_map(blk["objects"], "action objects", n), maps)
     if len(action) != gH.order:

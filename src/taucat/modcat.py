@@ -9,8 +9,9 @@ r_{X,1} (pinned to the identity) and the multiplication comparison is
 
 The other direction rebuilds a graded category out of an action: degree-h
 morphisms X -> Y are plain morphisms alpha^h X -> Y, composed through
-mu^-1, and X<a> = alpha^a X with the identity as shift iso.  Both round
-trips admit strict inverses, which the verifiers here check componentwise.
+mu^-1.  Its shifts X<a> = alpha^a X by the identity are a table that
+roundtrip_nu builds, as no presentation records shifts (shift_table scans
+for them).  Both round trips admit strict inverses, checked componentwise.
 
 Module data stores only components.  epsilon: id => alpha^1,
 mu_{a,b}: alpha^a alpha^b => alpha^{ab} and the comparisons
@@ -32,10 +33,11 @@ every hom space has rank 1, extract_action reads the action's hom maps
 and each mu component off the shift table's coordinates and the
 presentation's table of structure constants (GradedCatPresentation.scalars),
 and bullet reads its tensors off the base's table and the action's 1 x 1
-hom matrices; the checks above read the same table.  Otherwise every hom
-map is read off category.precompose and postcompose, e.g. alpha^h at
-(x, y) is postcompose(r_{y,h}) precompose(r_{x,h}^-1), and bullet fills
-its composition tensors from them.  The inverse of each mu component is
+hom matrices; the checks above read the same tables, built once per
+module (ModuleCatData.scalars).  Otherwise every hom map is read off
+category.precompose and postcompose, e.g. alpha^h at (x, y) is
+postcompose(r_{y,h}) precompose(r_{x,h}^-1), and bullet fills its
+composition tensors from them.  The inverse of each mu component is
 composed from the shift table in the same loop as mu,
 r_{X<b>,a} o r_{X,b} o r_{X,ab}^-1, which is two-sided because the table's
 pairs are, so no component of an extracted action is inverted.
@@ -66,35 +68,14 @@ from .groups import cayley_tree
 
 
 def shift_table(cat: GradedCatPresentation):
-    """(object, degree) -> (target, iso, inverse), identity pinned at degree 1.
-
-    Uses the canonical shifts recorded on the presentation when present,
-    otherwise scans with find_shift, which returns each inverse it found;
-    raises when some shift is missing or not invertible.  The identity is
-    its own inverse, as find_shift pairs it, and each other iso is inverted
-    at most once, for every user of the table.
-    """
-    gH = cat.tau.source
-    e = gH.identity
+    """(object, degree) -> find_shift's (target, iso, inverse), the identity
+    paired with itself at degree 1; raises when some shift is missing."""
     table = {}
     for x in cat.objects():
-        for a in gH.elements():
-            inverse = None
-            if a == e:
-                y, iso = x, identity_morphism(cat, x)
-                inverse = iso
-            elif cat.shifts is not None and (x, a) in cat.shifts:
-                y, iso = cat.shifts[(x, a)]
-            else:
-                hit = find_shift(cat, x, a)
-                if hit is None:
-                    raise ValueError(f"object {x} has no shift by {a}")
-                y, iso, inverse = hit
-            if inverse is None:
-                inverse = invert(cat, iso)
-                if inverse is None:
-                    raise ValueError(f"shift iso at {(x, a)} is not invertible")
-            table[(x, a)] = (y, iso, inverse)
+        for a in cat.tau.source.elements():
+            table[(x, a)] = hit = find_shift(cat, x, a)
+            if hit is None:
+                raise ValueError(f"object {x} has no shift by {a}")
     return table
 
 
@@ -141,6 +122,14 @@ class ModuleCatData:
         base = self.base
         return ([invert(base, c) for c in self.epsilon],
                 {ab: [invert(base, c) for c in comps] for ab, comps in self.mu.items()})
+
+    @cached_property
+    def scalars(self):
+        """(base.scalars() at degree 1, _action_scalars(self)), or None unless
+        every hom space of the base has rank 1: one view per instance, which
+        verify_module_category and bullet read."""
+        scalars, e = self.base.scalars(), self.group.identity
+        return None if scalars is None else (scalars.get((e, e), {}), _action_scalars(self))
 
     @cached_property
     def square_middles(self):
@@ -295,18 +284,18 @@ def _action_scalars(mod: ModuleCatData) -> dict:
 
 def _scalar_ops(mod: ModuleCatData):
     """(then, image) on degree-1 (src, dst, coords) morphisms of mod.base,
-    read off base.scalars and _action_scalars, or None unless every hom
-    space of the base, every object's endomorphisms and every component
-    have rank 1.  A tensor or matrix with a zero-rank side contracts to 0."""
+    read off mod.scalars, or None unless every hom space of the base, every
+    object's endomorphisms and every component have rank 1.  A tensor or
+    matrix with a zero-rank side contracts to 0."""
     base = mod.base
     e = mod.group.identity
-    scalars = base.scalars()
+    view = mod.scalars
     comps = [*mod.epsilon, *(c for cs in mod.mu.values() for c in cs)]
-    if not (scalars is not None and all(len(c) == 1 for c in base.identities)
+    if not (view is not None and all(len(c) == 1 for c in base.identities)
             and all(len(c.coords) == 1 and base.rank(c.src, c.dst, e) == 1 for c in comps)):
         return None
     p = base.field.p
-    tensor, mats = scalars.get((e, e), {}), _action_scalars(mod)
+    tensor, mats = view
 
     def then(f, g):
         if f[1] != g[0]:
@@ -499,7 +488,7 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
     g o alpha^{h2}(f) o mu^-1_{h2,h,X}, from s = alpha^{h2 h} X.  Its tensor
     is one precompose(mu^-1) times alpha^{h2}'s hom matrix per
     (x, h, y, h2), contracted with the base's tensor at (s, alpha^{h2} Y, Z).
-    When every hom space of the base has rank 1 (base.scalars),
+    When every hom space of the base has rank 1 (mod.scalars),
     alpha^{h2}(f) o mu^-1 is one product of scalars, and each tensor is that
     product times one structure constant, an absent one counting as 0, as
     the matrices give.  The choice is made once per call.
@@ -515,9 +504,9 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
         raise ValueError(f"action violates the degree law: {tdeg.violations[0]}")
     eps_inv, mu_inv = mod.inverses
     p = base.field.p
-    scalars = base.scalars()
-    if scalars is not None:
-        tensor, alpha = scalars.get((e, e), {}), _action_scalars(mod)
+    view = mod.scalars
+    if view is not None:
+        tensor, alpha = view
 
     # the base has degree-1 morphisms only: out_homs(hx) lists the nonzero Hom(hx, y)
     hom_rank = {(x, y, h): r for x in base.objects() for h in gH.elements()
@@ -533,7 +522,7 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
                     deg = gH.mul(h2, h)
                     start, h2y = mu_inv[(h2, h)][x], mod.action[h2].obj_map[y]
                     s = start.src
-                    if scalars is not None:
+                    if view is not None:
                         mid = (tensor.get((s, start.dst, h2y), 0) * start.coords[0]
                                * alpha[h2][1].get((hx, y), 0) % p)
                         for z, _, _ in base.out_homs(h2y):
@@ -551,13 +540,8 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
                                     [matmul(t_k, mids, p) for t_k in t] if t
                                     else [[[0] * r1] * r2 for _ in range(r3)])
     identities = [eps_inv[x].coords for x in base.objects()]
-    shifts = {}
-    for x in base.objects():
-        for a in gH.elements():
-            ax = mod.action[a].obj_map[x]
-            shifts[(x, a)] = (ax, Morphism(x, ax, a, base.identities[ax]))
     out = GradedCatPresentation(base.tau, base.field, base.degrees, hom_rank,
-                                comp, identities, shifts=shifts)
+                                comp, identities)
     verdict = out.verdict
     if not verdict.ok:
         raise ValueError(f"incoherent action data: {verdict.violations[0]}")
@@ -774,7 +758,7 @@ class RoundTrip:
 
 def roundtrip(cat: GradedCatPresentation) -> RoundTrip:
     """Extract the action, rebuild once, and check both round trips."""
-    table = shift_table(cat)
+    table = shift_table(cat) if cat.verdict.ok else None  # else extract_action raises
     mod = extract_action(cat, shifts=table)
     rebuilt = mod.rebuilt
     eta, eta_inv = roundtrip_eta(cat, table, rebuilt)
@@ -812,7 +796,8 @@ def roundtrip_eta(cat: GradedCatPresentation, table, rebuilt: GradedCatPresentat
 def roundtrip_nu(mod: ModuleCatData, rebuilt: GradedCatPresentation):
     """Strictly invertible module comparison from the rebuilt action to mod.
 
-    `rebuilt` is bullet(mod).  Returns (nu, nu_inv, rebuilt_mod); both
+    `rebuilt` is bullet(mod), and rebuilt_mod its action on the identity
+    shifts X<a> = alpha^a X.  Returns (nu, nu_inv, rebuilt_mod); both
     composites are checked equal to the identity module functors.  Only nu
     is verified as a module functor.  Write nu = (F, s) and nu_inv = (G, t).
     G is a functor, as a strict inverse of one (roundtrip_eta).  The
@@ -822,9 +807,14 @@ def roundtrip_nu(mod: ModuleCatData, rebuilt: GradedCatPresentation):
     and invertible.  G applied to the inverted unit triangle and hexagon
     of (F, s) at Gx gives those of (G, t) at x.
     """
-    bmod = extract_action(rebuilt)
     base = mod.base
     e = mod.group.identity
+    table = {}  # x -> alpha^a x by the identity of alpha^a x; id_x at the unit
+    for a, F in mod.action.items():
+        for x, ax in enumerate(F.obj_map):
+            iso, idm = Morphism(x, ax, a, base.identities[ax]), identity_morphism(rebuilt, x)
+            table[(x, a)] = (x, idm, idm) if a == e else (ax, iso, invert(rebuilt, iso))
+    bmod = extract_action(rebuilt, shifts=table)
     # nu: f -> f o epsilon_x on Hom(alpha^1 x, y); nu_inv: f -> f o epsilon_x^-1
     nu_f = FunctorData(bmod.base, base, list(base.objects()), {
         (x, y, e): precompose(base, mod.epsilon[x], y, e) for (x, y, _) in bmod.base.hom_rank})

@@ -79,12 +79,7 @@ def build_skeleton(spec: MtauSpec) -> GradedCatPresentation:
                 k = perms[a][j]
                 comp[(i, j, k, b, a)] = (((psi_inv[a][b][i],),),)
     identities = [(1,)] * n
-    shifts = {}
-    for i in range(n):
-        for a in gH.elements():
-            shifts[(i, a)] = (perms[a][i], Morphism(i, perms[a][i], a, (1,)))
-    return GradedCatPresentation(tau, f, degrees, hom_rank, comp, identities,
-                                 shifts=shifts)
+    return GradedCatPresentation(tau, f, degrees, hom_rank, comp, identities)
 
 
 def basis_inverse(spec: MtauSpec, coset: int, a: int) -> Morphism:
@@ -114,12 +109,7 @@ def build_group_groupoid(tau: GroupHom, field: PrimeField) -> GradedCatPresentat
                 dst = gG.mul(tau.map[h2], mid)
                 comp[(g, mid, dst, h, h2)] = (((1,),),)
     identities = [(1,)] * n
-    shifts = {}
-    for g in range(n):
-        for a in gH.elements():
-            shifts[(g, a)] = (gG.mul(tau.map[a], g), Morphism(g, gG.mul(tau.map[a], g), a, (1,)))
-    return GradedCatPresentation(tau, field, degrees, hom_rank, comp, identities,
-                                 shifts=shifts)
+    return GradedCatPresentation(tau, field, degrees, hom_rank, comp, identities)
 
 
 def parity_tau() -> GroupHom:
@@ -132,10 +122,11 @@ def cyclic_table_category(field: PrimeField, k: int) -> GradedCatPresentation:
 
     Objects a in Z/(8/k) have degree a mod 2 and Hom^{x^n}(a, b) = R exactly
     when a + n = b mod 8/k; all structure constants are 1.  That is the
-    trivially twisted skeleton on the order-k subgroup at g = 0, shifts
-    included.  For k = 8 the subgroup is not inside ker(tau), so the spec
-    bypasses mtau_spec: the single object cannot track parity, the grading
-    law genuinely fails there and `verify_axioms` reports it.
+    trivially twisted skeleton on the order-k subgroup at g = 0, whose
+    shift_table scan finds a -> a + n by coordinate 1 when k < 8.  For k = 8
+    the subgroup is not inside ker(tau), so the spec bypasses mtau_spec: the
+    single object cannot track parity, the grading law genuinely fails there
+    and `verify_axioms` reports it.
     """
     tau = parity_tau()
     L = cyclic_subgroup_of_order(k)

@@ -42,7 +42,6 @@ class SimpleOrbit:
     representative: int
     space: CosetSpace
     shift_targets: tuple[int, ...]
-    shift_isos: tuple[Morphism, ...]
     spanning: dict
     spec: MtauSpec  # the block (L, psi, g) read off the orbit
 
@@ -84,14 +83,12 @@ def analyze_simple(cat: GradedCatPresentation, s: int) -> SimpleOrbit:
     space = coset_space(gH, L)
     perms = space.act
 
-    targets, isos = [], []
+    targets = []
     for rep in space.reps:
         hit = find_shift(cat, s, rep)
         if hit is None:
             raise ValueError(f"simple object {s} has no shift by {rep}")
-        y, iso, _ = hit
-        targets.append(y)
-        isos.append(iso)
+        targets.append(hit[0])
 
     spanning = {}
     for i in range(space.size):
@@ -133,7 +130,7 @@ def analyze_simple(cat: GradedCatPresentation, s: int) -> SimpleOrbit:
     # mtau_spec checks L <= ker tau and the cocycle identity of psi
     spec = mtau_spec(cat.tau, f_field, L, cochain2(f_field, space, values),
                      cat.degrees[s])
-    return SimpleOrbit(s, space, tuple(targets), tuple(isos), spanning, spec)
+    return SimpleOrbit(s, space, tuple(targets), spanning, spec)
 
 
 def _declared_sum_ok(cat: GradedCatPresentation, x: int) -> bool:

@@ -17,6 +17,11 @@ def zero_morphism(cat, x, y, h):
     return Morphism(x, y, h, (0,) * cat.rank(x, y, h))
 
 
+def from_columns(cols):
+    """The matrix, as a tuple of rows, whose k-th column is cols[k]."""
+    return tuple(zip(*cols))
+
+
 def apply_functor(F, m):
     """F applied to a morphism through its hom matrix at (m.src, m.dst, |m|)."""
     mat = F.matrix(m.src, m.dst, m.degree)

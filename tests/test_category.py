@@ -25,7 +25,7 @@ from taucat.structure import (EquivalenceDatum, classify_equivalences,
                               realize_functor)
 from taucat.znsolve import CapExceeded
 
-from morphisms import apply_functor, basis_morphism, zero_morphism
+from morphisms import apply_functor, basis_morphism, from_columns, zero_morphism
 from test_yoneda import s3_cat, ungenerated_cat
 
 F5 = field(5)
@@ -89,7 +89,7 @@ def test_invert_skeleton_basis():
     sp = spec.psi.space
     for i in range(sp.size):
         for a in range(8):
-            e = Morphism(i, cat.shifts[(i, a)][0], a, (1,))
+            e = Morphism(i, sp.act[a][i], a, (1,))
             g = invert(cat, e)
             assert g is not None
             assert compose(cat, e, g) == identity_morphism(cat, i)
@@ -416,7 +416,7 @@ def _reference_invert(cat, f):
         gj = basis_morphism(cat, f.dst, f.src, a_inv, j)
         cols.append(compose(cat, f, gj).coords + compose(cat, gj, f).coords)
     rhs = cat.identities[f.src] + cat.identities[f.dst]
-    x = fplinalg.solve(fplinalg.from_columns(cols), rhs, cat.field.p, ncols=r2)
+    x = fplinalg.solve(from_columns(cols), rhs, cat.field.p, ncols=r2)
     return None if x is None else Morphism(f.dst, f.src, a_inv, tuple(x))
 
 

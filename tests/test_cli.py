@@ -64,7 +64,9 @@ def test_malformed_input_exit_2(tmp_path):
                                      "psi_value_zero",
                                      "psi_top_level_list", "psi_key_out_of_range",
                                      "spec_L_int", "datum_gamma_value_int",
-                                     "datum_t_out_of_range", "L_option_out_of_range"])
+                                     "datum_t_out_of_range", "L_option_out_of_range",
+                                     "negative_rank", "repeated_homs", "repeated_compose",
+                                     "repeated_sums"])
 def test_schema_errors_exit_2_without_traceback(tmp_path, tau_file, category_file,
                                                 variant):
     bad = tmp_path / "bad.json"
@@ -75,6 +77,7 @@ def test_schema_errors_exit_2_without_traceback(tmp_path, tau_file, category_fil
     # the psi, spec and datum files and the --L option reach build-mtau,
     # classify-equiv and classify-nat; the others are category files for verify
     argv = ("verify", str(bad))
+    named = None  # what the error must name
     doc = json.loads(open(category_file).read())
     if variant == "objects_int":
         doc["objects"] = 5
@@ -82,6 +85,21 @@ def test_schema_errors_exit_2_without_traceback(tmp_path, tau_file, category_fil
         doc["compose"][0]["tensor"] = 7
     elif variant == "compose_degree_out_of_range":
         doc["compose"][0]["h2"] = 99
+    elif variant == "negative_rank":  # was dropped as a zero rank
+        doc["homs"].append({"src": 0, "dst": 1, "h": 0, "rank": -3})
+        named = "negative hom rank at (0, 1, 0)"
+    elif variant == "repeated_homs":
+        doc["homs"].append(doc["homs"][0])
+        named = "repeated homs key ({src}, {dst}, {h})".format(**doc["homs"][0])
+    elif variant == "repeated_compose":
+        # the last record used to win, so this contradicting first one verified
+        doc["compose"].insert(0, {**doc["compose"][0], "tensor": [[[3]]]})
+        named = "repeated compose key ({src}, {mid}, {dst}, {h}, {h2})".format(
+            **doc["compose"][0])
+    elif variant == "repeated_sums":
+        doc["sums"] = [{"object": 0, "parts": [{"part": 0, "injection": [1],
+                                                "projection": [1]}]}] * 2
+        named = "repeated sums key (0,)"
     elif variant.startswith("psi_"):
         doc = {"subgroup": [0, 4], "values": {"1,2": [1, 1]}}
         if variant == "psi_value_int":
@@ -109,6 +127,7 @@ def test_schema_errors_exit_2_without_traceback(tmp_path, tau_file, category_fil
     r = run_cli(*argv)
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
+    assert named is None or named in r.stderr
 
 
 @pytest.mark.parametrize("variant", ["tensor_entry_float", "p_float", "p_string",
@@ -157,7 +176,8 @@ def test_classify_nat_rejects_an_invalid_datum(tmp_path):
                                      "mu_length", "mu_degree_out_of_range",
                                      "map_src_out_of_range", "action_degree_99",
                                      "action_degree_negative", "base_degree_not_1",
-                                     "action_degree_missing", "mu_pair_missing"])
+                                     "action_degree_missing", "mu_pair_missing",
+                                     "repeated_map"])
 def test_module_schema_errors_exit_2_without_traceback(tmp_path, category_file,
                                                        variant):
     r = run_cli("extract", category_file)
@@ -185,6 +205,8 @@ def test_module_schema_errors_exit_2_without_traceback(tmp_path, category_file,
         del doc["action"]["3"]
     elif variant == "mu_pair_missing":
         del doc["mu"]["1,1"]
+    elif variant == "repeated_map":  # the last record used to win
+        doc["action"]["1"]["maps"].append(doc["action"]["1"]["maps"][0])
     elif variant == "base_degree_not_1":
         # the acted-on category has degree-1 morphisms only
         doc["base"]["homs"].append({"src": 0, "dst": 1, "h": 1, "rank": 1})
@@ -197,6 +219,8 @@ def test_module_schema_errors_exit_2_without_traceback(tmp_path, category_file,
     assert "Traceback" not in r.stderr
     if variant in ("action_degree_missing", "mu_pair_missing"):
         assert "one entry per" in r.stderr
+    if variant == "repeated_map":
+        assert "repeated action maps key" in r.stderr
 
 
 def test_decompose_exit_codes(category_file):

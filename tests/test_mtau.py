@@ -3,12 +3,13 @@ from random import Random
 
 import pytest
 
-from taucat.category import (GradedCatPresentation, Morphism, compose,
-                             identity_morphism, invert, is_simple, verify_axioms)
+from taucat.category import (GradedCatPresentation, Morphism, compose, direct_sum_cat,
+                             identity_morphism, is_simple, verify_axioms)
 from taucat.cochains import d1_cochain, random_cochain1, trivial_cochain2
 from taucat.fields import field
 from taucat.groups import (coset_space, cyclic_group, hom, reduction_hom,
                            subgroup)
+from taucat.modcat import shift_table
 from taucat.mtau import (basis_inverse, build_group_groupoid, build_skeleton,
                          check_skeleton_inverses, cyclic_subgroup_of_order,
                          cyclic_table_category, mtau_spec, parity_tau,
@@ -107,19 +108,14 @@ def _reference_cyclic_table(field_, k):
                 c = (b + n2) % n_obj
                 comp[(a, b, c, n1, n2)] = (((1,),),)
     identities = [(1,)] * n_obj
-    shifts = {}
-    for a in range(n_obj):
-        for n in range(8):
-            shifts[(a, n)] = ((a + n) % n_obj, Morphism(a, (a + n) % n_obj, n, (1,)))
-    return GradedCatPresentation(TAU, field_, degrees, hom_rank, comp, identities,
-                                 shifts=shifts)
+    return GradedCatPresentation(TAU, field_, degrees, hom_rank, comp, identities)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
 def test_cyclic_table_matches_reference(k, p):
     got, want = cyclic_table_category(field(p), k), _reference_cyclic_table(field(p), k)
-    assert got == want and got.shifts == want.shifts
+    assert got == want
 
 
 def test_cyclic_table_rejects_non_divisors():
@@ -153,12 +149,44 @@ def test_groupoid_shapes():
     for g in grp.objects():
         for h in range(8):
             assert grp.rank(g, TAU.target.mul(TAU.map[h], g), h) == 1
-    # shifts land on tau(a) g
-    for g in grp.objects():
-        for a in range(8):
-            tgt, iso = grp.shifts[(g, a)]
-            assert tgt == TAU.target.mul(TAU.map[a], g)
-            assert invert(grp, iso) is not None
+
+
+def _assert_basis_shifts(cat, act, offset=0, spec=None):
+    """shift_table(cat) on the block of objects offset .. offset + n - 1
+    sends (i, a) to object act[a][i] (plus the offset) by the basis
+    morphism, coordinate 1, and on a skeleton of spec pairs it with
+    basis_inverse(spec, i, a)."""
+    table = shift_table(cat)
+    for a, row in enumerate(act):
+        for i, j in enumerate(row):
+            y, iso, inverse = table[(i + offset, a)]
+            assert (y, iso) == (j + offset, Morphism(i + offset, j + offset, a, (1,)))
+            if spec is not None:
+                want = basis_inverse(spec, i, a)
+                assert inverse == Morphism(want.src + offset, want.dst + offset,
+                                           want.degree, want.coords)
+
+
+def test_scan_finds_the_basis_shifts():
+    # presentations record no shifts; the scan finds the basis morphisms
+    # the builders are made of, with their closed-form inverses
+    sp2 = coset_space(C8, cyclic_subgroup_of_order(2))
+    twisted = mtau_spec(TAU, F5, cyclic_subgroup_of_order(2),
+                        d1_cochain(random_cochain1(F5, sp2, Random(9))), 1)
+    specs = [trivial_spec(TAU, F5, cyclic_subgroup_of_order(k), 0) for k in (1, 2, 4)]
+    for spec in specs + [twisted]:
+        _assert_basis_shifts(build_skeleton(spec), spec.psi.space.act, spec=spec)
+    for k in (1, 2, 4):
+        act = [[(i + n) % (8 // k) for i in range(8 // k)] for n in range(8)]
+        _assert_basis_shifts(cyclic_table_category(F5, k), act)
+    with pytest.raises(ValueError, match="object 0 has no shift by 1"):
+        shift_table(cyclic_table_category(F5, 8))
+    grp = build_group_groupoid(TAU, F5)
+    _assert_basis_shifts(grp, [[TAU.target.mul(TAU.map[a], g) for g in grp.objects()]
+                               for a in range(8)])
+    both = direct_sum_cat([build_skeleton(twisted), build_skeleton(specs[1])])
+    _assert_basis_shifts(both, twisted.psi.space.act, spec=twisted)
+    _assert_basis_shifts(both, specs[1].psi.space.act, offset=4, spec=specs[1])
 
 
 def test_groupoid_trivial_tau():

@@ -48,8 +48,6 @@ UNREACHED = [
     "cochains.random_cochain0",
     "cochains.trivial_cochain1",
     "cochains.unit_function",
-    "fplinalg.from_columns",
-    "groups.image",
     "modcat.bullet_functor",
     "modcat.bullet_nat",
     "modcat.restrict_functor",
