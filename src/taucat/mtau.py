@@ -79,7 +79,7 @@ def build_skeleton(spec: MtauSpec) -> GradedCatPresentation:
                 k = perms[a][j]
                 comp[(i, j, k, b, a)] = (((psi_inv[a][b][i],),),)
     identities = [(1,)] * n
-    return GradedCatPresentation(tau, f, degrees, hom_rank, comp, identities)
+    return GradedCatPresentation._trusted(tau, f, degrees, hom_rank, comp, identities)
 
 
 def basis_inverse(spec: MtauSpec, coset: int, a: int) -> Morphism:
@@ -109,7 +109,7 @@ def build_group_groupoid(tau: GroupHom, field: PrimeField) -> GradedCatPresentat
                 dst = gG.mul(tau.map[h2], mid)
                 comp[(g, mid, dst, h, h2)] = (((1,),),)
     identities = [(1,)] * n
-    return GradedCatPresentation(tau, field, degrees, hom_rank, comp, identities)
+    return GradedCatPresentation._trusted(tau, field, degrees, hom_rank, comp, identities)
 
 
 def parity_tau() -> GroupHom:

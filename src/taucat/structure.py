@@ -220,7 +220,7 @@ def decompose(cat: GradedCatPresentation) -> DecompositionReport:
                     hom_maps[(offset + i, offset + j, a)] = tuple(
                         (c,) for c in f.coords)
             offset += o.space.size
-        witness = FunctorData(source, cat, obj_map, hom_maps)
+        witness = FunctorData._trusted(source, cat, obj_map, hom_maps)
         verdict = verify_functor(witness)
         if not verdict.ok:
             return DecompositionReport(specs, orbits, witness, False,
@@ -418,7 +418,7 @@ def _realize_checked(spec_a: MtauSpec, spec_b: MtauSpec,
             if tgt.rank(obj_map[i], obj_map[j], a) != 1:
                 raise ValueError("target hom space missing where required")
             hom_maps[(i, j, a)] = ((units[a][i],),)
-    functor = FunctorData(src, tgt, obj_map, hom_maps)
+    functor = FunctorData._trusted(src, tgt, obj_map, hom_maps)
     verdict = verify_functor(functor)
     if not verdict.ok:
         raise ValueError(f"realised functor fails verification: {verdict.violations[0]}")

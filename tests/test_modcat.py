@@ -329,10 +329,11 @@ def test_roundtrip_inverts_each_shift_iso_once(tmp_path, monkeypatch):
     # of its lawful rebuild, compose those inverses from their shift tables
     # instead of inverting them: 2 x (4 + 4 x 64) = 520 fewer.  Both shift
     # tables pair the identity at the unit degree with itself, as find_shift
-    # does, instead of inverting it: 2 x 4 = 8 fewer.  What is left is
-    # 3 x 4 x 8 - 2 x 4 = 88: the 4 x 7 scans of the input, the 4 x 7
-    # identity shifts of the rebuild off the unit, which roundtrip_nu builds
-    # and inverts, and nu's 4 x 8 comparisons
+    # does, instead of inverting it: 2 x 4 = 8 fewer.  roundtrip_nu builds
+    # the inverse epsilon^-1 o mu of each identity shift of the rebuild off
+    # the unit instead of inverting it: 4 x 7 = 28 fewer.  What is left is
+    # 2 x 4 x 8 - 4 = 60: the 4 x 7 scans of the input and nu's 4 x 8
+    # comparisons
     cat = twisted_cat(93)
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(jsonio.category_to_json(cat)))
@@ -342,8 +343,9 @@ def test_roundtrip_inverts_each_shift_iso_once(tmp_path, monkeypatch):
     reused = n + n * order ** 2 + n
     composed = 2 * (n + n * order ** 2)
     identities = 2 * n
+    rebuilt_shifts = n * (order - 1)
     assert (len(calls) == 972 - n * order - n * (order - 1) - reused - n * order - composed
-            - identities == 3 * n * order - 2 * n == 88)
+            - identities - rebuilt_shifts == 2 * n * order - n == 60)
 
 
 def test_roundtrip_builds_one_scalar_view_per_module(tmp_path, monkeypatch):
