@@ -29,3 +29,12 @@ def apply_functor(F, m):
     coords = tuple(sum(row[i] * m.coords[i] for i in range(len(m.coords))) % p
                    for row in mat)
     return Morphism(F.obj_map[m.src], F.obj_map[m.dst], m.degree, coords)
+
+
+def dense_tensors(cat):
+    """{(src, mid, dst, h, h2): tensor} of cat as nested lists, read off its
+    file form: jsonio.category_to_json is the one writer of dense tensors."""
+    from taucat.jsonio import category_to_json
+
+    return {(r["src"], r["mid"], r["dst"], r["h"], r["h2"]): r["tensor"]
+            for r in category_to_json(cat)["compose"]}
