@@ -30,11 +30,13 @@ from random import Random
 import pytest
 
 from taucat import cli, jsonio
-from taucat.category import direct_sum_cat
+from taucat.category import (GradedCatPresentation, direct_sum_cat, identity_functor,
+                             identity_morphism)
 from taucat.cochains import d1_cochain, random_cochain1
 from taucat.completion import AdditiveCompletion
 from taucat.fields import field
-from taucat.groups import coset_space, cyclic_group, subgroup
+from taucat.groups import coset_space, cyclic_group, reduction_hom, subgroup
+from taucat.modcat import ModuleCatData, bullet
 from taucat.mtau import build_skeleton, mtau_spec, parity_tau
 from test_yoneda import s3_cat, ungenerated_cat
 
@@ -206,6 +208,68 @@ def test_golden_stdout(tmp_path, monkeypatch):
     for name in GOLDEN:
         assert got[name] == GOLDEN[name], name
 
+
+# the category files golden_runs writes; the corrupted ones are written
+# before the run named here, and the skeletons by the build-mtau runs
+CATEGORY_FILES = ("C8L1.json", "C12L2.json", "C16L4.json", "sum.json", "completion.json",
+                  "closed.json", "S3.json", "ungenerated.json", "C12bad.json", "gappy.json")
+
+
+def _file_form(doc):
+    """The bytes of a category document, keys sorted as cli._emit writes them."""
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_writer_reproduces_every_category_file(tmp_path, monkeypatch):
+    # parse then write gives back each file the golden table reads: every
+    # record, zero tensors included, in the same order with the same entries
+    monkeypatch.chdir(tmp_path)
+    for name, argv in golden_runs():
+        if name == "verify/C12bad.json":
+            break
+        if name.startswith("build-mtau/"):
+            assert _run(argv)[0] == 0
+    for name in CATEGORY_FILES:
+        with open(name, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert _file_form(jsonio.category_to_json(jsonio.parse_category(doc))) == \
+            _file_form(doc), name
+
+
+def _zero_records(doc):
+    return [r for r in doc["compose"] if not any(v for layer in r["tensor"]
+                                                 for row in layer for v in row)]
+
+
+def _zero_composite_module():
+    """C2 acting trivially on a lawful base where f: 0 -> 1 and g: 1 -> 2
+    compose to zero in Hom(0, 2), of rank 1, and End(3) is the dual numbers
+    1, u with u o u = 0, of rank 2."""
+    homs = {(0, 1, 0): 1, (1, 2, 0): 1, (0, 2, 0): 1, (3, 3, 0): 2,
+            **{(x, x, 0): 1 for x in range(3)}}
+    one = [[[1]]]
+    comp = {(x, x, y, 0, 0): one for (x, y, _) in homs if x != 3}
+    comp.update({(x, y, y, 0, 0): one for (x, y, _) in homs if x != 3})
+    comp[(3, 3, 3, 0, 0)] = [[[1, 0], [0, 0]], [[0, 1], [1, 0]]]
+    base = GradedCatPresentation(reduction_hom(2, 1), F5, [0] * 4, homs, comp,
+                                 [[1], [1], [1], [1, 0]])
+    comps = tuple(identity_morphism(base, x) for x in base.objects())
+    action = {h: identity_functor(base) for h in (0, 1)}
+    return ModuleCatData(base, action, comps, {(a, b): comps for a in (0, 1) for b in (0, 1)})
+
+
+def test_zero_tensors_survive_as_records():
+    # presentation_of declares a tensor for every triple of nonzero hom
+    # spaces, and bullet's matrix branch one for every nonzero target space:
+    # both declare the zero tensor at (0, 1, 2), which stays a record through
+    # a parse and a write
+    mod = _zero_composite_module()
+    sums = AdditiveCompletion(mod.base).presentation_of([(0,), (1,), (2,), (3,), (0, 3)])
+    for cat in (sums, bullet(mod)):
+        doc = jsonio.category_to_json(cat)
+        assert (0, 1, 2) in {(r["src"], r["mid"], r["dst"]) for r in _zero_records(doc)}
+        again = jsonio.category_to_json(jsonio.parse_category(json.loads(json.dumps(doc))))
+        assert again == doc
 
 if __name__ == "__main__":
     import os
