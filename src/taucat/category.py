@@ -20,22 +20,30 @@ coordinates.  The same closure decides the functor law: between lawful
 presentations, the morphisms g with F(g o f) = F(g) o F(f) for every f form
 a subspace closed under composition, so `verify_functor` checks the paths
 whose outer degree is generating and falls back to the full scan on a
-violation.  The constructor normalises each composition tensor and checks
-its shape in one walk; files hand their tensors to it unchecked, and the
-builders that make canonical tensors themselves skip it (`_trusted`).
-Composing with a fixed morphism is one matrix
-read off one tensor, `precompose` (u -> u o f) or `postcompose`
-(u -> g o u); `invert` solves the two stacked.  When every hom space has
-rank 1, `scalars()` lists the one structure constant of each tensor, and a
-composite is a product of scalars.
+violation.
+
+Each composition tensor is stored once, sparse, in `tensors`: keyed by
+(h, h2) and then (x, y, z), a tensor is its nonzero structure constants
+grouped by input pair, {(j, i): ((k, c), ...)}, as GAP stores the
+structure-constant tables of algebras (GAP Reference Manual, "Constructing
+Algebras by Structure Constants").  Every contraction reads that store, so
+a law scan costs what the nonzero constants cost: the matrix-unit tensors
+of an additive completion are mostly zeros.  A tensor between rank-1 hom
+spaces is its one constant (`_constant`).  A zero tensor that a builder or
+a file declares stays, as an empty entry, so jsonio's writer, the only
+place that lays tensors out dense, gives back the records it read.  The
+constructor builds the store in the walk that checks each file tensor's
+shape; the builders that make canonical tensors themselves hand theirs
+over (`_trusted`).  Composing with a fixed morphism is one matrix read off
+one tensor, `precompose` (u -> u o f) or `postcompose` (u -> g o u);
+`invert` solves the two stacked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import product
-from operator import mul
 from random import Random
 
 from . import fplinalg
@@ -45,6 +53,7 @@ from .znsolve import CapExceeded
 
 
 _ARRAYS = (list, tuple)
+_NONE = {}  # the tensors of a degree pair that has none; never written to
 
 
 def _int(value, what: str) -> int:
@@ -93,10 +102,13 @@ class GradedCatPresentation:
     """Objects with degrees, graded hom bases, and composition tensors.
 
     hom_rank maps (src, dst, h) to the dimension of Hom^h(src, dst); absent
-    keys mean zero.  compose maps (src, mid, dst, h, h2) to a tensor
-    c[k][j][i] expressing (basis_j of Hom^{h2}(mid,dst)) o (basis_i of
-    Hom^h(src,mid)) = sum_k c[k][j][i] basis_k in Hom^{h2 h}(src,dst);
-    absent tensors are zero.  `sums` records declared direct-sum structure
+    keys mean zero.  The constructor's compose maps (src, mid, dst, h, h2)
+    to a dense tensor c[k][j][i] expressing (basis_j of Hom^{h2}(mid,dst)) o
+    (basis_i of Hom^h(src,mid)) = sum_k c[k][j][i] basis_k in
+    Hom^{h2 h}(src,dst); absent tensors are zero.  It is kept as `tensors`,
+    {(h, h2): {(src, mid, dst): {(j, i): ((k, c), ...)}}}: for each input
+    pair with a nonzero composite, its nonzero constants c in [1, p) by
+    ascending k.  `sums` records declared direct-sum structure
     (part, injection, projection) per object.  No shift choice is recorded:
     that is a table its users hold (modcat.shift_table).
 
@@ -104,8 +116,8 @@ class GradedCatPresentation:
     tuples of ints mod p, drops zero ranks, and checks keys, tensors and
     identities in one walk whose messages are the file form's (jsonio hands
     it file data unchecked).  The builders that make their data in memory
-    (mtau, modcat, direct_sum_cat) use `_trusted`, which skips that walk;
-    they owe it canonical data.
+    (mtau, modcat, completion, direct_sum_cat) use `_trusted`, which skips
+    that walk and takes the store itself; they owe it canonical data.
     """
 
     def __init__(self, tau: GroupHom, field: PrimeField, degrees, hom_rank,
@@ -116,24 +128,26 @@ class GradedCatPresentation:
                     tuple(tuple(int(c) % p for c in cid) for cid in identities), sums)
         # a file's first fault is found in this order: keys, tensors, identities
         self._validate_keys()
-        compose_t = {key: self._checked_tensor(key, t) for key, t in compose.items()}
+        tensors = {}
+        for key, t in compose.items():
+            tensors.setdefault(key[3:], {})[key[:3]] = self._checked_tensor(key, t)
         self._validate_shapes()
-        self._finish(compose_t)
+        self._finish(tensors)
 
     @classmethod
-    def _trusted(cls, tau: GroupHom, field: PrimeField, degrees, hom_rank, compose,
+    def _trusted(cls, tau: GroupHom, field: PrimeField, degrees, hom_rank, tensors,
                  identities, sums=None) -> GradedCatPresentation:
         """The presentation of canonical data, without the validating walk.
 
         The caller owes what the walk would establish: hom and tensor keys
-        in range, no zero rank in hom_rank, every identity and tensor entry
-        an int in [0, p) held in tuples, and each tensor and identity shaped
-        by the ranks of its hom spaces.  hom_rank and compose are kept, not
-        copied.
+        in range, no zero rank in hom_rank, every identity an int in [0, p)
+        held in tuples and shaped by its rank, and `tensors` in the store's
+        form, each index below the rank of its hom space.  hom_rank and
+        tensors are kept, not copied.
         """
         cat = cls.__new__(cls)
         cat._store(tau, field, tuple(degrees), hom_rank, tuple(identities), sums)
-        cat._finish(compose)
+        cat._finish(tensors)
         return cat
 
     def _store(self, tau, field, degrees, hom_rank, identities, sums):
@@ -141,9 +155,9 @@ class GradedCatPresentation:
         self.degrees, self.hom_rank, self.identities = degrees, hom_rank, identities
         self.sums = dict(sums) if sums else {}
 
-    def _finish(self, compose_t):
+    def _finish(self, tensors):
         """Keep the tensors and list each object's nonzero hom spaces."""
-        self.compose_t = compose_t
+        self.tensors = tensors
         self._out = [[] for _ in self.degrees]
         for (x, y, h), r in sorted(self.hom_rank.items()):
             self._out[x].append((y, h, r))
@@ -159,7 +173,8 @@ class GradedCatPresentation:
         return self.hom_rank.get((x, y, h), 0)
 
     def tensor(self, x: int, y: int, z: int, h: int, h2: int):
-        return self.compose_t.get((x, y, z, h, h2))
+        """T(x, y, z; h, h2) as {(j, i): ((k, c), ...)}, None when absent."""
+        return self.tensors.get((h, h2), _NONE).get((x, y, z))
 
     def out_homs(self, x: int):
         return self._out[x]
@@ -184,31 +199,12 @@ class GradedCatPresentation:
         for (x, y, h), r in self.hom_rank.items():
             if h not in degrees:
                 h1, s = parent[h]
-                cols = [[layer[j][i] for layer in t] for z in self.objects()
-                        if (t := self.tensor(x, z, y, h1, s))
-                        for j in range(len(t[0])) for i in range(len(t[0][0]))]
+                tensors = self.tensors.get((h1, s), _NONE)
+                cols = [_column(entries, r) for z in self.objects()
+                        for entries in tensors.get((x, z, y), _NONE).values()]
                 if fplinalg.nullspace(cols, self.field.p, ncols=r):
                     return None
         return degrees
-
-    def scalars(self):
-        """{(h, h2): {(x, y, z): c}}, the one structure constant c of each
-        nonzero tensor T(x, y, z; h, h2), or None unless every hom space has
-        rank 1.
-
-        Then every morphism is one coordinate times its basis element, and
-        g o f is c * g * f; an absent key, which includes every tensor with
-        a zero-rank side, counts as c = 0.  The table is built on each call
-        and kept only by its caller, so it costs no memory once the caller
-        is done: each reader builds it once per construction or check.
-        """
-        if any(r != 1 for r in self.hom_rank.values()):
-            return None
-        out = {}
-        for (x, y, z, h, h2), t in self.compose_t.items():
-            if t and t[0] and t[0][0]:
-                out.setdefault((h, h2), {})[(x, y, z)] = t[0][0][0]
-        return out
 
     @cached_property
     def verdict(self) -> Verdict:
@@ -243,16 +239,16 @@ class GradedCatPresentation:
         return (self.tau == other.tau and self.field == other.field
                 and self.degrees == other.degrees
                 and self.hom_rank == other.hom_rank
-                and self.compose_t == other.compose_t
+                and self.tensors == other.tensors
                 and self.identities == other.identities)
 
-    def _checked_tensor(self, key, tensor) -> tuple:
-        """tensor as tuples mod p, after one walk that checks its key, its
-        shape against the ranks of its three hom spaces, and that it is an
-        array of arrays of arrays of integers.
+    def _checked_tensor(self, key, tensor) -> dict:
+        """The nonzeros of tensor mod p in the store's form, after one walk
+        that checks its key, its shape against the ranks of its three hom
+        spaces, and that it is an array of arrays of arrays of integers.
 
         File tensors reach this walk unchecked, so its messages are the file
-        form's; a tensor between rank-1 spaces takes a fast path.
+        form's.
         """
         x, y, z, h, h2 = key
         n, nh = len(self.degrees), self.tau.source.order
@@ -261,24 +257,27 @@ class GradedCatPresentation:
         rank, p = self.hom_rank.get, self.field.p
         r1, r2 = rank((x, y, h), 0), rank((y, z, h2), 0)
         r3 = rank((x, z, self.tau.source.mul(h2, h)), 0)
-        if (r1 == r2 == r3 == 1 and type(tensor) in _ARRAYS and len(tensor) == 1
-                and type(layer := tensor[0]) in _ARRAYS and len(layer) == 1
-                and type(row := layer[0]) in _ARRAYS and len(row) == 1
-                and type(v := row[0]) is int):
-            return (((v % p,),),)
         what = "composition tensor"  # a wrong type is reported before a wrong length
-        ragged = len(_array(tensor, what)) != r3
-        out = []
-        for layer in tensor:
-            ragged |= len(_array(layer, what)) != r2
-            rows = []
-            for row in layer:
-                ragged |= len(_array(row, what)) != r1
-                rows.append(tuple(_int(v, what) % p for v in row))
-            out.append(tuple(rows))
+        if type(tensor) not in _ARRAYS:
+            _array(tensor, what)
+        ragged = len(tensor) != r3
+        out = {}
+        for k, layer in enumerate(tensor):
+            if type(layer) not in _ARRAYS:
+                _array(layer, what)
+            ragged |= len(layer) != r2
+            for j, row in enumerate(layer):
+                if type(row) not in _ARRAYS:
+                    _array(row, what)
+                ragged |= len(row) != r1
+                for i, v in enumerate(row):
+                    if type(v) is not int:
+                        _int(v, what)
+                    if v % p:  # k ascends, so each input pair's entries do too
+                        out[j, i] = out.get((j, i), ()) + ((k, v % p),)
         if ragged:
             raise ValueError(f"ragged composition tensor at {key}")
-        return tuple(out)
+        return _scalar(out[0, 0][0][1] if out else 0) if r1 == r2 == r3 == 1 else out
 
     def _validate_keys(self):
         """One identity per object, object degrees in G, hom keys in range,
@@ -318,18 +317,53 @@ def identity_morphism(cat: GradedCatPresentation, x: int) -> Morphism:
     return Morphism(x, x, cat.tau.source.identity, cat.identities[x])
 
 
+def _constant(t) -> int:
+    """The one structure constant of a tensor between rank-1 hom spaces, 0
+    when the tensor is None or zero."""
+    return t[0, 0][0][1] if t else 0
+
+
+@cache
+def _scalar(c: int) -> dict:
+    """The tensor between rank-1 hom spaces whose one constant is c in [0, p).
+
+    One object per constant, shared by every such tensor of every
+    presentation: the store is never written to once built, and a skeleton's
+    reads then touch a few objects, not one per tensor.
+    """
+    return {(0, 0): ((0, c),)} if c else {}
+
+
+def _column(entries, r: int) -> list:
+    """The composite of one input pair, ((k, c), ...), as a vector of length r."""
+    out = [0] * r
+    for k, c in entries:
+        out[k] = c
+    return out
+
+
+def _reduced(acc, p: int) -> dict:
+    """{(j, i): {k: c}} in the store's form: the nonzero c mod p, ascending k."""
+    out = {}
+    for ji, col in acc.items():
+        entries = tuple((k, c % p) for k, c in sorted(col.items()) if c % p)
+        if entries:
+            out[ji] = entries
+    return out
+
+
 def _contract(p: int, t, r: int, f, g) -> tuple:
     """Coordinates of g o f from their composition tensor t, mod p.
 
-    Entry k is sum_{j, i} t[k][j][i] g[j] f[i]; r is the rank of the hom
+    Entry k is sum_{j, i} T[k][j][i] g[j] f[i]; r is the rank of the hom
     space g o f lives in, and None or an empty tensor is zero.
     """
-    if not t:
-        return (0,) * r
-    if r == 1 and len(f) == 1 and len(g) == 1:
-        return ((t[0][0][0] * f[0] * g[0]) % p,)
-    return tuple(sum(gj * sum(map(mul, row, f)) for gj, row in zip(g, layer) if gj) % p
-                 for layer in t)
+    out = [0] * r
+    for (j, i), entries in (t or _NONE).items():
+        if c := g[j] * f[i]:
+            for k, v in entries:
+                out[k] += v * c
+    return tuple([v % p for v in out])
 
 
 def _check_rank(cat: GradedCatPresentation, m: Morphism) -> None:
@@ -345,13 +379,15 @@ def precompose(cat: GradedCatPresentation, f: Morphism, z: int, h2: int) -> tupl
     entry [k][j] is sum_i T(f.src, f.dst, z; |f|, h2)[k][j][i] f[i], and an
     absent tensor gives the zero matrix."""
     _check_rank(cat, f)
-    t = cat.tensor(f.src, f.dst, z, f.degree, h2)
-    if not t:
-        cols = cat.rank(f.dst, z, h2)
-        rows = cat.rank(f.src, z, cat.tau.source.mul(h2, f.degree))
-        return ((0,) * cols,) * rows
-    p, v = cat.field.p, f.coords
-    return tuple(tuple(sum(map(mul, row, v)) % p for row in layer) for layer in t)
+    cols = cat.rank(f.dst, z, h2)
+    mat = [[0] * cols for _ in range(cat.rank(f.src, z, cat.tau.source.mul(h2, f.degree)))]
+    v = f.coords
+    for (j, i), entries in (cat.tensor(f.src, f.dst, z, f.degree, h2) or _NONE).items():
+        if c := v[i]:
+            for k, w in entries:
+                mat[k][j] += w * c
+    p = cat.field.p
+    return tuple(tuple(w % p for w in row) for row in mat)
 
 
 def postcompose(cat: GradedCatPresentation, g: Morphism, x: int, h: int) -> tuple:
@@ -359,14 +395,15 @@ def postcompose(cat: GradedCatPresentation, g: Morphism, x: int, h: int) -> tupl
     entry [k][i] is sum_j T(x, g.src, g.dst; h, |g|)[k][j][i] g[j], and an
     absent tensor gives the zero matrix."""
     _check_rank(cat, g)
-    t = cat.tensor(x, g.src, g.dst, h, g.degree)
     cols = cat.rank(x, g.src, h)
-    if not t:
-        rows = cat.rank(x, g.dst, cat.tau.source.mul(g.degree, h))
-        return ((0,) * cols,) * rows
-    p, v = cat.field.p, g.coords
-    return tuple(tuple(sum(gj * row[i] for gj, row in zip(v, layer) if gj) % p
-                       for i in range(cols)) for layer in t)
+    mat = [[0] * cols for _ in range(cat.rank(x, g.dst, cat.tau.source.mul(g.degree, h)))]
+    v = g.coords
+    for (j, i), entries in (cat.tensor(x, g.src, g.dst, h, g.degree) or _NONE).items():
+        if c := v[j]:
+            for k, w in entries:
+                mat[k][i] += w * c
+    p = cat.field.p
+    return tuple(tuple(w % p for w in row) for row in mat)
 
 
 def _coords(m: Morphism) -> tuple:
@@ -404,9 +441,10 @@ def verify_axioms(cat: GradedCatPresentation) -> Verdict:
         sum_m T(w,y,z; h2h1,h3)[q][k][m] T(w,x,y; h1,h2)[m][j][i]
             = sum_m T(w,x,z; h1,h3h2)[q][m][i] T(x,y,z; h2,h3)[m][k][j]
 
-    for every q, and each (i, j, k) where it fails is one violation.  The
-    unit laws contract identities[x] against T(x,x,y; e,h) and
-    T(x,y,y; h,e) in the same way.
+    for every q, and each (i, j, k) where it fails is one violation; both
+    sides are sums over nonzero constants only (_assoc_failures).  The unit
+    laws contract identities[x] against T(x,x,y; e,h) and T(x,y,y; h,e) in
+    the same way.
 
     Associativity is first checked only on paths whose middle degree h2 lies
     in cat.generating_degrees.  The middle morphisms that associate with
@@ -419,7 +457,6 @@ def verify_axioms(cat: GradedCatPresentation) -> Verdict:
     gH, gG = cat.tau.source, cat.tau.target
     e = gH.identity
     p = cat.field.p
-    rank, tensor = cat.hom_rank.get, cat.compose_t.get
 
     for (x, y, h) in cat.hom_keys():
         if cat.degrees[y] != gG.mul(cat.tau.map[h], cat.degrees[x]):
@@ -429,21 +466,23 @@ def verify_axioms(cat: GradedCatPresentation) -> Verdict:
         if cat.rank(x, x, e) == 0 or all(c == 0 for c in cat.identities[x]):
             violations.append(("identity-missing", x))
 
-    for (x, y, h) in cat.hom_keys():
-        r = rank((x, y, h))
+    for (x, y, h), r in sorted(cat.hom_rank.items()):
         id_x, id_y = cat.identities[x], cat.identities[y]
         # e_k o id_x and id_y o e_k for every basis element e_k of Hom^h(x, y)
-        t = tensor((x, x, y, e, h))
-        right = [[sum(c * v for c, v in zip(layer[k], id_x)) % p for layer in t]
-                 if t else [0] * r for k in range(r)]
-        t = tensor((x, y, y, h, e))
-        left = [[sum(row[k] * v for row, v in zip(layer, id_y)) % p for layer in t]
-                if t else [0] * r for k in range(r)]
+        right, left = ([[0] * r for _ in range(r)] for _ in range(2))
+        for (k, i), entries in (cat.tensor(x, x, y, e, h) or _NONE).items():
+            if c := id_x[i]:
+                for q, v in entries:
+                    right[k][q] += v * c
+        for (j, k), entries in (cat.tensor(x, y, y, h, e) or _NONE).items():
+            if c := id_y[j]:
+                for q, v in entries:
+                    left[k][q] += v * c
         for k in range(r):
             unit = [int(q == k) for q in range(r)]
-            if id_x and right[k] != unit:
+            if id_x and [v % p for v in right[k]] != unit:
                 violations.append(("unit-right", x, y, h, k))
-            if id_y and left[k] != unit:
+            if id_y and [v % p for v in left[k]] != unit:
                 violations.append(("unit-left", x, y, h, k))
 
     middle = cat.generating_degrees
@@ -456,52 +495,73 @@ def _assoc_violations(cat: GradedCatPresentation, middle=None):
     """The associativity violations of every path whose middle degree lies
     in middle (every path when None), in path and basis order."""
     p = cat.field.p
-    rank, tensor, hmul = cat.hom_rank.get, cat.compose_t.get, cat.tau.source.mul
+    rank, table = cat.hom_rank.get, cat.tau.source.table
+    # the store's groups, grid[h][h2] = {(x, y, z): T(x, y, z; h, h2)}
+    degrees = range(len(table))
+    grid = [[cat.tensors.get((h, h2), _NONE) for h2 in degrees] for h in degrees]
     mids = [[hom for hom in cat.out_homs(x) if middle is None or hom[1] in middle]
             for x in cat.objects()]
     for w in cat.objects():
         for (x, h1, r1) in cat.out_homs(w):
             for (y, h2, r2) in mids[x]:
-                h21 = hmul(h2, h1)
+                h21 = table[h2][h1]
                 r21 = rank((w, y, h21), 0)
-                t_gf = tensor((w, x, y, h1, h2))
+                t_gf = grid[h1][h2].get((w, x, y))
                 for (z, h3, r3) in cat.out_homs(y):
-                    h32 = hmul(h3, h2)
-                    r = rank((w, z, hmul(h32, h1)), 0)
+                    h32 = table[h3][h2]
+                    r = rank((w, z, table[h32][h1]), 0)
                     if r == 0:
                         continue  # both sides live in a zero hom space
-                    r32 = rank((x, z, h32), 0)
-                    t_l = tensor((w, y, z, h21, h3))
-                    t_hg = tensor((x, y, z, h2, h3))
-                    t_r = tensor((w, x, z, h1, h32))
-                    if r == r1 == r2 == r3 == r21 == r32 == 1:
-                        lhs = t_l[0][0][0] * t_gf[0][0][0] if t_l and t_gf else 0
-                        rhs = t_r[0][0][0] * t_hg[0][0][0] if t_r and t_hg else 0
+                    t_l = grid[h21][h3].get((w, y, z))
+                    t_hg = grid[h2][h3].get((x, y, z))
+                    t_r = grid[h1][h32].get((w, x, z))
+                    if r == r1 == r2 == r3 == r21 == rank((x, z, h32), 0) == 1:
+                        # one constant each (_constant), inlined on this hot path
+                        lhs = t_l[0, 0][0][1] * t_gf[0, 0][0][1] if t_l and t_gf else 0
+                        rhs = t_r[0, 0][0][1] * t_hg[0, 0][0][1] if t_r and t_hg else 0
                         if (lhs - rhs) % p:
                             yield ("assoc", (w, x, y, z), (h1, h2, h3), (0, 0, 0))
                         continue
-                    for ijk in _assoc_failures(p, r, r1, r2, r3, t_gf, t_l, t_hg, t_r):
+                    for ijk in _assoc_failures(p, t_gf, t_l, t_hg, t_r):
                         yield ("assoc", (w, x, y, z), (h1, h2, h3), ijk)
 
 
-def _assoc_failures(p, r, r1, r2, r3, t_gf, t_l, t_hg, t_r):
-    """Basis triples (i, j, k) of one path where (h o g) o f != h o (g o f).
+def _by_index(t, pos: int) -> dict:
+    """The entries of tensor t grouped by one index of their input pair:
+    {m: [(other index, entries), ...]}, m at position pos of (j, i)."""
+    out = {}
+    for ji, entries in t.items():
+        out.setdefault(ji[pos], []).append((ji[1 - pos], entries))
+    return out
+
+
+def _assoc_failures(p, t_gf, t_l, t_hg, t_r) -> list:
+    """Basis triples (i, j, k) of one path where (h o g) o f != h o (g o f),
+    in order.
 
     t_gf gives g o f, t_l composes h after it, t_hg gives h o g and t_r
-    composes it after f; None is the zero tensor.
+    composes it after f; None is the zero tensor.  Only triples that some
+    product of nonzero constants reaches are looked at: elsewhere both
+    sides are zero.
     """
-    zero = [0] * r
-    hg = {(j, k): [layer[k][j] for layer in t_hg]
-          for j in range(r2) for k in range(r3)} if t_hg and t_r else None
-    for i in range(r1):
-        r_i = [[row[i] for row in layer] for layer in t_r] if hg else None
-        for j in range(r2):
-            gf = [layer[j][i] for layer in t_gf] if t_gf and t_l else None
-            for k in range(r3):
-                lhs = [sum(map(mul, layer[k], gf)) % p for layer in t_l] if gf else zero
-                rhs = [sum(map(mul, row, hg[j, k])) % p for row in r_i] if r_i else zero
-                if lhs != rhs:
-                    yield (i, j, k)
+    diff = {}  # (i, j, k) -> {q: lhs - rhs}
+    if t_gf and t_l:
+        after = _by_index(t_l, 1)  # m -> (k, T_l[.][k][m])
+        for (j, i), gf in t_gf.items():
+            for m, c in gf:
+                for k, entries in after.get(m, ()):
+                    d = diff.setdefault((i, j, k), {})
+                    for q, v in entries:
+                        d[q] = d.get(q, 0) + c * v
+    if t_hg and t_r:
+        before = _by_index(t_r, 0)  # m -> (i, T_r[.][m][i])
+        for (k, j), hg in t_hg.items():
+            for m, c in hg:
+                for i, entries in before.get(m, ()):
+                    d = diff.setdefault((i, j, k), {})
+                    for q, v in entries:
+                        d[q] = d.get(q, 0) - c * v
+    return sorted(ijk for ijk, d in diff.items() if any(v % p for v in d.values()))
 
 
 def invert(cat: GradedCatPresentation, f: Morphism):
@@ -521,12 +581,10 @@ def invert(cat: GradedCatPresentation, f: Morphism):
     if 0 in (r2, r_src, r_dst) or len(f.coords) != cat.rank(f.src, f.dst, f.degree):
         return None
     p = cat.field.p
-    t_gf = cat.tensor(f.src, f.dst, f.src, f.degree, a_inv)
-    t_fg = cat.tensor(f.dst, f.src, f.dst, a_inv, f.degree)
     id_src, id_dst = cat.identities[f.src], cat.identities[f.dst]
     if r2 == r_src == r_dst == len(f.coords) == 1:
-        c1 = t_gf[0][0][0] * f.coords[0] % p if t_gf else 0
-        c2 = t_fg[0][0][0] * f.coords[0] % p if t_fg else 0
+        c1 = _constant(cat.tensor(f.src, f.dst, f.src, f.degree, a_inv)) * f.coords[0] % p
+        c2 = _constant(cat.tensor(f.dst, f.src, f.dst, a_inv, f.degree)) * f.coords[0] % p
         (i1,), (i2,) = id_src, id_dst
         if c1:
             x = i1 * pow(c1, -1, p) % p
@@ -628,8 +686,9 @@ def direct_sum_cat(cats) -> GradedCatPresentation:
     for c in cats:
         for (x, y, h), r in c.hom_rank.items():
             hom_rank[(x + offset, y + offset, h)] = r
-        for (x, y, z, h, h2), t in c.compose_t.items():
-            comp[(x + offset, y + offset, z + offset, h, h2)] = t
+        for hh2, group in c.tensors.items():
+            comp.setdefault(hh2, {}).update(
+                ((x + offset, y + offset, z + offset), t) for (x, y, z), t in group.items())
         degrees.extend(c.degrees)
         identities.extend(c.identities)
         for x, parts in c.sums.items():
@@ -787,13 +846,12 @@ def _functor_violations(F: FunctorData, outer=None):
                 h21 = hmul(h2, h1)
                 a3 = F.matrix(x, z, h21)
                 g_cols = _columns(F.matrix(y, z, h2), r2)
-                t_src = src.tensor(x, y, z, h1, h2)
+                t_src = src.tensor(x, y, z, h1, h2) or _NONE
                 t_tgt = tgt.tensor(omap[x], omap[y], omap[z], h1, h2)
-                r = tgt.rank(omap[x], omap[z], h21)
+                r, r_src = tgt.rank(omap[x], omap[z], h21), src.rank(x, z, h21)
                 for i in range(r1):
                     for j in range(r2):
-                        gf = [layer[j][i] for layer in t_src] if t_src else ()
-                        lhs = fplinalg.matvec(a3, gf, p)
+                        lhs = fplinalg.matvec(a3, _column(t_src.get((j, i), ()), r_src), p)
                         if lhs != _contract(p, t_tgt, r, f_cols[i], g_cols[j]):
                             yield ("compose", (x, y, z), (h1, h2), (i, j))
 

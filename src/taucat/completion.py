@@ -107,8 +107,10 @@ class AdditiveCompletion:
         (ci, bi) of Hom^{h2}(b, c) gives entry n of the base tensor
         T(a[ai], b[bi], c[ci]; h, h2)[n][m][l] in block (ci, ai) of
         Hom^{h2 h}(a, c); other block pairs compose to zero.  So each
-        tensor is the base tensors placed by block, with a (possibly zero)
-        tensor for every triple of nonzero hom spaces.  Sum objects whose
+        tensor is the base tensors' nonzeros moved to their block offsets,
+        with a (possibly zero) tensor for every triple of nonzero hom
+        spaces, and the data are canonical: `_trusted` keeps them as they
+        are.  Sum objects whose
         singleton parts are all present get declared direct-sum structure,
         which is what the semisimplicity verdicts consume.
         """
@@ -121,26 +123,27 @@ class AdditiveCompletion:
                 raise ValueError(f"object {o} mixes degrees {degs}")
             degrees.append(degs.pop() if degs else base.tau.target.identity)
         elements, hmul = base.tau.source.elements(), base.tau.source.mul
-        hom_rank, comp, starts = {}, {}, {}
+        hom_rank, tensors, starts = {}, {}, {}
         for (i, a), (j, b), h in product(enumerate(objs), enumerate(objs), elements):
             starts[(i, j, h)], r = self._offsets(a, b, h)
             if r:
                 hom_rank[(i, j, h)] = r
-        for (i, a), (j, b), (k, c) in product(enumerate(objs), repeat=3):
-            for h, h2 in product(elements, repeat=2):
+        for h, h2 in product(elements, repeat=2):
+            base_t = base.tensors.get((h, h2), {})
+            group = tensors[(h, h2)] = {}
+            for (i, a), (j, b), (k, c) in product(enumerate(objs), repeat=3):
                 key1, key2, key3 = (i, j, h), (j, k, h2), (i, k, hmul(h2, h))
                 if not (key1 in hom_rank and key2 in hom_rank and key3 in hom_rank):
                     continue
                 s1, s2, s3 = starts[key1], starts[key2], starts[key3]
-                tensor = [[[0] * hom_rank[key1] for _ in range(hom_rank[key2])]
-                          for _ in range(hom_rank[key3])]
+                tensor = group[(i, j, k)] = {}
                 for (ci, z), (bi, y), (ai, x) in product(enumerate(c), enumerate(b), enumerate(a)):
-                    o1, o2 = s1[bi][ai], s2[ci][bi]
-                    for layer, out in zip(base.tensor(x, y, z, h, h2) or (), tensor[s3[ci][ai]:]):
-                        for row, dst in zip(layer, out[o2:]):
-                            dst[o1:o1 + len(row)] = row
-                comp[(i, j, k, h, h2)] = tensor
-        identities = [self._flatten(self.identity(o)) for o in objs]
+                    o1, o2, o3 = s1[bi][ai], s2[ci][bi], s3[ci][ai]
+                    for (m, l), entries in base_t.get((x, y, z), {}).items():
+                        tensor[(o2 + m, o1 + l)] = tuple((o3 + n, v) for n, v in entries)
+            if not group:
+                del tensors[(h, h2)]
+        identities = [tuple(self._flatten(self.identity(o))) for o in objs]
         singleton_index = {o[0]: i for i, o in enumerate(objs) if len(o) == 1}
         sums = {}
         for i, o in enumerate(objs):
@@ -160,5 +163,5 @@ class AdditiveCompletion:
                              tuple(self._flatten(pi))),
                 ))
             sums[i] = tuple(decl)
-        return GradedCatPresentation(base.tau, base.field, degrees, hom_rank,
-                                     comp, identities, sums=sums)
+        return GradedCatPresentation._trusted(base.tau, base.field, degrees, hom_rank,
+                                              tensors, identities, sums=sums)

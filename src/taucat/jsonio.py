@@ -188,10 +188,32 @@ def parse_category(doc) -> GradedCatPresentation:
                                  sums=sums)
 
 
+def _compose_records(cat: GradedCatPresentation) -> list:
+    """Every stored tensor as a file record, in key order, its tensor the
+    array c[k][j][i] shaped by the ranks of its three hom spaces: the one
+    place tensors are laid out dense."""
+    rank, table, tensors = cat.hom_rank.get, cat.tau.source.table, cat.tensors
+    records = []
+    for x, y, z, h, h2 in sorted(xyz + hh2 for hh2, group in tensors.items() for xyz in group):
+        r1, r2 = rank((x, y, h), 0), rank((y, z, h2), 0)
+        tensor = []
+        for _ in range(rank((x, z, table[h2][h]), 0)):
+            layer = []
+            for _ in range(r2):
+                layer.append([0] * r1)
+            tensor.append(layer)
+        for (j, i), entries in tensors[h, h2][x, y, z].items():
+            for k, c in entries:
+                tensor[k][j][i] = c
+        records.append({"src": x, "mid": y, "dst": z, "h": h, "h2": h2, "tensor": tensor})
+    return records
+
+
 def category_to_json(cat: GradedCatPresentation):
-    """The file form of a presentation.  Declared direct sums are kept, with
-    degree-1 injections and projections.  A presentation records no shift
-    choice, and no verdict depends on one: a reader of the file takes
+    """The file form of a presentation: every stored tensor, a declared
+    zero one included, as a dense record.  Declared direct sums are kept,
+    with degree-1 injections and projections.  A presentation records no
+    shift choice, and no verdict depends on one: a reader of the file takes
     modcat.shift_table's scan."""
     out = {
         "tau": hom_to_json(cat.tau),
@@ -199,11 +221,7 @@ def category_to_json(cat: GradedCatPresentation):
         "objects": [{"deg": d} for d in cat.degrees],
         "homs": [{"src": x, "dst": y, "h": h, "rank": r}
                  for (x, y, h), r in sorted(cat.hom_rank.items())],
-        "compose": [
-            {"src": x, "mid": y, "dst": z, "h": h, "h2": h2,
-             "tensor": [[list(row) for row in layer] for layer in t]}
-            for (x, y, z, h, h2), t in sorted(cat.compose_t.items())
-        ],
+        "compose": _compose_records(cat),
         "identities": [list(c) for c in cat.identities],
     }
     if cat.sums:

@@ -63,8 +63,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
 from .category import (FunctorData, GradedCatPresentation, Morphism,
-                       NatTransData, Verdict, _coords, _image, _nat_violations,
-                       _then, compose, compose_functors, find_shift,
+                       NatTransData, Verdict, _constant, _coords, _image, _nat_violations,
+                       _reduced, _scalar, _then, compose, compose_functors, find_shift,
                        identity_functor, identity_morphism, invert, postcompose,
                        precompose, verify_functor, verify_nat)
 from .fplinalg import matmul, matvec
@@ -87,9 +87,9 @@ def degree_one_part(cat: GradedCatPresentation) -> GradedCatPresentation:
     """The subcategory of degree-1 morphisms, same objects and degrees."""
     e = cat.tau.source.identity
     hom_rank = {k: r for k, r in cat.hom_rank.items() if k[2] == e}
-    comp = {k: t for k, t in cat.compose_t.items() if k[3] == e and k[4] == e}
+    tensors = {(e, e): cat.tensors[(e, e)]} if (e, e) in cat.tensors else {}
     out = GradedCatPresentation._trusted(cat.tau, cat.field, cat.degrees, hom_rank,
-                                         comp, cat.identities)
+                                         tensors, cat.identities)
     if cat.lawful:  # every law of the part is one of cat's laws
         out.verdict = Verdict([])
     return out
@@ -126,14 +126,6 @@ class ModuleCatData:
         base = self.base
         return ([invert(base, c) for c in self.epsilon],
                 {ab: [invert(base, c) for c in comps] for ab, comps in self.mu.items()})
-
-    @cached_property
-    def scalars(self):
-        """(base.scalars() at degree 1, _action_scalars(self)), or None unless
-        every hom space of the base has rank 1: one view per instance, which
-        verify_module_category and bullet read."""
-        scalars, e = self.base.scalars(), self.group.identity
-        return None if scalars is None else (scalars.get((e, e), {}), _action_scalars(self))
 
     @cached_property
     def square_middles(self):
@@ -213,10 +205,10 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     p = cat.field.p
     base = degree_one_part(cat)
     table = shifts if shifts is not None else shift_table(cat)
-    scalars = cat.scalars()
-    if scalars is not None and any(len(m.coords) != 1 for _, iso, back in table.values()
-                                   for m in (iso, back)):
-        scalars = None
+    scalars = (all(r == 1 for r in cat.hom_rank.values())
+               and all(len(m.coords) == 1 for _, iso, back in table.values()
+                       for m in (iso, back)))
+    tensors = cat.tensors
     elements = list(gH.elements())
     objects = list(cat.objects())
     inv = {a: gH.inv(a) for a in elements}
@@ -225,12 +217,12 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     for h in elements:
         h_inv = inv[h]
         hom_maps = {}
-        if scalars is not None:  # alpha^h(f) = r_{y,h} o f o r_{x,h}^-1
-            pre, post = scalars.get((h_inv, e), {}), scalars.get((h_inv, h), {})
+        if scalars:  # alpha^h(f) = r_{y,h} o f o r_{x,h}^-1
+            pre, post = tensors.get((h_inv, e), {}), tensors.get((h_inv, h), {})
             for (x, y, _) in base.hom_rank:
                 hx, _, inv_x = table[(x, h)]
                 hy, r_y, _ = table[(y, h)]
-                hom_maps[(x, y, e)] = ((pre[(hx, x, y)] * post[(hx, y, hy)]
+                hom_maps[(x, y, e)] = ((pre[hx, x, y][0, 0][0][1] * post[hx, y, hy][0, 0][0][1]
                                         * inv_x.coords[0] * r_y.coords[0] % p,),)
         else:
             for (x, y, _) in base.hom_rank:
@@ -241,7 +233,7 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
         action[h] = FunctorData._trusted(base, base, [table[(x, h)][0] for x in objects],
                                          hom_maps)
 
-    if scalars is not None:
+    if scalars:
         # per degree, (target, iso coordinate, inverse coordinate) by object
         rows = {a: [(y, iso.coords[0], back.coords[0])
                     for y, iso, back in (table[(x, a)] for x in objects)] for a in elements}
@@ -250,16 +242,17 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
         for b in elements:
             ab = gH.mul(a, b)
             comps, invs = [], []
-            if scalars is not None:
-                t_mu = scalars.get((inv[a], inv[b]), {}), scalars.get((inv[ab], ab), {})
-                t_inv = scalars.get((inv[ab], b), {}), scalars.get((inv[a], a), {})
+            if scalars:
+                t_mu = tensors.get((inv[a], inv[b]), {}), tensors.get((inv[ab], ab), {})
+                t_inv = tensors.get((inv[ab], b), {}), tensors.get((inv[a], a), {})
                 rows_a, rows_b, rows_ab = rows[a], rows[b], rows[ab]
                 for x in objects:
                     xb, r_b, i_b = rows_b[x]
                     xba, r_a, i_a = rows_a[xb]
                     xab, r_ab, i_ab = rows_ab[x]
-                    c = t_mu[0][(xba, xb, x)] * t_mu[1][(xba, x, xab)] * i_a * i_b * r_ab % p
-                    c_inv = (t_inv[0][(xab, x, xb)] * t_inv[1][(xab, xb, xba)]
+                    c = (t_mu[0][xba, xb, x][0, 0][0][1] * t_mu[1][xba, x, xab][0, 0][0][1]
+                         * i_a * i_b * r_ab % p)
+                    c_inv = (t_inv[0][xab, x, xb][0, 0][0][1] * t_inv[1][xab, xb, xba][0, 0][0][1]
                              * i_ab * r_b * r_a % p)
                     comps.append(Morphism(xba, xab, e, (c,)))
                     invs.append(Morphism(xab, xba, e, (c_inv,)))
@@ -280,38 +273,33 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     return mod
 
 
-def _action_scalars(mod: ModuleCatData) -> dict:
-    """a -> (object map, {(x, y): c}) of alpha^a, c the entry of its 1 x 1
-    hom matrix at (x, y); an absent key is a zero matrix."""
-    e = mod.group.identity
-    return {a: (F.obj_map, {(x, y): m[0][0] for (x, y, h), m in F.hom_maps.items()
-                            if h == e and m and m[0]})
-            for a, F in mod.action.items()}
-
-
 def _scalar_ops(mod: ModuleCatData):
     """(then, image) on degree-1 (src, dst, coords) morphisms of mod.base,
-    read off mod.scalars, or None unless every hom space of the base, every
-    object's endomorphisms and every component have rank 1.  A tensor or
-    matrix with a zero-rank side contracts to 0."""
+    each one product of the base's structure constants, the 1 x 1 hom
+    matrices of the action and the coordinates, or None unless every hom
+    space of the base, every object's endomorphisms and every component
+    have rank 1.  A tensor or matrix with a zero-rank side contracts to 0."""
     base = mod.base
     e = mod.group.identity
-    view = mod.scalars
     comps = [*mod.epsilon, *(c for cs in mod.mu.values() for c in cs)]
-    if not (view is not None and all(len(c) == 1 for c in base.identities)
+    if not (all(r == 1 for r in base.hom_rank.values())
+            and all(len(c) == 1 for c in base.identities)
             and all(len(c.coords) == 1 and base.rank(c.src, c.dst, e) == 1 for c in comps)):
         return None
     p = base.field.p
-    tensor, mats = view
+    tensors = base.tensors.get((e, e), {})
+    action = {a: (F.obj_map, F.hom_maps) for a, F in mod.action.items()}
 
     def then(f, g):
         if f[1] != g[0]:
             raise ValueError("morphisms are not composable")
-        return (f[0], g[1], (tensor.get((f[0], f[1], g[1]), 0) * f[2][0] * g[2][0] % p,))
+        t = tensors.get((f[0], f[1], g[1]))  # its one constant, as _constant reads it
+        return (f[0], g[1], (t[0, 0][0][1] * f[2][0] * g[2][0] % p if t else 0,))
 
     def image(a, f):
-        obj_map, scalars = mats[a]
-        return (obj_map[f[0]], obj_map[f[1]], (scalars.get((f[0], f[1]), 0) * f[2][0] % p,))
+        obj_map, maps = action[a]
+        m = maps.get((f[0], f[1], e))
+        return (obj_map[f[0]], obj_map[f[1]], (m[0][0] * f[2][0] % p if m and m[0] else 0,))
 
     return then, image
 
@@ -511,9 +499,8 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
         raise ValueError(f"action violates the degree law: {tdeg.violations[0]}")
     eps_inv, mu_inv = mod.inverses
     p = base.field.p
-    view = mod.scalars
-    if view is not None:
-        tensor, alpha = view
+    scalars = all(r == 1 for r in base.hom_rank.values())
+    tensors = base.tensors.get((e, e), {})
 
     # the base has degree-1 morphisms only: out_homs(hx) lists the nonzero Hom(hx, y)
     hom_rank = {(x, y, h): r for x in base.objects() for h in gH.elements()
@@ -529,26 +516,33 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
                     deg = gH.mul(h2, h)
                     start, h2y = mu_inv[(h2, h)][x], mod.action[h2].obj_map[y]
                     s = start.src
-                    if view is not None:
-                        mid = (tensor.get((s, start.dst, h2y), 0) * start.coords[0]
-                               * alpha[h2][1].get((hx, y), 0) % p)
+                    group = comp.setdefault((h, h2), {})
+                    if scalars:
+                        alpha = mod.action[h2].hom_maps.get((hx, y, e))
+                        mid = (_constant(tensors.get((s, start.dst, h2y))) * start.coords[0]
+                               * (alpha[0][0] if alpha else 0) % p)
                         for z, _, _ in base.out_homs(h2y):
                             if (x, z, deg) in hom_rank:
-                                comp[(x, y, z, h, h2)] = (((tensor.get((s, h2y, z), 0)
-                                                            * mid % p,),),)
+                                c = _constant(tensors.get((s, h2y, z))) * mid % p
+                                group[(x, y, z)] = _scalar(c)
                     else:
+                        # mids[m][i]: column i is alpha^{h2}(f_i) o mu^-1 in Hom(s, h2y)
                         mids = matmul(precompose(base, start, h2y, e),
                                       mod.action[h2].matrix(hx, y, e), p)
-                        for z, _, r2 in base.out_homs(h2y):
-                            r3 = hom_rank.get((x, z, deg), 0)
-                            if r3:
-                                t = base.tensor(s, h2y, z, e, e)
-                                comp[(x, y, z, h, h2)] = (
-                                    tuple(tuple(map(tuple, matmul(t_k, mids, p))) for t_k in t)
-                                    if t else (((0,) * r1,) * r2,) * r3)
+                        for z, _, _ in base.out_homs(h2y):
+                            if (x, z, deg) in hom_rank:
+                                acc = {}
+                                for (j, m), entries in tensors.get((s, h2y, z), {}).items():
+                                    for i, v in enumerate(mids[m]):
+                                        if v:
+                                            col = acc.setdefault((j, i), {})
+                                            for k, c in entries:
+                                                col[k] = col.get(k, 0) + c * v
+                                group[(x, y, z)] = _reduced(acc, p)
     identities = [eps_inv[x].coords for x in base.objects()]
     out = GradedCatPresentation._trusted(base.tau, base.field, base.degrees, hom_rank,
-                                         comp, identities)
+                                         {hh2: group for hh2, group in comp.items() if group},
+                                         identities)
     verdict = out.verdict
     if not verdict.ok:
         raise ValueError(f"incoherent action data: {verdict.violations[0]}")
@@ -602,8 +596,11 @@ def verify_module_functor(mf: ModuleFunctorData, src: ModuleCatData,
                                  partial(_then, base_d)), None)
         if v:
             violations.append(("comparison-naturality", h, v))
-        for x in src.base.objects():
-            if invert(base_d, comps[x]) is None:
+        for x, c in enumerate(comps):
+            # an identity of base_d is its own inverse: nu's comparisons all are
+            is_identity = (c.degree == e and c.src == c.dst and c.src in base_d.objects()
+                           and c.coords == base_d.identities[c.src])
+            if not is_identity and invert(base_d, c) is None:
                 violations.append(("comparison-not-invertible", h, x))
     if violations:
         return Verdict(violations)

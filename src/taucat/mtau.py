@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .category import GradedCatPresentation, Morphism, invert, is_simple
+from .category import GradedCatPresentation, Morphism, _scalar, invert, is_simple
 from .cochains import Cochain2, c2_inv, cocycle_violation, trivial_cochain2
 from .fields import PrimeField
 from .groups import (GroupHom, Subgroup, coset_space, cyclic_group, kernel, reduction_hom,
@@ -71,15 +71,15 @@ def build_skeleton(spec: MtauSpec) -> GradedCatPresentation:
     for i in range(n):
         for a in gH.elements():
             hom_rank[(i, perms[a][i], a)] = 1
-    comp = {}
+    # e^a o e^b = psi(a, b)^-1 e^{ab}, a unit, so every tensor is one nonzero constant
+    tensors = {(b, a): {} for b in gH.elements() for a in gH.elements()}
     for i in range(n):
         for b in gH.elements():
             j = perms[b][i]
             for a in gH.elements():
-                k = perms[a][j]
-                comp[(i, j, k, b, a)] = (((psi_inv[a][b][i],),),)
+                tensors[(b, a)][(i, j, perms[a][j])] = _scalar(psi_inv[a][b][i])
     identities = [(1,)] * n
-    return GradedCatPresentation._trusted(tau, f, degrees, hom_rank, comp, identities)
+    return GradedCatPresentation._trusted(tau, f, degrees, hom_rank, tensors, identities)
 
 
 def basis_inverse(spec: MtauSpec, coset: int, a: int) -> Morphism:
@@ -101,15 +101,14 @@ def build_group_groupoid(tau: GroupHom, field: PrimeField) -> GradedCatPresentat
     for g in range(n):
         for h in gH.elements():
             hom_rank[(g, gG.mul(tau.map[h], g), h)] = 1
-    comp = {}
+    tensors = {(h, h2): {} for h in gH.elements() for h2 in gH.elements()}
     for g in range(n):
         for h in gH.elements():
             mid = gG.mul(tau.map[h], g)
             for h2 in gH.elements():
-                dst = gG.mul(tau.map[h2], mid)
-                comp[(g, mid, dst, h, h2)] = (((1,),),)
+                tensors[(h, h2)][(g, mid, gG.mul(tau.map[h2], mid))] = _scalar(1)
     identities = [(1,)] * n
-    return GradedCatPresentation._trusted(tau, field, degrees, hom_rank, comp, identities)
+    return GradedCatPresentation._trusted(tau, field, degrees, hom_rank, tensors, identities)
 
 
 def parity_tau() -> GroupHom:

@@ -24,7 +24,7 @@ from math import prod
 
 from . import znsolve
 from .category import (FunctorData, GradedCatPresentation, Morphism,
-                       NatTransData, Verdict, compose,
+                       NatTransData, Verdict, _constant, compose,
                        find_invertible, find_shift, identity_morphism, invert,
                        is_simple, verify_functor, verify_nat)
 from .cochains import (Cochain1, c1_inv, c1_mul, c2_inv, c2_mul,
@@ -119,8 +119,8 @@ def analyze_simple(cat: GradedCatPresentation, s: int) -> SimpleOrbit:
                 # rank 1: one tensor entry times the two spanning scalars
                 j = perms[b][i]
                 t = cat.tensor(targets[i], targets[j], targets[perms[a][j]], b, a)
-                comp = (t[0][0][0] * spanning[(i, b)].coords[0]
-                        * spanning[(j, a)].coords[0] % p) if t else 0
+                comp = (_constant(t) * spanning[(i, b)].coords[0]
+                        * spanning[(j, a)].coords[0] % p)
                 if comp == 0:
                     raise ValueError("composite of spanning morphisms vanished")
                 target_f = spanning[(i, gH.mul(a, b))]

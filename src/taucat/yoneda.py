@@ -25,7 +25,7 @@ from itertools import product
 from operator import mul
 
 from . import fplinalg
-from .category import GradedCatPresentation, Morphism, postcompose, precompose
+from .category import GradedCatPresentation, Morphism, _column, postcompose, precompose
 from .znsolve import CapExceeded
 
 
@@ -95,13 +95,18 @@ def _shapes(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
 
 
 def _block_index(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
-    """Ordered unknown blocks (y, h, source dim, target dim) with offsets."""
+    """Ordered unknown blocks (y, h, source dim, target dim) with offsets:
+    the blocks of _shapes with a nonzero source dimension."""
+    gH = cat.tau.source
     layout = []
     offset = 0
-    for (y, h, sdim, tdim) in _shapes(cat, x, a, F):
-        if sdim:
-            layout.append((y, h, sdim, tdim, offset))
-            offset += sdim * tdim
+    for y in cat.objects():
+        for h in gH.elements():
+            sdim = cat.rank(x, y, gH.mul(h, a))
+            if sdim:
+                tdim = _target_dim(cat, F, y, h)
+                layout.append((y, h, sdim, tdim, offset))
+                offset += sdim * tdim
     return layout, offset
 
 
@@ -114,7 +119,8 @@ def _nat_rows(cat: GradedCatPresentation, x: int, a: int, F: RepTarget, layout,
     every coordinate of A2 . (g o f) - F(g) . (A1 f) = 0, where A1 and A2
     are the (y, h) and (y2, kh) unknown blocks of layout.  Both terms are
     read off tensors: g o f is T(x, y, y2; ha, k)[.][g][f], and F(g) on a
-    summand yo^b_z is T(z, y, y2; hb, k)[.][g][.].
+    summand yo^b_z is T(z, y, y2; hb, k)[.][g][.], whose entries the store
+    lists as the composites of the pairs (g, d).
     """
     gH = cat.tau.source
     p = cat.field.p
@@ -127,25 +133,37 @@ def _nat_rows(cat: GradedCatPresentation, x: int, a: int, F: RepTarget, layout,
                 continue
             kh = gH.mul(k, h)
             s2, off2 = pos.get((y2, kh), (0, 0))
-            t_gf = cat.tensor(x, y, y2, ha, k)
-            moved, d = [], 0  # F(g), summand by summand: (tensor, column offset, rows)
+            t_gf = cat.tensor(x, y, y2, ha, k) or {}
+            # F(g_gi), summand by summand: (column offset, rows, {q: [(d, m), ...]})
+            moved, d0 = [], 0
             for (b, z) in F.pairs:
                 hb = gH.mul(h, b)
-                moved.append((cat.tensor(z, y, y2, hb, k), d, cat.rank(z, y2, gH.mul(k, hb))))
-                d += cat.rank(z, y, hb)
+                t = cat.tensor(z, y, y2, hb, k) or {}
+                moved.append((d0, cat.rank(z, y2, gH.mul(k, hb)), [
+                    _by_output(t, gi, cat.rank(z, y, hb)) for gi in range(rk)]))
+                d0 += cat.rank(z, y, hb)
             for gi, fi in product(range(rk), range(s1)):
-                gf = [layer[gi][fi] for layer in t_gf] if t_gf else [0] * s2
+                gf = _column(t_gf.get((gi, fi), ()), s2)
                 r_out = 0
-                for (t, d0, rows) in moved:
+                for (d0, rows, by_q) in moved:
                     for q in range(rows):
                         row = [0] * nvars
                         row[off2 + r_out * s2:off2 + (r_out + 1) * s2] = gf
-                        for d, m in enumerate(t[q][gi] if t else ()):
-                            if m:
-                                idx = off1 + (d0 + d) * s1 + fi
-                                row[idx] = (row[idx] - m) % p
+                        for d, m in by_q[gi].get(q, ()):
+                            idx = off1 + (d0 + d) * s1 + fi
+                            row[idx] = (row[idx] - m) % p
                         yield row
                         r_out += 1
+
+
+def _by_output(t, j: int, r: int) -> dict:
+    """{k: [(i, T[k][j][i]), ...]} over the nonzero constants of tensor t at
+    second index j, i below r and ascending."""
+    out = {}
+    for i in range(r):
+        for k, c in t.get((j, i), ()):
+            out.setdefault(k, []).append((i, c))
+    return out
 
 
 def nat_space(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):

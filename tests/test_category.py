@@ -25,7 +25,8 @@ from taucat.structure import (EquivalenceDatum, classify_equivalences,
                               realize_functor)
 from taucat.znsolve import CapExceeded
 
-from morphisms import apply_functor, basis_morphism, from_columns, zero_morphism
+from morphisms import (apply_functor, basis_morphism, dense_tensors, from_columns,
+                       zero_morphism)
 from test_yoneda import s3_cat, ungenerated_cat
 
 F5 = field(5)
@@ -279,7 +280,7 @@ AXIOM_CASES = {
 
 def _corrupt(cat, kind, rng):
     """One tensor entry changed, one tensor deleted, or one identity coordinate changed."""
-    comp = dict(cat.compose_t)
+    comp = dense_tensors(cat)
     ids = list(cat.identities)
     p = cat.field.p
     if kind == "entry":
@@ -338,8 +339,8 @@ def test_failing_associativity_is_reported_on_every_path():
     # generating middle degrees see a violation, and the list reported is the
     # full scan's, most of it on paths whose middle degree is not generating
     cat = _cyclic_skeleton(12, 2, 22)
-    key = next(k for k in sorted(cat.compose_t) if min(k[3:]) >= 2)
-    comp = dict(cat.compose_t)
+    key = next(k for k in sorted(dense_tensors(cat)) if min(k[3:]) >= 2)
+    comp = dense_tensors(cat)
     comp[key] = (((comp[key][0][0][0] * 2,),),)
     bad = GradedCatPresentation(cat.tau, cat.field, cat.degrees, cat.hom_rank, comp,
                                 cat.identities)

@@ -33,7 +33,7 @@ from taucat.modcat import (ModuleCatData, ModuleFunctorData, bullet,
                            verify_module_nat)
 from taucat.structure import classify_equivalences, identity_datum, realize_functor
 
-from morphisms import apply_functor, basis_morphism
+from morphisms import apply_functor, basis_morphism, dense_tensors
 from test_yoneda import s3_cat
 
 F5 = field(5)
@@ -331,9 +331,10 @@ def test_roundtrip_inverts_each_shift_iso_once(tmp_path, monkeypatch):
     # tables pair the identity at the unit degree with itself, as find_shift
     # does, instead of inverting it: 2 x 4 = 8 fewer.  roundtrip_nu builds
     # the inverse epsilon^-1 o mu of each identity shift of the rebuild off
-    # the unit instead of inverting it: 4 x 7 = 28 fewer.  What is left is
-    # 2 x 4 x 8 - 4 = 60: the 4 x 7 scans of the input and nu's 4 x 8
-    # comparisons
+    # the unit instead of inverting it: 4 x 7 = 28 fewer.  nu's 4 x 8
+    # comparisons are identities of the base, each its own inverse, and
+    # verify_module_functor inverts no identity: 32 fewer.  What is left is
+    # 4 x 8 - 4 = 28: the 4 x 7 scans of the input
     cat = twisted_cat(93)
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(jsonio.category_to_json(cat)))
@@ -344,24 +345,30 @@ def test_roundtrip_inverts_each_shift_iso_once(tmp_path, monkeypatch):
     composed = 2 * (n + n * order ** 2)
     identities = 2 * n
     rebuilt_shifts = n * (order - 1)
+    nu_comparisons = n * order
     assert (len(calls) == 972 - n * order - n * (order - 1) - reused - n * order - composed
-            - identities - rebuilt_shifts == 2 * n * order - n == 60)
+            - identities - rebuilt_shifts - nu_comparisons == n * order - n == 28)
 
 
-def test_roundtrip_builds_one_scalar_view_per_module(tmp_path, monkeypatch):
-    # verify_module_category and bullet read the extracted module's one
-    # view (ModuleCatData.scalars): base tables are built by extract_action
-    # on the input and on the rebuild and by the view of each of the two
-    # modules, 4 in all, and _action_scalars once per module
-    path = tmp_path / "cat.json"
-    path.write_text(json.dumps(jsonio.category_to_json(cyclic_table_category(F5, 1))))
-    tables = []
-    scalars = GradedCatPresentation.scalars
-    monkeypatch.setattr(GradedCatPresentation, "scalars",
-                        lambda self: tables.append(self) or scalars(self))
-    action = _count_in_taucat(monkeypatch, modcat._action_scalars)
-    assert cli.main(["roundtrip", str(path)]) == 0
-    assert (len(tables), len(action)) == (4, 2)
+def test_identity_comparisons_are_not_inverted(monkeypatch):
+    # every comparison of nu is an identity of the base, its own inverse, so
+    # checking nu inverts nothing; a comparison changed to a non-identity
+    # that has no inverse is still reported, as the reference reports it
+    cat = twisted_cat(93)
+    rt = roundtrip(cat)
+    nu, src, dst = rt.nu, rt.rebuilt_mod, rt.mod
+    calls = _count_in_taucat(monkeypatch, invert)
+    assert verify_module_functor(nu, src, dst).ok
+    assert calls == []
+    h, x = 3, 1
+    c = nu.comparison[h][x]
+    zero = Morphism(c.src, c.dst, c.degree, (0,) * len(c.coords))
+    bad = ModuleFunctorData(nu.functor, {**nu.comparison, h: tuple(
+        zero if i == x else comp for i, comp in enumerate(nu.comparison[h]))})
+    got = verify_module_functor(bad, src, dst).violations
+    assert ("comparison-not-invertible", h, x) in got
+    assert got == _reference_verify_module_functor(bad, src, dst).violations
+    assert len(calls) == 1
 
 
 def test_traced_layer_functions_resolve():
@@ -558,7 +565,7 @@ def _corrupt_module(mod, kind, rng):
     eps, mu, action = mod.epsilon, dict(mod.mu), dict(mod.action)
     if kind == "tensor":
         b = mod.base
-        comp = dict(b.compose_t)
+        comp = dense_tensors(b)
         del comp[rng.choice(sorted(k for k in comp if k[0] != k[2]) or sorted(comp))]
         base = GradedCatPresentation(b.tau, b.field, b.degrees, b.hom_rank, comp,
                                      b.identities)
@@ -980,7 +987,7 @@ def test_constructions_raise_on_unverified_input():
     # module whose verdict fails, with the first violation, before building
     cat = twisted_cat(96)
     table = shift_table(cat)
-    comp = dict(cat.compose_t)
+    comp = dense_tensors(cat)
     key = sorted(comp)[5]
     comp[key] = (((2 * comp[key][0][0][0] % F5.p,),),)
     bad = GradedCatPresentation(cat.tau, cat.field, cat.degrees, cat.hom_rank, comp,

@@ -25,6 +25,8 @@ from taucat.modcat import (ModuleCatData, bullet, degree_one_part, extract_actio
 from taucat.mtau import build_group_groupoid, build_skeleton, mtau_spec, trivial_spec
 from taucat.structure import classify_equivalences, decompose, realize_functor
 
+from morphisms import dense_tensors
+
 F5 = field(5)
 
 
@@ -43,19 +45,37 @@ def _canonical(value, p, depth):
     return type(value) is tuple and all(_canonical(v, p, depth - 1) for v in value)
 
 
+def _canonical_tensors(cat):
+    """Whether every stored tensor is in the store's form: tuples of
+    (output, constant) pairs by ascending output, at input pairs and outputs
+    below their ranks, each constant an int in [1, p)."""
+    p, rank, hmul = cat.field.p, cat.rank, cat.tau.source.mul
+    for (h, h2), group in cat.tensors.items():
+        for (x, y, z), t in group.items():
+            r1, r2, r3 = rank(x, y, h), rank(y, z, h2), rank(x, z, hmul(h2, h))
+            for (j, i), entries in t.items():
+                ks = [k for k, _ in entries]
+                if not (0 <= j < r2 and 0 <= i < r1 and type(entries) is tuple and entries
+                        and ks == sorted(set(ks)) and 0 <= ks[0] and ks[-1] < r3
+                        and all(_canonical(c, p, 0) and c for _, c in entries)):
+                    return False
+    return True
+
+
 def assert_as_checked(cat):
-    """cat equals its rebuild through the validating constructor, and its
-    data are canonical: no zero rank, tuples mod p."""
+    """cat equals its rebuild through the validating constructor from its
+    file form's tensors, and its data are canonical: no zero rank, tuples
+    mod p, tensors in the store's form."""
     p = cat.field.p
     checked = GradedCatPresentation(cat.tau, cat.field, cat.degrees, cat.hom_rank,
-                                    cat.compose_t, cat.identities, sums=cat.sums)
+                                    dense_tensors(cat), cat.identities, sums=cat.sums)
     assert checked == cat
     assert checked.sums == cat.sums
     assert [checked.out_homs(x) for x in checked.objects()] == \
         [cat.out_homs(x) for x in cat.objects()]
     assert type(cat.degrees) is tuple and all(cat.hom_rank.values())
     assert _canonical(cat.identities, p, 2)
-    assert all(_canonical(t, p, 3) for t in cat.compose_t.values())
+    assert _canonical_tensors(cat)
 
 
 def assert_functor_as_checked(F):
@@ -93,6 +113,7 @@ PRESENTATIONS = {
     "direct_sum": lambda: direct_sum_cat([twisted_skeleton(8, 4, 5), _rank2_completion()]),
     "degree_one_skeleton": lambda: degree_one_part(twisted_skeleton(8, 2, 6)),
     "degree_one_completion": lambda: degree_one_part(_rank2_completion()),
+    "completion": _rank2_completion,
 }
 
 
@@ -161,8 +182,10 @@ def _one_object(tensor):
 
 def test_constructor_normalises_list_tensors():
     cat = _one_object([[[6, -1], [0, 5]], [[0, 0], [1, 12]]])
-    assert cat.compose_t[(0, 0, 0, 0, 0)] == (((1, 4), (0, 0)), ((0, 0), (1, 2)))
-    assert _canonical(cat.compose_t[(0, 0, 0, 0, 0)], 5, 3)
+    assert cat.tensor(0, 0, 0, 0, 0) == {(0, 0): ((0, 1),), (0, 1): ((0, 4),),
+                                         (1, 0): ((1, 1),), (1, 1): ((1, 2),)}
+    assert _canonical_tensors(cat)
+    assert dense_tensors(cat) == {(0, 0, 0, 0, 0): [[[1, 4], [0, 0]], [[0, 0], [1, 2]]]}
     assert cat.identities == ((1, 0),)
     F = FunctorData(cat, cat, [0], {(0, 0, 0): [[6, 0], [-1, 1]]})
     assert F.hom_maps[(0, 0, 0)] == ((1, 0), (4, 1))

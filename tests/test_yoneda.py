@@ -23,7 +23,7 @@ from taucat.yoneda import (GradedNatTrans, _block_index, _blocks, _target_dim,
                            verify_graded_nat, whisker_object_morphism)
 from taucat.znsolve import CapExceeded
 
-from morphisms import basis_morphism
+from morphisms import basis_morphism, dense_tensors
 from test_cochains import S3
 
 F5 = field(5)
@@ -311,7 +311,7 @@ def test_unproved_generators_take_the_full_path():
     assert len(nat_space(forced, 0, 0, F)) == 2
     # one structure constant changed: composition fails to verify, so even
     # with degree-1 morphisms spanning everything the proof is refused
-    comp = dict(C2CAT.compose_t)
+    comp = dense_tensors(C2CAT)
     comp[(0, 1, 2, 1, 1)] = (((2,),),)
     bad = GradedCatPresentation(C2CAT.tau, F5, C2CAT.degrees, C2CAT.hom_rank, comp,
                                 C2CAT.identities)
