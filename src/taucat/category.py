@@ -22,21 +22,12 @@ a subspace closed under composition, so `verify_functor` checks the paths
 whose outer degree is generating and falls back to the full scan on a
 violation.
 
-Each composition tensor is stored once, sparse, in `tensors`: keyed by
-(h, h2) and then (x, y, z), a tensor is its nonzero structure constants
-grouped by input pair, {(j, i): ((k, c), ...)}, as GAP stores the
-structure-constant tables of algebras (GAP Reference Manual, "Constructing
-Algebras by Structure Constants").  Every contraction reads that store, so
-a law scan costs what the nonzero constants cost: the matrix-unit tensors
-of an additive completion are mostly zeros.  A tensor between rank-1 hom
-spaces is its one constant (`_constant`).  A zero tensor that a builder or
-a file declares stays, as an empty entry, so jsonio's writer, the only
-place that lays tensors out dense, gives back the records it read.  The
-constructor builds the store in the walk that checks each file tensor's
-shape; the builders that make canonical tensors themselves hand theirs
-over (`_trusted`).  Composing with a fixed morphism is one matrix read off
-one tensor, `precompose` (u -> u o f) or `postcompose` (u -> g o u);
-`invert` solves the two stacked.
+Each tensor is stored once, as its nonzero constants grouped by input pair
+(GAP Reference Manual, "Constructing Algebras by Structure Constants"), and
+every contraction reads that store, so a scan costs what the nonzeros cost.
+Composing with a fixed morphism is one matrix read off one tensor,
+`precompose` (u -> u o f) or `postcompose` (u -> g o u); `invert` solves
+the two stacked.
 """
 
 from __future__ import annotations
@@ -102,22 +93,25 @@ class GradedCatPresentation:
     """Objects with degrees, graded hom bases, and composition tensors.
 
     hom_rank maps (src, dst, h) to the dimension of Hom^h(src, dst); absent
-    keys mean zero.  The constructor's compose maps (src, mid, dst, h, h2)
-    to a dense tensor c[k][j][i] expressing (basis_j of Hom^{h2}(mid,dst)) o
-    (basis_i of Hom^h(src,mid)) = sum_k c[k][j][i] basis_k in
-    Hom^{h2 h}(src,dst); absent tensors are zero.  It is kept as `tensors`,
-    {(h, h2): {(src, mid, dst): {(j, i): ((k, c), ...)}}}: for each input
-    pair with a nonzero composite, its nonzero constants c in [1, p) by
-    ascending k.  `sums` records declared direct-sum structure
-    (part, injection, projection) per object.  No shift choice is recorded:
-    that is a table its users hold (modcat.shift_table).
+    keys mean zero.  compose maps (src, mid, dst, h, h2) to a tensor
+    c[k][j][i] expressing (basis_j of Hom^{h2}(mid,dst)) o (basis_i of
+    Hom^h(src,mid)) = sum_k c[k][j][i] basis_k in Hom^{h2 h}(src,dst);
+    absent tensors are zero.  It is kept as `tensors`,
+    {(h, h2): {(src, mid, dst): {(j, i): ((k, c), ...)}}}, each input pair
+    with its nonzero c in [1, p) by ascending k; a tensor between rank-1
+    spaces is its one constant (`_constant`).  A zero tensor given stays as
+    an empty entry, so jsonio's writer, the one place that lays tensors out
+    dense, gives back every record it read.  `sums` records declared
+    direct-sum structure (part, injection, projection) per object.  No
+    shift choice is recorded: that is a table its users hold
+    (modcat.shift_table).
 
     The constructor is the input boundary: it normalises its arguments to
     tuples of ints mod p, drops zero ranks, and checks keys, tensors and
     identities in one walk whose messages are the file form's (jsonio hands
     it file data unchecked).  The builders that make their data in memory
     (mtau, modcat, completion, direct_sum_cat) use `_trusted`, which skips
-    that walk and takes the store itself; they owe it canonical data.
+    that walk and takes the store; they owe it canonical data.
     """
 
     def __init__(self, tau: GroupHom, field: PrimeField, degrees, hom_rank,
@@ -258,22 +252,14 @@ class GradedCatPresentation:
         r1, r2 = rank((x, y, h), 0), rank((y, z, h2), 0)
         r3 = rank((x, z, self.tau.source.mul(h2, h)), 0)
         what = "composition tensor"  # a wrong type is reported before a wrong length
-        if type(tensor) not in _ARRAYS:
-            _array(tensor, what)
-        ragged = len(tensor) != r3
+        ragged = len(_array(tensor, what)) != r3
         out = {}
         for k, layer in enumerate(tensor):
-            if type(layer) not in _ARRAYS:
-                _array(layer, what)
-            ragged |= len(layer) != r2
+            ragged |= len(_array(layer, what)) != r2
             for j, row in enumerate(layer):
-                if type(row) not in _ARRAYS:
-                    _array(row, what)
-                ragged |= len(row) != r1
+                ragged |= len(_array(row, what)) != r1
                 for i, v in enumerate(row):
-                    if type(v) is not int:
-                        _int(v, what)
-                    if v % p:  # k ascends, so each input pair's entries do too
+                    if _int(v, what) % p:  # k ascends, so each pair's entries do too
                         out[j, i] = out.get((j, i), ()) + ((k, v % p),)
         if ragged:
             raise ValueError(f"ragged composition tensor at {key}")
@@ -318,19 +304,14 @@ def identity_morphism(cat: GradedCatPresentation, x: int) -> Morphism:
 
 
 def _constant(t) -> int:
-    """The one structure constant of a tensor between rank-1 hom spaces, 0
-    when the tensor is None or zero."""
+    """The one constant of a tensor between rank-1 hom spaces, 0 if none."""
     return t[0, 0][0][1] if t else 0
 
 
 @cache
 def _scalar(c: int) -> dict:
-    """The tensor between rank-1 hom spaces whose one constant is c in [0, p).
-
-    One object per constant, shared by every such tensor of every
-    presentation: the store is never written to once built, and a skeleton's
-    reads then touch a few objects, not one per tensor.
-    """
+    """The tensor between rank-1 hom spaces with constant c, one object per c
+    shared by every store (none is written to once built)."""
     return {(0, 0): ((0, c),)} if c else {}
 
 
@@ -339,16 +320,6 @@ def _column(entries, r: int) -> list:
     out = [0] * r
     for k, c in entries:
         out[k] = c
-    return out
-
-
-def _reduced(acc, p: int) -> dict:
-    """{(j, i): {k: c}} in the store's form: the nonzero c mod p, ascending k."""
-    out = {}
-    for ji, col in acc.items():
-        entries = tuple((k, c % p) for k, c in sorted(col.items()) if c % p)
-        if entries:
-            out[ji] = entries
     return out
 
 
@@ -379,15 +350,8 @@ def precompose(cat: GradedCatPresentation, f: Morphism, z: int, h2: int) -> tupl
     entry [k][j] is sum_i T(f.src, f.dst, z; |f|, h2)[k][j][i] f[i], and an
     absent tensor gives the zero matrix."""
     _check_rank(cat, f)
-    cols = cat.rank(f.dst, z, h2)
-    mat = [[0] * cols for _ in range(cat.rank(f.src, z, cat.tau.source.mul(h2, f.degree)))]
-    v = f.coords
-    for (j, i), entries in (cat.tensor(f.src, f.dst, z, f.degree, h2) or _NONE).items():
-        if c := v[i]:
-            for k, w in entries:
-                mat[k][j] += w * c
-    p = cat.field.p
-    return tuple(tuple(w % p for w in row) for row in mat)
+    return _fixed(cat, cat.tensor(f.src, f.dst, z, f.degree, h2), f.coords, 1,
+                  cat.rank(f.src, z, cat.tau.source.mul(h2, f.degree)), cat.rank(f.dst, z, h2))
 
 
 def postcompose(cat: GradedCatPresentation, g: Morphism, x: int, h: int) -> tuple:
@@ -395,13 +359,19 @@ def postcompose(cat: GradedCatPresentation, g: Morphism, x: int, h: int) -> tupl
     entry [k][i] is sum_j T(x, g.src, g.dst; h, |g|)[k][j][i] g[j], and an
     absent tensor gives the zero matrix."""
     _check_rank(cat, g)
-    cols = cat.rank(x, g.src, h)
-    mat = [[0] * cols for _ in range(cat.rank(x, g.dst, cat.tau.source.mul(g.degree, h)))]
-    v = g.coords
-    for (j, i), entries in (cat.tensor(x, g.src, g.dst, h, g.degree) or _NONE).items():
-        if c := v[j]:
+    return _fixed(cat, cat.tensor(x, g.src, g.dst, h, g.degree), g.coords, 0,
+                  cat.rank(x, g.dst, cat.tau.source.mul(g.degree, h)), cat.rank(x, g.src, h))
+
+
+def _fixed(cat: GradedCatPresentation, t, v, pos: int, rows: int, cols: int) -> tuple:
+    """The rows x cols matrix of composing with the morphism v at position
+    pos of t's input pairs: [k][m] sums T[k][j][i] v[.] over pairs with m."""
+    mat = [[0] * cols for _ in range(rows)]
+    for ji, entries in (t or _NONE).items():
+        if c := v[ji[pos]]:
+            row = ji[1 - pos]
             for k, w in entries:
-                mat[k][i] += w * c
+                mat[k][row] += w * c
     p = cat.field.p
     return tuple(tuple(w % p for w in row) for row in mat)
 
@@ -443,8 +413,8 @@ def verify_axioms(cat: GradedCatPresentation) -> Verdict:
 
     for every q, and each (i, j, k) where it fails is one violation; both
     sides are sums over nonzero constants only (_assoc_failures).  The unit
-    laws contract identities[x] against T(x,x,y; e,h) and T(x,y,y; h,e) in
-    the same way.
+    laws ask that precompose(id_x) and postcompose(id_y) be the identity
+    matrix on Hom^h(x, y).
 
     Associativity is first checked only on paths whose middle degree h2 lies
     in cat.generating_degrees.  The middle morphisms that associate with
@@ -456,7 +426,6 @@ def verify_axioms(cat: GradedCatPresentation) -> Verdict:
     violations = []
     gH, gG = cat.tau.source, cat.tau.target
     e = gH.identity
-    p = cat.field.p
 
     for (x, y, h) in cat.hom_keys():
         if cat.degrees[y] != gG.mul(cat.tau.map[h], cat.degrees[x]):
@@ -467,22 +436,14 @@ def verify_axioms(cat: GradedCatPresentation) -> Verdict:
             violations.append(("identity-missing", x))
 
     for (x, y, h), r in sorted(cat.hom_rank.items()):
-        id_x, id_y = cat.identities[x], cat.identities[y]
-        # e_k o id_x and id_y o e_k for every basis element e_k of Hom^h(x, y)
-        right, left = ([[0] * r for _ in range(r)] for _ in range(2))
-        for (k, i), entries in (cat.tensor(x, x, y, e, h) or _NONE).items():
-            if c := id_x[i]:
-                for q, v in entries:
-                    right[k][q] += v * c
-        for (j, k), entries in (cat.tensor(x, y, y, h, e) or _NONE).items():
-            if c := id_y[j]:
-                for q, v in entries:
-                    left[k][q] += v * c
+        # column k: e_k o id_x and id_y o e_k, for each basis element e_k of Hom^h(x, y)
+        right = precompose(cat, identity_morphism(cat, x), y, h) if cat.identities[x] else ()
+        left = postcompose(cat, identity_morphism(cat, y), x, h) if cat.identities[y] else ()
         for k in range(r):
-            unit = [int(q == k) for q in range(r)]
-            if id_x and [v % p for v in right[k]] != unit:
+            unit = tuple(int(q == k) for q in range(r))
+            if right and tuple(row[k] for row in right) != unit:
                 violations.append(("unit-right", x, y, h, k))
-            if id_y and [v % p for v in left[k]] != unit:
+            if left and tuple(row[k] for row in left) != unit:
                 violations.append(("unit-left", x, y, h, k))
 
     middle = cat.generating_degrees
@@ -496,8 +457,7 @@ def _assoc_violations(cat: GradedCatPresentation, middle=None):
     in middle (every path when None), in path and basis order."""
     p = cat.field.p
     rank, table = cat.hom_rank.get, cat.tau.source.table
-    # the store's groups, grid[h][h2] = {(x, y, z): T(x, y, z; h, h2)}
-    degrees = range(len(table))
+    degrees = range(len(table))  # grid[h][h2] = {(x, y, z): T(x, y, z; h, h2)}
     grid = [[cat.tensors.get((h, h2), _NONE) for h2 in degrees] for h in degrees]
     mids = [[hom for hom in cat.out_homs(x) if middle is None or hom[1] in middle]
             for x in cat.objects()]
@@ -526,41 +486,24 @@ def _assoc_violations(cat: GradedCatPresentation, middle=None):
                         yield ("assoc", (w, x, y, z), (h1, h2, h3), ijk)
 
 
-def _by_index(t, pos: int) -> dict:
-    """The entries of tensor t grouped by one index of their input pair:
-    {m: [(other index, entries), ...]}, m at position pos of (j, i)."""
-    out = {}
-    for ji, entries in t.items():
-        out.setdefault(ji[pos], []).append((ji[1 - pos], entries))
-    return out
-
-
 def _assoc_failures(p, t_gf, t_l, t_hg, t_r) -> list:
     """Basis triples (i, j, k) of one path where (h o g) o f != h o (g o f),
-    in order.
-
-    t_gf gives g o f, t_l composes h after it, t_hg gives h o g and t_r
-    composes it after f; None is the zero tensor.  Only triples that some
-    product of nonzero constants reaches are looked at: elsewhere both
-    sides are zero.
-    """
+    in order: t_gf gives g o f, t_l composes h after it, t_hg gives h o g
+    and t_r composes it after f (None is zero).  Each side sums products of
+    nonzero constants matched on their middle index m."""
     diff = {}  # (i, j, k) -> {q: lhs - rhs}
-    if t_gf and t_l:
-        after = _by_index(t_l, 1)  # m -> (k, T_l[.][k][m])
-        for (j, i), gf in t_gf.items():
-            for m, c in gf:
-                for k, entries in after.get(m, ()):
-                    d = diff.setdefault((i, j, k), {})
+    # left: T_l[q][k][m] T_gf[m][j][i], pairs (a, b) = (j, i) and (k, m);
+    # right: T_r[q][m][i] T_hg[m][k][j], pairs (a, b) = (k, j) and (m, i)
+    for first, second, pos, sign in ((t_gf, t_l, 1, 1), (t_hg, t_r, 0, -1)):
+        by_m = {}  # m -> (the other index of second's pair, entries)
+        for pair, entries in (second or _NONE).items():
+            by_m.setdefault(pair[pos], []).append((pair[1 - pos], entries))
+        for (a, b), composite in (first or _NONE).items() if by_m else ():
+            for m, c in composite:
+                for other, entries in by_m.get(m, ()):
+                    d = diff.setdefault((b, a, other) if sign == 1 else (other, b, a), {})
                     for q, v in entries:
-                        d[q] = d.get(q, 0) + c * v
-    if t_hg and t_r:
-        before = _by_index(t_r, 0)  # m -> (i, T_r[.][m][i])
-        for (k, j), hg in t_hg.items():
-            for m, c in hg:
-                for i, entries in before.get(m, ()):
-                    d = diff.setdefault((i, j, k), {})
-                    for q, v in entries:
-                        d[q] = d.get(q, 0) - c * v
+                        d[q] = d.get(q, 0) + sign * c * v
     return sorted(ijk for ijk, d in diff.items() if any(v % p for v in d.values()))
 
 

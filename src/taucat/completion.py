@@ -107,10 +107,9 @@ class AdditiveCompletion:
         (ci, bi) of Hom^{h2}(b, c) gives entry n of the base tensor
         T(a[ai], b[bi], c[ci]; h, h2)[n][m][l] in block (ci, ai) of
         Hom^{h2 h}(a, c); other block pairs compose to zero.  So each
-        tensor is the base tensors' nonzeros moved to their block offsets,
-        with a (possibly zero) tensor for every triple of nonzero hom
-        spaces, and the data are canonical: `_trusted` keeps them as they
-        are.  Sum objects whose
+        tensor is the base's nonzeros moved to their block offsets, with a
+        (possibly zero) tensor for every triple of nonzero hom spaces, all
+        canonical, so `_trusted` keeps them.  Sum objects whose
         singleton parts are all present get declared direct-sum structure,
         which is what the semisimplicity verdicts consume.
         """
@@ -130,19 +129,16 @@ class AdditiveCompletion:
                 hom_rank[(i, j, h)] = r
         for h, h2 in product(elements, repeat=2):
             base_t = base.tensors.get((h, h2), {})
-            group = tensors[(h, h2)] = {}
             for (i, a), (j, b), (k, c) in product(enumerate(objs), repeat=3):
                 key1, key2, key3 = (i, j, h), (j, k, h2), (i, k, hmul(h2, h))
                 if not (key1 in hom_rank and key2 in hom_rank and key3 in hom_rank):
                     continue
                 s1, s2, s3 = starts[key1], starts[key2], starts[key3]
-                tensor = group[(i, j, k)] = {}
+                tensor = tensors.setdefault((h, h2), {})[(i, j, k)] = {}
                 for (ci, z), (bi, y), (ai, x) in product(enumerate(c), enumerate(b), enumerate(a)):
                     o1, o2, o3 = s1[bi][ai], s2[ci][bi], s3[ci][ai]
                     for (m, l), entries in base_t.get((x, y, z), {}).items():
                         tensor[(o2 + m, o1 + l)] = tuple((o3 + n, v) for n, v in entries)
-            if not group:
-                del tensors[(h, h2)]
         identities = [tuple(self._flatten(self.identity(o))) for o in objs]
         singleton_index = {o[0]: i for i, o in enumerate(objs) if len(o) == 1}
         sums = {}

@@ -188,25 +188,16 @@ def parse_category(doc) -> GradedCatPresentation:
                                  sums=sums)
 
 
-def _compose_records(cat: GradedCatPresentation) -> list:
-    """Every stored tensor as a file record, in key order, its tensor the
-    array c[k][j][i] shaped by the ranks of its three hom spaces: the one
-    place tensors are laid out dense."""
-    rank, table, tensors = cat.hom_rank.get, cat.tau.source.table, cat.tensors
-    records = []
-    for x, y, z, h, h2 in sorted(xyz + hh2 for hh2, group in tensors.items() for xyz in group):
-        r1, r2 = rank((x, y, h), 0), rank((y, z, h2), 0)
-        tensor = []
-        for _ in range(rank((x, z, table[h2][h]), 0)):
-            layer = []
-            for _ in range(r2):
-                layer.append([0] * r1)
-            tensor.append(layer)
-        for (j, i), entries in tensors[h, h2][x, y, z].items():
-            for k, c in entries:
-                tensor[k][j][i] = c
-        records.append({"src": x, "mid": y, "dst": z, "h": h, "h2": h2, "tensor": tensor})
-    return records
+def _dense(cat: GradedCatPresentation, x, y, z, h, h2) -> list:
+    """T(x, y, z; h, h2) as the file's array c[k][j][i], shaped by the ranks
+    of its three hom spaces: the one place a tensor is laid out dense."""
+    rank = cat.hom_rank.get
+    out = [[[0] * rank((x, y, h), 0) for _ in range(rank((y, z, h2), 0))]
+           for _ in range(rank((x, z, cat.tau.source.table[h2][h]), 0))]
+    for (j, i), entries in cat.tensors[h, h2][x, y, z].items():
+        for k, c in entries:
+            out[k][j][i] = c
+    return out
 
 
 def category_to_json(cat: GradedCatPresentation):
@@ -221,7 +212,10 @@ def category_to_json(cat: GradedCatPresentation):
         "objects": [{"deg": d} for d in cat.degrees],
         "homs": [{"src": x, "dst": y, "h": h, "rank": r}
                  for (x, y, h), r in sorted(cat.hom_rank.items())],
-        "compose": _compose_records(cat),
+        "compose": [{"src": x, "mid": y, "dst": z, "h": h, "h2": h2,
+                     "tensor": _dense(cat, x, y, z, h, h2)}
+                    for x, y, z, h, h2 in sorted(xyz + hh2 for hh2, group in cat.tensors.items()
+                                                 for xyz in group)],
         "identities": [list(c) for c in cat.identities],
     }
     if cat.sums:

@@ -33,16 +33,15 @@ module checks take its first violation.
 The constructions take verified input: extract_action reads the verdict
 of its presentation and bullet the verdict of its module, and each raises
 the first violation.  Each chooses its arithmetic once per call.  When
-every hom space has rank 1, extract_action reads the action's hom maps
-and each mu component off the shift table's coordinates and the
-presentation's table of structure constants (GradedCatPresentation.scalars),
-and bullet reads its tensors off the base's table and the action's 1 x 1
-hom matrices; the checks above read the same tables, built once per
-module (ModuleCatData.scalars).  Otherwise every hom map is read off
-category.precompose and postcompose, e.g. alpha^h at (x, y) is
-postcompose(r_{y,h}) precompose(r_{x,h}^-1), and bullet fills its
-composition tensors from them.  The inverse of each mu component is
-composed from the shift table in the same loop as mu,
+every hom space has rank 1, each tensor of the presentation's one store
+is its one constant (category._constant): extract_action reads the
+action's hom maps and each mu component off those constants and the shift
+table's coordinates, bullet builds its tensors from them and the action's
+1 x 1 hom matrices, and the checks above read the same two.  Otherwise
+every hom map is read off category.precompose and postcompose, e.g.
+alpha^h at (x, y) is postcompose(r_{y,h}) precompose(r_{x,h}^-1), and
+bullet's tensors are precompose matrices.  The inverse of each mu
+component is composed from the shift table in the same loop as mu,
 r_{X<b>,a} o r_{X,b} o r_{X,ab}^-1, which is two-sided because the table's
 pairs are, so no component of an extracted action is inverted.
 
@@ -64,7 +63,7 @@ from functools import cache, cached_property, partial
 
 from .category import (FunctorData, GradedCatPresentation, Morphism,
                        NatTransData, Verdict, _constant, _coords, _image, _nat_violations,
-                       _reduced, _scalar, _then, compose, compose_functors, find_shift,
+                       _scalar, _then, compose, compose_functors, find_shift,
                        identity_functor, identity_morphism, invert, postcompose,
                        precompose, verify_functor, verify_nat)
 from .fplinalg import matmul, matvec
@@ -181,11 +180,11 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
         mu_{a,b,x} = r_{x,ab} o r_{x,b}^-1 o r_{x<b>,a}^-1,
         mu'_{a,b,x} = r_{x<b>,a} o r_{x,b} o r_{x,ab}^-1.
 
-    When every hom space of cat has rank 1 (cat.scalars) and every table
-    morphism one coordinate, each hom map and each component is one
-    product of the table's coordinates and two structure constants.  Each
-    such constant is present: the composites here are of isos with
-    nonzero morphisms, which are nonzero in a lawful cat.  Otherwise the
+    When every hom space of cat has rank 1 and every table morphism one
+    coordinate, each hom map and each component is one product of the
+    table's coordinates and the one constants of two stored tensors.  Each
+    such tensor is nonzero: the composites here are of isos with nonzero
+    morphisms, which are nonzero in a lawful cat.  Otherwise the
     hom map at (x, y) is postcompose(r_{y,h}) times precompose(r_{x,h}^-1),
     and each component is two `compose` steps.  The choice is made once
     per call.
@@ -208,7 +207,6 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     scalars = (all(r == 1 for r in cat.hom_rank.values())
                and all(len(m.coords) == 1 for _, iso, back in table.values()
                        for m in (iso, back)))
-    tensors = cat.tensors
     elements = list(gH.elements())
     objects = list(cat.objects())
     inv = {a: gH.inv(a) for a in elements}
@@ -217,8 +215,8 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     for h in elements:
         h_inv = inv[h]
         hom_maps = {}
-        if scalars:  # alpha^h(f) = r_{y,h} o f o r_{x,h}^-1
-            pre, post = tensors.get((h_inv, e), {}), tensors.get((h_inv, h), {})
+        if scalars:  # alpha^h(f) = r_{y,h} o f o r_{x,h}^-1; t[0, 0][0][1] is _constant(t)
+            pre, post = cat.tensors.get((h_inv, e), {}), cat.tensors.get((h_inv, h), {})
             for (x, y, _) in base.hom_rank:
                 hx, _, inv_x = table[(x, h)]
                 hy, r_y, _ = table[(y, h)]
@@ -243,8 +241,8 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
             ab = gH.mul(a, b)
             comps, invs = [], []
             if scalars:
-                t_mu = tensors.get((inv[a], inv[b]), {}), tensors.get((inv[ab], ab), {})
-                t_inv = tensors.get((inv[ab], b), {}), tensors.get((inv[a], a), {})
+                t_mu = cat.tensors.get((inv[a], inv[b]), {}), cat.tensors.get((inv[ab], ab), {})
+                t_inv = cat.tensors.get((inv[ab], b), {}), cat.tensors.get((inv[a], a), {})
                 rows_a, rows_b, rows_ab = rows[a], rows[b], rows[ab]
                 for x in objects:
                     xb, r_b, i_b = rows_b[x]
@@ -275,10 +273,9 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
 
 def _scalar_ops(mod: ModuleCatData):
     """(then, image) on degree-1 (src, dst, coords) morphisms of mod.base,
-    each one product of the base's structure constants, the 1 x 1 hom
-    matrices of the action and the coordinates, or None unless every hom
-    space of the base, every object's endomorphisms and every component
-    have rank 1.  A tensor or matrix with a zero-rank side contracts to 0."""
+    products of stored constants, 1 x 1 hom matrices and coordinates, or
+    None unless every hom space of the base, every object's endomorphisms
+    and every component have rank 1.  An absent tensor or matrix is 0."""
     base = mod.base
     e = mod.group.identity
     comps = [*mod.epsilon, *(c for cs in mod.mu.values() for c in cs)]
@@ -480,12 +477,13 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
     the first violation is raised as a ValueError, as is the first
     violation of the degree law.  The degree-h2 morphism
     g: alpha^{h2} Y -> Z after the degree-h morphism f: alpha^h X -> Y is
-    g o alpha^{h2}(f) o mu^-1_{h2,h,X}, from s = alpha^{h2 h} X.  Its tensor
-    is one precompose(mu^-1) times alpha^{h2}'s hom matrix per
-    (x, h, y, h2), contracted with the base's tensor at (s, alpha^{h2} Y, Z).
-    When every hom space of the base has rank 1 (mod.scalars),
-    alpha^{h2}(f) o mu^-1 is one product of scalars, and each tensor is that
-    product times one structure constant, an absent one counting as 0, as
+    g o alpha^{h2}(f) o mu^-1_{h2,h,X}, from s = alpha^{h2 h} X.  Column i
+    of mids, one precompose(mu^-1) times alpha^{h2}'s hom matrix per
+    (x, h, y, h2), is alpha^{h2}(f_i) o mu^-1, and precompose of it to Z
+    gives the composites g_j o alpha^{h2}(f_i) o mu^-1 of the tensor at
+    (j, i).  When every hom space of the base has rank 1, alpha^{h2}(f) o
+    mu^-1 is one product of scalars, and each tensor is that product times
+    the one constant of the base's tensor, an absent one counting as 0, as
     the matrices give.  The choice is made once per call.
     """
     verdict = mod.verdict
@@ -515,34 +513,29 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
                 for h2 in gH.elements():
                     deg = gH.mul(h2, h)
                     start, h2y = mu_inv[(h2, h)][x], mod.action[h2].obj_map[y]
-                    s = start.src
-                    group = comp.setdefault((h, h2), {})
+                    s, group = start.src, comp.setdefault((h, h2), {})
                     if scalars:
                         alpha = mod.action[h2].hom_maps.get((hx, y, e))
                         mid = (_constant(tensors.get((s, start.dst, h2y))) * start.coords[0]
                                * (alpha[0][0] if alpha else 0) % p)
                         for z, _, _ in base.out_homs(h2y):
                             if (x, z, deg) in hom_rank:
-                                c = _constant(tensors.get((s, h2y, z))) * mid % p
-                                group[(x, y, z)] = _scalar(c)
+                                group[(x, y, z)] = _scalar(_constant(tensors.get((s, h2y, z)))
+                                                           * mid % p)
                     else:
-                        # mids[m][i]: column i is alpha^{h2}(f_i) o mu^-1 in Hom(s, h2y)
                         mids = matmul(precompose(base, start, h2y, e),
                                       mod.action[h2].matrix(hx, y, e), p)
+                        # column i of mids is alpha^{h2}(f_i) o mu^-1: s -> h2y
+                        befores = [Morphism(s, h2y, e, u) for u in zip(*mids)]
                         for z, _, _ in base.out_homs(h2y):
                             if (x, z, deg) in hom_rank:
-                                acc = {}
-                                for (j, m), entries in tensors.get((s, h2y, z), {}).items():
-                                    for i, v in enumerate(mids[m]):
-                                        if v:
-                                            col = acc.setdefault((j, i), {})
-                                            for k, c in entries:
-                                                col[k] = col.get(k, 0) + c * v
-                                group[(x, y, z)] = _reduced(acc, p)
+                                group[(x, y, z)] = {
+                                    (j, i): nonzero for i, u in enumerate(befores)
+                                    for j, col in enumerate(zip(*precompose(base, u, z, e)))
+                                    if (nonzero := tuple((k, c) for k, c in enumerate(col) if c))}
     identities = [eps_inv[x].coords for x in base.objects()]
     out = GradedCatPresentation._trusted(base.tau, base.field, base.degrees, hom_rank,
-                                         {hh2: group for hh2, group in comp.items() if group},
-                                         identities)
+                                         comp, identities)
     verdict = out.verdict
     if not verdict.ok:
         raise ValueError(f"incoherent action data: {verdict.violations[0]}")
@@ -598,9 +591,8 @@ def verify_module_functor(mf: ModuleFunctorData, src: ModuleCatData,
             violations.append(("comparison-naturality", h, v))
         for x, c in enumerate(comps):
             # an identity of base_d is its own inverse: nu's comparisons all are
-            is_identity = (c.degree == e and c.src == c.dst and c.src in base_d.objects()
-                           and c.coords == base_d.identities[c.src])
-            if not is_identity and invert(base_d, c) is None:
+            identity = c.src in base_d.objects() and c == identity_morphism(base_d, c.src)
+            if not identity and invert(base_d, c) is None:
                 violations.append(("comparison-not-invertible", h, x))
     if violations:
         return Verdict(violations)

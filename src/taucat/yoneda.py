@@ -98,15 +98,11 @@ def _block_index(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
     """Ordered unknown blocks (y, h, source dim, target dim) with offsets:
     the blocks of _shapes with a nonzero source dimension."""
     gH = cat.tau.source
-    layout = []
-    offset = 0
-    for y in cat.objects():
-        for h in gH.elements():
-            sdim = cat.rank(x, y, gH.mul(h, a))
-            if sdim:
-                tdim = _target_dim(cat, F, y, h)
-                layout.append((y, h, sdim, tdim, offset))
-                offset += sdim * tdim
+    layout, offset = [], 0
+    for y, h in product(cat.objects(), gH.elements()):
+        if sdim := cat.rank(x, y, gH.mul(h, a)):
+            layout.append((y, h, sdim, tdim := _target_dim(cat, F, y, h), offset))
+            offset += sdim * tdim
     return layout, offset
 
 
@@ -118,9 +114,8 @@ def _nat_rows(cat: GradedCatPresentation, x: int, a: int, F: RepTarget, layout,
     degree when that is None) and each basis element f of Hom^{ha}(x, y),
     every coordinate of A2 . (g o f) - F(g) . (A1 f) = 0, where A1 and A2
     are the (y, h) and (y2, kh) unknown blocks of layout.  Both terms are
-    read off tensors: g o f is T(x, y, y2; ha, k)[.][g][f], and F(g) on a
-    summand yo^b_z is T(z, y, y2; hb, k)[.][g][.], whose entries the store
-    lists as the composites of the pairs (g, d).
+    read off tensors: g o f is T(x, y, y2; ha, k)[.][g][f], and F(g) is
+    _rep_matrix, postcompose(g) on each summand.
     """
     gH = cat.tau.source
     p = cat.field.p
@@ -134,36 +129,19 @@ def _nat_rows(cat: GradedCatPresentation, x: int, a: int, F: RepTarget, layout,
             kh = gH.mul(k, h)
             s2, off2 = pos.get((y2, kh), (0, 0))
             t_gf = cat.tensor(x, y, y2, ha, k) or {}
-            # F(g_gi), summand by summand: (column offset, rows, {q: [(d, m), ...]})
-            moved, d0 = [], 0
-            for (b, z) in F.pairs:
-                hb = gH.mul(h, b)
-                t = cat.tensor(z, y, y2, hb, k) or {}
-                moved.append((d0, cat.rank(z, y2, gH.mul(k, hb)), [
-                    _by_output(t, gi, cat.rank(z, y, hb)) for gi in range(rk)]))
-                d0 += cat.rank(z, y, hb)
-            for gi, fi in product(range(rk), range(s1)):
-                gf = _column(t_gf.get((gi, fi), ()), s2)
-                r_out = 0
-                for (d0, rows, by_q) in moved:
-                    for q in range(rows):
+            for gi in range(rk):
+                g = Morphism(y, y2, k, tuple(int(j == gi) for j in range(rk)))
+                moved = _rep_matrix(cat, F, g, h)
+                for fi in range(s1):
+                    gf = _column(t_gf.get((gi, fi), ()), s2)
+                    for r_out, image in enumerate(moved):
                         row = [0] * nvars
                         row[off2 + r_out * s2:off2 + (r_out + 1) * s2] = gf
-                        for d, m in by_q[gi].get(q, ()):
-                            idx = off1 + (d0 + d) * s1 + fi
-                            row[idx] = (row[idx] - m) % p
+                        for d, m in enumerate(image):
+                            if m:
+                                idx = off1 + d * s1 + fi
+                                row[idx] = (row[idx] - m) % p
                         yield row
-                        r_out += 1
-
-
-def _by_output(t, j: int, r: int) -> dict:
-    """{k: [(i, T[k][j][i]), ...]} over the nonzero constants of tensor t at
-    second index j, i below r and ascending."""
-    out = {}
-    for i in range(r):
-        for k, c in t.get((j, i), ()):
-            out.setdefault(k, []).append((i, c))
-    return out
 
 
 def nat_space(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
