@@ -239,11 +239,8 @@ class GradedCatPresentation:
     def _checked_tensor(self, key, tensor) -> dict:
         """The nonzeros of tensor mod p in the store's form, after one walk
         that checks its key, its shape against the ranks of its three hom
-        spaces, and that it is an array of arrays of arrays of integers.
-
-        File tensors reach this walk unchecked, so its messages are the file
-        form's.
-        """
+        spaces, and that it is an array of arrays of arrays of integers: file
+        tensors reach it unchecked, so its messages are the file form's."""
         x, y, z, h, h2 = key
         n, nh = len(self.degrees), self.tau.source.order
         if not (0 <= min(x, y, z) and max(x, y, z) < n and 0 <= h < nh and 0 <= h2 < nh):
@@ -413,8 +410,8 @@ def verify_axioms(cat: GradedCatPresentation) -> Verdict:
 
     for every q, and each (i, j, k) where it fails is one violation; both
     sides are sums over nonzero constants only (_assoc_failures).  The unit
-    laws ask that precompose(id_x) and postcompose(id_y) be the identity
-    matrix on Hom^h(x, y).
+    laws ask that the matrices of precompose(id_x) and postcompose(id_y) on
+    Hom^h(x, y) be the identity.
 
     Associativity is first checked only on paths whose middle degree h2 lies
     in cat.generating_degrees.  The middle morphisms that associate with
@@ -436,14 +433,15 @@ def verify_axioms(cat: GradedCatPresentation) -> Verdict:
             violations.append(("identity-missing", x))
 
     for (x, y, h), r in sorted(cat.hom_rank.items()):
+        id_x, id_y = cat.identities[x], cat.identities[y]
         # column k: e_k o id_x and id_y o e_k, for each basis element e_k of Hom^h(x, y)
-        right = precompose(cat, identity_morphism(cat, x), y, h) if cat.identities[x] else ()
-        left = postcompose(cat, identity_morphism(cat, y), x, h) if cat.identities[y] else ()
+        right = list(zip(*_fixed(cat, cat.tensor(x, x, y, e, h), id_x, 1, r, r))) if id_x else ()
+        left = list(zip(*_fixed(cat, cat.tensor(x, y, y, h, e), id_y, 0, r, r))) if id_y else ()
         for k in range(r):
             unit = tuple(int(q == k) for q in range(r))
-            if right and tuple(row[k] for row in right) != unit:
+            if right and right[k] != unit:
                 violations.append(("unit-right", x, y, h, k))
-            if left and tuple(row[k] for row in left) != unit:
+            if left and left[k] != unit:
                 violations.append(("unit-left", x, y, h, k))
 
     middle = cat.generating_degrees
@@ -627,8 +625,7 @@ def direct_sum_cat(cats) -> GradedCatPresentation:
     sums = {}
     offset = 0
     for c in cats:
-        for (x, y, h), r in c.hom_rank.items():
-            hom_rank[(x + offset, y + offset, h)] = r
+        hom_rank.update(((x + offset, y + offset, h), r) for (x, y, h), r in c.hom_rank.items())
         for hh2, group in c.tensors.items():
             comp.setdefault(hh2, {}).update(
                 ((x + offset, y + offset, z + offset), t) for (x, y, z), t in group.items())

@@ -478,13 +478,12 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
     violation of the degree law.  The degree-h2 morphism
     g: alpha^{h2} Y -> Z after the degree-h morphism f: alpha^h X -> Y is
     g o alpha^{h2}(f) o mu^-1_{h2,h,X}, from s = alpha^{h2 h} X.  Column i
-    of mids, one precompose(mu^-1) times alpha^{h2}'s hom matrix per
-    (x, h, y, h2), is alpha^{h2}(f_i) o mu^-1, and precompose of it to Z
-    gives the composites g_j o alpha^{h2}(f_i) o mu^-1 of the tensor at
-    (j, i).  When every hom space of the base has rank 1, alpha^{h2}(f) o
-    mu^-1 is one product of scalars, and each tensor is that product times
-    the one constant of the base's tensor, an absent one counting as 0, as
-    the matrices give.  The choice is made once per call.
+    of mids, precompose(mu^-1) times alpha^{h2}'s hom matrix, is
+    alpha^{h2}(f_i) o mu^-1, and precompose of it to Z gives the tensor's
+    entries at (j, i).  When every hom space of the base has rank 1, that
+    column is one product of scalars, and each tensor is it times the one
+    constant of the base's tensor, an absent one counting as 0, as the
+    matrices give.  The choice is made once per call.
     """
     verdict = mod.verdict
     if not verdict.ok:

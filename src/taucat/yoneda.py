@@ -114,8 +114,8 @@ def _nat_rows(cat: GradedCatPresentation, x: int, a: int, F: RepTarget, layout,
     degree when that is None) and each basis element f of Hom^{ha}(x, y),
     every coordinate of A2 . (g o f) - F(g) . (A1 f) = 0, where A1 and A2
     are the (y, h) and (y2, kh) unknown blocks of layout.  Both terms are
-    read off tensors: g o f is T(x, y, y2; ha, k)[.][g][f], and F(g) is
-    _rep_matrix, postcompose(g) on each summand.
+    read off tensors: g o f is T(x, y, y2; ha, k)[.][g][f], and F(g) on a
+    summand yo^b_z is T(z, y, y2; hb, k)[.][g][.].
     """
     gH = cat.tau.source
     p = cat.field.p
@@ -129,19 +129,23 @@ def _nat_rows(cat: GradedCatPresentation, x: int, a: int, F: RepTarget, layout,
             kh = gH.mul(k, h)
             s2, off2 = pos.get((y2, kh), (0, 0))
             t_gf = cat.tensor(x, y, y2, ha, k) or {}
-            for gi in range(rk):
-                g = Morphism(y, y2, k, tuple(int(j == gi) for j in range(rk)))
-                moved = _rep_matrix(cat, F, g, h)
-                for fi in range(s1):
-                    gf = _column(t_gf.get((gi, fi), ()), s2)
-                    for r_out, image in enumerate(moved):
-                        row = [0] * nvars
-                        row[off2 + r_out * s2:off2 + (r_out + 1) * s2] = gf
-                        for d, m in enumerate(image):
-                            if m:
-                                idx = off1 + d * s1 + fi
-                                row[idx] = (row[idx] - m) % p
-                        yield row
+            # F(g_gi), the summands' tensors stacked: (gi, row) -> [(column, constant)]
+            moved, rows, d0 = {}, 0, 0
+            for (b, z) in F.pairs:
+                hb = gH.mul(h, b)
+                for (gi, d), entries in (cat.tensor(z, y, y2, hb, k) or {}).items():
+                    for q, m in entries:
+                        moved.setdefault((gi, rows + q), []).append((d0 + d, m))
+                rows, d0 = rows + cat.rank(z, y2, gH.mul(k, hb)), d0 + cat.rank(z, y, hb)
+            for gi, fi in product(range(rk), range(s1)):
+                gf = _column(t_gf.get((gi, fi), ()), s2)
+                for r_out in range(rows):
+                    row = [0] * nvars
+                    row[off2 + r_out * s2:off2 + (r_out + 1) * s2] = gf
+                    for d, m in moved.get((gi, r_out), ()):
+                        idx = off1 + d * s1 + fi
+                        row[idx] = (row[idx] - m) % p
+                    yield row
 
 
 def nat_space(cat: GradedCatPresentation, x: int, a: int, F: RepTarget):
