@@ -251,12 +251,18 @@ class GradedCatPresentation:
         what = "composition tensor"  # a wrong type is reported before a wrong length
         ragged = len(_array(tensor, what)) != r3
         out = {}
-        for k, layer in enumerate(tensor):
-            ragged |= len(_array(layer, what)) != r2
+        for k, layer in enumerate(tensor):  # the checks inline _array and _int
+            if type(layer) not in _ARRAYS:
+                _array(layer, what)
+            ragged |= len(layer) != r2
             for j, row in enumerate(layer):
-                ragged |= len(_array(row, what)) != r1
+                if type(row) not in _ARRAYS:
+                    _array(row, what)
+                ragged |= len(row) != r1
                 for i, v in enumerate(row):
-                    if _int(v, what) % p:  # k ascends, so each pair's entries do too
+                    if type(v) is not int:
+                        _int(v, what)
+                    if v % p:  # k ascends, so each pair's entries do too
                         out[j, i] = out.get((j, i), ()) + ((k, v % p),)
         if ragged:
             raise ValueError(f"ragged composition tensor at {key}")
@@ -331,7 +337,7 @@ def _contract(p: int, t, r: int, f, g) -> tuple:
         if c := g[j] * f[i]:
             for k, v in entries:
                 out[k] += v * c
-    return tuple([v % p for v in out])
+    return (out[0] % p,) if r == 1 else tuple([v % p for v in out])
 
 
 def _check_rank(cat: GradedCatPresentation, m: Morphism) -> None:
@@ -453,8 +459,7 @@ def verify_axioms(cat: GradedCatPresentation) -> Verdict:
 def _assoc_violations(cat: GradedCatPresentation, middle=None):
     """The associativity violations of every path whose middle degree lies
     in middle (every path when None), in path and basis order."""
-    p = cat.field.p
-    rank, table = cat.hom_rank.get, cat.tau.source.table
+    p, rank, table = cat.field.p, cat.hom_rank.get, cat.tau.source.table
     degrees = range(len(table))  # grid[h][h2] = {(x, y, z): T(x, y, z; h, h2)}
     grid = [[cat.tensors.get((h, h2), _NONE) for h2 in degrees] for h in degrees]
     mids = [[hom for hom in cat.out_homs(x) if middle is None or hom[1] in middle]
@@ -620,10 +625,7 @@ def direct_sum_cat(cats) -> GradedCatPresentation:
             raise ValueError("presentations graded by different homomorphisms")
         if c.field != first.field:
             raise ValueError("presentations over different fields")
-    degrees, identities = [], []
-    hom_rank, comp = {}, {}
-    sums = {}
-    offset = 0
+    degrees, identities, hom_rank, comp, sums, offset = [], [], {}, {}, {}, 0
     for c in cats:
         hom_rank.update(((x + offset, y + offset, h), r) for (x, y, h), r in c.hom_rank.items())
         for hh2, group in c.tensors.items():

@@ -281,7 +281,7 @@ def _scalar_ops(mod: ModuleCatData):
     comps = [*mod.epsilon, *(c for cs in mod.mu.values() for c in cs)]
     if not (all(r == 1 for r in base.hom_rank.values())
             and all(len(c) == 1 for c in base.identities)
-            and all(len(c.coords) == 1 and base.rank(c.src, c.dst, e) == 1 for c in comps)):
+            and all(len(c.coords) == 1 and (c.src, c.dst, e) in base.hom_rank for c in comps)):
         return None
     p = base.field.p
     tensors = base.tensors.get((e, e), {})
@@ -296,7 +296,7 @@ def _scalar_ops(mod: ModuleCatData):
     def image(a, f):
         obj_map, maps = action[a]
         m = maps.get((f[0], f[1], e))
-        return (obj_map[f[0]], obj_map[f[1]], (m[0][0] * f[2][0] % p if m and m[0] else 0,))
+        return (obj_map[f[0]], obj_map[f[1]], (m[0][0] * f[2][0] % p if m else 0,))
 
     return then, image
 

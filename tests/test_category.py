@@ -205,6 +205,14 @@ def test_find_invertible_past_the_cap_is_exact_or_undecided():
         find_invertible(simple, 0, 1, 0)
     assert simple.verdict.ok
     assert find_invertible(simple, 0, 1, 0) is None
+    # the same over F_5 with End((0,)*6) of rank 36: verifying it reads only
+    # the nonzero structure constants, so the exact answer is in reach
+    simple = completion(5).presentation_of([(0,), (0,) * 6])
+    assert (simple.rank(0, 1, 0), simple.rank(1, 1, 0)) == (6, 36)
+    with pytest.raises(CapExceeded):
+        find_invertible(simple, 0, 1, 0)
+    assert simple.verdict.ok
+    assert find_invertible(simple, 0, 1, 0) is None
 
 
 def _reference_verify_axioms(cat):
