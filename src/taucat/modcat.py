@@ -204,7 +204,7 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     p = cat.field.p
     base = degree_one_part(cat)
     table = shifts if shifts is not None else shift_table(cat)
-    scalars = (all(r == 1 for r in cat.hom_rank.values())
+    rank_one = (all(r == 1 for r in cat.hom_rank.values())
                and all(len(m.coords) == 1 for _, iso, back in table.values()
                        for m in (iso, back)))
     elements = list(gH.elements())
@@ -215,7 +215,7 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
     for h in elements:
         h_inv = inv[h]
         hom_maps = {}
-        if scalars:  # alpha^h(f) = r_{y,h} o f o r_{x,h}^-1; t[0, 0][0][1] is _constant(t)
+        if rank_one:  # alpha^h(f) = r_{y,h} o f o r_{x,h}^-1; t[0, 0][0][1] is _constant(t)
             pre, post = cat.tensors.get((h_inv, e), {}), cat.tensors.get((h_inv, h), {})
             for (x, y, _) in base.hom_rank:
                 hx, _, inv_x = table[(x, h)]
@@ -231,7 +231,7 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
         action[h] = FunctorData._trusted(base, base, [table[(x, h)][0] for x in objects],
                                          hom_maps)
 
-    if scalars:
+    if rank_one:
         # per degree, (target, iso coordinate, inverse coordinate) by object
         rows = {a: [(y, iso.coords[0], back.coords[0])
                     for y, iso, back in (table[(x, a)] for x in objects)] for a in elements}
@@ -240,7 +240,7 @@ def extract_action(cat: GradedCatPresentation, shifts=None) -> ModuleCatData:
         for b in elements:
             ab = gH.mul(a, b)
             comps, invs = [], []
-            if scalars:
+            if rank_one:
                 t_mu = cat.tensors.get((inv[a], inv[b]), {}), cat.tensors.get((inv[ab], ab), {})
                 t_inv = cat.tensors.get((inv[ab], b), {}), cat.tensors.get((inv[a], a), {})
                 rows_a, rows_b, rows_ab = rows[a], rows[b], rows[ab]
@@ -496,7 +496,7 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
         raise ValueError(f"action violates the degree law: {tdeg.violations[0]}")
     eps_inv, mu_inv = mod.inverses
     p = base.field.p
-    scalars = all(r == 1 for r in base.hom_rank.values())
+    rank_one = all(r == 1 for r in base.hom_rank.values())
     tensors = base.tensors.get((e, e), {})
 
     # the base has degree-1 morphisms only: out_homs(hx) lists the nonzero Hom(hx, y)
@@ -513,7 +513,7 @@ def bullet(mod: ModuleCatData) -> GradedCatPresentation:
                     deg = gH.mul(h2, h)
                     start, h2y = mu_inv[(h2, h)][x], mod.action[h2].obj_map[y]
                     s, group = start.src, comp.setdefault((h, h2), {})
-                    if scalars:
+                    if rank_one:
                         alpha = mod.action[h2].hom_maps.get((hx, y, e))
                         mid = (_constant(tensors.get((s, start.dst, h2y))) * start.coords[0]
                                * (alpha[0][0] if alpha else 0) % p)
