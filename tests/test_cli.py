@@ -66,7 +66,11 @@ def test_malformed_input_exit_2(tmp_path):
                                      "spec_L_int", "datum_gamma_value_int",
                                      "datum_t_out_of_range", "L_option_out_of_range",
                                      "negative_rank", "repeated_homs", "repeated_compose",
-                                     "repeated_sums"])
+                                     "repeated_sums", "compose_src_string",
+                                     "compose_record_int", "compose_object",
+                                     "compose_field_missing", "tensor_missing",
+                                     "tensor_ragged", "tensor_entry_bool",
+                                     "tensor_entry_float", "tensor_layer_int"])
 def test_schema_errors_exit_2_without_traceback(tmp_path, tau_file, category_file,
                                                 variant):
     bad = tmp_path / "bad.json"
@@ -79,12 +83,44 @@ def test_schema_errors_exit_2_without_traceback(tmp_path, tau_file, category_fil
     argv = ("verify", str(bad))
     named = None  # what the error must name
     doc = json.loads(open(category_file).read())
+    first = doc["compose"][0]
+    key = "({src}, {mid}, {dst}, {h}, {h2})".format(**first)
     if variant == "objects_int":
         doc["objects"] = 5
+        named = "objects must be a JSON array, not int"
     elif variant == "tensor_int":
-        doc["compose"][0]["tensor"] = 7
+        first["tensor"] = 7
+        named = "composition tensor must be a JSON array, not int"
+    elif variant == "tensor_layer_int":
+        first["tensor"] = [7]
+        named = "composition tensor must be a JSON array, not int"
     elif variant == "compose_degree_out_of_range":
-        doc["compose"][0]["h2"] = 99
+        first["h2"] = 99
+        named = "composition key out of range: ({src}, {mid}, {dst}, {h}, 99)".format(**first)
+    elif variant == "compose_src_string":
+        first["src"] = str(first["src"])
+        named = f"compose src must be an integer, not {first['src']!r}"
+    elif variant == "compose_record_int":
+        doc["compose"][1] = 4
+        named = "compose must be a JSON object, not int"
+    elif variant == "compose_object":
+        doc["compose"] = {"0": first}
+        named = "compose must be a JSON array, not dict"
+    elif variant == "compose_field_missing":
+        del first["h2"]
+        named = "error: 'h2'"
+    elif variant == "tensor_missing":
+        del first["tensor"]
+        named = "error: 'tensor'"
+    elif variant == "tensor_ragged":
+        first["tensor"] = [[[1, 0]]]
+        named = f"ragged composition tensor at {key}"
+    elif variant == "tensor_entry_bool":
+        first["tensor"] = [[[True]]]
+        named = "composition tensor must be an integer, not True"
+    elif variant == "tensor_entry_float":
+        first["tensor"] = [[[1.0]]]
+        named = "composition tensor must be an integer, not 1.0"
     elif variant == "negative_rank":  # was dropped as a zero rank
         doc["homs"].append({"src": 0, "dst": 1, "h": 0, "rank": -3})
         named = "negative hom rank at (0, 1, 0)"
@@ -123,6 +159,7 @@ def test_schema_errors_exit_2_without_traceback(tmp_path, tau_file, category_fil
                 "--datumB", str(datum))
     else:
         doc = [doc]
+        named = "category must be a JSON object, not list"
     bad.write_text(json.dumps(doc))
     r = run_cli(*argv)
     assert r.returncode == 2
