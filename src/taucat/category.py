@@ -108,23 +108,41 @@ class GradedCatPresentation:
 
     The constructor is the input boundary: it normalises its arguments to
     tuples of ints mod p, drops zero ranks, and checks keys, tensors and
-    identities in one walk whose messages are the file form's (jsonio hands
-    it file data unchecked).  The builders that make their data in memory
+    identities in one walk whose messages are the file form's; tensors are
+    walked group by group of the store.  jsonio hands `_grouped` file data
+    unchecked, its tensors already in that grouping.  The builders that make their data in memory
     (mtau, modcat, completion, direct_sum_cat) use `_trusted`, which skips
     that walk and takes the store; they owe it canonical data.
     """
 
     def __init__(self, tau: GroupHom, field: PrimeField, degrees, hom_rank,
                  compose, identities, sums=None):
+        tensors = {}
+        for key, t in compose.items():
+            tensors.setdefault(key[3:], {})[key[:3]] = t
+        self._checked(tau, field, degrees, hom_rank, tensors, identities, sums)
+
+    @classmethod
+    def _grouped(cls, tau: GroupHom, field: PrimeField, degrees, hom_rank, tensors,
+                 identities, sums=None) -> GradedCatPresentation:
+        """The constructor, for unchecked tensors that come grouped as the
+        store keeps them, {(h, h2): {(src, mid, dst): tensor}}: the validating
+        walk replaces each tensor by its store form in place (jsonio's reader)."""
+        cat = cls.__new__(cls)
+        cat._checked(tau, field, degrees, hom_rank, tensors, identities, sums)
+        return cat
+
+    def _checked(self, tau, field, degrees, hom_rank, tensors, identities, sums):
         p = field.p
         self._store(tau, field, tuple(int(d) for d in degrees),
                     {k: int(r) for k, r in hom_rank.items() if int(r)},
                     tuple(tuple(int(c) % p for c in cid) for cid in identities), sums)
         # a file's first fault is found in this order: keys, tensors, identities
         self._validate_keys()
-        tensors = {}
-        for key, t in compose.items():
-            tensors.setdefault(key[3:], {})[key[:3]] = self._checked_tensor(key, t)
+        check = self._checked_tensor
+        for hh2, group in tensors.items():
+            for xyz, t in group.items():
+                group[xyz] = check(xyz + hh2, t)
         self._validate_shapes()
         self._finish(tensors)
 
@@ -242,12 +260,20 @@ class GradedCatPresentation:
         spaces, and that it is an array of arrays of arrays of integers: file
         tensors reach it unchecked, so its messages are the file form's."""
         x, y, z, h, h2 = key
-        n, nh = len(self.degrees), self.tau.source.order
-        if not (0 <= min(x, y, z) and max(x, y, z) < n and 0 <= h < nh and 0 <= h2 < nh):
+        gH = self.tau.source
+        n, nh = len(self.degrees), gH.order
+        if not (0 <= x < n and 0 <= y < n and 0 <= z < n and 0 <= h < nh and 0 <= h2 < nh):
             raise ValueError(f"composition key out of range: {key}")
         rank, p = self.hom_rank.get, self.field.p
         r1, r2 = rank((x, y, h), 0), rank((y, z, h2), 0)
-        r3 = rank((x, z, self.tau.source.mul(h2, h)), 0)
+        r3 = rank((x, z, gH.table[h2][h]), 0)
+        if r1 == r2 == r3 == 1 and type(tensor) in _ARRAYS and len(tensor) == 1:
+            # a 1x1x1 array of an int, the common shape, is read without the walk
+            layer = tensor[0]
+            if type(layer) in _ARRAYS and len(layer) == 1:
+                row = layer[0]
+                if type(row) in _ARRAYS and len(row) == 1 and type(row[0]) is int:
+                    return _scalar(row[0] % p)
         what = "composition tensor"  # a wrong type is reported before a wrong length
         ragged = len(_array(tensor, what)) != r3
         out = {}

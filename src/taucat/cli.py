@@ -43,12 +43,20 @@ def _load(path: str):
         return json.load(fh)
 
 
-def _emit(report, out_path=None):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out_path=None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
+
+
+def _emit(report, out_path=None):
+    _write(json.dumps(report, sort_keys=True, indent=2) + "\n", out_path)
+
+
+def _emit_category(cat, out_path=None):
+    """A category file, the same bytes as _emit(jsonio.category_to_json(cat))."""
+    _write(jsonio.category_text(cat) + "\n", out_path)
 
 
 def _violations_json(verdict):
@@ -78,16 +86,13 @@ def cmd_build_mtau(args) -> int:
     else:
         psi = jsonio.parse_cochain2(_load(args.psi), f, tau)
         spec = mtau_spec(tau, f, sub, psi, args.g)
-    cat = build_skeleton(spec)
-    report = jsonio.category_to_json(cat)
-    _emit(report, args.output)
+    _emit_category(build_skeleton(spec), args.output)
     return 0
 
 
 def cmd_build_groupoid(args) -> int:
     tau = jsonio.parse_hom(_load(args.tau))
-    cat = build_group_groupoid(tau, field(args.p))
-    _emit(jsonio.category_to_json(cat), args.output)
+    _emit_category(build_group_groupoid(tau, field(args.p)), args.output)
     return 0
 
 
@@ -223,8 +228,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_bullet(args) -> int:
-    cat = bullet(jsonio.parse_modcat(_load(args.modcat)))
-    _emit(jsonio.category_to_json(cat), args.output)
+    _emit_category(bullet(jsonio.parse_modcat(_load(args.modcat))), args.output)
     return 0
 
 

@@ -6,6 +6,15 @@ tensors are zero, omitted cochain entries are 1.  Parsers re-verify
 everything through the ordinary constructors, so malformed files fail
 loudly rather than producing broken in-memory structures.
 
+A category file's bytes are a contract, since every report hashes its
+input: `category_text(cat)` is exactly
+`json.dumps(category_to_json(cat), sort_keys=True, indent=2)`.  It formats
+each `homs` record and each `compose` record between rank-1 hom spaces
+from one template, any other tensor with a small formatter for nested
+int arrays, and the remaining fields with `json.dumps`, indented one
+level deeper (the encoder's text at depth d is its depth-0 text with 2d
+more spaces after each newline).
+
 A module file stores the base, the action's object maps and hom
 matrices, and the coordinates of the epsilon and mu components; the
 endpoints of epsilon and mu are fixed by the action, so neither the file
@@ -14,7 +23,9 @@ nor ModuleCatData stores them.
 
 from __future__ import annotations
 
-from .category import FunctorData, GradedCatPresentation, Morphism, _int
+import json
+
+from .category import FunctorData, GradedCatPresentation, Morphism, _constant, _int
 from .category import _array as _check_array
 from .cochains import Cochain1, Cochain2, cochain1, cochain2, trivial_cochain2
 from .fields import PrimeField, field
@@ -173,9 +184,7 @@ def parse_category(doc) -> GradedCatPresentation:
     degrees = [deg for _, (deg,) in _records(doc["objects"], "objects", "deg")]
     hom_rank = {key: _int(rec["rank"], "hom rank")
                 for rec, key in _keyed(doc.get("homs", []), "homs", "src", "dst", "h")}
-    # GradedCatPresentation checks each tensor in the walk that normalises it
-    comp = {key: rec["tensor"] for rec, key in _keyed(
-        doc.get("compose", []), "compose", "src", "mid", "dst", "h", "h2")}
+    tensors = _compose_records(doc.get("compose", []))
     identities = _array(doc["identities"], "identities", 2)
     e = tau.source.identity
     sums = {}
@@ -184,19 +193,74 @@ def parse_category(doc) -> GradedCatPresentation:
             (part, Morphism(part, x, e, tuple(_array(pd["injection"], "injection", 1))),
              Morphism(x, part, e, tuple(_array(pd["projection"], "projection", 1))))
             for pd, (part,) in _records(rec["parts"], "sum parts", "part"))
-    return GradedCatPresentation(tau, f, degrees, hom_rank, comp, identities,
-                                 sums=sums)
+    # GradedCatPresentation checks each tensor in the walk that normalises it
+    return GradedCatPresentation._grouped(tau, f, degrees, hom_rank, tensors, identities,
+                                          sums=sums)
 
 
-def _dense(cat: GradedCatPresentation, x, y, z, h, h2) -> list:
-    """T(x, y, z; h, h2) as the file's array c[k][j][i], shaped by the ranks
-    of its three hom spaces: the one place a tensor is laid out dense."""
-    rank = cat.hom_rank.get
-    out = [[[0] * rank((x, y, h), 0) for _ in range(rank((y, z, h2), 0))]
-           for _ in range(rank((x, z, cat.tau.source.table[h2][h]), 0))]
-    for (j, i), entries in cat.tensors[h, h2][x, y, z].items():
+def _compose_records(value) -> dict:
+    """The compose records as {(h, h2): {(src, mid, dst): tensor}}, the
+    store's grouping, each tensor as the file gives it: one pass that checks
+    each record's fields and refuses a key that repeats."""
+    out = {}
+    for rec in _array(value, "compose"):
+        if type(rec) is not dict:
+            _object(rec, "compose")
+        xyz = x, y, z = rec["src"], rec["mid"], rec["dst"]
+        hh2 = h, h2 = rec["h"], rec["h2"]
+        if not type(x) is type(y) is type(z) is type(h) is type(h2) is int:
+            for k in ("src", "mid", "dst", "h", "h2"):
+                _int(rec[k], f"compose {k}")
+        group = out.get(hh2)
+        if group is None:
+            group = out[hh2] = {}
+        elif xyz in group:
+            raise ValueError(f"repeated compose key {xyz + hh2}")
+        group[xyz] = rec["tensor"]
+    return out
+
+
+def _sorted_tensors(cat: GradedCatPresentation) -> list:
+    """Each stored tensor, a declared zero one included, in the file's record
+    order, as (src, mid, dst, h, h2, tensor): the tensor is its one constant
+    when its three hom spaces have rank 1, else the file's dense array."""
+    rank, table = cat.hom_rank.get, cat.tau.source.table
+    out = []
+    for (h, h2), group in cat.tensors.items():
+        hh2 = table[h2][h]
+        for (x, y, z), t in group.items():
+            r1, r2, r3 = rank((x, y, h), 0), rank((y, z, h2), 0), rank((x, z, hh2), 0)
+            out.append((x, y, z, h, h2, _constant(t) if r1 == r2 == r3 == 1
+                        else _dense(t, r1, r2, r3)))
+    out.sort()  # the keys differ, so no tensor is compared
+    return out
+
+
+def _dense(t, r1: int, r2: int, r3: int) -> list:
+    """A stored tensor as the file's array c[k][j][i], shaped by the ranks of
+    its three hom spaces: the one place a tensor is laid out dense."""
+    out = [[[0] * r1 for _ in range(r2)] for _ in range(r3)]
+    for (j, i), entries in t.items():
         for k, c in entries:
             out[k][j][i] = c
+    return out
+
+
+def _file_form(cat: GradedCatPresentation, homs, compose) -> dict:
+    """The fields of a category file, in the order category_to_json has
+    always given them, with its `homs` and `compose` records as given."""
+    out = {
+        "tau": hom_to_json(cat.tau),
+        "p": cat.field.p,
+        "objects": [{"deg": d} for d in cat.degrees],
+        "homs": homs,
+        "compose": compose,
+        "identities": [list(c) for c in cat.identities],
+    }
+    if cat.sums:
+        out["sums"] = [{"object": x, "parts": [
+            {"part": part, "injection": list(i.coords), "projection": list(q.coords)}
+            for part, i, q in parts]} for x, parts in sorted(cat.sums.items())]
     return out
 
 
@@ -206,23 +270,50 @@ def category_to_json(cat: GradedCatPresentation):
     with degree-1 injections and projections.  A presentation records no
     shift choice, and no verdict depends on one: a reader of the file takes
     modcat.shift_table's scan."""
-    out = {
-        "tau": hom_to_json(cat.tau),
-        "p": cat.field.p,
-        "objects": [{"deg": d} for d in cat.degrees],
-        "homs": [{"src": x, "dst": y, "h": h, "rank": r}
-                 for (x, y, h), r in sorted(cat.hom_rank.items())],
-        "compose": [{"src": x, "mid": y, "dst": z, "h": h, "h2": h2,
-                     "tensor": _dense(cat, x, y, z, h, h2)}
-                    for x, y, z, h, h2 in sorted(xyz + hh2 for hh2, group in cat.tensors.items()
-                                                 for xyz in group)],
-        "identities": [list(c) for c in cat.identities],
-    }
-    if cat.sums:
-        out["sums"] = [{"object": x, "parts": [
-            {"part": part, "injection": list(i.coords), "projection": list(q.coords)}
-            for part, i, q in parts]} for x, parts in sorted(cat.sums.items())]
-    return out
+    return _file_form(
+        cat, [{"src": x, "dst": y, "h": h, "rank": r}
+              for (x, y, h), r in sorted(cat.hom_rank.items())],
+        [{"src": x, "mid": y, "dst": z, "h": h, "h2": h2,
+          "tensor": [[[t]]] if type(t) is int else t}
+         for x, y, z, h, h2, t in _sorted_tensors(cat)])
+
+
+def _int_array(value, indent: int) -> str:
+    """json.dumps(value, indent=2) of nested arrays of ints whose first line
+    sits `indent` spaces deep."""
+    if not value:
+        return "[]"
+    inner = "\n" + " " * (indent + 2)
+    items = ([_int_array(v, indent + 2) for v in value] if type(value[0]) is list
+             else map(str, value))
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * indent + "]"
+
+
+def _list_text(items: list) -> str:
+    """A top-level field's array of records, each record's text given."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+# the records of category_to_json, keys sorted, as items of a top-level field
+_HOM = '    {\n      "dst": %d,\n      "h": %d,\n      "rank": %d,\n      "src": %d\n    }'
+_COMPOSE = ('    {\n      "dst": %d,\n      "h": %d,\n      "h2": %d,\n      "mid": %d,\n'
+            '      "src": %d,\n      "tensor": %s\n    }')
+_COMPOSE_1 = _COMPOSE.replace("%s", _int_array([[["%d"]]], 6))
+
+
+def category_text(cat: GradedCatPresentation) -> str:
+    """json.dumps(category_to_json(cat), sort_keys=True, indent=2), written
+    from the store in one sorted walk of its records."""
+    records = ("homs", "compose")  # given to _file_form as their text
+    fields = _file_form(
+        cat, _list_text([_HOM % (y, h, r, x) for (x, y, h), r in sorted(cat.hom_rank.items())]),
+        _list_text([_COMPOSE_1 % (z, h, h2, y, x, t) if type(t) is int
+                    else _COMPOSE % (z, h, h2, y, x, _int_array(t, 6))
+                    for x, y, z, h, h2, t in _sorted_tensors(cat)]))
+    return "{\n" + ",\n".join(
+        f'  "{k}": ' + (v if k in records
+                        else json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  "))
+        for k, v in sorted(fields.items())) + "\n}"
 
 
 def _object_map(value, what: str, n: int) -> list:
