@@ -110,9 +110,10 @@ class GradedCatPresentation:
     tuples of ints mod p, drops zero ranks, and checks keys, tensors and
     identities in one walk whose messages are the file form's; tensors are
     walked group by group of the store.  jsonio hands `_grouped` file data
-    unchecked, its tensors already in that grouping.  The builders that make their data in memory
-    (mtau, modcat, completion, direct_sum_cat) use `_trusted`, which skips
-    that walk and takes the store; they owe it canonical data.
+    unchecked, its tensors already in that grouping.  The builders that
+    make their data in memory (mtau, modcat, completion, direct_sum_cat)
+    use `_trusted`, which skips that walk and takes the store; they owe it
+    canonical data.
     """
 
     def __init__(self, tau: GroupHom, field: PrimeField, degrees, hom_rank,

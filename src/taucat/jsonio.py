@@ -227,9 +227,9 @@ def _sorted_tensors(cat: GradedCatPresentation) -> list:
     rank, table = cat.hom_rank.get, cat.tau.source.table
     out = []
     for (h, h2), group in cat.tensors.items():
-        hh2 = table[h2][h]
+        h2h = table[h2][h]
         for (x, y, z), t in group.items():
-            r1, r2, r3 = rank((x, y, h), 0), rank((y, z, h2), 0), rank((x, z, hh2), 0)
+            r1, r2, r3 = rank((x, y, h), 0), rank((y, z, h2), 0), rank((x, z, h2h), 0)
             out.append((x, y, z, h, h2, _constant(t) if r1 == r2 == r3 == 1
                         else _dense(t, r1, r2, r3)))
     out.sort()  # the keys differ, so no tensor is compared
@@ -247,8 +247,9 @@ def _dense(t, r1: int, r2: int, r3: int) -> list:
 
 
 def _file_form(cat: GradedCatPresentation, homs, compose) -> dict:
-    """The fields of a category file, in the order category_to_json has
-    always given them, with its `homs` and `compose` records as given."""
+    """The fields of a category file, with its `homs` and `compose` records
+    as given, in category_to_json's order (a document dumped without
+    sort_keys, as the benchmark and the golden table write some, keeps it)."""
     out = {
         "tau": hom_to_json(cat.tau),
         "p": cat.field.p,
