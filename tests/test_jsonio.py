@@ -5,33 +5,24 @@ hom spaces, zero tensors and declared sums, the action groupoid, bullet's
 matrix branch, and presentations without composition records."""
 
 import json
-from random import Random
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from taucat import jsonio
 from taucat.category import GradedCatPresentation
-from taucat.cochains import d1_cochain, random_cochain1
 from taucat.completion import AdditiveCompletion
 from taucat.fields import field
-from taucat.groups import coset_space, cyclic_group, reduction_hom, subgroup
+from taucat.groups import reduction_hom
 from taucat.modcat import bullet
-from taucat.mtau import build_group_groupoid, build_skeleton, mtau_spec
+from taucat.mtau import build_group_groupoid
 
 from test_golden_stdout import _zero_composite_module, _zero_records
-from test_trusted import _trivial_rank2_module
+from test_trusted import _trivial_rank2_module, twisted_skeleton
 
 F5 = field(5)
 # (|H|, |L|) over the parity map C_n -> C_2, every L in the kernel
 SHAPES = [(n, k) for n in (8, 12, 16) for k in range(1, n // 2 + 1) if n // 2 % k == 0]
-
-
-def skeleton(n, k, g, seed):
-    tau = reduction_hom(n, 2)
-    L = subgroup(cyclic_group(n), range(0, n, n // k))
-    psi = d1_cochain(random_cochain1(F5, coset_space(tau.source, L), Random(seed)))
-    return build_skeleton(mtau_spec(tau, F5, L, psi, g))
 
 
 def assert_text_is_the_document(cat):
@@ -46,7 +37,7 @@ def assert_text_is_the_document(cat):
 @settings(max_examples=3, deadline=None, phases=[Phase.generate])
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_text_of_twisted_skeletons(n, k, g, seed):
-    assert_text_is_the_document(skeleton(n, k, g, seed))
+    assert_text_is_the_document(twisted_skeleton(n, k, seed, g))
 
 
 def test_text_of_a_completion_with_zero_tensors_and_sums():
@@ -64,7 +55,7 @@ def test_text_of_a_completion_with_zero_tensors_and_sums():
                       min_size=1, max_size=4),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_text_of_completions(parts, seed):
-    base = skeleton(8, 2, seed % 2, seed)
+    base = twisted_skeleton(8, 2, seed, seed % 2)
     # each object's parts share the degree of its first
     objects = [tuple(x for x in o if base.degrees[x] == base.degrees[o[0]]) for o in parts]
     objects += [(x,) for x in base.objects()]  # so every sum object is declared

@@ -30,12 +30,12 @@ from morphisms import dense_tensors
 F5 = field(5)
 
 
-def twisted_skeleton(n, k, seed):
+def twisted_skeleton(n, k, seed, g=0):
     """The Cn -> C2 skeleton on the order-k subgroup, twisted by a coboundary."""
     tau = reduction_hom(n, 2)
     L = subgroup(cyclic_group(n), [i * (n // k) for i in range(k)])
     psi = d1_cochain(random_cochain1(F5, coset_space(tau.source, L), Random(seed)))
-    return build_skeleton(mtau_spec(tau, F5, L, psi, 0))
+    return build_skeleton(mtau_spec(tau, F5, L, psi, g))
 
 
 def _canonical(value, p, depth):
